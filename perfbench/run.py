@@ -5,11 +5,12 @@
         --seed N --seconds S --trace 0|1
 
 Run from the repository root. Builds the `ripple_perf` driver (the
-ripple library plus perfbench/src) into .bench_build, then runs the
-workload once per process, repeatedly, for --seconds of host time. Every
-repetition must reproduce the same simulated results and determinism
-fingerprints. Prints the end-to-end metrics by name and unit, then, as
-the last line, one JSON object:
+ripple library plus perfbench/src) and the `ripple_calibrate` host-speed
+probe into .bench_build, then runs the workload once per process,
+repeatedly, for --seconds of host time. Every repetition must reproduce
+the same simulated results and determinism fingerprints. Prints the
+end-to-end metrics by name and unit, then, as the last line, one JSON
+object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -19,6 +20,16 @@ back to back, the first traced one also replays the workload's pre-run
 scheduler batch, and the metrics are the per-layer ones, printed with
 the end-to-end metric and workload each should move (perfbench/metrics.json).
 Host-time spans of the first traced run are written to .bench_build/trace/.
+
+Host times are reported in reference-host seconds. A shared host's speed
+drifts with the load of other jobs by up to 2x over minutes, far more than
+the bounds a change is judged by. So ripple_calibrate, a fixed event-driven
+computation that shares no code with ripple, runs before every repetition
+and once after the last, and each repetition's host times are scaled by
+the reference calibration time (perfbench/metrics.json, host_speed) over
+the mean of the two calibrations around it; the reported host times are
+medians of the scaled ones. The measured wall time and the scales are
+printed beside the table.
 
 Exits non-zero when the build fails or any correctness check fails.
 """
@@ -37,6 +48,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 BUILD = ROOT / ".bench_build"
 BINARY = BUILD / "ripple_perf"
+CALIBRATOR = BUILD / "ripple_calibrate"
 WORKLOADS = ("campaign", "dataflow", "serving")
 MIN_REPETITIONS = 3
 # Each child gets at most this long; the whole command stays under 180 s.
@@ -73,8 +85,18 @@ def build():
             if subprocess.run(configure, stdout=sys.stderr).returncode != 0:
                 return False
         step = ["cmake", "--build", str(BUILD), "--target", "ripple_perf",
-                "--parallel", "4"]
+                "ripple_calibrate", "--parallel", "4"]
         return subprocess.run(step, stdout=sys.stderr).returncode == 0
+
+
+def calibrate():
+    """One run of the host-speed probe: (seconds, checksum)."""
+    done = subprocess.run([str(CALIBRATOR)], stdout=subprocess.PIPE,
+                          text=True, timeout=CHILD_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"ripple_calibrate exited with {done.returncode}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return result["calibration_s"], result["checksum"]
 
 
 def run_child(workload, seed, trace, replay=False, spans=None):
@@ -113,11 +135,18 @@ def check_run(run, checks, label):
         checks.expect(ok, f"{label}: check {name} failed")
 
 
+def scaled(runs, host_time):
+    """Median over `runs` of a host time, each scaled by the host speed
+    measured around its repetition."""
+    return median([run["scale"] * host_time(run) for run in runs])
+
+
 def end_to_end(untraced):
     first = untraced[0]
     values = {
-        "wall_s": median([r["host"]["wall_s"] for r in untraced]),
-        "setup_s": median([s for r in untraced for s in r["host"]["setup_s"]]),
+        "wall_s": scaled(untraced, lambda r: r["host"]["wall_s"]),
+        "setup_s": median([r["scale"] * s
+                           for r in untraced for s in r["host"]["setup_s"]]),
         "peak_rss_mb": median([r["host"]["peak_rss_mb"] for r in untraced]),
     }
     for name in ("makespan_s", "latency_p50_s", "latency_p99_s"):
@@ -130,11 +159,11 @@ def per_layer(untraced, traced, checks):
     layers = dict(first["layers"])
     events = untraced[0]["layers"]["sim.events"]
     layers["sim.events"] = events
-    untraced_run_s = median([r["host"]["run_s"] for r in untraced])
+    untraced_run_s = scaled(untraced, lambda r: r["host"]["run_s"])
     layers["sim.ns_per_event"] = untraced_run_s / events * 1e9 if events else 0.0
 
     def span(name):
-        return median([r["host"]["spans"][name] for r in traced])
+        return scaled(traced, lambda r: r["host"]["spans"][name])
 
     layers["sim.run_s"] = span("sim.run")
     layers["platform.setup_s"] = span("platform.setup")
@@ -146,8 +175,9 @@ def per_layer(untraced, traced, checks):
     replay = first["replay"]
     checks.expect(replay["grants"] == replay["requests"],
                   "scheduler replay did not grant every request")
-    layers["core.sched.replay_submit_us"] = replay["submit_us"]
-    layers["core.sched.replay_release_us"] = replay["release_us"]
+    layers["core.sched.replay_submit_us"] = first["scale"] * replay["submit_us"]
+    layers["core.sched.replay_release_us"] = (first["scale"]
+                                              * replay["release_us"])
     untraced_wall = median([r["host"]["wall_s"] for r in untraced])
     traced_wall = median([r["host"]["wall_s"] for r in traced])
     layers["metrics.trace_overhead"] = traced_wall / untraced_wall
@@ -186,21 +216,34 @@ def main():
     trace = args.trace == 1
     spans_file = BUILD / "trace" / f"{args.workload}-seed{args.seed}.spans.json"
     spans_file.parent.mkdir(exist_ok=True)
-    untraced, traced = [], []
+    reference_s = spec["host_speed"]["reference_calibration_s"]
+    untraced, traced, calibrations = [], [], []
     deadline = time.monotonic() + args.seconds
     try:
         while len(untraced) < MIN_REPETITIONS or time.monotonic() < deadline:
+            calibrations.append(calibrate())
             untraced.append(run_child(args.workload, args.seed, trace=False))
             if trace:
                 first = not traced
                 traced.append(run_child(
                     args.workload, args.seed, trace=True, replay=first,
                     spans=spans_file if first else None))
+        calibrations.append(calibrate())
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as error:
         log(f"perfbench: {error}")
         return 2
 
+    # Repetition i, its traced twin included, ran between calibrations i
+    # and i + 1.
+    for i, run in enumerate(untraced):
+        around = (calibrations[i][0] + calibrations[i + 1][0]) / 2
+        run["scale"] = reference_s / around
+    for run, twin in zip(traced, untraced):
+        run["scale"] = twin["scale"]
+
     checks = Checks()
+    checks.expect(len({checksum for _, checksum in calibrations}) == 1,
+                  "ripple_calibrate did different work across repetitions")
     reference = outcome(untraced[0])
     for i, run in enumerate(untraced):
         check_run(run, checks, f"untraced run {i}")
@@ -224,6 +267,12 @@ def main():
           f"unit {first['unit']}: {first['attempted']} attempted, "
           f"{first['done']} done, {first['failed']} failed")
     print_table("end-to-end (tracing off)", rows)
+    measured_wall = median([r["host"]["wall_s"] for r in untraced])
+    print(f"\nhost speed: ripple_calibrate took "
+          f"{fmt(median([c for c, _ in calibrations]))} s (median; reference "
+          f"{reference_s} s), so host times above are measured x "
+          f"{fmt(median([r['scale'] for r in untraced]))} (median scale); "
+          f"measured wall_s {fmt(measured_wall)} s")
     print_table("determinism fingerprints",
                 [("name", "fnv1a")] + sorted(first["fingerprints"].items()))
 
