@@ -1,6 +1,7 @@
 #include "ripple/core/scheduler.hpp"
 
 #include <algorithm>
+#include <queue>
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/strutil.hpp"
@@ -187,9 +188,8 @@ void Scheduler::release(const std::string& pilot_uid,
   try_schedule(entry);
 }
 
-WaitQueue::iterator Scheduler::grant(PilotEntry& entry,
-                                     WaitQueue::iterator position,
-                                     platform::Node& node, GrantSink* sink) {
+void Scheduler::grant(PilotEntry& entry, WaitQueue::iterator position,
+                      platform::Node& node, GrantSink* sink) {
   ScheduleRequest& request = position->second.request;
   platform::Slot slot =
       node.allocate(request.cores, request.gpus, request.mem_gb);
@@ -216,16 +216,16 @@ WaitQueue::iterator Scheduler::grant(PilotEntry& entry,
     pending.node = &node;
     pending.callback = std::move(request.granted);
     sink->push_back(std::move(pending));
-    return entry.waiting.erase(position);
+    entry.waiting.erase(position);
+    return;
   }
   const double enqueued_at = position->second.enqueued_at;
   std::string uid = request.uid;
   std::string tenant = request.tenant;
   auto callback = std::move(request.granted);
-  const auto next = entry.waiting.erase(position);
+  entry.waiting.erase(position);
   commit_grant(enqueued_at, uid, tenant, share_cost, std::move(slot), &node,
                std::move(callback));
-  return next;
 }
 
 void Scheduler::commit_grant(
@@ -295,141 +295,114 @@ double Scheduler::dominant_fraction(const PilotEntry& entry,
 }
 
 std::size_t Scheduler::try_schedule(PilotEntry& entry, GrantSink* sink) {
-  if (!tenant_weights_.empty() && policy_ == SchedulerPolicy::backfill) {
-    return try_schedule_fair(entry, sink);
-  }
-  if (oracle_ && policy_ == SchedulerPolicy::backfill) {
-    return try_schedule_data_aware(entry, sink);
-  }
   std::size_t grants = 0;
-  auto it = entry.waiting.begin();
-  while (it != entry.waiting.end()) {
-    const ScheduleRequest& request = it->second.request;
-    platform::Node* node =
-        entry.index.first_fit(request.cores, request.gpus, request.mem_gb);
-    if (node == nullptr) {
-      if (policy_ == SchedulerPolicy::fifo) break;  // head blocks queue
-      ++it;
+  if (policy_ == SchedulerPolicy::backfill) {
+    grants = backfill(entry, sink);
+  } else {
+    // fifo: grant queue heads until one does not fit.
+    while (!entry.waiting.empty()) {
+      const auto head = entry.waiting.begin();
+      const ScheduleRequest& request = head->second.request;
+      platform::Node* node =
+          entry.index.first_fit(request.cores, request.gpus, request.mem_gb);
+      if (node == nullptr) break;
+      grant(entry, head, *node, sink);
+      ++grants;
+    }
+  }
+  entry.needs_full_scan = false;
+  return grants;
+}
+
+std::size_t Scheduler::backfill(PilotEntry& entry, GrantSink* sink) {
+  // Composite key: (priority desc, tenant share asc, non-resident asc,
+  // sequence asc). A component that is off is constant: the share
+  // without fair share, residency without the oracle or under fair
+  // share. Shares are read at pass start (commit_grant, their only
+  // writer, runs after the pass on the batch paths), so the order is a
+  // pure function of committed history and the reads race with nothing
+  // under the executor.
+  const bool fair = fair_share();
+  const bool locality = oracle_ && !fair;
+  const std::string zone = locality ? entry.pilot->cluster().name() : "";
+
+  // A run is consumed from the front in key order: a whole bucket,
+  // whose head is always its first member, or one residency half
+  // split[next, end) of an input-declaring bucket under the oracle.
+  struct Run {
+    const WaitQueue::Bucket* bucket = nullptr;
+    std::size_t next = 0;
+    std::size_t end = 0;
+    double share = 0.0;
+    bool non_resident = false;
+  };
+  std::vector<Run> runs;
+  std::vector<WaitQueue::iterator> split;
+  std::vector<WaitQueue::iterator> cold;
+  for (const auto& [shape, members] : entry.waiting.buckets()) {
+    double share = 0.0;
+    if (fair) {
+      const auto it = tenant_shares_.find(shape.tenant);
+      if (it != tenant_shares_.end()) share = it->second;
+    }
+    if (!locality || !shape.declares_inputs) {
+      runs.push_back({&members, 0, members.size(), share, false});
       continue;
     }
-    it = grant(entry, it, *node, sink);
-    ++grants;
+    // One live oracle call per member; the catalog cannot change
+    // mid-pass because grants are posted, never run synchronously.
+    const std::size_t first = split.size();
+    for (const WaitQueue::iterator position : members) {
+      const auto& inputs = position->second.request.input_datasets;
+      (oracle_(inputs, zone) > 0.0 ? cold : split).push_back(position);
+    }
+    const std::size_t middle = split.size();
+    split.insert(split.end(), cold.begin(), cold.end());
+    cold.clear();
+    runs.push_back({nullptr, first, middle, share, false});
+    runs.push_back({nullptr, middle, split.size(), share, true});
   }
-  entry.needs_full_scan = false;
-  return grants;
-}
-
-std::size_t Scheduler::try_schedule_data_aware(PilotEntry& entry,
-                                               GrantSink* sink) {
-  std::size_t grants = 0;
-  const std::string zone = entry.pilot->cluster().name();
-  std::vector<WaitQueue::Key> deferred;  ///< skipped: non-zero footprint
-  auto group_begin = entry.waiting.begin();
-  while (group_begin != entry.waiting.end()) {
-    const int priority = group_begin->first.priority;
-    deferred.clear();
-    // Pass 1 — resident requests of this priority class, in submission
-    // order. With every footprint zero this pass *is* the data-blind
-    // scan of the class: capacity only shrinks as grants land, so
-    // anything it skips stays unplaceable and pass 2 grants nothing —
-    // the conservative bit-identical-order guarantee.
-    for (auto it = group_begin;
-         it != entry.waiting.end() && it->first.priority == priority;) {
-      const ScheduleRequest& request = it->second.request;
-      // No declared inputs is the common case; it is resident by
-      // definition, so don't pay the oracle's catalog lookup for it.
-      if (!request.input_datasets.empty() &&
-          oracle_(request.input_datasets, zone) > 0.0) {
-        deferred.push_back(it->first);
-        ++it;
-        continue;
-      }
-      platform::Node* node = entry.index.first_fit(
-          request.cores, request.gpus, request.mem_gb);
-      if (node == nullptr) {
-        ++it;
-        continue;
-      }
-      const bool at_begin = it == group_begin;
-      it = grant(entry, it, *node, sink);
-      if (at_begin) group_begin = it;
-      ++grants;
-    }
-    // Pass 2 — non-resident backfill, submission order. Only the
-    // requests pass 1 deferred are probed: every resident request it
-    // left behind already failed first_fit at capacity that has only
-    // shrunk since, so re-probing them would be pure waste (and with
-    // nothing deferred this pass is free — the all-resident hot path
-    // costs exactly the data-blind scan).
-    for (const WaitQueue::Key& key : deferred) {
-      const auto it = entry.waiting.find(key);
-      const ScheduleRequest& request = it->second.request;
-      platform::Node* node = entry.index.first_fit(
-          request.cores, request.gpus, request.mem_gb);
-      if (node == nullptr) continue;
-      const bool at_begin = it == group_begin;
-      const auto next = grant(entry, it, *node, sink);
-      if (at_begin) group_begin = next;
-      ++grants;
-    }
-    while (group_begin != entry.waiting.end() &&
-           group_begin->first.priority == priority) {
-      ++group_begin;
-    }
-  }
-  entry.needs_full_scan = false;
-  return grants;
-}
-
-std::size_t Scheduler::try_schedule_fair(PilotEntry& entry,
-                                         GrantSink* sink) {
-  // Snapshot the scan order up front: (priority desc, tenant share asc,
-  // enqueue time asc, sequence asc). Shares are read-only during a pass
-  // (commit_grant is the sole writer and runs after the pass on the
-  // batch paths), so the order is a pure function of committed history
-  // — identical for every shard count — and the reads race with
-  // nothing under the executor.
-  struct ScanItem {
-    int priority = 0;
-    double share = 0.0;
-    double enqueued_at = 0.0;
-    std::uint64_t sequence = 0;
+  const auto head_of = [&split](const Run& run) {
+    return run.bucket != nullptr ? *run.bucket->begin() : split[run.next];
   };
-  std::vector<ScanItem> order;
-  order.reserve(entry.waiting.size());
-  for (const auto& [key, queued] : entry.waiting) {
-    const auto it = tenant_shares_.find(queued.request.tenant);
-    order.push_back({key.priority,
-                     it == tenant_shares_.end() ? 0.0 : it->second,
-                     queued.enqueued_at, key.sequence});
+
+  // Min-heap of run heads on the composite key.
+  struct Head {
+    WaitQueue::iterator position;
+    std::size_t run = 0;
+  };
+  const auto later = [&runs](const Head& a, const Head& b) {
+    const WaitQueue::Key& x = a.position->first;
+    const WaitQueue::Key& y = b.position->first;
+    if (x.priority != y.priority) return x.priority < y.priority;
+    const Run& ra = runs[a.run];
+    const Run& rb = runs[b.run];
+    if (ra.share != rb.share) return ra.share > rb.share;
+    if (ra.non_resident != rb.non_resident) return ra.non_resident;
+    return x.sequence > y.sequence;
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(later)> heads(later);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].next < runs[r].end) heads.push({head_of(runs[r]), r});
   }
-  std::sort(order.begin(), order.end(),
-            [](const ScanItem& a, const ScanItem& b) {
-              if (a.priority != b.priority) return a.priority > b.priority;
-              if (a.share != b.share) return a.share < b.share;
-              if (a.enqueued_at != b.enqueued_at) {
-                return a.enqueued_at < b.enqueued_at;
-              }
-              return a.sequence < b.sequence;
-            });
+
   std::size_t grants = 0;
-  for (const ScanItem& item : order) {
-    const auto it =
-        entry.waiting.find(WaitQueue::Key{item.priority, item.sequence});
-    if (it == entry.waiting.end()) continue;
-    const ScheduleRequest& request = it->second.request;
+  while (!heads.empty()) {
+    const Head head = heads.top();
+    heads.pop();
+    const ScheduleRequest& request = head.position->second.request;
     platform::Node* node =
         entry.index.first_fit(request.cores, request.gpus, request.mem_gb);
-    // Backfill semantics: an unplaceable low-share request does not
-    // block higher-share tenants — fairness is enacted by scan order
-    // (and by whose grants accumulate share), not by head-of-line
-    // blocking. Every entry is probed, so the everything-left-is-
-    // unplaceable invariant holds afterwards.
+    // Capacity only shrinks within a pass, so the rest of the run (same
+    // shape) cannot fit either: drop it. What stays queued is therefore
+    // unplaceable — the invariant the submit fast path relies on.
     if (node == nullptr) continue;
-    grant(entry, it, *node, sink);
+    grant(entry, head.position, *node, sink);
     ++grants;
+    // Members left means a whole-bucket run's bucket still exists.
+    Run& run = runs[head.run];
+    if (++run.next < run.end) heads.push({head_of(run), head.run});
   }
-  entry.needs_full_scan = false;
   return grants;
 }
 

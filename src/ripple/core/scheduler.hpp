@@ -15,18 +15,33 @@
 /// platform::CapacityIndex (segment tree over its nodes' free capacity,
 /// updated incrementally on allocate/release) answering first-fit
 /// queries in O(log nodes), and a WaitQueue (balanced-tree priority
-/// queue with a uid index) making submit/cancel O(log waiting). Grant
-/// order is identical to a linear first-fit rescan of the old
-/// deque-based scheduler; only the cost changes.
+/// queue with a uid index and per-shape buckets) making submit/cancel
+/// O(log waiting). Grant order is identical to a linear first-fit
+/// rescan of the old deque-based scheduler; only the cost changes.
 ///
-/// Backfill can additionally be *data-aware*: a locality oracle
-/// (set_locality_oracle — typically the data plane's catalog lookup,
-/// threaded in from outside so core/ stays decoupled from data/) tells
-/// the scheduler how many input bytes a request would still have to
-/// move into the pilot's zone. Each placement pass then prefers, within
-/// every priority class, requests whose inputs are already resident —
-/// conservatively: when every footprint is zero the grant order is
-/// bit-identical to the oracle-less scan.
+/// One backfill pass, one composite key. A backfill pass grants in
+/// (priority desc, tenant share asc, non-residency asc, sequence asc)
+/// order, and each component that is switched off is constant:
+///  * the tenant's weighted dominant share counts while fair share is
+///    on (set_tenant_weight);
+///  * non-residency counts while only the locality oracle is on
+///    (set_locality_oracle — typically the data plane's catalog lookup,
+///    threaded in from outside so core/ stays decoupled from data/): a
+///    request whose declared inputs still have bytes to move into the
+///    pilot's zone ranks after the resident requests of its priority
+///    class. When every footprint is zero the order is bit-identical to
+///    the oracle-less pass. Fair share ignores residency.
+/// The pass does not walk the queue. It merges the wait queue's bucket
+/// heads (one bucket per request shape and tenant) in a min-heap on the
+/// key, probes first_fit once per popped head, grants it and pushes the
+/// bucket's next member, and drops a bucket at its first miss: capacity
+/// only shrinks within a pass, so the rest of that shape cannot fit
+/// either. That grants exactly what the per-request scan granted, in
+/// the same order on the same nodes, with O(buckets + grants) probes.
+/// An input-declaring bucket under the oracle splits per pass into a
+/// resident and a non-resident run, one oracle call per member. `fifo`
+/// keeps the in-order walk that stops at the first head that does not
+/// fit.
 ///
 /// Placement is *sharded* on the batch paths: submit_batch and
 /// release_batch partition the touched pilots into shard groups over a
@@ -46,27 +61,20 @@
 /// executor attached the locality oracle must tolerate concurrent
 /// const calls (the catalog residency lookup does).
 ///
-/// The single-pilot paths (submit, submit_all, release, cancel) are
-/// unchanged and never touch the executor, so every pre-existing
-/// determinism suite runs the exact code it always did.
+/// The single-pilot paths (submit, submit_all, release, cancel) never
+/// touch the executor.
 ///
 /// Weighted fair-share (multi-tenant arbitration). Opt-in via
-/// set_tenant_weight: while any tenant weight is registered and the
-/// policy is backfill, placement passes scan in
-/// (priority desc, dominant share asc, enqueue time asc, sequence asc)
-/// order instead of the wait queue's native (priority, sequence) —
-/// DRF-style: a request's cost is its dominant resource fraction of
-/// the pilot (max of cores/total, gpus/total, mem/total) divided by
+/// set_tenant_weight; fifo ignores it (strict order is the point of
+/// fifo). DRF-style: a request's cost is its dominant resource fraction
+/// of the pilot (max of cores/total, gpus/total, mem/total) divided by
 /// the tenant's weight, accumulated against the tenant as grants
-/// *commit*. Shares are snapshotted at pass start and only ever
-/// mutated in commit_grant — serially, in merged (time, sequence,
-/// shard) order — so the scan order is a pure function of committed
-/// history: bit-identical across reruns and shard counts, and
-/// race-free under the executor (passes only read). The wait queue's
-/// keys are never touched, so clearing the weights restores the
-/// native order exactly; fifo ignores fair-share (strict order is the
-/// point of fifo). Fair-share takes precedence over the locality
-/// oracle when both are active.
+/// *commit*. A pass reads the shares at its start and only commit_grant
+/// writes them — serially, in merged (time, sequence, shard) order — so
+/// the grant order is a pure function of committed history:
+/// bit-identical across reruns and shard counts, and race-free under
+/// the executor (passes only read). The wait queue's keys are never
+/// touched, so clearing the weights restores the native order exactly.
 
 #include <cstdint>
 #include <functional>
@@ -250,13 +258,12 @@ class Scheduler {
                            const ScheduleRequest& request) const;
   WaitQueue::Key enqueue(PilotEntry& entry, ScheduleRequest request);
 
-  /// Allocates on `node` and removes the entry; returns the successor
-  /// iterator. With a null sink the grant commits immediately (stats,
-  /// hash, callback post — the single-pilot paths); otherwise it is
-  /// buffered for the batch paths' deterministic merge commit.
-  WaitQueue::iterator grant(PilotEntry& entry, WaitQueue::iterator position,
-                            platform::Node& node,
-                            GrantSink* sink = nullptr);
+  /// Allocates on `node` and removes the entry. With a null sink the
+  /// grant commits immediately (stats, hash, callback post — the
+  /// single-pilot paths); otherwise it is buffered for the batch paths'
+  /// deterministic merge commit.
+  void grant(PilotEntry& entry, WaitQueue::iterator position,
+             platform::Node& node, GrantSink* sink = nullptr);
 
   /// Commits one grant: wait-time stats, grant counter, rolling FNV
   /// fingerprint, per-tenant share/counter update, callback post —
@@ -268,25 +275,16 @@ class Scheduler {
                     std::function<void(platform::Slot, platform::Node*)>
                         callback);
 
-  /// Full placement pass in grant order; returns grants made. Every
-  /// entry still queued afterwards does not fit the current capacity
-  /// (backfill) or sits behind a blocked head (fifo) — the invariant
-  /// the submit fast path relies on.
+  /// Full placement pass; returns grants made. Every entry still queued
+  /// afterwards does not fit the current capacity (backfill) or sits
+  /// behind a blocked head (fifo) — the invariant the submit fast path
+  /// relies on.
   std::size_t try_schedule(PilotEntry& entry, GrantSink* sink = nullptr);
 
-  /// Backfill pass with the locality oracle: within each priority
-  /// class, resident requests (zero footprint) are granted first in
-  /// submission order, then whatever else fits. Identical to
-  /// try_schedule when every footprint is zero, and it reestablishes
-  /// the same everything-left-is-unplaceable invariant.
-  std::size_t try_schedule_data_aware(PilotEntry& entry,
-                                      GrantSink* sink = nullptr);
-
-  /// Fair-share pass: probes every queued entry in (priority, share
-  /// snapshot, time, sequence) order with backfill semantics (skip the
-  /// unplaceable), so it reestablishes the same
-  /// everything-left-is-unplaceable invariant as the other passes.
-  std::size_t try_schedule_fair(PilotEntry& entry, GrantSink* sink = nullptr);
+  /// The backfill pass (see file comment): merges the wait queue's
+  /// bucket heads on the composite key, probes one head at a time and
+  /// drops a bucket at its first miss.
+  std::size_t backfill(PilotEntry& entry, GrantSink* sink);
 
   /// DRF dominant resource fraction of `request` on this pilot.
   [[nodiscard]] double dominant_fraction(const PilotEntry& entry,

@@ -1,13 +1,25 @@
 #pragma once
 
 /// \file wait_queue.hpp
-/// Priority-ordered waiting queue for the scheduler.
+/// Priority-ordered waiting queue for the scheduler, indexed by shape.
 ///
 /// A balanced-tree indexed priority queue keyed by (priority desc,
-/// sequence asc) — the scheduler's grant order — with a uid side index
-/// so cancel() finds its entry without scanning. push, erase and
-/// pop-best are all O(log N); backfill scans iterate entries in grant
-/// order without mutating the queue.
+/// sequence asc) — the scheduler's native grant order — with a uid side
+/// index so cancel() finds its entry without scanning. Every entry also
+/// sits in one *bucket*: the queued requests of one shape (cores, gpus,
+/// mem_gb, tenant, declares-inputs), kept in the same grant order.
+/// push and erase are O(log N).
+///
+/// The buckets are what make a backfill pass cheap. Within one pass
+/// capacity only shrinks, so once a request of some shape fails to fit,
+/// every later request of that shape fails too. Scheduler::try_schedule
+/// therefore merges bucket heads on its composite key and probes one
+/// head at a time, dropping a bucket at its first miss: O(buckets +
+/// grants) probes instead of one per queued request. A bucket is in
+/// composite-key order as well as native order because the extra key
+/// components (the tenant's share, the residency of declared inputs)
+/// are per-bucket or per-run constants and `enqueued_at` rises with the
+/// sequence.
 ///
 /// Cross-tenant ordering audit (multi-tenant runtime). Sequences are
 /// drawn from ONE scheduler-global counter (`Scheduler::next_sequence_`)
@@ -18,15 +30,16 @@
 /// order — and the order is bit-identical across reruns and shard
 /// counts (the pass only *plans* per shard; grants commit serially in
 /// merged order). Pinned by TenantsTest.CrossTenantTieBreak in
-/// tests/test_tenants.cpp. Weighted fair-share (DRF-style) is layered
-/// ABOVE this queue in Scheduler::try_schedule_fair: it re-orders the
-/// *scan* by (priority, dominant share, time, sequence) but never
-/// mutates the keys here, so disabling fair-share restores this queue's
-/// native order exactly.
+/// tests/test_tenants.cpp. Weighted fair-share (DRF-style) orders the
+/// backfill pass by the tenants' shares but never mutates the keys
+/// here, so disabling fair-share restores this queue's native order
+/// exactly.
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "ripple/core/scheduler_request.hpp"
@@ -55,6 +68,33 @@ class WaitQueue {
   using iterator = Map::iterator;
   using const_iterator = Map::const_iterator;
 
+  /// What a bucket groups by: requests that fit exactly the same nodes
+  /// and share every per-request component of the composite key.
+  struct Shape {
+    std::size_t cores = 0;
+    std::size_t gpus = 0;
+    double mem_gb = 0.0;
+    std::string tenant;
+    bool declares_inputs = false;
+
+    bool operator<(const Shape& other) const {
+      return std::tie(cores, gpus, mem_gb, tenant, declares_inputs) <
+             std::tie(other.cores, other.gpus, other.mem_gb, other.tenant,
+                      other.declares_inputs);
+    }
+  };
+
+  /// Orders a bucket's members by their queue key.
+  struct ByKey {
+    bool operator()(const iterator& a, const iterator& b) const noexcept {
+      return a->first < b->first;
+    }
+  };
+
+  /// One shape's queued entries, in grant order. Non-empty while listed.
+  using Bucket = std::set<iterator, ByKey>;
+  using Buckets = std::map<Shape, Bucket>;
+
   /// Inserts in grant order. Throws invalid_state when the uid is
   /// already queued (sequences are unique by construction).
   void push(Key key, Entry entry);
@@ -62,8 +102,8 @@ class WaitQueue {
   /// Removes the entry for `uid`; false when not queued.
   bool erase_uid(const std::string& uid);
 
-  /// Removes the entry an iterator points at; returns the successor.
-  iterator erase(iterator position);
+  /// Removes the entry an iterator points at.
+  void erase(iterator position);
 
   [[nodiscard]] iterator find(Key key) { return queue_.find(key); }
 
@@ -81,9 +121,19 @@ class WaitQueue {
   }
   [[nodiscard]] const_iterator end() const noexcept { return queue_.end(); }
 
+  /// The non-empty buckets, in Shape order.
+  [[nodiscard]] const Buckets& buckets() const noexcept { return buckets_; }
+
  private:
+  /// Where a queued uid lives: its queue key and its bucket.
+  struct Location {
+    Key key;
+    Buckets::iterator bucket;
+  };
+
   Map queue_;
-  std::unordered_map<std::string, Key> by_uid_;
+  Buckets buckets_;
+  std::unordered_map<std::string, Location> by_uid_;
 };
 
 }  // namespace ripple::core
