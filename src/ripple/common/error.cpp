@@ -24,8 +24,4 @@ void raise(Errc code, const std::string& message) {
   throw Error(code, message);
 }
 
-void ensure(bool condition, Errc code, const std::string& message) {
-  if (!condition) raise(code, message);
-}
-
 }  // namespace ripple

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "ripple/common/strutil.hpp"
+
 namespace ripple {
 
 /// Coarse error classification carried by every ripple::Error.
@@ -44,7 +46,14 @@ class Error : public std::runtime_error {
 
 /// Precondition / invariant check: throws ripple::Error when `condition`
 /// is false. Used at public API boundaries instead of assert() so that
-/// misuse is diagnosable in release builds.
-void ensure(bool condition, Errc code, const std::string& message);
+/// misuse is diagnosable in release builds. The message is `parts`
+/// concatenated by strutil::cat, which runs only when the check fails:
+/// a passing check formats and allocates nothing.
+template <typename... Parts>
+void ensure(bool condition, Errc code, const Parts&... parts) {
+  if (!condition) [[unlikely]] {
+    raise(code, strutil::cat(parts...));
+  }
+}
 
 }  // namespace ripple

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "ripple/common/strutil.hpp"
+
 namespace ripple::common {
 
 enum class LogLevel { trace = 0, debug, info, warn, error, off };
@@ -109,15 +111,29 @@ class Logger {
 
   void log(LogLevel level, const std::string& message) const;
 
-  void trace(const std::string& message) const { log(LogLevel::trace, message); }
-  void debug(const std::string& message) const { log(LogLevel::debug, message); }
-  void info(const std::string& message) const { log(LogLevel::info, message); }
-  void warn(const std::string& message) const { log(LogLevel::warn, message); }
-  void error(const std::string& message) const { log(LogLevel::error, message); }
+  /// Leveled records whose message is `parts` concatenated by
+  /// strutil::cat — formatted only when the level passes the threshold.
+  template <typename... Parts>
+  void trace(const Parts&... parts) const { emit(LogLevel::trace, parts...); }
+  template <typename... Parts>
+  void debug(const Parts&... parts) const { emit(LogLevel::debug, parts...); }
+  template <typename... Parts>
+  void info(const Parts&... parts) const { emit(LogLevel::info, parts...); }
+  template <typename... Parts>
+  void warn(const Parts&... parts) const { emit(LogLevel::warn, parts...); }
+  template <typename... Parts>
+  void error(const Parts&... parts) const { emit(LogLevel::error, parts...); }
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
+  template <typename... Parts>
+  void emit(LogLevel level, const Parts&... parts) const {
+    if (level >= LogConfig::global().level()) {
+      log(level, strutil::cat(parts...));
+    }
+  }
+
   std::string name_;
   ClockFn clock_;
 };

@@ -1,7 +1,6 @@
 #include "ripple/core/entities.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::core {
 
@@ -9,9 +8,8 @@ namespace {
 
 template <typename State>
 void check_transition(const std::string& uid, State from, State to) {
-  ensure(transition_allowed(from, to), Errc::invalid_state,
-         strutil::cat(uid, ": illegal transition ", to_string(from), " -> ",
-                      to_string(to)));
+  ensure(transition_allowed(from, to), Errc::invalid_state, uid,
+         ": illegal transition ", to_string(from), " -> ", to_string(to));
 }
 
 }  // namespace
@@ -51,9 +49,9 @@ double Task::state_time(TaskState state) const {
 double Task::duration(TaskState from, TaskState to) const {
   const double t_from = state_time(from);
   const double t_to = state_time(to);
-  ensure(t_from >= 0 && t_to >= 0, Errc::invalid_state,
-         strutil::cat(uid_, ": duration over unvisited states ",
-                      to_string(from), " -> ", to_string(to)));
+  ensure(t_from >= 0 && t_to >= 0, Errc::invalid_state, uid_,
+         ": duration over unvisited states ", to_string(from), " -> ",
+         to_string(to));
   return t_to - t_from;
 }
 
@@ -74,9 +72,9 @@ double Service::state_time(ServiceState state) const {
 double Service::duration(ServiceState from, ServiceState to) const {
   const double t_from = state_time(from);
   const double t_to = state_time(to);
-  ensure(t_from >= 0 && t_to >= 0, Errc::invalid_state,
-         strutil::cat(uid_, ": duration over unvisited states ",
-                      to_string(from), " -> ", to_string(to)));
+  ensure(t_from >= 0 && t_to >= 0, Errc::invalid_state, uid_,
+         ": duration over unvisited states ", to_string(from), " -> ",
+         to_string(to));
   return t_to - t_from;
 }
 

@@ -45,10 +45,10 @@ std::unique_ptr<TaskPayload> PayloadRegistry::create(
     const TaskDescription& desc) const {
   const auto it = factories_.find(desc.kind);
   ensure(it != factories_.end(), Errc::not_found,
-         strutil::cat("no payload factory for kind '", desc.kind, "'"));
+         "no payload factory for kind '", desc.kind, "'");
   auto payload = it->second(desc);
-  ensure(payload != nullptr, Errc::internal,
-         strutil::cat("payload factory '", desc.kind, "' returned null"));
+  ensure(payload != nullptr, Errc::internal, "payload factory '", desc.kind,
+         "' returned null");
   return payload;
 }
 
@@ -66,11 +66,11 @@ bool ProgramRegistry::has(const std::string& name) const {
 std::unique_ptr<ServiceProgram> ProgramRegistry::create(
     const ServiceDescription& desc) const {
   const auto it = factories_.find(desc.program);
-  ensure(it != factories_.end(), Errc::not_found,
-         strutil::cat("no service program '", desc.program, "'"));
+  ensure(it != factories_.end(), Errc::not_found, "no service program '",
+         desc.program, "'");
   auto program = it->second(desc);
-  ensure(program != nullptr, Errc::internal,
-         strutil::cat("program factory '", desc.program, "' returned null"));
+  ensure(program != nullptr, Errc::internal, "program factory '", desc.program,
+         "' returned null");
   return program;
 }
 
@@ -87,8 +87,8 @@ bool FunctionRegistry::has(const std::string& name) const {
 const FunctionRegistry::Fn& FunctionRegistry::get(
     const std::string& name) const {
   const auto it = functions_.find(name);
-  ensure(it != functions_.end(), Errc::not_found,
-         strutil::cat("no registered function '", name, "'"));
+  ensure(it != functions_.end(), Errc::not_found, "no registered function '",
+         name, "'");
   return it->second;
 }
 

@@ -154,7 +154,7 @@ void FailureCoordinator::trace_fault(const char* name,
 void FailureCoordinator::on_node_crash(const std::string& node_id) {
   platform::Node* node = find_node(node_id);
   if (node == nullptr || !node->alive()) return;
-  log_.info(strutil::cat("node ", node_id, " crashed"));
+  log_.info("node ", node_id, " crashed");
   trace_fault("node-crash", node_id, /*repair=*/false);
   for (const std::string& name : session_.cluster_names()) {
     if (session_.cluster(name).find_node(node_id) != nullptr) {
@@ -168,7 +168,7 @@ void FailureCoordinator::on_node_crash(const std::string& node_id) {
 void FailureCoordinator::on_node_restore(const std::string& node_id) {
   platform::Node* node = find_node(node_id);
   if (node == nullptr || node->alive()) return;
-  log_.info(strutil::cat("node ", node_id, " restored"));
+  log_.info("node ", node_id, " restored");
   trace_fault("node-restore", node_id, /*repair=*/true);
   for (const std::string& name : session_.cluster_names()) {
     if (session_.cluster(name).find_node(node_id) != nullptr) {
@@ -189,7 +189,7 @@ void FailureCoordinator::on_pilot_preempt(const std::string& pilot_uid) {
   const auto uids = session_.pilot_uids();
   if (std::find(uids.begin(), uids.end(), pilot_uid) == uids.end()) return;
   if (is_terminal(session_.pilot(pilot_uid).state())) return;
-  log_.info(strutil::cat("pilot ", pilot_uid, " preempted"));
+  log_.info("pilot ", pilot_uid, " preempted");
   trace_fault("pilot-preempt", pilot_uid, /*repair=*/false);
   session_.fail_pilot(pilot_uid);
 }
@@ -199,8 +199,7 @@ void FailureCoordinator::on_slow_node(const std::string& node_id,
   platform::Node* node = find_node(node_id);
   if (node == nullptr || !node->alive()) return;
   const double factor = magnitude > 1.0 ? magnitude : 2.0;
-  log_.info(strutil::cat("node ", node_id, " slowed x",
-                         strutil::format_fixed(factor, 2)));
+  log_.info("node ", node_id, " slowed x", strutil::format_fixed(factor, 2));
   trace_fault("slow-node", node_id, /*repair=*/false);
   node->set_speed_factor(factor);
 }
@@ -215,7 +214,7 @@ void FailureCoordinator::on_node_normal(const std::string& node_id) {
 void FailureCoordinator::on_link_down(const std::string& pair) {
   const auto [a, b] = split_pair(pair);
   if (a.empty() || b.empty()) return;
-  log_.info(strutil::cat("link ", a, " <-> ", b, " down"));
+  log_.info("link ", a, " <-> ", b, " down");
   trace_fault("link-down", pair, /*repair=*/false);
   session_.data().engine().fail_link(a, b);
 }
@@ -223,7 +222,7 @@ void FailureCoordinator::on_link_down(const std::string& pair) {
 void FailureCoordinator::on_link_up(const std::string& pair) {
   const auto [a, b] = split_pair(pair);
   if (a.empty() || b.empty()) return;
-  log_.info(strutil::cat("link ", a, " <-> ", b, " up"));
+  log_.info("link ", a, " <-> ", b, " up");
   trace_fault("link-up", pair, /*repair=*/true);
   session_.data().engine().restore_link(a, b);
 }
@@ -231,7 +230,7 @@ void FailureCoordinator::on_link_up(const std::string& pair) {
 void FailureCoordinator::on_store_crash(const std::string& zone) {
   const double capacity = session_.data().catalog().store(zone).capacity;
   failed_store_capacity_[zone] = capacity;
-  log_.info(strutil::cat("store ", zone, " crashed"));
+  log_.info("store ", zone, " crashed");
   trace_fault("store-crash", zone, /*repair=*/false);
   session_.data().handle_store_failure(zone);
 }
@@ -241,7 +240,7 @@ void FailureCoordinator::on_store_restore(const std::string& zone) {
   if (it == failed_store_capacity_.end()) return;
   const double capacity = it->second;
   failed_store_capacity_.erase(it);
-  log_.info(strutil::cat("store ", zone, " restored"));
+  log_.info("store ", zone, " restored");
   trace_fault("store-restore", zone, /*repair=*/true);
   if (capacity < std::numeric_limits<double>::infinity()) {
     session_.data().add_store(zone, capacity);

@@ -23,8 +23,8 @@ void Scheduler::set_policy(SchedulerPolicy policy) noexcept {
 }
 
 void Scheduler::add_pilot(Pilot& pilot) {
-  ensure(pilots_.count(pilot.uid()) == 0, Errc::invalid_state,
-         strutil::cat("pilot ", pilot.uid(), " already registered"));
+  ensure(pilots_.count(pilot.uid()) == 0, Errc::invalid_state, "pilot ",
+         pilot.uid(), " already registered");
   PilotEntry& entry = pilots_[pilot.uid()];
   try {
     entry.pilot = &pilot;
@@ -78,8 +78,8 @@ void Scheduler::trace_pass(const PilotEntry& entry, std::size_t grants) {
 
 Scheduler::PilotEntry& Scheduler::entry_for(const std::string& pilot_uid) {
   const auto it = pilots_.find(pilot_uid);
-  ensure(it != pilots_.end(), Errc::not_found,
-         strutil::cat("unknown pilot '", pilot_uid, "'"));
+  ensure(it != pilots_.end(), Errc::not_found, "unknown pilot '", pilot_uid,
+         "'");
   return it->second;
 }
 
@@ -100,8 +100,8 @@ bool specs_cover(const std::vector<platform::NodeSpec>& specs,
 bool Scheduler::fits_pilot(const std::string& pilot_uid, std::size_t cores,
                            std::size_t gpus, double mem_gb) const {
   const auto it = pilots_.find(pilot_uid);
-  ensure(it != pilots_.end(), Errc::not_found,
-         strutil::cat("unknown pilot '", pilot_uid, "'"));
+  ensure(it != pilots_.end(), Errc::not_found, "unknown pilot '", pilot_uid,
+         "'");
   return specs_cover(it->second.distinct_specs, cores, gpus, mem_gb);
 }
 
@@ -111,12 +111,11 @@ void Scheduler::validate_fits_pilot(const PilotEntry& entry,
          "schedule request needs a granted callback");
   // Reject requests that exceed every node shape outright. Pilots are
   // typically homogeneous, so this is one comparison.
-  ensure(specs_cover(entry.distinct_specs, request.cores, request.gpus,
-                     request.mem_gb),
-         Errc::capacity,
-         strutil::cat("request ", request.uid, " (", request.cores, "c/",
-                      request.gpus, "g) cannot fit any node of pilot ",
-                      entry.pilot->uid()));
+  const bool fits = specs_cover(entry.distinct_specs, request.cores,
+                                request.gpus, request.mem_gb);
+  ensure(fits, Errc::capacity, "request ", request.uid, " (", request.cores,
+         "c/", request.gpus, "g) cannot fit any node of pilot ",
+         entry.pilot->uid());
 }
 
 WaitQueue::Key Scheduler::enqueue(PilotEntry& entry,
@@ -182,8 +181,8 @@ void Scheduler::release(const std::string& pilot_uid,
                         const platform::Slot& slot) {
   PilotEntry& entry = entry_for(pilot_uid);
   platform::Node* node = entry.pilot->cluster().find_node(slot.node_id);
-  ensure(node != nullptr, Errc::not_found,
-         strutil::cat("release on unknown node '", slot.node_id, "'"));
+  ensure(node != nullptr, Errc::not_found, "release on unknown node '",
+         slot.node_id, "'");
   node->release(slot);  // capacity index updates via the listener
   try_schedule(entry);
 }
@@ -516,8 +515,8 @@ std::size_t Scheduler::release_batch(
     // Resolve the node up front (loop-thread, may throw not_found).
     platform::Node* node =
         entry.pilot->cluster().find_node(slot.node_id);
-    ensure(node != nullptr, Errc::not_found,
-           strutil::cat("release on unknown node '", slot.node_id, "'"));
+    ensure(node != nullptr, Errc::not_found, "release on unknown node '",
+           slot.node_id, "'");
     it->second.push_back(&slot);
   }
   if (grouped.empty()) return 0;

@@ -28,16 +28,14 @@ ServiceManager::ServiceManager(Runtime& runtime, Scheduler& scheduler,
 
 ServiceManager::Active& ServiceManager::active_for(const std::string& uid) {
   const auto it = services_.find(uid);
-  ensure(it != services_.end(), Errc::not_found,
-         strutil::cat("unknown service '", uid, "'"));
+  ensure(it != services_.end(), Errc::not_found, "unknown service '", uid, "'");
   return it->second;
 }
 
 const ServiceManager::Active& ServiceManager::active_for(
     const std::string& uid) const {
   const auto it = services_.find(uid);
-  ensure(it != services_.end(), Errc::not_found,
-         strutil::cat("unknown service '", uid, "'"));
+  ensure(it != services_.end(), Errc::not_found, "unknown service '", uid, "'");
   return it->second;
 }
 
@@ -259,8 +257,8 @@ void ServiceManager::when_ready(std::vector<std::string> uids,
   ensure(static_cast<bool>(on_ready), Errc::invalid_argument,
          "when_ready: empty callback");
   for (const auto& uid : uids) {
-    ensure(exists(uid), Errc::not_found,
-           strutil::cat("when_ready: unknown service '", uid, "'"));
+    ensure(exists(uid), Errc::not_found, "when_ready: unknown service '", uid,
+           "'");
   }
   watchers_.push_back(ReadyWatcher{std::move(uids), std::move(on_ready)});
   recheck_watchers();
@@ -312,8 +310,7 @@ std::string ServiceManager::create_service(Pilot& pilot,
                                            ServiceDescription desc) {
   desc.validate();
   ensure(executor_.programs().has(desc.program), Errc::not_found,
-         strutil::cat("service program '", desc.program,
-                      "' is not registered"));
+         "service program '", desc.program, "' is not registered");
   const std::string uid = runtime_.make_uid("svc");
   Active active;
   active.service = std::make_unique<Service>(uid, std::move(desc));
@@ -583,11 +580,9 @@ std::string ServiceManager::register_remote(platform::Cluster& cluster,
                                             std::size_t node_index) {
   desc.validate();
   ensure(executor_.programs().has(desc.program), Errc::not_found,
-         strutil::cat("service program '", desc.program,
-                      "' is not registered"));
+         "service program '", desc.program, "' is not registered");
   ensure(node_index < cluster.node_count(), Errc::invalid_argument,
-         strutil::cat("node index ", node_index, " out of range for ",
-                      cluster.name()));
+         "node index ", node_index, " out of range for ", cluster.name());
   const std::string uid = runtime_.make_uid("svc");
   Active active;
   active.service = std::make_unique<Service>(uid, std::move(desc));
@@ -675,7 +670,7 @@ void ServiceManager::on_liveness_timeout(const std::string& uid) {
       active.service->state() != ServiceState::draining) {
     return;
   }
-  log_.warn(strutil::cat(uid, ": liveness timeout"));
+  log_.warn(uid, ": liveness timeout");
   fail_service(uid, "liveness timeout: heartbeats missed");
 }
 
@@ -711,7 +706,7 @@ void ServiceManager::fail_service(const std::string& uid,
   if (it == services_.end()) return;
   Active& active = it->second;
   if (is_terminal(active.service->state())) return;
-  log_.error(strutil::cat(uid, ": ", error));
+  log_.error(uid, ": ", error);
   active.service->set_error(error);
   release_resources(active);
   active.program.reset();
@@ -723,8 +718,7 @@ void ServiceManager::fail_service(const std::string& uid,
       active.service->restarts() < desc.max_restarts) {
     active.service->count_restart();
     active.crashed = false;
-    log_.info(strutil::cat(uid, ": restarting (attempt ",
-                           active.service->restarts(), ")"));
+    log_.info(uid, ": restarting (attempt ", active.service->restarts(), ")");
     active.ready_timer = runtime_.loop().call_after(
         desc.ready_timeout, [this, uid] {
           const auto found = services_.find(uid);
@@ -741,16 +735,15 @@ void ServiceManager::fail_service(const std::string& uid,
 
 void ServiceManager::kill(const std::string& uid) {
   Active& active = active_for(uid);
-  ensure(active.service->state() == ServiceState::running,
-         Errc::invalid_state,
-         strutil::cat("kill: service ", uid, " is not running"));
+  ensure(active.service->state() == ServiceState::running, Errc::invalid_state,
+         "kill: service ", uid, " is not running");
   active.crashed = true;
   active.server.reset();  // endpoint disappears from the router
   if (active.hb_send_timer.valid()) {
     runtime_.loop().cancel(active.hb_send_timer);
     active.hb_send_timer = {};
   }
-  log_.warn(strutil::cat(uid, ": killed (fault injection)"));
+  log_.warn(uid, ": killed (fault injection)");
 }
 
 void ServiceManager::stop(const std::string& uid,

@@ -2,7 +2,6 @@
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/ids.hpp"
-#include "ripple/common/strutil.hpp"
 #include "ripple/core/failure_coordinator.hpp"
 
 namespace ripple::core {
@@ -69,8 +68,8 @@ Session::~Session() = default;
 
 platform::Cluster& Session::add_platform(
     const platform::PlatformProfile& profile) {
-  ensure(clusters_.count(profile.name) == 0, Errc::invalid_state,
-         strutil::cat("platform '", profile.name, "' already added"));
+  ensure(clusters_.count(profile.name) == 0, Errc::invalid_state, "platform '",
+         profile.name, "' already added");
   auto cluster = std::make_unique<platform::Cluster>(
       runtime_.loop(), runtime_.network(), profile,
       runtime_.rng().fork("cluster." + profile.name));
@@ -87,8 +86,8 @@ platform::Cluster& Session::add_platform(
 
 platform::Cluster& Session::cluster(const std::string& name) {
   const auto it = clusters_.find(name);
-  ensure(it != clusters_.end(), Errc::not_found,
-         strutil::cat("unknown platform '", name, "'"));
+  ensure(it != clusters_.end(), Errc::not_found, "unknown platform '", name,
+         "'");
   return *it->second;
 }
 
@@ -143,8 +142,7 @@ Pilot& Session::submit_pilot(const PilotDescription& desc) {
 
 Pilot& Session::pilot(const std::string& uid) {
   const auto it = pilots_.find(uid);
-  ensure(it != pilots_.end(), Errc::not_found,
-         strutil::cat("unknown pilot '", uid, "'"));
+  ensure(it != pilots_.end(), Errc::not_found, "unknown pilot '", uid, "'");
   return *it->second;
 }
 
@@ -157,8 +155,8 @@ std::vector<std::string> Session::pilot_uids() const {
 
 void Session::close_pilot(const std::string& uid) {
   Pilot& p = pilot(uid);
-  ensure(!is_terminal(p.state()), Errc::invalid_state,
-         strutil::cat("pilot ", uid, " already terminal"));
+  ensure(!is_terminal(p.state()), Errc::invalid_state, "pilot ", uid,
+         " already terminal");
   scheduler_->remove_pilot(uid);
   p.cluster().release_nodes(p.nodes());
   p.set_state(PilotState::done, runtime_.loop().now());

@@ -52,16 +52,14 @@ TaskManager::TaskManager(Runtime& runtime, Scheduler& scheduler,
 
 TaskManager::Active& TaskManager::active_for(const std::string& uid) {
   const auto it = tasks_.find(uid);
-  ensure(it != tasks_.end(), Errc::not_found,
-         strutil::cat("unknown task '", uid, "'"));
+  ensure(it != tasks_.end(), Errc::not_found, "unknown task '", uid, "'");
   return it->second;
 }
 
 const TaskManager::Active& TaskManager::active_for(
     const std::string& uid) const {
   const auto it = tasks_.find(uid);
-  ensure(it != tasks_.end(), Errc::not_found,
-         strutil::cat("unknown task '", uid, "'"));
+  ensure(it != tasks_.end(), Errc::not_found, "unknown task '", uid, "'");
   return it->second;
 }
 
@@ -128,8 +126,7 @@ void TaskManager::when_done(std::vector<std::string> uids,
   ensure(static_cast<bool>(on_done), Errc::invalid_argument,
          "when_done: empty callback");
   for (const auto& uid : uids) {
-    ensure(exists(uid), Errc::not_found,
-           strutil::cat("when_done: unknown task '", uid, "'"));
+    ensure(exists(uid), Errc::not_found, "when_done: unknown task '", uid, "'");
   }
   watchers_.push_back(DoneWatcher{std::move(uids), std::move(on_done)});
   recheck_watchers();
@@ -142,14 +139,14 @@ void TaskManager::when_done(std::vector<std::string> uids,
 std::string TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
   desc.validate();
   ensure(executor_.payloads().has(desc.kind), Errc::not_found,
-         strutil::cat("no payload factory for kind '", desc.kind, "'"));
+         "no payload factory for kind '", desc.kind, "'");
   for (const auto& dep : desc.depends_on) {
-    ensure(exists(dep), Errc::not_found,
-           strutil::cat("dependency '", dep, "' does not exist"));
+    ensure(exists(dep), Errc::not_found, "dependency '", dep,
+           "' does not exist");
   }
   for (const auto& svc : desc.requires_services) {
-    ensure(services_.exists(svc), Errc::not_found,
-           strutil::cat("required service '", svc, "' does not exist"));
+    ensure(services_.exists(svc), Errc::not_found, "required service '", svc,
+           "' does not exist");
   }
 
   const std::string uid = runtime_.make_uid("task");
@@ -1002,7 +999,7 @@ void TaskManager::fail_task(const std::string& uid,
   if (it == tasks_.end()) return;
   Active& active = it->second;
   if (is_terminal(active.task->state())) return;
-  log_.error(strutil::cat(uid, ": ", error));
+  log_.error(uid, ": ", error);
   active.task->set_error(error);
   waiting_.erase(uid);
   if (active.restart_timer.valid()) {

@@ -1,15 +1,13 @@
 #include "ripple/core/wait_queue.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::core {
 
 void WaitQueue::push(Key key, Entry entry) {
   const auto [located, fresh] = by_uid_.try_emplace(entry.request.uid);
-  ensure(fresh, Errc::invalid_state,
-         strutil::cat("wait queue: uid '", entry.request.uid,
-                      "' already queued"));
+  ensure(fresh, Errc::invalid_state, "wait queue: uid '", entry.request.uid,
+         "' already queued");
   const auto [position, inserted] = queue_.emplace(key, std::move(entry));
   if (!inserted) {
     by_uid_.erase(located);

@@ -28,8 +28,7 @@ void ReplicaCatalog::add_store(const std::string& zone,
   // the exact nominal footprint must not misfire over it.
   const double in_use = store.info.used + store.info.reserved;
   ensure(capacity_bytes >= in_use - slack(in_use), Errc::invalid_state,
-         strutil::cat("store '", zone, "' cannot shrink below ", in_use,
-                      " bytes in use"));
+         "store '", zone, "' cannot shrink below ", in_use, " bytes in use");
   store.info.capacity = capacity_bytes;
 }
 
@@ -46,17 +45,14 @@ void ReplicaCatalog::register_dataset(const std::string& name, double bytes,
       // distinct dataset (or an alias of a different one) cannot be
       // re-bound — that would silently merge two different blobs.
       const std::string& canon = cit->second;
-      ensure(datasets_.count(name) == 0, Errc::invalid_state,
-             strutil::cat("dataset '", name,
-                          "' already registered; cannot re-bind it to "
-                          "content id '",
-                          content_id, "'"));
+      ensure(datasets_.count(name) == 0, Errc::invalid_state, "dataset '", name,
+             "' already registered; cannot re-bind it to content id '",
+             content_id, "'");
       const auto ait = aliases_.find(name);
-      ensure(ait == aliases_.end() || ait->second == canon,
-             Errc::invalid_state,
-             strutil::cat("dataset '", name, "' already aliases '",
-                          ait == aliases_.end() ? "" : ait->second,
-                          "'; cannot re-bind to '", canon, "'"));
+      ensure(ait == aliases_.end() || ait->second == canon, Errc::invalid_state,
+             "dataset '", name, "' already aliases '",
+             ait == aliases_.end() ? "" : ait->second, "'; cannot re-bind to '",
+             canon, "'");
       aliases_.emplace(name, canon);
       // Lineage recorded against the alias name before the alias
       // existed (consumers registered ahead of production) now
@@ -85,9 +81,9 @@ void ReplicaCatalog::register_dataset(const std::string& name, double bytes,
       content_index_.emplace(content_id, canon);
     } else {
       ensure(it->second.info.content_id == content_id, Errc::invalid_state,
-             strutil::cat("dataset '", canon, "' has content id '",
-                          it->second.info.content_id,
-                          "'; cannot re-register as '", content_id, "'"));
+             "dataset '", canon, "' has content id '",
+             it->second.info.content_id, "'; cannot re-register as '",
+             content_id, "'");
     }
   }
   add_replica(it->second, zone);
@@ -145,7 +141,7 @@ void ReplicaCatalog::release_reservation(const std::string& zone,
                                          const std::string& tenant) {
   Store& store = store_for(zone);
   ensure(store.info.reserved >= bytes - slack(bytes), Errc::invalid_state,
-         strutil::cat("store '", zone, "' releasing more than reserved"));
+         "store '", zone, "' releasing more than reserved");
   store.info.reserved -= bytes;
   if (store.info.reserved < 0.0) store.info.reserved = 0.0;
   if (!tenant.empty()) {
@@ -163,9 +159,8 @@ void ReplicaCatalog::commit_replica(const std::string& name,
   Entry& entry = entry_for(name);
   Store& store = store_for(zone);
   ensure(store.info.reserved >= entry.info.bytes - slack(entry.info.bytes),
-         Errc::invalid_state,
-         strutil::cat("committing '", name, "' in '", zone,
-                      "' without a reservation"));
+         Errc::invalid_state, "committing '", name, "' in '", zone,
+         "' without a reservation");
   store.info.reserved -= entry.info.bytes;
   if (store.info.reserved < 0.0) store.info.reserved = 0.0;
   if (!tenant.empty()) {
@@ -225,8 +220,8 @@ void ReplicaCatalog::pin(const std::string& name, const std::string& zone,
                          const std::string& tenant) {
   Entry& entry = entry_for(name);
   const auto rep = entry.replicas.find(zone);
-  ensure(rep != entry.replicas.end(), Errc::not_found,
-         strutil::cat("pin: no replica of '", name, "' in '", zone, "'"));
+  ensure(rep != entry.replicas.end(), Errc::not_found, "pin: no replica of '",
+         name, "' in '", zone, "'");
   ++rep->second.pins;
   if (!tenant.empty()) ++rep->second.pins_by_tenant[tenant];
 }
@@ -243,16 +238,15 @@ void ReplicaCatalog::unpin(const std::string& name, const std::string& zone,
   }
   Entry& entry = entry_for(name);
   const auto rep = entry.replicas.find(zone);
-  ensure(rep != entry.replicas.end(), Errc::not_found,
-         strutil::cat("unpin: no replica of '", name, "' in '", zone, "'"));
-  ensure(rep->second.pins > 0, Errc::invalid_state,
-         strutil::cat("unpin: '", name, "' in '", zone, "' is not pinned"));
+  ensure(rep != entry.replicas.end(), Errc::not_found, "unpin: no replica of '",
+         name, "' in '", zone, "'");
+  ensure(rep->second.pins > 0, Errc::invalid_state, "unpin: '", name, "' in '",
+         zone, "' is not pinned");
   if (!tenant.empty()) {
     const auto held = rep->second.pins_by_tenant.find(tenant);
     ensure(held != rep->second.pins_by_tenant.end() && held->second > 0,
-           Errc::invalid_state,
-           strutil::cat("unpin: tenant '", tenant, "' holds no pin on '",
-                        name, "' in '", zone, "'"));
+           Errc::invalid_state, "unpin: tenant '", tenant,
+           "' holds no pin on '", name, "' in '", zone, "'");
     if (--held->second == 0) rep->second.pins_by_tenant.erase(held);
   }
   --rep->second.pins;
@@ -276,12 +270,12 @@ void ReplicaCatalog::add_consumers(const std::string& name,
 void ReplicaCatalog::consume_done(const std::string& name,
                                   const std::string& tenant) {
   const auto it = lineage_.find(canonical(name));
-  ensure(it != lineage_.end(), Errc::invalid_state,
-         strutil::cat("consume_done: '", name, "' has no consumers left"));
+  ensure(it != lineage_.end(), Errc::invalid_state, "consume_done: '", name,
+         "' has no consumers left");
   const auto held = it->second.find(tenant);
   ensure(held != it->second.end() && held->second > 0, Errc::invalid_state,
-         strutil::cat("consume_done: tenant '", tenant,
-                      "' holds no consumers of '", name, "'"));
+         "consume_done: tenant '", tenant, "' holds no consumers of '", name,
+         "'");
   if (--held->second == 0) it->second.erase(held);
   if (it->second.empty()) lineage_.erase(it);
 }
@@ -400,9 +394,9 @@ void ReplicaCatalog::add_replica(Entry& entry, const std::string& zone) {
     return;
   }
   Store& store = store_for(zone);
-  ensure(make_room(zone, entry.info.bytes), Errc::capacity,
-         strutil::cat("store '", zone, "' cannot fit dataset '",
-                      entry.info.name, "' (", entry.info.bytes, " bytes)"));
+  ensure(make_room(zone, entry.info.bytes), Errc::capacity, "store '", zone,
+         "' cannot fit dataset '", entry.info.name, "' (", entry.info.bytes,
+         " bytes)");
   entry.info.zones.insert(zone);
   Replica replica;
   replica.last_use = ++clock_;
@@ -427,16 +421,16 @@ void ReplicaCatalog::uncharge_owner(Store& store, const Replica& replica,
 
 ReplicaCatalog::Entry& ReplicaCatalog::entry_for(const std::string& name) {
   const auto it = datasets_.find(canonical(name));
-  ensure(it != datasets_.end(), Errc::not_found,
-         strutil::cat("unknown dataset '", name, "'"));
+  ensure(it != datasets_.end(), Errc::not_found, "unknown dataset '", name,
+         "'");
   return it->second;
 }
 
 const ReplicaCatalog::Entry& ReplicaCatalog::entry_for(
     const std::string& name) const {
   const auto it = datasets_.find(canonical(name));
-  ensure(it != datasets_.end(), Errc::not_found,
-         strutil::cat("unknown dataset '", name, "'"));
+  ensure(it != datasets_.end(), Errc::not_found, "unknown dataset '", name,
+         "'");
   return it->second;
 }
 

@@ -90,8 +90,7 @@ json::Value chrome_trace_json(const Tracer& tracer,
 void write_chrome_trace(const std::string& path, const Tracer& tracer,
                         const Counters* counters) {
   std::ofstream out(path);
-  ensure(out.good(), Errc::io_error,
-         strutil::cat("cannot open trace file ", path));
+  ensure(out.good(), Errc::io_error, "cannot open trace file ", path);
   out << chrome_trace_json(tracer, counters).dump() << "\n";
 }
 

@@ -56,8 +56,8 @@ bool Registry::has_series(const std::string& series) const {
 
 const RequestSeries& Registry::series(const std::string& name) const {
   const auto it = request_series_.find(name);
-  ensure(it != request_series_.end(), Errc::not_found,
-         strutil::cat("no request series '", name, "'"));
+  ensure(it != request_series_.end(), Errc::not_found, "no request series '",
+         name, "'");
   return it->second;
 }
 
@@ -74,8 +74,8 @@ void Registry::add_duration(const std::string& name, double seconds) {
 
 const common::Summary& Registry::durations(const std::string& name) const {
   const auto it = duration_series_.find(name);
-  ensure(it != duration_series_.end(), Errc::not_found,
-         strutil::cat("no duration series '", name, "'"));
+  ensure(it != duration_series_.end(), Errc::not_found, "no duration series '",
+         name, "'");
   return it->second;
 }
 

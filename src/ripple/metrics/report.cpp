@@ -18,9 +18,8 @@ Table::Table(std::vector<std::string> headers)
 }
 
 void Table::add_row(std::vector<std::string> cells) {
-  ensure(cells.size() == headers_.size(), Errc::invalid_argument,
-         strutil::cat("row has ", cells.size(), " cells, table has ",
-                      headers_.size(), " columns"));
+  ensure(cells.size() == headers_.size(), Errc::invalid_argument, "row has ",
+         cells.size(), " cells, table has ", headers_.size(), " columns");
   rows_.push_back(std::move(cells));
 }
 
@@ -88,8 +87,7 @@ std::string Table::to_csv() const {
 
 void Table::write_csv(const std::string& path) const {
   std::ofstream file(path);
-  ensure(static_cast<bool>(file), Errc::io_error,
-         strutil::cat("cannot write '", path, "'"));
+  ensure(static_cast<bool>(file), Errc::io_error, "cannot write '", path, "'");
   file << to_csv();
 }
 
@@ -128,8 +126,7 @@ std::string Table::to_json() const {
 
 void Table::write_json(const std::string& path) const {
   std::ofstream file(path);
-  ensure(static_cast<bool>(file), Errc::io_error,
-         strutil::cat("cannot write '", path, "'"));
+  ensure(static_cast<bool>(file), Errc::io_error, "cannot write '", path, "'");
   file << to_json() << '\n';
 }
 

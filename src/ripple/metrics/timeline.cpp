@@ -3,7 +3,6 @@
 #include <set>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::metrics {
 
@@ -52,10 +51,8 @@ double Timeline::duration(const std::string& entity, const std::string& from,
                           const std::string& to) const {
   const double t_from = state_time(entity, from);
   const double t_to = state_time(entity, to);
-  ensure(t_from >= 0.0, Errc::not_found,
-         strutil::cat(entity, " never entered state ", from));
-  ensure(t_to >= 0.0, Errc::not_found,
-         strutil::cat(entity, " never entered state ", to));
+  ensure(t_from >= 0.0, Errc::not_found, entity, " never entered state ", from);
+  ensure(t_to >= 0.0, Errc::not_found, entity, " never entered state ", to);
   return t_to - t_from;
 }
 

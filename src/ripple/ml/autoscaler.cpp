@@ -248,9 +248,8 @@ void Autoscaler::poll_slo(std::size_t running, std::size_t active) {
 void Autoscaler::repair_pool() {
   last_action_ = session_.now();
   ++repairs_;
-  log_.warn(strutil::cat("group '", replica_.name,
-                         "' has no live replicas; resubmitting ",
-                         config_.min_replicas));
+  log_.warn("group '", replica_.name, "' has no live replicas; resubmitting ",
+            config_.min_replicas);
   std::vector<core::ServiceDescription> descs(config_.min_replicas,
                                               replica_);
   std::vector<std::string> uids =
@@ -282,8 +281,8 @@ void Autoscaler::scale_up(std::size_t outstanding, double p95) {
          {"replicas", std::to_string(active_replicas())},
          {"p95", strutil::format_fixed(p95, 6)}});
   }
-  log_.info(strutil::cat("scale up -> ", active_replicas(),
-                         " replicas (backlog ", outstanding, ")"));
+  log_.info("scale up -> ", active_replicas(), " replicas (backlog ",
+            outstanding, ")");
 }
 
 std::string Autoscaler::scale_down_victim() const {
@@ -326,8 +325,8 @@ void Autoscaler::scale_down(std::size_t outstanding, double p95) {
          {"replicas", std::to_string(running_replicas())},
          {"p95", strutil::format_fixed(p95, 6)}});
   }
-  log_.info(strutil::cat("scale down -> ", active_replicas(),
-                         " replicas (backlog ", outstanding, ")"));
+  log_.info("scale down -> ", active_replicas(), " replicas (backlog ",
+            outstanding, ")");
 }
 
 json::Value Autoscaler::stats() const {

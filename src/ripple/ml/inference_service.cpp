@@ -50,8 +50,8 @@ void InferenceProgram::init(core::ExecutionContext& ctx, DoneFn done,
           .as_int());
   const sim::Duration load_time = model.sample_init(
       ctx.rng, concurrent_loads, fs_coeff, fs_threshold);
-  ctx.log.debug(strutil::cat("loading model ", model.name, " (",
-                             strutil::format_duration(load_time), ")"));
+  ctx.log.debug("loading model ", model.name, " (",
+                strutil::format_duration(load_time), ")");
   ctx.loop().call_after(load_time, std::move(done));
 }
 

@@ -1,7 +1,6 @@
 #include "ripple/msg/router.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::msg {
 
@@ -13,8 +12,8 @@ void Router::bind(const Address& address, const sim::HostId& host,
   ensure(!address.empty(), Errc::invalid_argument, "bind: empty address");
   ensure(static_cast<bool>(handler), Errc::invalid_argument,
          "bind: empty handler");
-  ensure(network_.has_host(host), Errc::not_found,
-         strutil::cat("bind: unknown host '", host, "'"));
+  ensure(network_.has_host(host), Errc::not_found, "bind: unknown host '", host,
+         "'");
   bindings_[address] = Binding{host, std::move(handler)};
 }
 
@@ -26,8 +25,8 @@ bool Router::bound(const Address& address) const {
 
 const sim::HostId& Router::host_of(const Address& address) const {
   const auto it = bindings_.find(address);
-  ensure(it != bindings_.end(), Errc::not_found,
-         strutil::cat("address '", address, "' is not bound"));
+  ensure(it != bindings_.end(), Errc::not_found, "address '", address,
+         "' is not bound");
   return it->second.host;
 }
 

@@ -45,9 +45,8 @@ std::size_t Cluster::free_node_count() const noexcept {
 
 std::vector<Node*> Cluster::reserve_nodes(std::size_t count) {
   ensure(count > 0, Errc::invalid_argument, "reserve_nodes: zero nodes");
-  ensure(count <= free_node_count(), Errc::capacity,
-         strutil::cat("cluster ", profile_.name, ": requested ", count,
-                      " nodes, only ", free_node_count(), " free"));
+  ensure(count <= free_node_count(), Errc::capacity, "cluster ", profile_.name,
+         ": requested ", count, " nodes, only ", free_node_count(), " free");
   std::vector<Node*> out;
   out.reserve(count);
   while (out.size() < count) {
@@ -82,8 +81,8 @@ void Cluster::restore_node(Node& node) {
 }
 
 Node& Cluster::node(std::size_t index) {
-  ensure(index < nodes_.size(), Errc::invalid_argument,
-         strutil::cat("node index ", index, " out of range"));
+  ensure(index < nodes_.size(), Errc::invalid_argument, "node index ", index,
+         " out of range");
   return *nodes_[index];
 }
 

@@ -1,7 +1,6 @@
 #include "ripple/platform/node.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::platform {
 
@@ -28,8 +27,8 @@ bool Node::can_fit(std::size_t cores, std::size_t gpus,
 }
 
 void Node::set_speed_factor(double factor) {
-  ensure(factor > 0.0, Errc::invalid_argument,
-         strutil::cat("node ", id_, ": speed factor must be positive"));
+  ensure(factor > 0.0, Errc::invalid_argument, "node ", id_,
+         ": speed factor must be positive");
   speed_factor_ = factor;
 }
 
@@ -55,10 +54,10 @@ void Node::restore() {
 }
 
 Slot Node::allocate(std::size_t cores, std::size_t gpus, double mem_gb) {
-  ensure(can_fit(cores, gpus, mem_gb), Errc::invalid_state,
-         strutil::cat("node ", id_, ": allocation (", cores, "c/", gpus,
-                      "g/", mem_gb, "GB) does not fit (free ", free_cores_,
-                      "c/", free_gpus_, "g/", free_mem_gb_, "GB)"));
+  ensure(can_fit(cores, gpus, mem_gb), Errc::invalid_state, "node ", id_,
+         ": allocation (", cores, "c/", gpus, "g/", mem_gb,
+         "GB) does not fit (free ", free_cores_, "c/", free_gpus_, "g/",
+         free_mem_gb_, "GB)");
   free_cores_ -= cores;
   free_gpus_ -= gpus;
   free_mem_gb_ -= mem_gb;
@@ -67,15 +66,13 @@ Slot Node::allocate(std::size_t cores, std::size_t gpus, double mem_gb) {
 }
 
 void Node::release(const Slot& slot) {
-  ensure(slot.node_id == id_, Errc::invalid_argument,
-         strutil::cat("slot for node ", slot.node_id, " released on node ",
-                      id_));
+  ensure(slot.node_id == id_, Errc::invalid_argument, "slot for node ",
+         slot.node_id, " released on node ", id_);
   // Stale slot from before a crash: its capacity died with the node.
   if (slot.incarnation != incarnation_) return;
-  ensure(free_cores_ + slot.cores <= spec_.cores &&
-             free_gpus_ + slot.gpus <= spec_.gpus,
-         Errc::invalid_state,
-         strutil::cat("double release on node ", id_));
+  const bool held = free_cores_ + slot.cores <= spec_.cores &&
+                    free_gpus_ + slot.gpus <= spec_.gpus;
+  ensure(held, Errc::invalid_state, "double release on node ", id_);
   free_cores_ += slot.cores;
   free_gpus_ += slot.gpus;
   free_mem_gb_ += slot.mem_gb;

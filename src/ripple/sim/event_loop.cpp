@@ -4,16 +4,14 @@
 #include <limits>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::sim {
 
 EventLoop::TimerHandle EventLoop::call_at(SimTime when, Callback callback) {
   ensure(static_cast<bool>(callback), Errc::invalid_argument,
          "call_at: empty callback");
-  ensure(when >= now_, Errc::invalid_argument,
-         strutil::cat("call_at: time ", when, " is in the past (now=", now_,
-                      ")"));
+  ensure(when >= now_, Errc::invalid_argument, "call_at: time ", when,
+         " is in the past (now=", now_, ")");
   const std::uint64_t id = next_id_++;
   heap_.push(Event{when, next_sequence_++, id, std::move(callback)});
   live_.insert(id);
@@ -23,8 +21,8 @@ EventLoop::TimerHandle EventLoop::call_at(SimTime when, Callback callback) {
 
 EventLoop::TimerHandle EventLoop::call_after(Duration delay,
                                              Callback callback) {
-  ensure(delay >= 0.0, Errc::invalid_argument,
-         strutil::cat("call_after: negative delay ", delay));
+  ensure(delay >= 0.0, Errc::invalid_argument, "call_after: negative delay ",
+         delay);
   return call_at(now_ + delay, std::move(callback));
 }
 

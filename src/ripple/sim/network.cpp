@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::sim {
 
@@ -38,8 +37,7 @@ bool Network::has_host(const HostId& host) const {
 
 const std::string& Network::zone_of(const HostId& host) const {
   const auto it = host_zone_.find(host);
-  ensure(it != host_zone_.end(), Errc::not_found,
-         strutil::cat("unknown host '", host, "'"));
+  ensure(it != host_zone_.end(), Errc::not_found, "unknown host '", host, "'");
   return it->second;
 }
 
@@ -53,9 +51,8 @@ const LinkModel& Network::link_between(const std::string& zone_a,
                                        const std::string& zone_b) const {
   auto key = std::minmax(zone_a, zone_b);
   const auto it = links_.find({key.first, key.second});
-  ensure(it != links_.end(), Errc::not_found,
-         strutil::cat("no link model between zones '", zone_a, "' and '",
-                      zone_b, "'"));
+  ensure(it != links_.end(), Errc::not_found, "no link model between zones '",
+         zone_a, "' and '", zone_b, "'");
   return it->second;
 }
 

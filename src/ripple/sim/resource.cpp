@@ -1,14 +1,13 @@
 #include "ripple/sim/resource.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::sim {
 
 SlotPool::SlotPool(EventLoop& loop, std::string name, std::size_t capacity)
     : loop_(loop), name_(std::move(name)), capacity_(capacity) {
-  ensure(capacity_ > 0, Errc::invalid_argument,
-         strutil::cat("slot pool '", name_, "' needs capacity > 0"));
+  ensure(capacity_ > 0, Errc::invalid_argument, "slot pool '", name_,
+         "' needs capacity > 0");
   last_change_ = loop_.now();
 }
 
@@ -22,19 +21,17 @@ void SlotPool::acquire(std::size_t slots, GrantCallback callback) {
   ensure(slots > 0, Errc::invalid_argument, "acquire: zero slots");
   ensure(static_cast<bool>(callback), Errc::invalid_argument,
          "acquire: empty callback");
-  ensure(slots <= capacity_, Errc::capacity,
-         strutil::cat("request of ", slots, " slots exceeds capacity ",
-                      capacity_, " of pool '", name_, "'"));
+  ensure(slots <= capacity_, Errc::capacity, "request of ", slots,
+         " slots exceeds capacity ", capacity_, " of pool '", name_, "'");
   waiters_.push_back(Waiter{slots, loop_.now(), std::move(callback)});
   grant_waiters();
 }
 
 void SlotPool::release(Grant grant) {
   ensure(grant.valid(), Errc::invalid_argument, "release of an empty grant");
-  ensure(grant.slots <= in_use_, Errc::invalid_state,
-         strutil::cat("release of ", grant.slots,
-                      " slots exceeds in-use count ", in_use_, " of pool '",
-                      name_, "'"));
+  ensure(grant.slots <= in_use_, Errc::invalid_state, "release of ",
+         grant.slots, " slots exceeds in-use count ", in_use_, " of pool '",
+         name_, "'");
   account_utilization();
   in_use_ -= grant.slots;
   grant_waiters();

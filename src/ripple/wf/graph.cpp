@@ -10,11 +10,10 @@
 namespace ripple::wf {
 
 std::size_t Graph::add(GraphNode node) {
-  ensure(!node.stage.name.empty(), Errc::invalid_argument,
-         strutil::cat("graph '", name, "': node needs a stage name"));
+  ensure(!node.stage.name.empty(), Errc::invalid_argument, "graph '", name,
+         "': node needs a stage name");
   ensure(index_.find(node.stage.name) == index_.end(), Errc::invalid_argument,
-         strutil::cat("graph '", name, "': duplicate node '",
-                      node.stage.name, "'"));
+         "graph '", name, "': duplicate node '", node.stage.name, "'");
   const std::size_t seq = nodes_.size();
   index_.emplace(node.stage.name, seq);
   nodes_.push_back(std::move(node));
@@ -31,9 +30,8 @@ void Graph::depend(const std::string& from, const std::string& to,
                    EdgeOptions options) {
   const std::size_t from_seq = index_of(from);
   const std::size_t to_seq = index_of(to);
-  ensure(from_seq != to_seq, Errc::invalid_argument,
-         strutil::cat("graph '", name, "': node '", from,
-                      "' cannot depend on itself"));
+  ensure(from_seq != to_seq, Errc::invalid_argument, "graph '", name,
+         "': node '", from, "' cannot depend on itself");
   GraphEdge edge;
   edge.from = from_seq;
   edge.to = to_seq;
@@ -48,8 +46,8 @@ bool Graph::has_node(const std::string& key) const {
 
 std::size_t Graph::index_of(const std::string& key) const {
   const auto it = index_.find(key);
-  ensure(it != index_.end(), Errc::not_found,
-         strutil::cat("graph '", name, "': no node '", key, "'"));
+  ensure(it != index_.end(), Errc::not_found, "graph '", name, "': no node '",
+         key, "'");
   return it->second;
 }
 

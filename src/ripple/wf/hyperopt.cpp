@@ -99,11 +99,11 @@ Trial RandomSearch::suggest() {
 }
 
 void RandomSearch::report(std::size_t trial_id, double value) {
-  ensure(trial_id < trials_.size(), Errc::not_found,
-         strutil::cat("unknown trial ", trial_id));
+  ensure(trial_id < trials_.size(), Errc::not_found, "unknown trial ",
+         trial_id);
   Trial& trial = trials_[trial_id];
-  ensure(!trial.completed, Errc::invalid_state,
-         strutil::cat("trial ", trial_id, " already reported"));
+  ensure(!trial.completed, Errc::invalid_state, "trial ", trial_id,
+         " already reported");
   trial.value = value;
   trial.completed = true;
 }
@@ -158,8 +158,8 @@ std::vector<Trial> SuccessiveHalving::pending() const {
 void SuccessiveHalving::report(std::size_t trial_id, double value) {
   for (auto& trial : current_) {
     if (trial.id == trial_id) {
-      ensure(!trial.completed, Errc::invalid_state,
-             strutil::cat("trial ", trial_id, " already reported"));
+      ensure(!trial.completed, Errc::invalid_state, "trial ", trial_id,
+             " already reported");
       trial.value = value;
       trial.completed = true;
       return;

@@ -51,8 +51,8 @@ void WorkflowManager::run_pipeline(
 void WorkflowManager::run_pipeline(
     Pipeline pipeline, std::vector<core::Pilot*> pilots,
     std::function<void(const PipelineResult&)> on_done) {
-  ensure(!pipeline.stages.empty(), Errc::invalid_argument,
-         strutil::cat("pipeline '", pipeline.name, "' has no stages"));
+  ensure(!pipeline.stages.empty(), Errc::invalid_argument, "pipeline '",
+         pipeline.name, "' has no stages");
   ensure(static_cast<bool>(on_done), Errc::invalid_argument,
          "run_pipeline: empty callback");
   // The adapter skips Graph::validate's producer check: pipelines have
@@ -67,10 +67,10 @@ std::shared_ptr<WorkflowManager::Handle> WorkflowManager::launch_graph(
     Graph graph, std::vector<core::Pilot*> pilots, bool pipeline_mode,
     std::function<void(const GraphResult&)> on_done,
     std::function<void(const PipelineResult&)> pipeline_done) {
-  ensure(!graph.nodes().empty(), Errc::invalid_argument,
-         strutil::cat("graph '", graph.name, "' has no nodes"));
-  ensure(!pilots.empty(), Errc::invalid_argument,
-         strutil::cat("graph '", graph.name, "' has no pilots"));
+  ensure(!graph.nodes().empty(), Errc::invalid_argument, "graph '", graph.name,
+         "' has no nodes");
+  ensure(!pilots.empty(), Errc::invalid_argument, "graph '", graph.name,
+         "' has no pilots");
 
   auto run = std::make_shared<GraphRun>();
   run->name = graph.name;
@@ -109,10 +109,9 @@ std::shared_ptr<WorkflowManager::Handle> WorkflowManager::launch_graph(
     ++run->nodes[edge.to].preds_unsatisfied;
   }
 
-  log_.info(strutil::cat(pipeline_mode ? "pipeline '" : "graph '", run->name,
-                         "' started (", run->nodes.size(), " nodes, ",
-                         run->edges.size(), " edges, ", run->pilots.size(),
-                         " pilots)"));
+  log_.info(pipeline_mode ? "pipeline '" : "graph '", run->name, "' started (",
+            run->nodes.size(), " nodes, ", run->edges.size(), " edges, ",
+            run->pilots.size(), " pilots)");
   session_.counters().add(pipeline_mode ? "wf.pipelines" : "wf.graphs");
   if (session_.tracer().enabled()) {
     run->trace = session_.tracer().begin(
@@ -197,8 +196,8 @@ void WorkflowManager::release_node(const std::shared_ptr<GraphRun>& run,
   }
   record_event(*run, strutil::cat(event_time(node.started_at), " release ",
                                   node.node.stage.name));
-  log_.info(strutil::cat("graph '", run->name, "': node '",
-                         node.node.stage.name, "' released on ", zone));
+  log_.info("graph '", run->name, "': node '", node.node.stage.name,
+            "' released on ", zone);
   session_.counters().add(run->pipeline_mode ? "wf.stages" : "wf.nodes");
   if (session_.tracer().enabled()) {
     node.trace = session_.tracer().begin(display_name(node), "wf", run->name,
@@ -228,9 +227,8 @@ void WorkflowManager::release_node(const std::shared_ptr<GraphRun>& run,
           if (staged.completed) return;
           if (!ok) {
             run->failed = true;
-            log_.error(strutil::cat("graph '", run->name, "': staging '",
-                                    failed_dataset, "' into ", zone,
-                                    " failed"));
+            log_.error("graph '", run->name, "': staging '", failed_dataset,
+                       "' into ", zone, " failed");
             complete_node(run, seq);
             return;
           }
@@ -252,8 +250,7 @@ void WorkflowManager::release_node(const std::shared_ptr<GraphRun>& run,
   const auto on_services_ready = [this, run, seq](bool ok) {
     if (!ok) {
       run->failed = true;
-      log_.error(
-          strutil::cat("graph '", run->name, "': node services failed"));
+      log_.error("graph '", run->name, "': node services failed");
       complete_node(run, seq);
       return;
     }
@@ -345,11 +342,10 @@ void WorkflowManager::prefetch_frontier(const std::shared_ptr<GraphRun>& run,
       successor.prefetched.emplace_back(name, predicted_zone);
     }
     if (started > 0) {
-      log_.info(strutil::cat("graph '", run->name, "': prefetching ",
-                             started, " dataset(s) for node '",
-                             successor.node.stage.name, "' toward ",
-                             predicted->cluster().name(), " (", depth,
-                             " step(s) ahead)"));
+      log_.info("graph '", run->name, "': prefetching ", started,
+                " dataset(s) for node '", successor.node.stage.name,
+                "' toward ", predicted->cluster().name(), " (", depth,
+                " step(s) ahead)");
     }
   }
 }
@@ -406,9 +402,9 @@ void WorkflowManager::on_task_terminal(const std::shared_ptr<GraphRun>& run,
     --run->retries_left;
     ++run->tasks_retried;
     session_.counters().add("wf.retries");
-    log_.info(strutil::cat("graph '", run->name, "': retrying task ",
-                           task_index, " of node '", node.node.stage.name,
-                           "' (", run->retries_left, " retries left)"));
+    log_.info("graph '", run->name, "': retrying task ", task_index,
+              " of node '", node.node.stage.name, "' (", run->retries_left,
+              " retries left)");
     submit_node_task(run, seq, task_index);
     return;
   }
@@ -438,11 +434,9 @@ void WorkflowManager::on_task_terminal(const std::shared_ptr<GraphRun>& run,
     record_event(*run, strutil::cat(event_time(session_.now()), " unblock ",
                                     node.node.stage.name, " -> ",
                                     run->nodes[edge.to].node.stage.name));
-    log_.info(strutil::cat("graph '", run->name, "': node '",
-                           node.node.stage.name,
-                           "' reached its threshold, releasing '",
-                           run->nodes[edge.to].node.stage.name,
-                           "' asynchronously"));
+    log_.info("graph '", run->name, "': node '", node.node.stage.name,
+              "' reached its threshold, releasing '",
+              run->nodes[edge.to].node.stage.name, "' asynchronously");
     satisfy_edge(run, edge_index, ready);
   }
   release_ready(run, std::move(ready));
@@ -471,8 +465,8 @@ void WorkflowManager::prune_node(const std::shared_ptr<GraphRun>& run,
   ++run->pruned_nodes;
   record_event(*run, strutil::cat(event_time(session_.now()), " prune ",
                                   node.node.stage.name));
-  log_.info(strutil::cat("graph '", run->name, "': node '",
-                         node.node.stage.name, "' pruned"));
+  log_.info("graph '", run->name, "': node '", node.node.stage.name,
+            "' pruned");
   session_.counters().add("wf.pruned");
   if (session_.tracer().enabled()) {
     session_.tracer().instant("prune", "wf", run->name, session_.now(),
@@ -494,9 +488,8 @@ void WorkflowManager::prune_node(const std::shared_ptr<GraphRun>& run,
     if (session_.data().abandon_prefetch(name, zone)) {
       record_event(*run, strutil::cat(event_time(session_.now()),
                                       " abandon_prefetch ", name, " ", zone));
-      log_.info(strutil::cat("graph '", run->name,
-                             "': abandoned prefetch of '", name, "' into ",
-                             zone, " (consumer pruned)"));
+      log_.info("graph '", run->name, "': abandoned prefetch of '", name,
+                "' into ", zone, " (consumer pruned)");
       session_.counters().add("wf.prefetch_abandoned");
     }
   }
@@ -533,9 +526,8 @@ void WorkflowManager::complete_node(const std::shared_ptr<GraphRun>& run,
       if (!session_.data().has(name)) {
         run->failed = true;
         contract_ok = false;
-        log_.error(strutil::cat("graph '", run->name, "': node '",
-                                node.node.stage.name, "' declared output '",
-                                name, "' but never produced it"));
+        log_.error("graph '", run->name, "': node '", node.node.stage.name,
+                   "' declared output '", name, "' but never produced it");
       } else if (session_.data().available_in(name, zone)) {
         // Freshly produced: mark recently used so store pressure does
         // not evict it before its consumers run.
@@ -563,10 +555,9 @@ void WorkflowManager::complete_node(const std::shared_ptr<GraphRun>& run,
     tracer.end(node.trace, node.finished_at);
     node.trace = 0;
   }
-  log_.info(strutil::cat("graph '", run->name, "': node '",
-                         node.node.stage.name, "' complete (",
-                         node.tasks_done, " done, ", node.tasks_failed,
-                         " failed)"));
+  log_.info("graph '", run->name, "': node '", node.node.stage.name,
+            "' complete (", node.tasks_done, " done, ", node.tasks_failed,
+            " failed)");
 
   if (node.node.stage.stop_services_after) {
     // Elastic nodes drain through their autoscalers (which also stop
@@ -680,9 +671,9 @@ void WorkflowManager::finish_graph(const std::shared_ptr<GraphRun>& run) {
       strutil::cat(run->pipeline_mode ? "pipeline." : "graph.", run->name,
                    ".makespan"),
       result.makespan);
-  log_.info(strutil::cat(run->pipeline_mode ? "pipeline '" : "graph '",
-                         run->name, "' ", result.ok ? "completed" : "FAILED",
-                         " in ", strutil::format_duration(result.makespan)));
+  log_.info(run->pipeline_mode ? "pipeline '" : "graph '", run->name, "' ",
+            result.ok ? "completed" : "FAILED", " in ",
+            strutil::format_duration(result.makespan));
 
   if (run->pipeline_mode) {
     PipelineResult pipeline_result;
@@ -711,23 +702,22 @@ std::size_t WorkflowManager::spawn_node(const std::shared_ptr<GraphRun>& run,
                                         const std::string& parent,
                                         GraphNode child,
                                         const std::vector<std::string>& deps) {
-  ensure(!run->reported, Errc::invalid_state,
-         strutil::cat("graph '", run->name, "': spawn after finish"));
+  ensure(!run->reported, Errc::invalid_state, "graph '", run->name,
+         "': spawn after finish");
   const auto parent_it = run->index.find(parent);
-  ensure(parent_it != run->index.end(), Errc::not_found,
-         strutil::cat("graph '", run->name, "': no node '", parent, "'"));
+  ensure(parent_it != run->index.end(), Errc::not_found, "graph '", run->name,
+         "': no node '", parent, "'");
   const std::size_t parent_seq = parent_it->second;
   const std::string key = child.stage.name;
-  ensure(!key.empty(), Errc::invalid_argument,
-         strutil::cat("graph '", run->name, "': spawned node needs a name"));
+  ensure(!key.empty(), Errc::invalid_argument, "graph '", run->name,
+         "': spawned node needs a name");
   if (const auto it = run->index.find(key); it != run->index.end()) {
     // Idempotent spawn: a spawning task the failure injector killed
     // and restarted re-runs its payload; the same (parent, key) spawn
     // returns the live child instead of double-spawning it.
     ensure(run->nodes[it->second].spawned_by == parent_seq,
-           Errc::invalid_argument,
-           strutil::cat("graph '", run->name, "': node '", key,
-                        "' already exists"));
+           Errc::invalid_argument, "graph '", run->name, "': node '", key,
+           "' already exists");
     return it->second;
   }
 
@@ -744,8 +734,7 @@ std::size_t WorkflowManager::spawn_node(const std::shared_ptr<GraphRun>& run,
   }
   record_event(*run, strutil::cat(event_time(session_.now()), " spawn ",
                                   parent, " -> ", key));
-  log_.info(strutil::cat("graph '", run->name, "': node '", parent,
-                         "' spawned '", key, "'"));
+  log_.info("graph '", run->name, "': node '", parent, "' spawned '", key, "'");
   session_.counters().add("wf.spawned");
   if (session_.tracer().enabled()) {
     session_.tracer().instant("spawn", "wf", run->name, session_.now(),
@@ -756,9 +745,8 @@ std::size_t WorkflowManager::spawn_node(const std::shared_ptr<GraphRun>& run,
   bool unsatisfiable = false;
   for (const auto& dep : deps) {
     const auto dep_it = run->index.find(dep);
-    ensure(dep_it != run->index.end(), Errc::not_found,
-           strutil::cat("graph '", run->name, "': no node '", dep,
-                        "' to depend on"));
+    ensure(dep_it != run->index.end(), Errc::not_found, "graph '", run->name,
+           "': no node '", dep, "' to depend on");
     EdgeRun edge;
     edge.from = dep_it->second;
     edge.to = seq;

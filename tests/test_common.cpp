@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <ostream>
+#include <string>
 
 #include "ripple/common/config.hpp"
 #include "ripple/common/error.hpp"
@@ -95,6 +98,32 @@ TEST(ErrorHandling, EnsurePassesAndThrows) {
   EXPECT_THROW(ensure(false, Errc::capacity, "nope"), Error);
 }
 
+/// A message part that counts how often it is streamed.
+struct CountedPart {
+  int* streamed = nullptr;
+
+  friend std::ostream& operator<<(std::ostream& os, const CountedPart& part) {
+    ++*part.streamed;
+    return os << "<part>";
+  }
+};
+
+TEST(ErrorHandling, EnsureFormatsPartsOnlyWhenTheCheckFails) {
+  int streamed = 0;
+  const CountedPart part{&streamed};
+  EXPECT_NO_THROW(ensure(true, Errc::internal, "node ", 3, ": ", part));
+  EXPECT_EQ(streamed, 0);
+  try {
+    ensure(false, Errc::capacity, "request ", 8, "c/", 1.5, "GB ", part,
+           " on pilot '", std::string("p0"), "'");
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::capacity);
+    EXPECT_STREQ(e.what(), "capacity: request 8c/1.5GB <part> on pilot 'p0'");
+  }
+  EXPECT_EQ(streamed, 1);
+}
+
 // ---------------------------------------------------------------------------
 // ids
 // ---------------------------------------------------------------------------
@@ -131,6 +160,24 @@ TEST(Logging, MemorySinkCapturesAboveThreshold) {
 
   common::LogConfig::global().set_sink(nullptr);
   common::LogConfig::global().set_level(common::LogLevel::warn);
+}
+
+TEST(Logging, PartsFormattedOnlyAtOrAboveThreshold) {
+  auto sink = std::make_shared<common::MemorySink>();
+  common::LogConfig::global().set_sink(sink);
+  common::LogConfig::global().set_level(common::LogLevel::warn);
+  int streamed = 0;
+  const CountedPart part{&streamed};
+
+  common::Logger log("test");
+  log.info("dropped ", part);
+  EXPECT_EQ(streamed, 0);
+  log.warn("kept ", part, " x", 2);
+  EXPECT_EQ(streamed, 1);
+  ASSERT_EQ(sink->records().size(), 1u);
+  EXPECT_EQ(sink->records().front().message, "kept <part> x2");
+
+  common::LogConfig::global().set_sink(nullptr);
 }
 
 TEST(Logging, JsonLinesSinkEmitsParsableRecords) {
