@@ -800,11 +800,17 @@ void TaskManager::resume_restart(const std::string& uid,
 }
 
 std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
-  std::vector<std::string> snapshot;
-  snapshot.reserve(tasks_.size());
-  for (const auto& [uid, active] : tasks_) snapshot.push_back(uid);
+  // Only tasks bound to the node, as primary or speculative twin, can be
+  // affected. Grants are posted, never synchronous, so none becomes
+  // bound to it while the loop below runs.
+  std::vector<std::string> bound;
+  for (const auto& [uid, active] : tasks_) {
+    if (active.node == &node || active.spec_node == &node) {
+      bound.push_back(uid);
+    }
+  }
   std::size_t interrupted = 0;
-  for (const auto& uid : snapshot) {
+  for (const auto& uid : bound) {
     const auto it = tasks_.find(uid);
     if (it == tasks_.end()) continue;
     Active& active = it->second;
