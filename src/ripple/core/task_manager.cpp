@@ -524,6 +524,8 @@ void TaskManager::on_payload_failed(const std::string& uid,
   Active& active = it->second;
   if (is_terminal(active.task->state()) || active.epoch != epoch) return;
   if (from_spec) {
+    // A cancelled duplicate's payload cannot be stopped; drop its outcome.
+    if (!active.spec_slot_held) return;
     // The duplicate failed; the primary attempt is still the task.
     cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
     record_recovery(uid, "spec_failed");
@@ -539,6 +541,8 @@ void TaskManager::on_payload_done(const std::string& uid,
   if (it == tasks_.end()) return;
   Active& active = it->second;
   if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+  // A cancelled duplicate's payload cannot be stopped; drop its outcome.
+  if (from_spec && !active.spec_slot_held) return;
   // First finisher wins. Bump the epoch so the loser's uncancellable
   // completion timer drops itself at the guard above.
   ++active.epoch;

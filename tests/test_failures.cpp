@@ -248,6 +248,46 @@ TEST(FailureRecovery, SpeculationBeatsStraggler) {
   EXPECT_LT(session.tasks().get(uid).state_time(TaskState::done), 20.0);
 }
 
+TEST(FailureRecovery, CrashUnderTheTwinCancelsOnlyTheTwin) {
+  Session session{SessionConfig{.seed = 23}};
+  session.add_platform(platform::delta_profile(2));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 2});
+  session.tasks().set_speculation(
+      {.enabled = true, .latency_multiple = 2.0, .min_delay = 0.5});
+
+  // As in SpeculationBeatsStraggler, the primary straggles on node 0 and
+  // its full-node twin lands on node 1. Node 1 then crashes while it
+  // holds only the twin: the twin is cancelled, and its payload, which
+  // cannot be stopped, must not win later; the primary is untouched.
+  auto& injector = session.failures().injector();
+  injector.inject_at(0.0, FailureKind::slow_node,
+                     session.cluster("delta").node(0).id(), 10.0);
+  injector.inject_at(12.0, FailureKind::node_crash,
+                     session.cluster("delta").node(1).id());
+  const auto uid = session.tasks().submit(pilot, modeled_task(4.0, 64));
+  int finished = 0;
+  bool ok = false;
+  session.tasks().when_done({uid}, [&](bool success) {
+    ++finished;
+    ok = success;
+  });
+  session.run();
+
+  EXPECT_EQ(finished, 1);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(session.tasks().get(uid).state(), TaskState::done);
+  EXPECT_EQ(session.tasks().speculations(), 1u);
+  EXPECT_EQ(session.tasks().speculation_wins(), 0u);
+  EXPECT_EQ(session.tasks().restarts_total(), 0u);
+  const auto& log = session.tasks().recovery_log();
+  ASSERT_EQ(log.size(), 2u) << ::testing::PrintToString(log);
+  EXPECT_NE(log[0].find(uid + " speculate"), std::string::npos) << log[0];
+  EXPECT_NE(log[1].find(uid + " spec_lost_node"), std::string::npos)
+      << log[1];
+  // The primary ran the straggler out: 4 s of work at a tenth the speed.
+  EXPECT_GT(session.tasks().get(uid).state_time(TaskState::done), 40.0);
+}
+
 TEST(FailureRecovery, StoreCrashRepairsFromSurvivingReplica) {
   Session session{SessionConfig{.seed = 29}};
   auto& data = session.data();
