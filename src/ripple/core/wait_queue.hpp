@@ -12,14 +12,14 @@
 ///
 /// The buckets are what make a backfill pass cheap. Within one pass
 /// capacity only shrinks, so once a request of some shape fails to fit,
-/// every later request of that shape fails too. Scheduler::try_schedule
-/// therefore merges bucket heads on its composite key and probes one
-/// head at a time, dropping a bucket at its first miss: O(buckets +
-/// grants) probes instead of one per queued request. A bucket is in
-/// composite-key order as well as native order because the extra key
-/// components (the tenant's share, the residency of declared inputs)
-/// are per-bucket or per-run constants and `enqueued_at` rises with the
-/// sequence.
+/// every later request of that shape fails too. The scheduler's
+/// backfill pass therefore merges bucket heads on its composite key and
+/// probes one head at a time, dropping a bucket at its first miss:
+/// O(buckets + grants) probes instead of one per queued request. A
+/// bucket is in composite-key order as well as native order because the
+/// extra key components (the tenant's share, the residency of declared
+/// inputs) are per-bucket or per-run constants and `enqueued_at` rises
+/// with the sequence.
 ///
 /// Cross-tenant ordering audit (multi-tenant runtime). Sequences are
 /// drawn from ONE scheduler-global counter (`Scheduler::next_sequence_`)

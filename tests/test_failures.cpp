@@ -282,8 +282,7 @@ TEST(FailureRecovery, CrashUnderTheTwinCancelsOnlyTheTwin) {
   const auto& log = session.tasks().recovery_log();
   ASSERT_EQ(log.size(), 2u) << ::testing::PrintToString(log);
   EXPECT_NE(log[0].find(uid + " speculate"), std::string::npos) << log[0];
-  EXPECT_NE(log[1].find(uid + " spec_lost_node"), std::string::npos)
-      << log[1];
+  EXPECT_NE(log[1].find(uid + " spec_lost_node"), std::string::npos) << log[1];
   // The primary ran the straggler out: 4 s of work at a tenth the speed.
   EXPECT_GT(session.tasks().get(uid).state_time(TaskState::done), 40.0);
 }

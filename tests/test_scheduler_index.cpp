@@ -572,7 +572,6 @@ class ReferenceScheduler {
     std::uint64_t sequence = 0;
     double cost = 0.0;
   };
-  using Queue = std::map<WaitQueue::Key, Queued>;
 
   static void touch(std::vector<std::size_t>& touched, std::size_t pilot) {
     if (std::find(touched.begin(), touched.end(), pilot) == touched.end()) {
@@ -601,13 +600,12 @@ class ReferenceScheduler {
         grants.push_back(std::move(grant));
       }
     }
-    std::sort(grants.begin(), grants.end(),
-              [](const Grant& a, const Grant& b) {
-                if (a.enqueued_at != b.enqueued_at) {
-                  return a.enqueued_at < b.enqueued_at;
-                }
-                return a.sequence < b.sequence;
-              });
+    std::sort(grants.begin(), grants.end(), [](const Grant& a, const Grant& b) {
+      if (a.enqueued_at != b.enqueued_at) {
+        return a.enqueued_at < b.enqueued_at;
+      }
+      return a.sequence < b.sequence;
+    });
     return grants;
   }
 
@@ -650,8 +648,7 @@ class ReferenceScheduler {
         fraction = std::max(fraction, request.mem_gb / pilot.total_mem);
       }
       const auto weight = weights_.find(request.tenant);
-      grant.cost =
-          fraction / (weight == weights_.end() ? 1.0 : weight->second);
+      grant.cost = fraction / (weight == weights_.end() ? 1.0 : weight->second);
     }
     out.push_back(std::move(grant));
     pilot.waiting.erase(it);
@@ -746,8 +743,7 @@ ParityRun run_parity(bool locality, bool fair, std::size_t shards,
   ReferenceScheduler reference;
   std::vector<Pilot*> pilots;
   for (int p = 0; p < 4; ++p) {
-    pilots.push_back(
-        &session.submit_pilot({.platform = "delta", .nodes = 2}));
+    pilots.push_back(&session.submit_pilot({.platform = "delta", .nodes = 2}));
     reference.add_pilot(*pilots.back());
   }
 
@@ -789,8 +785,8 @@ ParityRun run_parity(bool locality, bool fair, std::size_t shards,
   std::vector<std::pair<std::size_t, platform::Slot>> held;
   std::size_t next_uid = 0;
   const auto make = [&](std::size_t pilot) {
-    const ShapeSpec& shape =
-        shapes[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+    const auto pick = static_cast<std::size_t>(rng.uniform_int(0, 4));
+    const ShapeSpec& shape = shapes[pick];
     ReferenceScheduler::Request spec;
     spec.uid = "r" + std::to_string(next_uid++);
     spec.cores = shape.cores;
@@ -884,8 +880,8 @@ ParityRun run_parity(bool locality, bool fair, std::size_t shards,
 TEST(CompositePassParity, MatchesPerRequestPassesAcrossPoliciesAndShards) {
   for (const std::uint64_t seed : {5ull, 91ull}) {
     for (const std::size_t shards : {1u, 4u}) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " shards "
-                                      << shards);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
+                   std::to_string(shards));
       const ParityRun plain = run_parity(false, false, shards, seed);
       EXPECT_GT(plain.order.size(), 200u);
       // Declared inputs under the oracle, which no benchmark workload
