@@ -7,20 +7,25 @@ Runtime::Runtime(std::uint64_t seed)
       rng_(seed),
       network_(loop_, rng_.fork("network")),
       router_(loop_, network_),
-      pubsub_(loop_),
-      timeline_(pubsub_) {}
+      pubsub_(loop_) {}
 
 common::Logger Runtime::make_logger(const std::string& name) {
   return common::Logger(name, [this] { return loop_.now(); });
 }
 
-void Runtime::publish_state(const std::string& kind, const std::string& uid,
-                            const std::string& state) {
+void Runtime::publish_state(std::string_view kind, const std::string& uid,
+                            std::string_view state) {
+  const double now = loop_.now();
+  timeline_.record(uid, kind, state, now);
+  if (transition_hook_ && (kind == "task" || kind == "service")) {
+    loop_.post([this] { transition_hook_(); });
+  }
+  if (!pubsub_.has_subscribers("state")) return;
   json::Value event = json::Value::object();
   event.set("kind", kind);
   event.set("uid", uid);
   event.set("state", state);
-  event.set("time", loop_.now());
+  event.set("time", now);
   pubsub_.publish("state", std::move(event));
 }
 

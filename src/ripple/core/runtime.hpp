@@ -6,9 +6,11 @@
 /// component receives a reference.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ripple/common/ids.hpp"
@@ -55,10 +57,20 @@ class Runtime {
     return ids_.next(prefix);
   }
 
-  /// Publishes an entity state transition on the "state" topic; the
-  /// Timeline (and any user subscriber) receives it asynchronously.
-  void publish_state(const std::string& kind, const std::string& uid,
-                     const std::string& state);
+  /// Reports an entity state transition (`kind` is "task", "service"
+  /// or "pilot"). The Timeline records it at once. A task or service
+  /// transition posts the transition hook. Only when the bus has a
+  /// "state" subscriber is the transition also published there as a
+  /// JSON event {kind, uid, state, time}, delivered asynchronously.
+  void publish_state(std::string_view kind, const std::string& uid,
+                     std::string_view state);
+
+  /// Installs the callback posted after every task or service
+  /// transition: the TaskManager's dependency re-check. It runs where
+  /// a "state" bus delivery would, after the transitioning event.
+  void set_transition_hook(std::function<void()> hook) {
+    transition_hook_ = std::move(hook);
+  }
 
   /// Live endpoint directory, updated *synchronously* by the
   /// ServiceManager as services enter/leave RUNNING (the matching
@@ -86,6 +98,7 @@ class Runtime {
   metrics::Timeline timeline_;
   metrics::Tracer tracer_;
   metrics::Counters counters_;
+  std::function<void()> transition_hook_;
   std::map<std::string, std::set<std::string>> endpoint_directory_;
 };
 

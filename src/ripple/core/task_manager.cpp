@@ -37,13 +37,9 @@ TaskManager::TaskManager(Runtime& runtime, Scheduler& scheduler,
       services_(services),
       log_(runtime.make_logger("task_manager")),
       restart_rng_(runtime.rng().fork("task_restart")) {
-  // Re-evaluate waiting tasks whenever any entity changes state: a
-  // dependency may have completed or a required service become RUNNING.
-  runtime_.pubsub().subscribe(
-      "state", [this](const std::string&, const json::Value& event) {
-        const std::string kind = event.at("kind").as_string();
-        if (kind == "task" || kind == "service") recheck_waiting();
-      });
+  // Re-evaluate waiting tasks whenever a task or service changes state:
+  // a dependency may have completed or a required service become RUNNING.
+  runtime_.set_transition_hook([this] { recheck_waiting(); });
 }
 
 // ---------------------------------------------------------------------------

@@ -6,18 +6,10 @@
 
 namespace ripple::metrics {
 
-Timeline::Timeline(msg::PubSub& bus) {
-  bus.subscribe("state", [this](const std::string&, const json::Value& event) {
-    TransitionRecord record;
-    record.entity = event.at("uid").as_string();
-    record.kind = event.at("kind").as_string();
-    record.state = event.at("state").as_string();
-    record.time = event.at("time").as_double();
-    this->record(std::move(record));
-  });
-}
-
-void Timeline::record(TransitionRecord record) {
+void Timeline::record(std::string_view entity, std::string_view kind,
+                      std::string_view state, double time) {
+  TransitionRecord record{std::string(entity), std::string(kind),
+                          std::string(state), time};
   entries_[{record.entity, record.state}].push_back(record.time);
   records_.push_back(std::move(record));
 }

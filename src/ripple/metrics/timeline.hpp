@@ -1,10 +1,11 @@
 #pragma once
 
 /// \file timeline.hpp
-/// State-transition timeline, fed by the runtime's pub/sub bus.
+/// State-transition timeline, written synchronously by
+/// core::Runtime::publish_state.
 ///
 /// Mirrors RADICAL-Analytics: every entity (pilot, task, service)
-/// publishes timestamped state transitions; the Timeline records every
+/// reports timestamped state transitions; the Timeline records every
 /// time each entity entered each state and answers duration queries
 /// such as "time from LAUNCHING to RUNNING of service X". Entities may
 /// re-enter a state (a task restarted after a node crash runs twice);
@@ -14,9 +15,8 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "ripple/msg/pubsub.hpp"
 
 namespace ripple::metrics {
 
@@ -29,11 +29,9 @@ struct TransitionRecord {
 
 class Timeline {
  public:
-  /// Subscribes to the "state" topic of `bus`.
-  explicit Timeline(msg::PubSub& bus);
-
-  /// Records a transition directly (bypassing the bus).
-  void record(TransitionRecord record);
+  /// Appends one transition.
+  void record(std::string_view entity, std::string_view kind,
+              std::string_view state, double time);
 
   [[nodiscard]] const std::vector<TransitionRecord>& records() const noexcept {
     return records_;

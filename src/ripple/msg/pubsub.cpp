@@ -33,6 +33,12 @@ void PubSub::unsubscribe(SubscriptionId id) {
   remove_from(wildcard_);
 }
 
+bool PubSub::has_subscribers(std::string_view topic) const {
+  if (!wildcard_.empty()) return true;
+  const auto it = topics_.find(topic);
+  return it != topics_.end() && !it->second.empty();
+}
+
 void PubSub::publish(const std::string& topic, json::Value event) {
   ++published_;
   // Snapshot matching subscribers now; deliver asynchronously so that

@@ -12,6 +12,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ripple/common/json.hpp"
@@ -38,6 +39,10 @@ class PubSub {
   /// Publishes `event` to all matching subscribers asynchronously.
   void publish(const std::string& topic, json::Value event);
 
+  /// True when a publish on `topic` would reach a subscriber (exact or
+  /// wildcard); publishers use it to skip building unread events.
+  [[nodiscard]] bool has_subscribers(std::string_view topic) const;
+
   [[nodiscard]] std::uint64_t published() const noexcept { return published_; }
 
  private:
@@ -47,7 +52,7 @@ class PubSub {
   };
 
   sim::EventLoop& loop_;
-  std::map<std::string, std::vector<Entry>> topics_;
+  std::map<std::string, std::vector<Entry>, std::less<>> topics_;
   std::vector<Entry> wildcard_;
   SubscriptionId next_id_ = 1;
   std::uint64_t published_ = 0;

@@ -3,14 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "ripple/common/error.hpp"
+#include "ripple/common/hash.hpp"
+#include "ripple/common/strutil.hpp"
 #include "ripple/core/data_manager.hpp"
 #include "ripple/core/descriptions.hpp"
 #include "ripple/core/entities.hpp"
+#include "ripple/core/failure_coordinator.hpp"
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/scheduler.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/platform/profiles.hpp"
+#include "ripple/sim/failure_injector.hpp"
 
 namespace {
 
@@ -392,6 +400,106 @@ TEST(SessionEntities, DuplicatePlatformRejected) {
   Session session({.seed = 2});
   session.add_platform(platform::delta_profile(2));
   EXPECT_THROW(session.add_platform(platform::delta_profile(2)), Error);
+}
+
+// ---------------------------------------------------------------------------
+// State path: the Timeline and the "state" bus topic
+// ---------------------------------------------------------------------------
+
+struct StatePathRun {
+  std::vector<metrics::TransitionRecord> records;  ///< the Timeline
+  std::vector<metrics::TransitionRecord> events;   ///< the subscriber's
+  std::uint64_t published = 0;
+  std::uint64_t grant_hash = 0;
+  std::uint64_t recovery_hash = 0;
+  std::uint64_t completion_hash = common::kFnvOffsetBasis;
+  std::uint64_t restarts = 0;
+  std::uint64_t speculations = 0;
+};
+
+/// Two full-node tasks on three nodes: node 0 straggles, so its task
+/// gets a speculative twin, and node 1 crashes under the other task,
+/// which restarts on node 2.
+StatePathRun run_state_path(bool subscribe) {
+  StatePathRun out;
+  Session session{SessionConfig{.seed = 23}};
+  if (subscribe) {
+    session.runtime().pubsub().subscribe(
+        "state", [&out](const std::string&, const json::Value& event) {
+          out.events.push_back({event.at("uid").as_string(),
+                                event.at("kind").as_string(),
+                                event.at("state").as_string(),
+                                event.at("time").as_double()});
+        });
+  }
+  session.add_platform(platform::delta_profile(3));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 3});
+  session.tasks().set_restart_policy({.max_restarts = 3});
+  session.tasks().set_speculation(
+      {.enabled = true, .latency_multiple = 2.0, .min_delay = 0.5});
+  auto& injector = session.failures().injector();
+  const auto node = [&session](std::size_t i) {
+    return session.cluster("delta").node(i).id();
+  };
+  injector.inject_at(0.0, sim::FailureKind::slow_node, node(0), 10.0);
+  injector.inject_at(3.0, sim::FailureKind::node_crash, node(1));
+  injector.inject_at(5.0, sim::FailureKind::node_restore, node(1));
+
+  TaskDescription desc;
+  desc.name = "t";
+  desc.kind = "modeled";
+  desc.cores = 64;
+  desc.duration = common::Distribution::constant(4.0);
+  const auto uids = session.tasks().submit_all(pilot, {desc, desc});
+  session.run();
+
+  out.records = session.timeline().records();
+  out.published = session.runtime().pubsub().published();
+  out.grant_hash = session.scheduler().grant_log_hash();
+  out.recovery_hash = session.tasks().recovery_log_hash();
+  for (const auto& uid : uids) {
+    const Task& task = session.tasks().get(uid);
+    out.completion_hash = common::fnv1a(out.completion_hash, uid);
+    out.completion_hash = common::fnv1a(
+        out.completion_hash,
+        strutil::format_fixed(task.state_time(TaskState::done), 9));
+  }
+  out.restarts = session.tasks().restarts_total();
+  out.speculations = session.tasks().speculations();
+  return out;
+}
+
+TEST(StatePath, SubscriberSeesTheTimelineOneForOne) {
+  const StatePathRun observed = run_state_path(/*subscribe=*/true);
+  EXPECT_GE(observed.restarts, 1u);
+  EXPECT_GE(observed.speculations, 1u);
+  ASSERT_FALSE(observed.records.empty());
+  ASSERT_EQ(observed.events.size(), observed.records.size());
+  for (std::size_t i = 0; i < observed.records.size(); ++i) {
+    const auto& record = observed.records[i];
+    const auto& event = observed.events[i];
+    EXPECT_EQ(event.entity, record.entity) << i;
+    EXPECT_EQ(event.kind, record.kind) << i;
+    EXPECT_EQ(event.state, record.state) << i;
+    EXPECT_EQ(event.time, record.time) << i;
+  }
+  EXPECT_EQ(observed.published, observed.records.size());
+
+  // A subscriber only observes: the same seed without one records the
+  // same Timeline, grants, recoveries and completions, and publishes
+  // nothing.
+  const StatePathRun quiet = run_state_path(/*subscribe=*/false);
+  EXPECT_TRUE(quiet.events.empty());
+  EXPECT_EQ(quiet.published, 0u);
+  ASSERT_EQ(quiet.records.size(), observed.records.size());
+  for (std::size_t i = 0; i < quiet.records.size(); ++i) {
+    EXPECT_EQ(quiet.records[i].entity, observed.records[i].entity) << i;
+    EXPECT_EQ(quiet.records[i].state, observed.records[i].state) << i;
+    EXPECT_EQ(quiet.records[i].time, observed.records[i].time) << i;
+  }
+  EXPECT_EQ(quiet.grant_hash, observed.grant_hash);
+  EXPECT_EQ(quiet.recovery_hash, observed.recovery_hash);
+  EXPECT_EQ(quiet.completion_hash, observed.completion_hash);
 }
 
 }  // namespace

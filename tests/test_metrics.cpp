@@ -88,12 +88,10 @@ TEST(Registry, JsonExportShape) {
 }
 
 TEST(Timeline, RecordsAndQueries) {
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
-  timeline.record({"task.0", "task", "RUNNING", 5.0});
-  timeline.record({"task.0", "task", "DONE", 8.0});
-  timeline.record({"task.1", "task", "RUNNING", 6.0});
+  Timeline timeline;
+  timeline.record("task.0", "task", "RUNNING", 5.0);
+  timeline.record("task.0", "task", "DONE", 8.0);
+  timeline.record("task.1", "task", "RUNNING", 6.0);
   EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), 5.0);
   EXPECT_DOUBLE_EQ(timeline.duration("task.0", "RUNNING", "DONE"), 3.0);
   EXPECT_DOUBLE_EQ(timeline.state_time("task.9", "RUNNING"), -1.0);
@@ -106,11 +104,9 @@ TEST(Timeline, RecordsAndQueries) {
 }
 
 TEST(Timeline, FirstEntryWins) {
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
-  timeline.record({"svc.0", "service", "SCHEDULING", 1.0});
-  timeline.record({"svc.0", "service", "SCHEDULING", 9.0});  // restart
+  Timeline timeline;
+  timeline.record("svc.0", "service", "SCHEDULING", 1.0);
+  timeline.record("svc.0", "service", "SCHEDULING", 9.0);  // restart
   EXPECT_DOUBLE_EQ(timeline.state_time("svc.0", "SCHEDULING"), 1.0);
   EXPECT_EQ(timeline.records().size(), 2u);  // both kept in the log
 }
@@ -118,11 +114,9 @@ TEST(Timeline, FirstEntryWins) {
 TEST(Timeline, ReentryHistoryIsKept) {
   // Regression: restarted tasks enter RUNNING more than once; the
   // first-entry index used to be the only record queryable.
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
-  timeline.record({"task.0", "task", "RUNNING", 5.0});
-  timeline.record({"task.0", "task", "RUNNING", 9.0});  // after a crash
+  Timeline timeline;
+  timeline.record("task.0", "task", "RUNNING", 5.0);
+  timeline.record("task.0", "task", "RUNNING", 9.0);  // after a crash
   EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), 5.0);
   EXPECT_DOUBLE_EQ(timeline.last_state_time("task.0", "RUNNING"), 9.0);
   EXPECT_EQ(timeline.entry_count("task.0", "RUNNING"), 2u);
@@ -131,20 +125,6 @@ TEST(Timeline, ReentryHistoryIsKept) {
   EXPECT_TRUE(timeline.state_times("task.0", "DONE").empty());
   EXPECT_DOUBLE_EQ(timeline.last_state_time("task.0", "DONE"), -1.0);
   EXPECT_EQ(timeline.entry_count("task.9", "RUNNING"), 0u);
-}
-
-TEST(Timeline, SubscribesToStateTopic) {
-  sim::EventLoop loop;
-  msg::PubSub bus(loop);
-  Timeline timeline(bus);
-  json::Value event = json::Value::object();
-  event.set("kind", "task");
-  event.set("uid", "task.7");
-  event.set("state", "DONE");
-  event.set("time", 3.25);
-  bus.publish("state", event);
-  loop.run();
-  EXPECT_DOUBLE_EQ(timeline.state_time("task.7", "DONE"), 3.25);
 }
 
 TEST(Table, AlignmentAndCsv) {

@@ -296,6 +296,20 @@ TEST(PubSub, TopicAndWildcardDelivery) {
   EXPECT_EQ(bus.published(), 2u);
 }
 
+TEST(PubSub, HasSubscribersSeesTopicAndWildcard) {
+  sim::EventLoop loop;
+  msg::PubSub bus(loop);
+  const auto ignore = [](const std::string&, const json::Value&) {};
+  EXPECT_FALSE(bus.has_subscribers("state"));
+  const auto id = bus.subscribe("state", ignore);
+  EXPECT_TRUE(bus.has_subscribers("state"));
+  EXPECT_FALSE(bus.has_subscribers("other"));
+  bus.unsubscribe(id);
+  EXPECT_FALSE(bus.has_subscribers("state"));
+  bus.subscribe_all(ignore);
+  EXPECT_TRUE(bus.has_subscribers("other"));
+}
+
 TEST(PubSub, UnsubscribeStopsDelivery) {
   sim::EventLoop loop;
   msg::PubSub bus(loop);
