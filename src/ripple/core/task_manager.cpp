@@ -93,28 +93,22 @@ std::size_t TaskManager::count_in_state(TaskState state) const {
 void TaskManager::set_state(Active& active, TaskState state) {
   active.task->set_state(state, runtime_.loop().now());
   runtime_.publish_state("task", active.task->uid(), to_string(state));
-  if (is_terminal(state)) recheck_watchers();
+  if (is_terminal(state)) settle_watchers(active);
 }
 
-void TaskManager::recheck_watchers() {
-  for (std::size_t i = 0; i < watchers_.size();) {
-    DoneWatcher& watcher = watchers_[i];
-    bool all_terminal = true;
-    bool all_done = true;
-    for (const auto& uid : watcher.uids) {
-      const TaskState state = get(uid).state();
-      if (!is_terminal(state)) all_terminal = false;
-      if (state != TaskState::done) all_done = false;
-    }
-    if (all_terminal) {
-      auto callback = std::move(watcher.on_done);
-      watchers_.erase(watchers_.begin() + static_cast<std::ptrdiff_t>(i));
-      runtime_.loop().post(
-          [callback = std::move(callback), all_done] { callback(all_done); });
-    } else {
-      ++i;
-    }
+void TaskManager::settle_watchers(Active& active) {
+  const bool done = active.task->state() == TaskState::done;
+  for (const auto& watcher : std::exchange(active.watchers, {})) {
+    watcher->all_done = watcher->all_done && done;
+    if (--watcher->remaining == 0) post_watcher(*watcher);
   }
+}
+
+void TaskManager::post_watcher(DoneWatcher& watcher) {
+  runtime_.loop().post(
+      [callback = std::move(watcher.on_done), all_done = watcher.all_done] {
+        callback(all_done);
+      });
 }
 
 void TaskManager::when_done(std::vector<std::string> uids,
@@ -124,8 +118,20 @@ void TaskManager::when_done(std::vector<std::string> uids,
   for (const auto& uid : uids) {
     ensure(exists(uid), Errc::not_found, "when_done: unknown task '", uid, "'");
   }
-  watchers_.push_back(DoneWatcher{std::move(uids), std::move(on_done)});
-  recheck_watchers();
+  auto watcher = std::make_shared<DoneWatcher>();
+  watcher->on_done = std::move(on_done);
+  for (const auto& uid : uids) {
+    Active& active = active_for(uid);
+    const TaskState state = active.task->state();
+    if (is_terminal(state)) {
+      watcher->all_done = watcher->all_done && state == TaskState::done;
+    } else if (active.watchers.empty() || active.watchers.back() != watcher) {
+      // A uid listed twice is still one task to wait for.
+      active.watchers.push_back(watcher);
+      ++watcher->remaining;
+    }
+  }
+  if (watcher->remaining == 0) post_watcher(*watcher);
 }
 
 // ---------------------------------------------------------------------------

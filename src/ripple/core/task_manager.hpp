@@ -139,6 +139,14 @@ class TaskManager {
                  std::function<void(bool all_done)> on_done);
 
  private:
+  /// One when_done registration. Shared by the watched tasks that were
+  /// not yet terminal when it registered; fires when the last settles.
+  struct DoneWatcher {
+    std::size_t remaining = 0;  ///< distinct watched tasks not terminal
+    bool all_done = true;       ///< no watched task ended outside DONE
+    std::function<void(bool)> on_done;
+  };
+
   struct Active {
     std::unique_ptr<Task> task;
     Pilot* pilot = nullptr;
@@ -183,11 +191,9 @@ class TaskManager {
     metrics::SpanId trace_stage = 0;
     metrics::SpanId trace_run = 0;
     metrics::SpanId trace_recover = 0;
-  };
-
-  struct DoneWatcher {
-    std::vector<std::string> uids;
-    std::function<void(bool)> on_done;
+    /// when_done registrations waiting on this task, in registration
+    /// order; settled when the task turns terminal.
+    std::vector<std::shared_ptr<DoneWatcher>> watchers;
   };
 
   enum class Readiness { ready, pending, broken };
@@ -248,7 +254,10 @@ class TaskManager {
   void release_input_pins(Active& active);
   void set_state(Active& active, TaskState state);
   void recheck_waiting();
-  void recheck_watchers();
+  /// Counts `active`'s terminal transition against its watchers and
+  /// posts each one that has no watched task left, in registration order.
+  void settle_watchers(Active& active);
+  void post_watcher(DoneWatcher& watcher);
 
   [[nodiscard]] Active& active_for(const std::string& uid);
   [[nodiscard]] const Active& active_for(const std::string& uid) const;
@@ -261,7 +270,6 @@ class TaskManager {
   common::Logger log_;
   std::map<std::string, Active> tasks_;
   std::set<std::string> waiting_;
-  std::vector<DoneWatcher> watchers_;
   RestartPolicy restart_policy_;
   SpeculationPolicy speculation_;
   /// Dedicated stream for backoff jitter: restart delays must not

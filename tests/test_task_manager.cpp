@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ripple/common/error.hpp"
+#include "ripple/core/failure_coordinator.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/platform/profiles.hpp"
+#include "ripple/sim/failure_injector.hpp"
 
 namespace {
 
@@ -19,6 +24,14 @@ TaskDescription quick_task(double seconds = 1.0) {
   desc.kind = "modeled";
   desc.cores = 1;
   desc.duration = common::Distribution::constant(seconds);
+  return desc;
+}
+
+/// A task whose function payload does not exist: it fails at launch.
+TaskDescription failing_task() {
+  auto desc = quick_task();
+  desc.kind = "function";
+  desc.payload = json::Value::object({{"fn", "does-not-exist"}});
   return desc;
 }
 
@@ -297,6 +310,115 @@ TEST_F(TaskManagerTest, ConcurrencyBoundedByResources) {
   }
   EXPECT_LE(peak, 8);
   EXPECT_GE(peak, 7);  // and the scheduler actually packs the machine
+}
+
+// ---------------------------------------------------------------------------
+// Done watchers (when_done)
+// ---------------------------------------------------------------------------
+
+TEST_F(TaskManagerTest, WatchersOfOneTaskFireInRegistrationOrder) {
+  const auto uid = session.tasks().submit(*pilot, quick_task());
+  std::vector<int> fired;
+  for (int i = 0; i < 3; ++i) {
+    session.tasks().when_done({uid}, [&fired, i](bool ok) {
+      EXPECT_TRUE(ok);
+      fired.push_back(i);
+    });
+  }
+  session.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST_F(TaskManagerTest, RepeatedTaskInOneWatcherCountsOnce) {
+  const auto a = session.tasks().submit(*pilot, quick_task(1.0));
+  const auto b = session.tasks().submit(*pilot, quick_task(3.0));
+  int fired = 0;
+  bool all_ok = false;
+  double fired_at = -1.0;
+  session.tasks().when_done({a, b, a}, [&](bool ok) {
+    ++fired;
+    all_ok = ok;
+    fired_at = session.now();
+  });
+  session.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(all_ok);
+  EXPECT_GE(fired_at, session.tasks().get(b).state_time(TaskState::done));
+  EXPECT_GT(session.tasks().get(b).state_time(TaskState::done),
+            session.tasks().get(a).state_time(TaskState::done));
+}
+
+TEST_F(TaskManagerTest, SettledWatchersArePostedNotCalledInline) {
+  const auto good = session.tasks().submit(*pilot, quick_task());
+  const auto bad = session.tasks().submit(*pilot, failing_task());
+  session.run();
+  ASSERT_EQ(session.tasks().get(good).state(), TaskState::done);
+  ASSERT_EQ(session.tasks().get(bad).state(), TaskState::failed);
+
+  std::vector<std::pair<std::string, bool>> fired;
+  const auto watch = [&](std::string label) {
+    return [&fired, label](bool ok) { fired.emplace_back(label, ok); };
+  };
+  session.tasks().when_done({}, watch("none"));
+  session.tasks().when_done({good}, watch("done"));
+  session.tasks().when_done({good, bad}, watch("mixed"));
+  EXPECT_TRUE(fired.empty());  // posted, not called inside when_done
+  session.run();
+  const std::vector<std::pair<std::string, bool>> expected{
+      {"none", true}, {"done", true}, {"mixed", false}};
+  EXPECT_EQ(fired, expected);
+}
+
+TEST_F(TaskManagerTest, FailedOrCanceledMemberReportsFalse) {
+  const auto good = session.tasks().submit(*pilot, quick_task(2.0));
+  const auto victim = session.tasks().submit(*pilot, quick_task(2.0));
+  const auto bad = session.tasks().submit(*pilot, failing_task());
+  std::vector<std::pair<std::string, bool>> fired;
+  const auto watch = [&](std::string label) {
+    return [&fired, label](bool ok) { fired.emplace_back(label, ok); };
+  };
+  session.tasks().when_done({good, victim}, watch("canceled"));
+  session.tasks().when_done({bad, good}, watch("failed"));
+  session.tasks().when_done({good}, watch("done"));
+  EXPECT_TRUE(session.tasks().cancel(victim));
+  session.run();
+  ASSERT_EQ(session.tasks().get(victim).state(), TaskState::canceled);
+  ASSERT_EQ(session.tasks().get(bad).state(), TaskState::failed);
+  // All three complete when `good` does, so they fire together, in
+  // registration order.
+  const std::vector<std::pair<std::string, bool>> expected{
+      {"canceled", false}, {"failed", false}, {"done", true}};
+  EXPECT_EQ(fired, expected);
+}
+
+TEST_F(TaskManagerTest, CrashedTaskFiresItsWatcherOnlyAfterTheRestart) {
+  session.tasks().set_restart_policy({.max_restarts = 3});
+  const auto uid = session.tasks().submit(*pilot, quick_task(10.0));
+  auto& injector = session.failures().injector();
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string id = session.cluster("delta").node(i).id();
+    injector.inject_at(2.0, sim::FailureKind::node_crash, id);
+    injector.inject_at(6.0, sim::FailureKind::node_restore, id);
+  }
+  int fired = 0;
+  bool all_ok = false;
+  double fired_at = -1.0;
+  session.tasks().when_done({uid}, [&](bool ok) {
+    ++fired;
+    all_ok = ok;
+    fired_at = session.now();
+  });
+  session.run_until(4.0);
+  // Interrupted and backing off: back in SCHEDULING, watcher silent.
+  EXPECT_EQ(session.tasks().get(uid).state(), TaskState::scheduling);
+  EXPECT_EQ(session.timeline().entry_count(uid, "SCHEDULING"), 2u);
+  EXPECT_EQ(fired, 0);
+  session.run();
+  EXPECT_EQ(session.tasks().restarts_total(), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(all_ok);
+  EXPECT_GE(fired_at, session.tasks().get(uid).state_time(TaskState::done));
+  EXPECT_GT(fired_at, 12.0);  // 2 s lost to the crash, 10 s rerun
 }
 
 }  // namespace
