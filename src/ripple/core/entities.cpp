@@ -24,12 +24,7 @@ Pilot::Pilot(std::string uid, PilotDescription desc,
 void Pilot::set_state(PilotState next, double now) {
   check_transition(uid_, state_, next);
   state_ = next;
-  timestamps_.try_emplace(next, now);
-}
-
-double Pilot::state_time(PilotState state) const {
-  const auto it = timestamps_.find(state);
-  return it == timestamps_.end() ? -1.0 : it->second;
+  timestamps_.enter(next, now);
 }
 
 Task::Task(std::string uid, TaskDescription desc)
@@ -38,12 +33,7 @@ Task::Task(std::string uid, TaskDescription desc)
 void Task::set_state(TaskState next, double now) {
   check_transition(uid_, state_, next);
   state_ = next;
-  timestamps_.try_emplace(next, now);
-}
-
-double Task::state_time(TaskState state) const {
-  const auto it = timestamps_.find(state);
-  return it == timestamps_.end() ? -1.0 : it->second;
+  timestamps_.enter(next, now);
 }
 
 double Task::duration(TaskState from, TaskState to) const {
@@ -61,12 +51,7 @@ Service::Service(std::string uid, ServiceDescription desc)
 void Service::set_state(ServiceState next, double now) {
   check_transition(uid_, state_, next);
   state_ = next;
-  timestamps_.try_emplace(next, now);
-}
-
-double Service::state_time(ServiceState state) const {
-  const auto it = timestamps_.find(state);
-  return it == timestamps_.end() ? -1.0 : it->second;
+  timestamps_.enter(next, now);
 }
 
 double Service::duration(ServiceState from, ServiceState to) const {

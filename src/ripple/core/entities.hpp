@@ -5,10 +5,13 @@
 ///
 /// Entities are owned by their managers; user code refers to them by uid
 /// and reads them through const accessors. State changes go through
-/// set_state(), which validates the transition and records a timestamp,
-/// feeding the metrics Timeline.
+/// set_state(), which validates the transition and keeps the first time
+/// the entity entered each state. The managers report every transition,
+/// re-entries included, to the metrics Timeline
+/// (core::Runtime::publish_state).
 
-#include <map>
+#include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,27 @@ class Cluster;
 }
 
 namespace ripple::core {
+
+/// The first time an entity entered each state of its machine, in a
+/// fixed array indexed by the state; -1 for a state never entered.
+template <typename State, std::size_t N>
+class StateTimes {
+ public:
+  StateTimes() { times_.fill(-1.0); }
+
+  /// Keeps `now` unless `state` was entered before.
+  void enter(State state, double now) {
+    double& time = times_[static_cast<std::size_t>(state)];
+    if (time < 0.0) time = now;
+  }
+
+  [[nodiscard]] double operator[](State state) const {
+    return times_[static_cast<std::size_t>(state)];
+  }
+
+ private:
+  std::array<double, N> times_;
+};
 
 /// Bootstrap-time decomposition of one service instance (Fig. 3).
 struct BootstrapTiming {
@@ -58,7 +82,9 @@ class Pilot {
   /// Validates and applies a state transition; records `now`.
   void set_state(PilotState next, double now);
 
-  [[nodiscard]] double state_time(PilotState state) const;
+  [[nodiscard]] double state_time(PilotState state) const {
+    return timestamps_[state];
+  }
 
  private:
   std::string uid_;
@@ -66,7 +92,7 @@ class Pilot {
   platform::Cluster* cluster_;
   std::vector<platform::Node*> nodes_;
   PilotState state_ = PilotState::created;
-  std::map<PilotState, double> timestamps_;
+  StateTimes<PilotState, kPilotStates> timestamps_;
 };
 
 class Task {
@@ -82,7 +108,9 @@ class Task {
   void set_state(TaskState next, double now);
 
   /// First time this task entered `state`; -1 when never.
-  [[nodiscard]] double state_time(TaskState state) const;
+  [[nodiscard]] double state_time(TaskState state) const {
+    return timestamps_[state];
+  }
 
   /// Time between first entries of two visited states.
   [[nodiscard]] double duration(TaskState from, TaskState to) const;
@@ -105,7 +133,7 @@ class Task {
   std::string uid_;
   TaskDescription desc_;
   TaskState state_ = TaskState::created;
-  std::map<TaskState, double> timestamps_;
+  StateTimes<TaskState, kTaskStates> timestamps_;
   std::string pilot_uid_;
   platform::Slot slot_;
   json::Value result_;
@@ -124,7 +152,9 @@ class Service {
 
   void set_state(ServiceState next, double now);
 
-  [[nodiscard]] double state_time(ServiceState state) const;
+  [[nodiscard]] double state_time(ServiceState state) const {
+    return timestamps_[state];
+  }
   [[nodiscard]] double duration(ServiceState from, ServiceState to) const;
 
   /// RPC address clients use once RUNNING ("svc.000002").
@@ -164,7 +194,7 @@ class Service {
   std::string uid_;
   ServiceDescription desc_;
   ServiceState state_ = ServiceState::created;
-  std::map<ServiceState, double> timestamps_;
+  StateTimes<ServiceState, kServiceStates> timestamps_;
   std::string endpoint_;
   std::string pilot_uid_;
   platform::Slot slot_;

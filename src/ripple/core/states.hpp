@@ -9,6 +9,7 @@
 /// Fig. 3 bootstrap-time decomposition is derived. Transition legality is
 /// enforced centrally so a bug in any manager surfaces immediately.
 
+#include <cstddef>
 #include <string>
 
 namespace ripple::core {
@@ -48,6 +49,14 @@ enum class PilotState {
   failed,    ///< terminal
   canceled,  ///< terminal
 };
+
+/// Number of states in each machine; the enums are dense from zero.
+inline constexpr std::size_t kTaskStates =
+    static_cast<std::size_t>(TaskState::canceled) + 1;
+inline constexpr std::size_t kServiceStates =
+    static_cast<std::size_t>(ServiceState::canceled) + 1;
+inline constexpr std::size_t kPilotStates =
+    static_cast<std::size_t>(PilotState::canceled) + 1;
 
 [[nodiscard]] const char* to_string(TaskState state) noexcept;
 [[nodiscard]] const char* to_string(ServiceState state) noexcept;

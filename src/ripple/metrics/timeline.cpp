@@ -1,42 +1,89 @@
 #include "ripple/metrics/timeline.hpp"
 
-#include <set>
-
 #include "ripple/common/error.hpp"
 
 namespace ripple::metrics {
 
+std::uint32_t Timeline::Interner::intern(std::string_view name) {
+  const auto it = ids_.find(name);
+  if (it != ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  ids_.emplace(names_.emplace_back(name), id);
+  return id;
+}
+
+std::uint32_t Timeline::Interner::find(std::string_view name) const {
+  const auto it = ids_.find(name);
+  return it == ids_.end() ? kAbsent : it->second;
+}
+
+void Timeline::Interner::clear() {
+  ids_.clear();
+  names_.clear();
+}
+
 void Timeline::record(std::string_view entity, std::string_view kind,
                       std::string_view state, double time) {
-  TransitionRecord record{std::string(entity), std::string(kind),
-                          std::string(state), time};
-  entries_[{record.entity, record.state}].push_back(record.time);
-  records_.push_back(std::move(record));
+  const std::uint32_t kind_id = names_.intern(kind);
+  const std::uint32_t state_id = names_.intern(state);
+  ensure(names_.size() <= std::size_t{UINT16_MAX} + 1, Errc::capacity,
+         "timeline: too many distinct kind and state names");
+  log_.push_back(Entry{entities_.intern(entity),
+                       static_cast<std::uint16_t>(kind_id),
+                       static_cast<std::uint16_t>(state_id), time});
+}
+
+std::vector<TransitionRecord> Timeline::records() const {
+  std::vector<TransitionRecord> out;
+  out.reserve(log_.size());
+  for (const Entry& entry : log_) {
+    out.push_back({entities_.name(entry.entity), names_.name(entry.kind),
+                   names_.name(entry.state), entry.time});
+  }
+  return out;
+}
+
+const std::vector<double>* Timeline::entries(const std::string& entity,
+                                             const std::string& state) const {
+  const std::uint32_t entity_id = entities_.find(entity);
+  const std::uint32_t state_id = names_.find(state);
+  if (entity_id == Interner::kAbsent || state_id == Interner::kAbsent) {
+    return nullptr;
+  }
+  const auto key = [](std::uint64_t entity, std::uint64_t state) {
+    return entity << 32 | state;
+  };
+  for (; indexed_ < log_.size(); ++indexed_) {
+    const Entry& entry = log_[indexed_];
+    index_[key(entry.entity, entry.state)].push_back(entry.time);
+  }
+  const auto it = index_.find(key(entity_id, state_id));
+  return it == index_.end() ? nullptr : &it->second;
 }
 
 double Timeline::state_time(const std::string& entity,
                             const std::string& state) const {
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? -1.0 : it->second.front();
+  const auto* times = entries(entity, state);
+  return times == nullptr ? -1.0 : times->front();
 }
 
 const std::vector<double>& Timeline::state_times(
     const std::string& entity, const std::string& state) const {
   static const std::vector<double> kEmpty;
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? kEmpty : it->second;
+  const auto* times = entries(entity, state);
+  return times == nullptr ? kEmpty : *times;
 }
 
 double Timeline::last_state_time(const std::string& entity,
                                  const std::string& state) const {
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? -1.0 : it->second.back();
+  const auto* times = entries(entity, state);
+  return times == nullptr ? -1.0 : times->back();
 }
 
 std::size_t Timeline::entry_count(const std::string& entity,
                                   const std::string& state) const {
-  const auto it = entries_.find({entity, state});
-  return it == entries_.end() ? 0 : it->second.size();
+  const auto* times = entries(entity, state);
+  return times == nullptr ? 0 : times->size();
 }
 
 double Timeline::duration(const std::string& entity, const std::string& from,
@@ -48,33 +95,45 @@ double Timeline::duration(const std::string& entity, const std::string& from,
   return t_to - t_from;
 }
 
-std::size_t Timeline::count(const std::string& kind,
-                            const std::string& state) const {
-  std::set<std::string> seen;
-  for (const auto& record : records_) {
-    if (record.kind == kind && record.state == state) {
-      seen.insert(record.entity);
-    }
+std::vector<std::uint32_t> Timeline::first_entries(
+    const std::string& kind, const std::string& state) const {
+  std::vector<std::uint32_t> out;
+  const std::uint32_t kind_id = names_.find(kind);
+  const std::uint32_t state_id = names_.find(state);
+  if (kind_id == Interner::kAbsent || state_id == Interner::kAbsent) {
+    return out;
   }
-  return seen.size();
-}
-
-std::vector<std::string> Timeline::entities_in(const std::string& kind,
-                                               const std::string& state) const {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const auto& record : records_) {
-    if (record.kind == kind && record.state == state &&
-        seen.insert(record.entity).second) {
-      out.push_back(record.entity);
+  std::vector<bool> seen(entities_.size(), false);
+  for (const Entry& entry : log_) {
+    if (entry.kind == kind_id && entry.state == state_id &&
+        !seen[entry.entity]) {
+      seen[entry.entity] = true;
+      out.push_back(entry.entity);
     }
   }
   return out;
 }
 
+std::size_t Timeline::count(const std::string& kind,
+                            const std::string& state) const {
+  return first_entries(kind, state).size();
+}
+
+std::vector<std::string> Timeline::entities_in(const std::string& kind,
+                                               const std::string& state) const {
+  std::vector<std::string> out;
+  for (const std::uint32_t id : first_entries(kind, state)) {
+    out.push_back(entities_.name(id));
+  }
+  return out;
+}
+
 void Timeline::clear() {
-  records_.clear();
-  entries_.clear();
+  entities_.clear();
+  names_.clear();
+  log_.clear();
+  index_.clear();
+  indexed_ = 0;
 }
 
 }  // namespace ripple::metrics

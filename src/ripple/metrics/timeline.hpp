@@ -12,10 +12,18 @@
 /// state_time() keeps its historical first-entry semantics while
 /// state_times()/last_state_time()/entry_count() expose the full
 /// history.
+///
+/// The record is a flat log of (entity, kind, state, time) with the
+/// names interned to small ids, so recording is an append. The
+/// (entity, state) -> entry-times index behind the per-entity queries
+/// is built on the first such query and extended by later ones. Like
+/// the rest of the runtime, a Timeline belongs to the loop thread.
 
-#include <map>
+#include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace ripple::metrics {
@@ -33,9 +41,8 @@ class Timeline {
   void record(std::string_view entity, std::string_view kind,
               std::string_view state, double time);
 
-  [[nodiscard]] const std::vector<TransitionRecord>& records() const noexcept {
-    return records_;
-  }
+  /// Every transition, in record order.
+  [[nodiscard]] std::vector<TransitionRecord> records() const;
 
   /// First time `entity` entered `state`; -1 when never.
   [[nodiscard]] double state_time(const std::string& entity,
@@ -70,9 +77,45 @@ class Timeline {
   void clear();
 
  private:
-  std::vector<TransitionRecord> records_;
-  // (entity, state) -> every entry time, in record order
-  std::map<std::pair<std::string, std::string>, std::vector<double>> entries_;
+  /// Distinct strings, each stored once, numbered in first-seen order.
+  class Interner {
+   public:
+    static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
+    std::uint32_t intern(std::string_view name);
+    /// The id of `name`, or kAbsent when it was never interned.
+    [[nodiscard]] std::uint32_t find(std::string_view name) const;
+    [[nodiscard]] const std::string& name(std::uint32_t id) const {
+      return names_[id];
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+    void clear();
+
+   private:
+    std::deque<std::string> names_;  ///< stable: ids_ views into it
+    std::unordered_map<std::string_view, std::uint32_t> ids_;
+  };
+
+  struct Entry {
+    std::uint32_t entity;
+    std::uint16_t kind;  ///< ids in names_, shared by kinds and states
+    std::uint16_t state;
+    double time;
+  };
+
+  /// The entry times of (entity, state), or null when never entered.
+  [[nodiscard]] const std::vector<double>* entries(
+      const std::string& entity, const std::string& state) const;
+  /// The entities of `kind` that entered `state`, in first-entry order.
+  [[nodiscard]] std::vector<std::uint32_t> first_entries(
+      const std::string& kind, const std::string& state) const;
+
+  Interner entities_;
+  Interner names_;
+  std::vector<Entry> log_;
+  /// (entity id << 32 | state id) -> entry times, covering log_[0, indexed_).
+  mutable std::unordered_map<std::uint64_t, std::vector<double>> index_;
+  mutable std::size_t indexed_ = 0;
 };
 
 }  // namespace ripple::metrics
