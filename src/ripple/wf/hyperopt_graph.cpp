@@ -14,6 +14,8 @@ namespace {
 struct SearchState {
   HyperoptGraph::Config config;
   SuccessiveHalving search;
+  /// The run the waves spawn into. The run owns the hooks that own this
+  /// state, so the report drops the handle to break that cycle.
   std::shared_ptr<WorkflowManager::Handle> handle;
   std::string anchor;         ///< node the next wave hangs off
   std::size_t rungs = 0;      ///< waves actually spawned
@@ -113,6 +115,8 @@ std::shared_ptr<WorkflowManager::Handle> HyperoptGraph::run(
         report.ok = result.ok && any_completed;
         if (any_completed) report.best = state->search.best();
         on_done(report);
+        // The run has reported, so nothing spawns into it any more.
+        state->handle.reset();
       });
   return state->handle;
 }

@@ -447,6 +447,38 @@ TEST(GraphHyperopt, RunsAsDynamicallySpawnedGraph) {
   EXPECT_EQ(report.best.value, rerun.best.value);
 }
 
+TEST(GraphHyperopt, ReleasesTheSearchOnceReported) {
+  // The search state holds its run's Handle, and the run's hooks hold
+  // the state; unless the report breaks that cycle, the whole run leaks.
+  Session session{SessionConfig{.seed = 101}};
+  session.add_platform(platform::delta_profile(4));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
+  WorkflowManager workflows(session);
+  std::weak_ptr<int> search_alive;
+  bool reported = false;
+  {
+    auto token = std::make_shared<int>(0);
+    search_alive = token;
+    HyperoptGraph::Config config;
+    config.name = "hpo";
+    config.space = {ParamSpec::real("x", 0.0, 1.0)};
+    config.initial = 4;
+    config.make_task = [token](const Trial&) { return modeled(5.0); };
+    config.objective = [](const Trial&, const NodeOutcome& outcome) {
+      return outcome.ok ? 0.0 : 1e9;
+    };
+    HyperoptGraph::run(workflows, pilot, std::move(config),
+                       session.runtime().rng().fork("hpo"),
+                       [&](const HyperoptGraph::Report& report) {
+                         reported = report.ok;
+                       });
+  }
+  EXPECT_FALSE(search_alive.expired());  // the running search holds it
+  session.run();
+  EXPECT_TRUE(reported);
+  EXPECT_TRUE(search_alive.expired());
+}
+
 // --- determinism across reruns and shard counts ----------------------------
 
 GraphResult run_sharded_diamond(std::size_t shards) {
