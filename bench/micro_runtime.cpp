@@ -2,22 +2,27 @@
 //
 // These quantify the infrastructure costs underneath the paper's
 // metrics: event-loop throughput, JSON round-trips (the RPC payload
-// format), router/RPC hops, scheduler grant/release cycles and slot
-// pool churn. They back the claim that architectural overheads are
+// format), router/RPC hops, entity state transitions, scheduler
+// grant/release cycles and slot pool churn. They back the claim that architectural overheads are
 // "minimal" relative to the modeled network and model costs.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ripple/common/json.hpp"
 #include "ripple/common/thread_pool.hpp"
 #include "ripple/common/random.hpp"
 #include "ripple/common/statistics.hpp"
+#include "ripple/core/runtime.hpp"
 #include "ripple/core/session.hpp"
+#include "ripple/core/states.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
@@ -170,6 +175,45 @@ void BM_RpcRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RpcRoundTrip);
+
+// One entity state transition as the managers report it through
+// Runtime::publish_state: the Timeline append plus, for a task, the
+// posted dependency-check hook (a no-op here). Each iteration takes 256
+// tasks through CREATED -> SCHEDULING -> SCHEDULED -> LAUNCHING ->
+// RUNNING -> DONE, runs the loop and clears the Timeline. Arg(1) adds a
+// "state" subscriber, which makes every transition build and deliver
+// a JSON event as well.
+void BM_StateTransition(benchmark::State& state) {
+  constexpr core::TaskState kLifecycle[] = {
+      core::TaskState::created,   core::TaskState::scheduling,
+      core::TaskState::scheduled, core::TaskState::launching,
+      core::TaskState::running,   core::TaskState::done};
+  std::vector<std::string> uids;
+  for (int i = 0; i < 256; ++i) uids.push_back("task." + std::to_string(i));
+  core::Runtime runtime(1);
+  runtime.set_transition_hook([] {});
+  std::size_t delivered = 0;
+  if (state.range(0) != 0) {
+    runtime.pubsub().subscribe(
+        "state", [&delivered](const std::string&, const json::Value&) {
+          ++delivered;
+        });
+  }
+  for (auto _ : state) {
+    for (const auto& uid : uids) {
+      for (const core::TaskState next : kLifecycle) {
+        runtime.publish_state("task", uid, core::to_string(next));
+      }
+    }
+    runtime.loop().run();
+    runtime.timeline().clear();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(uids.size()) *
+                          static_cast<std::int64_t>(std::size(kLifecycle)));
+}
+BENCHMARK(BM_StateTransition)->Arg(0)->Arg(1);
 
 void BM_SlotPoolChurn(benchmark::State& state) {
   for (auto _ : state) {
