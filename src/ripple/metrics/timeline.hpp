@@ -82,6 +82,11 @@ class Timeline {
    public:
     static constexpr std::uint32_t kAbsent = UINT32_MAX;
 
+    Interner() = default;
+    // A copy's ids_ would still view the original's names.
+    Interner(const Interner&) = delete;
+    Interner& operator=(const Interner&) = delete;
+
     std::uint32_t intern(std::string_view name);
     /// The id of `name`, or kAbsent when it was never interned.
     [[nodiscard]] std::uint32_t find(std::string_view name) const;
