@@ -15,11 +15,7 @@ Scheduler::Scheduler(Runtime& runtime, SchedulerPolicy policy)
       log_(runtime.make_logger("scheduler")) {}
 
 void Scheduler::set_policy(SchedulerPolicy policy) noexcept {
-  if (policy == policy_) return;
   policy_ = policy;
-  // Queued entries were filtered under the old policy's invariants; the
-  // next submit must rescan the whole queue, not just the new entry.
-  for (auto& [uid, entry] : pilots_) entry.needs_full_scan = true;
 }
 
 void Scheduler::add_pilot(Pilot& pilot) {
@@ -118,24 +114,18 @@ void Scheduler::validate_fits_pilot(const PilotEntry& entry,
          entry.pilot->uid());
 }
 
-WaitQueue::Key Scheduler::enqueue(PilotEntry& entry,
-                                  ScheduleRequest request) {
+void Scheduler::enqueue(PilotEntry& entry, ScheduleRequest request) {
   const WaitQueue::Key key{request.priority, next_sequence_++};
   entry.waiting.push(
       key, WaitQueue::Entry{std::move(request), runtime_.loop().now()});
-  return key;
 }
 
 void Scheduler::submit(const std::string& pilot_uid,
                        ScheduleRequest request) {
   PilotEntry& entry = entry_for(pilot_uid);
   validate_fits_pilot(entry, request);
-  const WaitQueue::Key key = enqueue(entry, std::move(request));
-  if (entry.needs_full_scan) {
-    try_schedule(entry);
-  } else {
-    try_place_new(entry, key);
-  }
+  enqueue(entry, std::move(request));
+  try_schedule(entry);
 }
 
 std::size_t Scheduler::submit_all(const std::string& pilot_uid,
@@ -149,9 +139,8 @@ std::size_t Scheduler::submit_all(const std::string& pilot_uid,
       enqueue(entry, std::move(request));
     }
   } catch (...) {
-    // A duplicate uid mid-batch must not strand the already-enqueued
-    // requests without a placement pass (the submit fast path would
-    // never look at them again).
+    // A duplicate uid mid-batch must not leave the already-enqueued
+    // requests waiting for the next placement pass.
     try_schedule(entry);
     throw;
   }
@@ -162,19 +151,10 @@ std::size_t Scheduler::submit_all(const std::string& pilot_uid,
 
 bool Scheduler::cancel(const std::string& pilot_uid,
                        const std::string& request_uid) {
-  PilotEntry& entry = entry_for(pilot_uid);
-  const bool was_head = !entry.waiting.empty() &&
-                        entry.waiting.begin()->second.request.uid ==
-                            request_uid;
-  if (!entry.waiting.erase_uid(request_uid)) return false;
-  // A fifo queue head may have been the only thing blocking placeable
-  // successors. Matching the legacy scheduler, cancel itself does not
-  // re-run placement (grant order stays bit-identical); the flag makes
-  // the next submit rescan the whole queue instead of fast-pathing.
-  if (was_head && policy_ == SchedulerPolicy::fifo) {
-    entry.needs_full_scan = true;
-  }
-  return true;
+  // Matching the legacy scheduler, cancel does not re-run placement,
+  // even when it removes a blocking fifo head: the next submit or
+  // release places whatever the removal unblocked.
+  return entry_for(pilot_uid).waiting.erase_uid(request_uid);
 }
 
 void Scheduler::release(const std::string& pilot_uid,
@@ -259,10 +239,6 @@ void Scheduler::set_tenant_weight(const std::string& tenant, double weight) {
   ensure(weight > 0.0, Errc::invalid_argument,
          "fair-share weight must be > 0");
   tenant_weights_[tenant] = weight;
-  // The scan order just changed; the submit fast path's only-the-new-
-  // entry-can-fit invariant still holds, but a full rescan keeps the
-  // first fair pass from inheriting a stale filtered queue.
-  for (auto& [uid, entry] : pilots_) entry.needs_full_scan = true;
 }
 
 double Scheduler::tenant_share(const std::string& tenant) const {
@@ -309,7 +285,6 @@ std::size_t Scheduler::try_schedule(PilotEntry& entry, GrantSink* sink) {
       ++grants;
     }
   }
-  entry.needs_full_scan = false;
   return grants;
 }
 
@@ -393,8 +368,7 @@ std::size_t Scheduler::backfill(PilotEntry& entry, GrantSink* sink) {
     platform::Node* node =
         entry.index.first_fit(request.cores, request.gpus, request.mem_gb);
     // Capacity only shrinks within a pass, so the rest of the run (same
-    // shape) cannot fit either: drop it. What stays queued is therefore
-    // unplaceable — the invariant the submit fast path relies on.
+    // shape) cannot fit either: drop it.
     if (node == nullptr) continue;
     grant(entry, head.position, *node, sink);
     ++grants;
@@ -559,27 +533,6 @@ std::size_t Scheduler::release_batch(
   }
   if (traced) tracer.commit_lanes();
   return commit_merged(std::move(buffers));
-}
-
-void Scheduler::try_place_new(PilotEntry& entry, WaitQueue::Key key) {
-  // Everything already queued was unplaceable at unchanged capacity
-  // (try_schedule invariant), so only the new entry can be granted —
-  // and under fifo only when it is the queue head.
-  auto position = entry.waiting.begin();
-  if (policy_ == SchedulerPolicy::fifo) {
-    if (position->first.priority != key.priority ||
-        position->first.sequence != key.sequence) {
-      return;
-    }
-  } else {
-    position = entry.waiting.find(key);
-    ensure(position != entry.waiting.end(), Errc::internal,
-           "submitted request vanished from wait queue");
-  }
-  const ScheduleRequest& request = position->second.request;
-  platform::Node* node =
-      entry.index.first_fit(request.cores, request.gpus, request.mem_gb);
-  if (node != nullptr) grant(entry, position, *node);
 }
 
 std::size_t Scheduler::queue_length(const std::string& pilot_uid) const {

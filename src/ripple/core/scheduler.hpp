@@ -100,8 +100,6 @@ class Scheduler {
   explicit Scheduler(Runtime& runtime,
                      SchedulerPolicy policy = SchedulerPolicy::backfill);
 
-  /// Switching policy mid-run forces a full queue rescan on the next
-  /// submit (the fast path's invariants are policy-specific).
   void set_policy(SchedulerPolicy policy) noexcept;
   [[nodiscard]] SchedulerPolicy policy() const noexcept { return policy_; }
 
@@ -147,14 +145,15 @@ class Scheduler {
   /// node death). Returns the number granted.
   std::size_t reschedule(const std::string& pilot_uid);
 
-  /// Enqueues a request against a pilot's resources. Throws capacity
-  /// when the request can never fit on any node of the pilot.
+  /// Enqueues a request against a pilot's resources and runs one
+  /// placement pass: a batch of one. Throws capacity when the request
+  /// can never fit on any node of the pilot.
   void submit(const std::string& pilot_uid, ScheduleRequest request);
 
   /// Enqueues a batch, then runs one placement pass over the whole
   /// queue. Unlike N submit() calls, priorities are enacted across the
   /// entire batch before any placement, and the pilot's queue is
-  /// re-scanned once instead of N times. Returns the number granted
+  /// passed over once instead of N times. Returns the number granted
   /// during the pass.
   std::size_t submit_all(const std::string& pilot_uid,
                          std::vector<ScheduleRequest> requests);
@@ -233,9 +232,6 @@ class Scheduler {
     std::size_t total_cores = 0;
     std::size_t total_gpus = 0;
     double total_mem = 0.0;
-    /// Set when the fast-path invariant broke (fifo head cancelled,
-    /// policy switched); the next submit rescans the whole queue.
-    bool needs_full_scan = false;
   };
 
   /// A grant computed by a placement pass but not yet committed: the
@@ -256,7 +252,7 @@ class Scheduler {
 
   void validate_fits_pilot(const PilotEntry& entry,
                            const ScheduleRequest& request) const;
-  WaitQueue::Key enqueue(PilotEntry& entry, ScheduleRequest request);
+  void enqueue(PilotEntry& entry, ScheduleRequest request);
 
   /// Allocates on `node` and removes the entry. With a null sink the
   /// grant commits immediately (stats, hash, callback post — the
@@ -277,8 +273,7 @@ class Scheduler {
 
   /// Full placement pass; returns grants made. Every entry still queued
   /// afterwards does not fit the current capacity (backfill) or sits
-  /// behind a blocked head (fifo) — the invariant the submit fast path
-  /// relies on.
+  /// behind a blocked head (fifo).
   std::size_t try_schedule(PilotEntry& entry, GrantSink* sink = nullptr);
 
   /// The backfill pass (see file comment): merges the wait queue's
@@ -294,10 +289,6 @@ class Scheduler {
   /// Traces one inline placement pass as a zero-length "sched" span
   /// (no-op while tracing is disabled).
   void trace_pass(const PilotEntry& entry, std::size_t grants);
-
-  /// Post-submit fast path: only the entry at `key` can possibly be
-  /// granted (all others were unplaceable at unchanged capacity).
-  void try_place_new(PilotEntry& entry, WaitQueue::Key key);
 
   /// Runs placement passes over `touched` pilots — round-robin across
   /// the executor's shards when one is attached, inline otherwise —

@@ -105,8 +105,6 @@ class WaitQueue {
   /// Removes the entry an iterator points at.
   void erase(iterator position);
 
-  [[nodiscard]] iterator find(Key key) { return queue_.find(key); }
-
   [[nodiscard]] bool contains_uid(const std::string& uid) const {
     return by_uid_.count(uid) != 0;
   }

@@ -245,8 +245,8 @@ TEST_F(IndexedSchedulerTest, FifoHeadCancelUnblocksQueueOnNextSubmit) {
   sched.release(pilot->uid(), platform::Slot{"delta:node0000", 8, 0, 0.0});
   session.run();
   EXPECT_EQ(order.size(), 2u);
-  // Cancelling the head invalidates the fast-path invariant; the next
-  // submit must rescan and grant `small` the freed cores.
+  // Cancelling the head does not itself re-run placement; the next
+  // submit's pass must grant `small` the freed cores.
   EXPECT_TRUE(sched.cancel(pilot->uid(), "blocker"));
   sched.submit(pilot->uid(), request("late", 64, 0, 0, order));
   session.run();
@@ -368,8 +368,8 @@ TEST_F(IndexedSchedulerTest, PolicySwitchForcesRescan) {
   sched.release(pilot->uid(), platform::Slot{"delta:node0000", 8, 0, 0.0});
   session.run();
   EXPECT_EQ(order.size(), 2u);  // fifo: head blocks
-  // Under backfill those 8 free cores are usable — the switch must not
-  // leave `small` stranded behind the stale fifo invariant.
+  // Under backfill those 8 free cores are usable — the next submit's
+  // pass runs under the new policy and must not leave `small` stranded.
   sched.set_policy(SchedulerPolicy::backfill);
   sched.submit(pilot->uid(), request("late", 64, 0, 0, order));
   session.run();
