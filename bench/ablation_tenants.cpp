@@ -18,8 +18,8 @@
 // symmetric tenants symmetric even while they race for the cache.
 // Determinism gate: the shared arm's full trace fingerprint (grant
 // order, transfer completions, per-graph event streams) is
-// bit-identical across same-seed reruns and scheduler shard counts
-// {1, 4}. Output: bench_out/ablation_tenants.{csv,json}.
+// bit-identical across same-seed reruns. Output:
+// bench_out/ablation_tenants.{csv,json}.
 //
 // Usage: bench_ablation_tenants [--smoke]
 
@@ -32,7 +32,6 @@
 
 #include "bench_util.hpp"
 #include "ripple/common/hash.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/wf/graph.hpp"
 #include "ripple/wf/workflow_manager.hpp"
 
@@ -134,13 +133,11 @@ double p95(std::vector<double> values) {
 }
 
 /// One session, all tenants, equal weights: the shared-cache arm.
-ArmResult run_shared(const TenantsConfig& config, std::size_t shards) {
-  common::ShardExecutor exec(shards);
+ArmResult run_shared(const TenantsConfig& config) {
   core::Session session{core::SessionConfig{.seed = kSeed}};
   session.add_platform(platform::delta_profile(4));
   core::Pilot& pilot =
       session.submit_pilot({.platform = "delta", .nodes = 4});
-  if (shards > 1) session.scheduler().set_shard_executor(&exec);
 
   for (std::size_t t = 0; t < config.tenants; ++t) {
     session.set_tenant_weight(tenant_name(t), 1.0);
@@ -205,9 +202,8 @@ int main(int argc, char** argv) {
   TenantsConfig config;
   if (smoke) config = {3, 3, 2e9, 3, 2.0};
 
-  const ArmResult shared = run_shared(config, 1);
-  const ArmResult shared_rerun = run_shared(config, 1);
-  const ArmResult shared_sharded = run_shared(config, 4);
+  const ArmResult shared = run_shared(config);
+  const ArmResult shared_rerun = run_shared(config);
   const ArmResult isolated = run_isolated(config);
   const ArmResult isolated_rerun = run_isolated(config);
 
@@ -224,11 +220,6 @@ int main(int argc, char** argv) {
   if (shared.trace_hash != shared_rerun.trace_hash ||
       shared.makespan != shared_rerun.makespan) {
     std::cerr << "FAIL: same-seed shared-arm rerun diverged\n";
-    pass = false;
-  }
-  if (shared.trace_hash != shared_sharded.trace_hash ||
-      shared.makespan != shared_sharded.makespan) {
-    std::cerr << "FAIL: shared arm diverged at shards=4\n";
     pass = false;
   }
   if (isolated.trace_hash != isolated_rerun.trace_hash) {
@@ -289,7 +280,6 @@ int main(int argc, char** argv) {
 
   std::cout << (pass ? "\nPASS" : "\nFAIL")
             << ": shared cache cuts bytes >= 30%, equal-weight p95 spread "
-               "<= 1.25x, same-seed traces bit-identical across reruns "
-               "and shards {1, 4}\n";
+               "<= 1.25x, same-seed traces bit-identical across reruns\n";
   return pass ? 0 : 1;
 }

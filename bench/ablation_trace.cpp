@@ -15,7 +15,7 @@
 //   2. Observation only: the traced run's sim makespan and jobs-done
 //      equal the untraced run's bit for bit.
 //   3. Determinism: the span-log FNV hash is identical across same-seed
-//      reruns and across scheduler shard counts {1, 4}.
+//      reruns.
 //   4. Attribution: the CriticalPath buckets sum to the measured
 //      makespan within 1%.
 //   5. Artifact: the Chrome trace JSON round-trips through
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/metrics/chrome_trace.hpp"
 #include "ripple/metrics/critical_path.hpp"
 
@@ -50,18 +49,15 @@ struct TraceRun {
   metrics::Breakdown breakdown;
 };
 
-/// One full workload at the given shard count, traced or not. Writes
-/// the Chrome trace artifact when `trace_path` is non-empty.
-TraceRun run_case(bool tracing, std::size_t shards, std::size_t hot,
-                  std::size_t cold, std::uint64_t seed,
-                  const std::string& trace_path = "") {
+/// One full workload, traced or not. Writes the Chrome trace artifact
+/// when `trace_path` is non-empty.
+TraceRun run_case(bool tracing, std::size_t hot, std::size_t cold,
+                  std::uint64_t seed, const std::string& trace_path = "") {
   const auto wall_begin = std::chrono::steady_clock::now();
-  common::ShardExecutor exec(shards);
   core::Session session(
       {.seed = seed, .tracing = tracing, .gauge_tick = 2.0});
   session.add_platform(platform::delta_profile(4));
   auto& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
-  if (shards > 1) session.scheduler().set_shard_executor(&exec);
 
   session.runtime().network().register_host("lab:x", "lab");
   session.data().add_store("delta",
@@ -132,12 +128,12 @@ TraceRun run_case(bool tracing, std::size_t shards, std::size_t hot,
 
 /// Min-of-reps wall time for one arm (the other fields come from the
 /// last rep; they are identical across reps by the determinism gates).
-TraceRun best_of(std::size_t reps, bool tracing, std::size_t shards,
-                 std::size_t hot, std::size_t cold, std::uint64_t seed) {
+TraceRun best_of(std::size_t reps, bool tracing, std::size_t hot,
+                 std::size_t cold, std::uint64_t seed) {
   TraceRun best;
   double wall = 1e300;
   for (std::size_t i = 0; i < reps; ++i) {
-    TraceRun run = run_case(tracing, shards, hot, cold, seed);
+    TraceRun run = run_case(tracing, hot, cold, seed);
     wall = std::min(wall, run.wall_ms);
     best = std::move(run);
   }
@@ -162,9 +158,9 @@ int main(int argc, char** argv) {
   bool pass = true;
 
   // --- overhead ------------------------------------------------------------
-  const TraceRun base = best_of(reps, false, 1, hot, cold, seed);
-  const TraceRun off = best_of(reps, false, 1, hot, cold, seed);
-  const TraceRun on = best_of(reps, true, 1, hot, cold, seed);
+  const TraceRun base = best_of(reps, false, hot, cold, seed);
+  const TraceRun off = best_of(reps, false, hot, cold, seed);
+  const TraceRun on = best_of(reps, true, hot, cold, seed);
 
   const auto overhead_pct = [&](double arm) {
     return 100.0 * (arm - base.wall_ms) / base.wall_ms;
@@ -207,28 +203,20 @@ int main(int argc, char** argv) {
     pass = false;
   }
 
-  // --- determinism: reruns and shard counts --------------------------------
-  const TraceRun rerun = run_case(true, 1, hot, cold, seed);
-  const TraceRun sharded = run_case(true, 4, hot, cold, seed);
-  metrics::Table det_table({"run", "shards", "spans", "span_hash"});
-  const auto hash_row = [&](const char* label, std::size_t shards,
-                            const TraceRun& run) {
-    det_table.add_row({label, std::to_string(shards),
-                       std::to_string(run.spans),
-                       strutil::cat(run.span_hash)});
+  // --- determinism: reruns ------------------------------------------------
+  const TraceRun rerun = run_case(true, hot, cold, seed);
+  metrics::Table det_table({"run", "spans", "span_hash"});
+  const auto hash_row = [&](const char* label, const TraceRun& run) {
+    det_table.add_row(
+        {label, std::to_string(run.spans), strutil::cat(run.span_hash)});
   };
-  hash_row("on", 1, on);
-  hash_row("rerun", 1, rerun);
-  hash_row("sharded", 4, sharded);
+  hash_row("on", on);
+  hash_row("rerun", rerun);
   std::cout << metrics::banner("Span-log determinism");
   std::cout << det_table.to_string();
 
   if (rerun.span_hash != on.span_hash) {
     std::cout << "FAIL: same-seed rerun changed the span log\n";
-    pass = false;
-  }
-  if (sharded.span_hash != on.span_hash) {
-    std::cout << "FAIL: shards=4 changed the span log\n";
     pass = false;
   }
 
@@ -252,7 +240,7 @@ int main(int argc, char** argv) {
 
   // --- artifact ------------------------------------------------------------
   const std::string trace_path = output_dir() + "/ablation_trace.trace.json";
-  const TraceRun artifact = run_case(true, 1, hot, cold, seed, trace_path);
+  const TraceRun artifact = run_case(true, hot, cold, seed, trace_path);
   if (!artifact.round_trip_ok || !on.round_trip_ok) {
     std::cout << "FAIL: Chrome trace JSON does not round-trip\n";
     pass = false;

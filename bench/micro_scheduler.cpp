@@ -12,16 +12,9 @@
 // JSON array on stdout, mirrored to bench_out/micro_scheduler.json, so
 // the placement-throughput trajectory is tracked from this PR onward.
 //
-// A second sweep drives the same workloads through the *sharded* batch
-// path (submit_batch/release_batch on a common::ShardExecutor) at
-// shard counts 1, 2, 4, … up to --threads, asserting the grant order
-// and grant-log hash stay bit-identical to shards=1 and reporting
-// `shards` / `speedup_vs_serial` per row.
-//
-// Usage: bench_micro_scheduler [--quick] [--threads N]
+// Usage: bench_micro_scheduler [--quick]
 //   --quick drops the flagship 256-node × 10k-request points (the
 //   legacy baseline alone needs tens of seconds there).
-//   --threads N widens the shard sweep (default 1: batch path only).
 
 #include <chrono>
 #include <cstring>
@@ -34,7 +27,6 @@
 
 #include "bench_util.hpp"
 #include "ripple/common/random.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/scheduler.hpp"
 #include "ripple/platform/cluster.hpp"
@@ -302,88 +294,6 @@ RunResult run_indexed(const SweepPoint& point,
   return result;
 }
 
-/// Sharded batch-path driver: one submit_batch for the whole workload
-/// (requests grouped per pilot, input order preserved), then
-/// release_batch waves. Returns the grant order plus the scheduler's
-/// grant-log hash — both must be invariant under `shards`.
-RunResult run_sharded(const SweepPoint& point,
-                      const std::vector<RequestSpec>& workload,
-                      SchedulerPolicy policy, std::size_t shards,
-                      std::uint64_t* hash_out) {
-  common::ShardExecutor executor(shards);
-  const auto start = std::chrono::steady_clock::now();
-  core::Runtime runtime(kSeed);
-  platform::PlatformProfile profile;
-  profile.name = "bench";
-  profile.node = platform::NodeSpec{kCoresPerNode, kGpusPerNode,
-                                    kMemPerNode};
-  profile.max_nodes = point.pilots * point.nodes;
-  platform::Cluster cluster(runtime.loop(), runtime.network(), profile,
-                            runtime.rng().fork("cluster"));
-  core::Scheduler scheduler(runtime, policy);
-  if (shards > 1) scheduler.set_shard_executor(&executor);
-
-  std::vector<std::unique_ptr<core::Pilot>> pilots;
-  std::vector<std::vector<std::pair<std::string, platform::Slot>>> grants(
-      point.pilots);
-  std::vector<core::Scheduler::PilotBatch> batches(point.pilots);
-  for (std::size_t p = 0; p < point.pilots; ++p) {
-    core::PilotDescription desc;
-    desc.platform = profile.name;
-    desc.nodes = point.nodes;
-    pilots.push_back(std::make_unique<core::Pilot>(
-        "pilot." + std::to_string(p), desc, &cluster));
-    pilots.back()->nodes() = cluster.reserve_nodes(point.nodes);
-    scheduler.add_pilot(*pilots.back());
-    batches[p].pilot_uid = pilots[p]->uid();
-  }
-
-  for (const RequestSpec& spec : workload) {
-    core::ScheduleRequest request;
-    request.uid = spec.uid;
-    request.cores = spec.cores;
-    request.gpus = spec.gpus;
-    request.mem_gb = spec.mem_gb;
-    request.priority = spec.priority;
-    const std::size_t p = spec.pilot;
-    request.granted = [&grants, p, uid = spec.uid](platform::Slot slot,
-                                                   platform::Node*) {
-      grants[p].emplace_back(uid, std::move(slot));
-    };
-    batches[p].requests.push_back(std::move(request));
-  }
-  scheduler.submit_batch(std::move(batches));
-  runtime.loop().run();
-
-  std::vector<std::size_t> released(point.pilots, 0);
-  std::size_t budget = release_budget(point);
-  while (budget > 0) {
-    std::vector<std::pair<std::string, platform::Slot>> wave;
-    for (std::size_t p = 0; p < point.pilots && budget > 0; ++p) {
-      if (released[p] >= grants[p].size()) continue;
-      wave.emplace_back(pilots[p]->uid(), grants[p][released[p]].second);
-      ++released[p];
-      --budget;
-    }
-    if (wave.empty()) break;
-    scheduler.release_batch(wave);
-    runtime.loop().run();
-  }
-  const auto end = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.seconds = std::chrono::duration<double>(end - start).count();
-  result.order.resize(point.pilots);
-  for (std::size_t p = 0; p < point.pilots; ++p) {
-    for (const auto& [uid, slot] : grants[p]) {
-      result.order[p].push_back(uid);
-      ++result.grants;
-    }
-  }
-  *hash_out = scheduler.grant_log_hash();
-  return result;
-}
-
 const char* policy_name(SchedulerPolicy policy) {
   return policy == SchedulerPolicy::fifo ? "fifo" : "backfill";
 }
@@ -392,14 +302,9 @@ const char* policy_name(SchedulerPolicy policy) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  std::size_t threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::stoul(argv[i + 1]));
-    }
   }
-  if (threads == 0) threads = 1;
 
   std::vector<SweepPoint> sweep = {
       {1, 16, 1000},  {1, 64, 1000},  {4, 16, 1000},
@@ -434,8 +339,6 @@ int main(int argc, char** argv) {
       row.set("grants", indexed.grants);
       row.set("grants_legacy", legacy.grants);
       row.set("identical_order", identical);
-      row.set("shards", 1);  // the single-submit path is never sharded
-      row.set("speedup_vs_serial", 1.0);
       report.push_back(std::move(row));
 
       std::cerr << point.pilots << " pilot(s) x " << point.nodes
@@ -449,55 +352,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- sharded batch-path sweep ------------------------------------------
-  // The multi-pilot points re-run through submit_batch/release_batch at
-  // shard counts 1, 2, 4, … ≤ --threads; grant order and hash must not
-  // move.
-  for (const SweepPoint& point : sweep) {
-    if (point.pilots < 2) continue;
-    for (const SchedulerPolicy policy :
-         {SchedulerPolicy::backfill, SchedulerPolicy::fifo}) {
-      const std::vector<RequestSpec> workload = make_workload(point);
-      std::uint64_t serial_hash = 0;
-      RunResult serial;
-      for (std::size_t shards = 1; shards <= threads; shards *= 2) {
-        std::uint64_t hash = 0;
-        const RunResult sharded =
-            run_sharded(point, workload, policy, shards, &hash);
-        if (shards == 1) {
-          serial = sharded;
-          serial_hash = hash;
-        }
-        const bool identical =
-            sharded.order == serial.order && hash == serial_hash;
-        all_identical = all_identical && identical;
-        const double speedup = sharded.seconds > 0.0
-                                   ? serial.seconds / sharded.seconds
-                                   : 0.0;
-
-        json::Value row = json::Value::object();
-        row.set("pilots", point.pilots);
-        row.set("nodes", point.nodes);
-        row.set("queued", point.queued);
-        row.set("policy", policy_name(policy));
-        row.set("batch_path", true);
-        row.set("shards", shards);
-        row.set("sharded_s", sharded.seconds);
-        row.set("speedup_vs_serial", speedup);
-        row.set("grants", sharded.grants);
-        row.set("identical_order", identical);
-        report.push_back(std::move(row));
-
-        std::cerr << point.pilots << " pilot(s) x " << point.nodes
-                  << " nodes x " << point.queued << " queued ["
-                  << policy_name(policy) << ", shards=" << shards
-                  << "]: " << sharded.seconds << " s, speedup_vs_serial "
-                  << speedup << (identical ? "" : "  ORDER MISMATCH")
-                  << "\n";
-      }
-    }
-  }
-
   const std::string out = report.dump(2);
   std::cout << out << "\n";
   std::ofstream file(bench::output_dir() + "/micro_scheduler.json");
@@ -505,7 +359,7 @@ int main(int argc, char** argv) {
 
   if (!all_identical) {
     std::cerr << "FAIL: grant order diverged from the first-fit "
-                 "baseline or across shard counts\n";
+                 "baseline\n";
     return 1;
   }
   return 0;

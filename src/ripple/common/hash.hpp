@@ -6,9 +6,8 @@
 /// Every subsystem that promises bit-reproducible behavior exposes a
 /// rolling FNV-1a hash over its observable event stream (grant order,
 /// transfer completions, batch traces). Suites and ablation benches
-/// compare fingerprints across same-seed runs — and, for the sharded
-/// runtime core, between the parallel and single-threaded paths — so a
-/// determinism regression fails loudly instead of drifting silently.
+/// compare fingerprints across same-seed runs, so a determinism
+/// regression fails loudly instead of drifting silently.
 
 #include <cstdint>
 #include <string_view>

@@ -3,11 +3,10 @@
 /// \file thread_pool.hpp
 /// A fixed-size worker pool with futures and a blocking parallel_for.
 ///
-/// Originally the pool only served *payload* computation (example
-/// workloads that genuinely crunch data); since the runtime core was
-/// sharded it also underpins common::ShardExecutor, which runs
-/// scheduler placement and transfer re-planning shards on it. Work
-/// items are move-only common::UniqueFunction slots with inline
+/// The pool serves *payload* computation (example workloads that
+/// genuinely crunch data); the runtime's control plane never runs on
+/// it — placement and transfer planning stay on the event-loop thread.
+/// Work items are move-only common::UniqueFunction slots with inline
 /// storage, so submit() enqueues a packaged_task directly instead of
 /// boxing it in a shared_ptr — one allocation (the task's shared
 /// state) instead of two (see bench/micro_runtime's submit pair).

@@ -168,65 +168,32 @@ void Scheduler::release(const std::string& pilot_uid,
 }
 
 void Scheduler::grant(PilotEntry& entry, WaitQueue::iterator position,
-                      platform::Node& node, GrantSink* sink) {
+                      platform::Node& node) {
   ScheduleRequest& request = position->second.request;
   platform::Slot slot =
       node.allocate(request.cores, request.gpus, request.mem_gb);
-  // The grant's share cost is fixed here, against the pilot it landed
-  // on; it is charged to the tenant at commit time, in merged order.
-  double share_cost = 0.0;
-  if (!tenant_weights_.empty() && !request.tenant.empty()) {
-    share_cost =
-        dominant_fraction(entry, request) / weight_for(request.tenant);
-  }
-  if (sink != nullptr) {
-    // Sharded pass: only pilot-local state may change here. The shard
-    // field of the key is stamped by run_sharded_passes; sequence is
-    // the request's globally unique wait-queue sequence, so the merged
-    // commit order is invariant under the shard count.
-    PendingGrant pending;
-    pending.key = common::MergeKey{position->second.enqueued_at,
-                                   position->first.sequence, 0};
-    pending.enqueued_at = position->second.enqueued_at;
-    pending.uid = request.uid;
-    pending.tenant = request.tenant;
-    pending.share_cost = share_cost;
-    pending.slot = std::move(slot);
-    pending.node = &node;
-    pending.callback = std::move(request.granted);
-    sink->push_back(std::move(pending));
-    entry.waiting.erase(position);
-    return;
-  }
-  const double enqueued_at = position->second.enqueued_at;
-  std::string uid = request.uid;
-  std::string tenant = request.tenant;
-  auto callback = std::move(request.granted);
-  entry.waiting.erase(position);
-  commit_grant(enqueued_at, uid, tenant, share_cost, std::move(slot), &node,
-               std::move(callback));
-}
-
-void Scheduler::commit_grant(
-    double enqueued_at, const std::string& uid, const std::string& tenant,
-    double share_cost, platform::Slot slot, platform::Node* node,
-    std::function<void(platform::Slot, platform::Node*)> callback) {
-  wait_times_.add(runtime_.loop().now() - enqueued_at);
+  wait_times_.add(runtime_.loop().now() - position->second.enqueued_at);
   ++granted_;
   runtime_.counters().add("sched.grants");
-  if (!tenant.empty()) {
-    runtime_.counters().add(strutil::cat("sched.grants.", tenant));
-    if (share_cost > 0.0) tenant_shares_[tenant] += share_cost;
+  if (!request.tenant.empty()) {
+    runtime_.counters().add(strutil::cat("sched.grants.", request.tenant));
+    // The share cost is fixed against the pilot the grant landed on.
+    if (!tenant_weights_.empty()) {
+      const double share_cost =
+          dominant_fraction(entry, request) / weight_for(request.tenant);
+      if (share_cost > 0.0) tenant_shares_[request.tenant] += share_cost;
+    }
   }
-  grant_hash_ = common::fnv1a(grant_hash_, uid);
-  grant_hash_ = common::fnv1a(grant_hash_, node->id());
+  grant_hash_ = common::fnv1a(grant_hash_, request.uid);
+  grant_hash_ = common::fnv1a(grant_hash_, node.id());
   grant_hash_ = common::fnv1a(grant_hash_,
                               static_cast<std::uint64_t>(slot.cores));
   grant_hash_ = common::fnv1a(grant_hash_,
                               static_cast<std::uint64_t>(slot.gpus));
-  runtime_.loop().post([callback = std::move(callback),
+  runtime_.loop().post([callback = std::move(request.granted),
                         slot = std::move(slot),
-                        placed = node] { callback(slot, placed); });
+                        placed = &node] { callback(slot, placed); });
+  entry.waiting.erase(position);
 }
 
 void Scheduler::set_locality_oracle(LocalityOracle oracle) {
@@ -269,10 +236,10 @@ double Scheduler::dominant_fraction(const PilotEntry& entry,
   return fraction;
 }
 
-std::size_t Scheduler::try_schedule(PilotEntry& entry, GrantSink* sink) {
+std::size_t Scheduler::try_schedule(PilotEntry& entry) {
   std::size_t grants = 0;
   if (policy_ == SchedulerPolicy::backfill) {
-    grants = backfill(entry, sink);
+    grants = backfill(entry);
   } else {
     // fifo: grant queue heads until one does not fit.
     while (!entry.waiting.empty()) {
@@ -281,21 +248,19 @@ std::size_t Scheduler::try_schedule(PilotEntry& entry, GrantSink* sink) {
       platform::Node* node =
           entry.index.first_fit(request.cores, request.gpus, request.mem_gb);
       if (node == nullptr) break;
-      grant(entry, head, *node, sink);
+      grant(entry, head, *node);
       ++grants;
     }
   }
   return grants;
 }
 
-std::size_t Scheduler::backfill(PilotEntry& entry, GrantSink* sink) {
+std::size_t Scheduler::backfill(PilotEntry& entry) {
   // Composite key: (priority desc, tenant share asc, non-resident asc,
   // sequence asc). A component that is off is constant: the share
   // without fair share, residency without the oracle or under fair
-  // share. Shares are read at pass start (commit_grant, their only
-  // writer, runs after the pass on the batch paths), so the order is a
-  // pure function of committed history and the reads race with nothing
-  // under the executor.
+  // share. Shares are read once, at pass start, so the grants the pass
+  // makes do not reorder it.
   const bool fair = fair_share();
   const bool locality = oracle_ && !fair;
   const std::string zone = locality ? entry.pilot->cluster().name() : "";
@@ -370,169 +335,13 @@ std::size_t Scheduler::backfill(PilotEntry& entry, GrantSink* sink) {
     // Capacity only shrinks within a pass, so the rest of the run (same
     // shape) cannot fit either: drop it.
     if (node == nullptr) continue;
-    grant(entry, head.position, *node, sink);
+    grant(entry, head.position, *node);
     ++grants;
     // Members left means a whole-bucket run's bucket still exists.
     Run& run = runs[head.run];
     if (++run.next < run.end) heads.push({head_of(run), head.run});
   }
   return grants;
-}
-
-std::size_t Scheduler::run_sharded_passes(
-    const std::vector<PilotEntry*>& touched) {
-  if (touched.empty()) return 0;
-  const std::size_t nshards =
-      (executor_ != nullptr && executor_->shards() > 1)
-          ? std::min<std::size_t>(executor_->shards(), touched.size())
-          : 1;
-  // Round-robin pilots over shards: shard s owns pilots s, s+nshards, …
-  // Each pilot's wait queue, capacity index and nodes belong to exactly
-  // one shard (a node has one exclusive capacity listener), so the
-  // passes share no mutable state. Grants are buffered, not committed.
-  std::vector<GrantSink> buffers(nshards);
-  // Per-shard trace lanes: lane records carry (pass time, pilot index)
-  // merge keys, so the committed span order is invariant under the
-  // shard count — same protocol as the grants themselves.
-  auto& tracer = runtime_.tracer();
-  const bool traced = tracer.enabled();
-  const double pass_time = runtime_.loop().now();
-  if (traced) tracer.begin_lanes(nshards);
-  const auto pass = [&](std::size_t shard) {
-    GrantSink& sink = buffers[shard];
-    for (std::size_t p = shard; p < touched.size(); p += nshards) {
-      const std::size_t grants = try_schedule(*touched[p], &sink);
-      if (traced) {
-        tracer.lane_complete(
-            shard,
-            common::MergeKey{pass_time, p, static_cast<std::uint32_t>(shard)},
-            "place", "sched", touched[p]->pilot->uid(), pass_time, pass_time,
-            {{"grants", strutil::cat(grants)},
-             {"queued", strutil::cat(touched[p]->waiting.size())}});
-      }
-    }
-    for (PendingGrant& pending : sink) {
-      pending.key.shard = static_cast<std::uint32_t>(shard);
-    }
-  };
-  if (nshards == 1) {
-    pass(0);
-  } else {
-    executor_->run(nshards, pass);
-  }
-  if (traced) tracer.commit_lanes();
-  return commit_merged(std::move(buffers));
-}
-
-std::size_t Scheduler::commit_merged(std::vector<GrantSink> buffers) {
-  // Merge in (enqueue time, request sequence, shard) order and commit
-  // serially. Sequences are globally unique, so this order is a pure
-  // function of the grant records — bit-identical for any shard count.
-  std::vector<PendingGrant> merged = common::merge_shards(
-      std::move(buffers),
-      [](const PendingGrant& pending) { return pending.key; });
-  for (PendingGrant& pending : merged) {
-    commit_grant(pending.enqueued_at, pending.uid, pending.tenant,
-                 pending.share_cost, std::move(pending.slot), pending.node,
-                 std::move(pending.callback));
-  }
-  return merged.size();
-}
-
-std::size_t Scheduler::submit_batch(std::vector<PilotBatch> batches) {
-  // Validate everything first so a bad request leaves no partial state.
-  for (const PilotBatch& batch : batches) {
-    const PilotEntry& entry = entry_for(batch.pilot_uid);
-    for (const ScheduleRequest& request : batch.requests) {
-      validate_fits_pilot(entry, request);
-    }
-  }
-  std::vector<PilotEntry*> touched;
-  const auto touch = [&](PilotEntry& entry) {
-    if (std::find(touched.begin(), touched.end(), &entry) == touched.end()) {
-      touched.push_back(&entry);
-    }
-  };
-  try {
-    // Enqueue in input order on the calling thread: sequence assignment
-    // is identical to per-pilot submit_all calls in the same order.
-    for (PilotBatch& batch : batches) {
-      PilotEntry& entry = entry_for(batch.pilot_uid);
-      touch(entry);
-      for (ScheduleRequest& request : batch.requests) {
-        enqueue(entry, std::move(request));
-      }
-    }
-  } catch (...) {
-    // Same strand protection as submit_all: a duplicate uid mid-batch
-    // must not leave enqueued requests without a placement pass.
-    run_sharded_passes(touched);
-    throw;
-  }
-  return run_sharded_passes(touched);
-}
-
-std::size_t Scheduler::release_batch(
-    const std::vector<std::pair<std::string, platform::Slot>>& slots) {
-  // Group slots per pilot in first-occurrence order so each shard can
-  // release its pilots' capacity before re-running their passes.
-  std::vector<std::pair<PilotEntry*, std::vector<const platform::Slot*>>>
-      grouped;
-  for (const auto& [pilot_uid, slot] : slots) {
-    PilotEntry& entry = entry_for(pilot_uid);
-    auto it = std::find_if(grouped.begin(), grouped.end(),
-                           [&](const auto& g) { return g.first == &entry; });
-    if (it == grouped.end()) {
-      grouped.emplace_back(&entry, std::vector<const platform::Slot*>{});
-      it = std::prev(grouped.end());
-    }
-    // Resolve the node up front (loop-thread, may throw not_found).
-    platform::Node* node =
-        entry.pilot->cluster().find_node(slot.node_id);
-    ensure(node != nullptr, Errc::not_found, "release on unknown node '",
-           slot.node_id, "'");
-    it->second.push_back(&slot);
-  }
-  if (grouped.empty()) return 0;
-  const std::size_t nshards =
-      (executor_ != nullptr && executor_->shards() > 1)
-          ? std::min<std::size_t>(executor_->shards(), grouped.size())
-          : 1;
-  std::vector<GrantSink> buffers(nshards);
-  auto& tracer = runtime_.tracer();
-  const bool traced = tracer.enabled();
-  const double pass_time = runtime_.loop().now();
-  if (traced) tracer.begin_lanes(nshards);
-  const auto pass = [&](std::size_t shard) {
-    GrantSink& sink = buffers[shard];
-    for (std::size_t g = shard; g < grouped.size(); g += nshards) {
-      PilotEntry& entry = *grouped[g].first;
-      for (const platform::Slot* slot : grouped[g].second) {
-        platform::Node* node =
-            entry.pilot->cluster().find_node(slot->node_id);
-        node->release(*slot);  // index updates via the listener
-      }
-      const std::size_t grants = try_schedule(entry, &sink);
-      if (traced) {
-        tracer.lane_complete(
-            shard,
-            common::MergeKey{pass_time, g, static_cast<std::uint32_t>(shard)},
-            "backfill", "sched", entry.pilot->uid(), pass_time, pass_time,
-            {{"released", strutil::cat(grouped[g].second.size())},
-             {"grants", strutil::cat(grants)}});
-      }
-    }
-    for (PendingGrant& pending : sink) {
-      pending.key.shard = static_cast<std::uint32_t>(shard);
-    }
-  };
-  if (nshards == 1) {
-    pass(0);
-  } else {
-    executor_->run(nshards, pass);
-  }
-  if (traced) tracer.commit_lanes();
-  return commit_merged(std::move(buffers));
 }
 
 std::size_t Scheduler::queue_length(const std::string& pilot_uid) const {

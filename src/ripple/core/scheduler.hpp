@@ -43,48 +43,31 @@
 /// keeps the in-order walk that stops at the first head that does not
 /// fit.
 ///
-/// Placement is *sharded* on the batch paths: submit_batch and
-/// release_batch partition the touched pilots into shard groups over a
-/// common::ShardExecutor (set_shard_executor; null — the default —
-/// runs the identical code inline). Each shard runs ordinary placement
-/// passes over its own pilots — a pilot's WaitQueue, CapacityIndex and
-/// nodes are touched by exactly one shard — and buffers candidate
-/// grants instead of committing them. The buffers are then merged in
-/// logical (enqueue time, request sequence, shard) order and committed
-/// on the calling thread: wait-time stats, the grant counter, the
-/// rolling grant-order FNV fingerprint (grant_log_hash) and the
-/// granted-callback posts all happen in that merged order. Request
-/// sequences are globally unique, so the committed order is a pure
-/// function of the per-pilot grant sets — independent of shard count
-/// or thread timing; a shards=N run is bit-identical to shards=1, the
-/// oracle the sharded suites and bench/ablation_shards assert. With an
-/// executor attached the locality oracle must tolerate concurrent
-/// const calls (the catalog residency lookup does).
-///
-/// The single-pilot paths (submit, submit_all, release, cancel) never
-/// touch the executor.
+/// One placement path. Every entry point enqueues requests or frees
+/// capacity on one pilot and then runs one full pass over that pilot's
+/// queue on the loop thread: submit (a batch of one), submit_all,
+/// release and reschedule. The pass commits each grant as it makes it:
+/// wait-time stats, the grant counter, the tenant's share, the rolling
+/// grant-order FNV fingerprint (grant_log_hash) and the posted granted
+/// callback. cancel never runs a pass.
 ///
 /// Weighted fair-share (multi-tenant arbitration). Opt-in via
 /// set_tenant_weight; fifo ignores it (strict order is the point of
 /// fifo). DRF-style: a request's cost is its dominant resource fraction
 /// of the pilot (max of cores/total, gpus/total, mem/total) divided by
 /// the tenant's weight, accumulated against the tenant as grants
-/// *commit*. A pass reads the shares at its start and only commit_grant
-/// writes them — serially, in merged (time, sequence, shard) order — so
-/// the grant order is a pure function of committed history:
-/// bit-identical across reruns and shard counts, and race-free under
-/// the executor (passes only read). The wait queue's keys are never
-/// touched, so clearing the weights restores the native order exactly.
+/// commit. A pass reads the shares at its start, so the grant order is
+/// a pure function of committed history: bit-identical across reruns.
+/// The wait queue's keys are never touched, so clearing the weights
+/// restores the native order exactly.
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ripple/common/hash.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/common/statistics.hpp"
 #include "ripple/core/entities.hpp"
 #include "ripple/core/runtime.hpp"
@@ -158,35 +141,9 @@ class Scheduler {
   std::size_t submit_all(const std::string& pilot_uid,
                          std::vector<ScheduleRequest> requests);
 
-  /// Attaches the shard executor the batch paths run their placement
-  /// passes on (null — the default — keeps them inline). See the file
-  /// comment for the sharding/merge contract.
-  void set_shard_executor(common::ShardExecutor* executor) noexcept {
-    executor_ = executor;
-  }
-
-  /// One pilot's slice of a cross-pilot batch submission.
-  struct PilotBatch {
-    std::string pilot_uid;
-    std::vector<ScheduleRequest> requests;
-  };
-
-  /// Enqueues requests against many pilots, then runs the per-pilot
-  /// placement passes sharded across the executor and commits the
-  /// merged grants deterministically (see file comment). Returns the
-  /// number granted.
-  std::size_t submit_batch(std::vector<PilotBatch> batches);
-
-  /// Releases granted slots across many pilots, then re-runs the
-  /// per-pilot placement passes the same sharded way. Returns the
-  /// number granted by the re-placement.
-  std::size_t release_batch(
-      const std::vector<std::pair<std::string, platform::Slot>>& slots);
-
   /// Rolling FNV-1a fingerprint of the committed grant order (request
-  /// uid, node id, slot shape — in commit order). The parallel==serial
-  /// determinism oracle: a shards=N batch run must produce the same
-  /// fingerprint as shards=1 under the same seed.
+  /// uid, node id, slot shape — in commit order). Same seed, same
+  /// fingerprint.
   [[nodiscard]] std::uint64_t grant_log_hash() const noexcept {
     return grant_hash_;
   }
@@ -234,83 +191,44 @@ class Scheduler {
     double total_mem = 0.0;
   };
 
-  /// A grant computed by a placement pass but not yet committed: the
-  /// pilot-local state (node capacity, wait queue) is already updated;
-  /// the globally ordered effects (stats, hash, callback post) happen
-  /// at commit, in merge-key order.
-  struct PendingGrant {
-    common::MergeKey key;  ///< (enqueued_at, request sequence, shard)
-    double enqueued_at = 0.0;
-    std::string uid;
-    std::string tenant;
-    double share_cost = 0.0;  ///< weighted dominant fraction of the grant
-    platform::Slot slot;
-    platform::Node* node = nullptr;
-    std::function<void(platform::Slot, platform::Node*)> callback;
-  };
-  using GrantSink = std::vector<PendingGrant>;
-
   void validate_fits_pilot(const PilotEntry& entry,
                            const ScheduleRequest& request) const;
   void enqueue(PilotEntry& entry, ScheduleRequest request);
 
-  /// Allocates on `node` and removes the entry. With a null sink the
-  /// grant commits immediately (stats, hash, callback post — the
-  /// single-pilot paths); otherwise it is buffered for the batch paths'
-  /// deterministic merge commit.
+  /// Allocates on `node`, removes the entry and commits the grant:
+  /// wait-time stats, grant counter, tenant share, rolling FNV
+  /// fingerprint, callback post.
   void grant(PilotEntry& entry, WaitQueue::iterator position,
-             platform::Node& node, GrantSink* sink = nullptr);
-
-  /// Commits one grant: wait-time stats, grant counter, rolling FNV
-  /// fingerprint, per-tenant share/counter update, callback post —
-  /// always on the loop thread, in merged order on the batch paths
-  /// (the only place tenant_shares_ is written).
-  void commit_grant(double enqueued_at, const std::string& uid,
-                    const std::string& tenant, double share_cost,
-                    platform::Slot slot, platform::Node* node,
-                    std::function<void(platform::Slot, platform::Node*)>
-                        callback);
+             platform::Node& node);
 
   /// Full placement pass; returns grants made. Every entry still queued
   /// afterwards does not fit the current capacity (backfill) or sits
   /// behind a blocked head (fifo).
-  std::size_t try_schedule(PilotEntry& entry, GrantSink* sink = nullptr);
+  std::size_t try_schedule(PilotEntry& entry);
 
   /// The backfill pass (see file comment): merges the wait queue's
   /// bucket heads on the composite key, probes one head at a time and
   /// drops a bucket at its first miss.
-  std::size_t backfill(PilotEntry& entry, GrantSink* sink);
+  std::size_t backfill(PilotEntry& entry);
 
   /// DRF dominant resource fraction of `request` on this pilot.
   [[nodiscard]] double dominant_fraction(const PilotEntry& entry,
                                          const ScheduleRequest& request) const;
   [[nodiscard]] double weight_for(const std::string& tenant) const;
 
-  /// Traces one inline placement pass as a zero-length "sched" span
+  /// Traces one placement pass as a zero-length "sched" span
   /// (no-op while tracing is disabled).
   void trace_pass(const PilotEntry& entry, std::size_t grants);
-
-  /// Runs placement passes over `touched` pilots — round-robin across
-  /// the executor's shards when one is attached, inline otherwise —
-  /// then merges and commits the buffered grants in (time, sequence,
-  /// shard) order. Returns the number committed.
-  std::size_t run_sharded_passes(const std::vector<PilotEntry*>& touched);
-
-  /// Merges per-shard grant buffers in MergeKey order and commits each
-  /// grant serially on the calling thread. Returns the number committed.
-  std::size_t commit_merged(std::vector<GrantSink> buffers);
 
   [[nodiscard]] PilotEntry& entry_for(const std::string& pilot_uid);
 
   Runtime& runtime_;
   SchedulerPolicy policy_;
   LocalityOracle oracle_;
-  common::ShardExecutor* executor_ = nullptr;
   std::map<std::string, PilotEntry> pilots_;
   std::map<std::string, double> tenant_weights_;
-  /// Cumulative weighted dominant share per tenant. Written only by
-  /// commit_grant (loop thread, merged order); read by the sharded
-  /// passes as a start-of-pass snapshot.
+  /// Cumulative weighted dominant share per tenant. Written by grant;
+  /// read by backfill at the start of a pass.
   std::map<std::string, double> tenant_shares_;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t granted_ = 0;

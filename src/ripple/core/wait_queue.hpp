@@ -27,9 +27,8 @@
 /// records the global sim-time of submission. Equal-priority requests
 /// from different tenants therefore tie-break in global
 /// (time, sequence) submission order — never per-session insertion
-/// order — and the order is bit-identical across reruns and shard
-/// counts (the pass only *plans* per shard; grants commit serially in
-/// merged order). Pinned by TenantsTest.CrossTenantTieBreak in
+/// order — and the order is bit-identical across reruns. Pinned by
+/// TenantsTest.CrossTenantTieBreakFollowsSubmissionOrder in
 /// tests/test_tenants.cpp. Weighted fair-share (DRF-style) orders the
 /// backfill pass by the tenants' shares but never mutates the keys
 /// here, so disabling fair-share restores this queue's native order

@@ -347,16 +347,14 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
       if (t.phase != Phase::flowing) continue;
       t.rate = share;
       const sim::Duration eta = t.remaining / share;
-      sink.push_back(PlannedTimer{common::MergeKey{now + eta, t.id, 0}, t.id,
-                                  eta});
+      sink.push_back(PlannedTimer{now + eta, t.id, eta});
     }
     return;
   }
   // Weighted split: the link divides across the tenants flowing on it
   // in weight proportion, then equally within each tenant. A single
   // flowing tenant gets weight/weight == 1.0 exactly, i.e. the equal
-  // split. tenant_weights_ is read-only during replan_all's sharded
-  // passes (setters run on the loop thread between passes).
+  // split.
   std::map<std::string, std::size_t> flows_by_tenant;
   for (const TransferId id : link.active) {
     const Transfer& t = transfers_.at(id);
@@ -375,8 +373,7 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
         static_cast<double>(flows_by_tenant.at(t.tenant));
     t.rate = share;
     const sim::Duration eta = t.remaining / share;
-    sink.push_back(PlannedTimer{common::MergeKey{now + eta, t.id, 0}, t.id,
-                                eta});
+    sink.push_back(PlannedTimer{now + eta, t.id, eta});
   }
 }
 
@@ -397,63 +394,34 @@ void TransferEngine::replan(const LinkKey& key) {
 }
 
 std::size_t TransferEngine::replan_all() {
-  // Snapshot links in map-key order; shard s plans links s, s+n, … —
-  // disjoint link (and therefore transfer) sets, no event-loop calls.
-  std::vector<std::pair<const LinkKey*, Link*>> links;
-  links.reserve(links_.size());
-  for (auto& [key, link] : links_) links.emplace_back(&key, &link);
-  if (links.empty()) return 0;
-  const std::size_t nshards =
-      (executor_ != nullptr && executor_->shards() > 1)
-          ? std::min<std::size_t>(executor_->shards(), links.size())
-          : 1;
   const bool traced = tracer_ != nullptr && tracer_->enabled();
   const sim::SimTime now = loop_.now();
-  if (traced) tracer_->begin_lanes(nshards);
-  std::vector<std::vector<PlannedTimer>> buffers(nshards);
-  const auto pass = [&](std::size_t shard) {
-    std::vector<PlannedTimer>& sink = buffers[shard];
-    for (std::size_t i = shard; i < links.size(); i += nshards) {
-      const std::size_t before = sink.size();
-      plan_link(*links[i].first, *links[i].second, sink);
-      if (traced) {
-        // One zero-length span per planned link. The merge key orders
-        // lane records by link index (globally unique), so the span log
-        // is shard-count invariant — the span itself never names the
-        // shard.
-        tracer_->lane_complete(
-            shard,
-            common::MergeKey{now, static_cast<std::uint64_t>(i),
-                             static_cast<std::uint32_t>(shard)},
-            "replan", "xfer",
-            strutil::cat(links[i].first->first, "~", links[i].first->second),
-            now, now,
-            {{"flows", std::to_string(sink.size() - before)}});
-      }
+  std::vector<PlannedTimer> planned;
+  for (auto& [key, link] : links_) {
+    const std::size_t before = planned.size();
+    plan_link(key, link, planned);
+    if (traced) {
+      // One zero-length span per planned link, in link order.
+      tracer_->complete(
+          "replan", "xfer", strutil::cat(key.first, "~", key.second), now,
+          now, 0, {{"flows", std::to_string(planned.size() - before)}});
     }
-    for (PlannedTimer& plan : sink) {
-      plan.key.shard = static_cast<std::uint32_t>(shard);
-    }
-  };
-  if (nshards == 1) {
-    pass(0);
-  } else {
-    executor_->run(nshards, pass);
   }
-  // Merge in (completion time, transfer id, shard) order and commit the
-  // timer reschedules serially. Ids are globally unique, so the timer
-  // sequence — and with it every downstream completion event — is a
-  // pure function of the plan, independent of shard count.
-  std::vector<PlannedTimer> merged = common::merge_shards(
-      std::move(buffers), [](const PlannedTimer& plan) { return plan.key; });
-  if (traced) tracer_->commit_lanes();
-  for (const PlannedTimer& plan : merged) {
+  // Commit the timer reschedules in (completion time, transfer id)
+  // order. Ids are unique, so the timer sequence — and with it every
+  // downstream completion event — is a pure function of the plan.
+  std::sort(planned.begin(), planned.end(),
+            [](const PlannedTimer& a, const PlannedTimer& b) {
+              if (a.at != b.at) return a.at < b.at;
+              return a.id < b.id;
+            });
+  for (const PlannedTimer& plan : planned) {
     Transfer& t = transfers_.at(plan.id);
     if (t.timer.valid()) loop_.cancel(t.timer);
     t.timer = loop_.call_after(plan.eta,
                                [this, id = plan.id] { on_attempt_end(id); });
   }
-  return merged.size();
+  return planned.size();
 }
 
 std::uint64_t TransferEngine::completion_hash() const noexcept {

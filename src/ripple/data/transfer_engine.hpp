@@ -45,19 +45,12 @@
 /// bit-identical, not just approximately equal — and with no quotas the
 /// queue drains strictly FIFO as before.
 ///
-/// Fair-share recomputation is *sharded* on the full-replan path:
 /// replan_all() — the "telemetry tick", run after mid-simulation
-/// bandwidth changes — partitions the links round-robin across a
-/// common::ShardExecutor (set_shard_executor; null runs inline). Links
-/// are disjoint: a transfer lives on exactly one (src, dst) link, so
-/// the parallel half (progress advance + new rate assignment) touches
-/// no shared state and never calls the event loop. Timer rescheduling
-/// is then committed serially in merged (completion time, transfer id,
-/// shard) order — transfer ids are globally unique, so the committed
-/// timer sequence is a pure function of the plan, independent of shard
-/// count: shards=N completion logs are bit-identical to shards=1
-/// (completion_hash is the oracle). The per-link replan run by
-/// join/leave events is unchanged and never touches the executor.
+/// bandwidth changes — plans every link in turn, then commits the timer
+/// reschedules in (completion time, transfer id) order. Transfer ids
+/// are unique, so the committed timer sequence is a pure function of
+/// the plan (completion_hash fingerprints the outcome). The per-link
+/// replan run by join/leave events commits in admission order.
 
 #include <cstdint>
 #include <deque>
@@ -69,7 +62,6 @@
 
 #include "ripple/common/hash.hpp"
 #include "ripple/common/random.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/common/statistics.hpp"
 #include "ripple/metrics/counters.hpp"
 #include "ripple/metrics/tracer.hpp"
@@ -134,17 +126,10 @@ class TransferEngine {
     return down_.count(key_for(zone_a, zone_b)) != 0;
   }
 
-  /// Attaches the shard executor replan_all() runs its per-link
-  /// planning passes on (null — the default — keeps them inline). See
-  /// the file comment for the sharding/merge contract.
-  void set_shard_executor(common::ShardExecutor* executor) noexcept {
-    executor_ = executor;
-  }
-
   /// Wires the runtime's tracer/counters in (either may be null). When
   /// tracing is enabled each transfer gets a span (stripes as children
-  /// of their striped parent), replan_all() emits per-link lane spans
-  /// merged shard-invariantly, and the transfer counters tick.
+  /// of their striped parent), replan_all() emits one "replan" span per
+  /// link, and the transfer counters tick.
   void set_trace(metrics::Tracer* tracer,
                  metrics::Counters* counters) noexcept {
     tracer_ = tracer;
@@ -155,10 +140,9 @@ class TransferEngine {
   /// link against freshly resolved bandwidth — the "telemetry tick".
   /// Bandwidth setters stay config-only (existing schedules are
   /// untouched); a caller that changes bandwidth mid-run calls this to
-  /// re-rate live flows. Link planning is sharded across the executor;
-  /// the rescheduling commits serially in (completion time, transfer
-  /// id) order, invariant under the shard count. Returns the number of
-  /// flowing transfers replanned.
+  /// re-rate live flows. The rescheduling commits in (completion time,
+  /// transfer id) order. Returns the number of flowing transfers
+  /// replanned.
   std::size_t replan_all();
 
   /// Starts (or queues, when the link is at its cap) a transfer of
@@ -253,8 +237,8 @@ class TransferEngine {
     return completion_log_;
   }
 
-  /// FNV-1a fingerprint of the completion log — the parallel==serial
-  /// determinism oracle for sharded replanning.
+  /// FNV-1a fingerprint of the completion log — the same-seed
+  /// determinism oracle.
   [[nodiscard]] std::uint64_t completion_hash() const noexcept;
 
  private:
@@ -353,7 +337,7 @@ class TransferEngine {
 
   /// One completion-timer reschedule produced by a planning pass.
   struct PlannedTimer {
-    common::MergeKey key;  ///< (completion time, transfer id, shard)
+    sim::SimTime at = 0.0;  ///< completion time
     TransferId id = 0;
     sim::Duration eta = 0.0;
   };
@@ -361,14 +345,12 @@ class TransferEngine {
   /// The loop-free half of replan(): advances progress and assigns the
   /// new fair-share rate of every flowing transfer on the link,
   /// buffering a timer record per transfer instead of touching the
-  /// event loop. Mutates only link-local transfer fields — safe to run
-  /// concurrently for distinct links.
+  /// event loop.
   void plan_link(const LinkKey& key, Link& link,
                  std::vector<PlannedTimer>& sink);
 
   sim::EventLoop& loop_;
   common::Rng rng_;
-  common::ShardExecutor* executor_ = nullptr;
   metrics::Tracer* tracer_ = nullptr;
   metrics::Counters* counters_ = nullptr;
   const sim::Network* network_ = nullptr;

@@ -81,41 +81,6 @@ SpanId Tracer::complete(std::string name, std::string category,
   return spans_.back().id;
 }
 
-void Tracer::begin_lanes(std::size_t n) {
-  if (!enabled_) return;
-  lanes_.assign(n, {});
-}
-
-void Tracer::lane_complete(
-    std::size_t lane, common::MergeKey key, std::string name,
-    std::string category, std::string entity, double begin_time,
-    double end_time,
-    std::vector<std::pair<std::string, std::string>> args) {
-  if (!enabled_ || lane >= lanes_.size()) return;
-  LaneRecord record;
-  record.key = key;
-  // The id is assigned at commit time (on the loop thread) so the
-  // sequence counter is never touched concurrently.
-  record.span.name = std::move(name);
-  record.span.category = std::move(category);
-  record.span.entity = std::move(entity);
-  record.span.begin = begin_time;
-  record.span.end = end_time;
-  record.span.args = std::move(args);
-  lanes_[lane].push_back(std::move(record));
-}
-
-void Tracer::commit_lanes() {
-  if (!enabled_ || lanes_.empty()) return;
-  auto merged = common::merge_shards(
-      std::move(lanes_), [](const LaneRecord& r) { return r.key; });
-  lanes_.clear();
-  for (auto& record : merged) {
-    record.span.id = make_id(record.span.entity);
-    spans_.push_back(std::move(record.span));
-  }
-}
-
 std::uint64_t Tracer::span_log_hash() const {
   std::uint64_t hash = common::kFnvOffsetBasis;
   for (const Span& span : spans_) {
@@ -136,7 +101,6 @@ std::uint64_t Tracer::span_log_hash() const {
 void Tracer::clear() {
   spans_.clear();
   open_.clear();
-  lanes_.clear();
   next_sequence_ = 0;
 }
 

@@ -11,13 +11,10 @@
 ///
 /// Determinism is the house style and observability is no exception:
 /// span ids derive from the owning entity's uid plus a session-local
-/// sequence (never from addresses or wall time), spans land in the log
-/// in begin order on the event-loop thread, and records produced on
-/// shard workers go through per-shard lanes committed in merged
-/// `(time, sequence, shard)` order exactly like ShardExecutor results.
-/// The same seed therefore yields a bit-identical span log at any
-/// shard count, which `span_log_hash()` fingerprints (FNV-1a) and the
-/// sharded suites assert.
+/// sequence (never from addresses or wall time), and spans land in the
+/// log in begin order on the event-loop thread. The same seed therefore
+/// yields a bit-identical span log, which `span_log_hash()`
+/// fingerprints (FNV-1a) and the determinism suites assert.
 
 #include <cstdint>
 #include <initializer_list>
@@ -25,8 +22,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "ripple/common/shard_executor.hpp"
 
 namespace ripple::metrics {
 
@@ -81,32 +76,9 @@ class Tracer {
                   double begin_time, double end_time, SpanId parent = 0,
                   Args args = {});
 
-  // --- per-shard lanes (sharded placement / replan passes) ---------
-  //
-  // Worker threads may not touch the main log; a pass opens `n` lanes,
-  // each shard appends completed spans to its own lane (no locks, no
-  // shared writes), and the caller commits them merged in MergeKey
-  // order back on the loop thread — the same protocol ShardExecutor
-  // kernels use for their own results, and for the same reason: the
-  // committed order is a pure function of the records.
-
-  /// Opens `n` empty lanes (loop thread, before the fan-out).
-  void begin_lanes(std::size_t n);
-
-  /// Appends a completed span to `lane` (any thread; lanes are
-  /// disjoint). `key` decides the committed order.
-  void lane_complete(std::size_t lane, common::MergeKey key, std::string name,
-                     std::string category, std::string entity,
-                     double begin_time, double end_time,
-                     std::vector<std::pair<std::string, std::string>> args = {});
-
-  /// Merges and appends all lane records to the log (loop thread,
-  /// after the fan-out joined).
-  void commit_lanes();
-
   // --- inspection --------------------------------------------------
 
-  /// The span log, in deterministic begin/commit order.
+  /// The span log, in deterministic begin order.
   [[nodiscard]] const std::vector<Span>& spans() const noexcept {
     return spans_;
   }
@@ -117,25 +89,18 @@ class Tracer {
   }
 
   /// FNV-1a fingerprint of the full span log (names, categories,
-  /// entities, times, parents, args). Same seed => same hash, at any
-  /// shard count.
+  /// entities, times, parents, args). Same seed => same hash.
   [[nodiscard]] std::uint64_t span_log_hash() const;
 
   void clear();
 
  private:
-  struct LaneRecord {
-    common::MergeKey key;
-    Span span;
-  };
-
   [[nodiscard]] SpanId make_id(const std::string& entity);
 
   bool enabled_ = false;
   std::uint64_t next_sequence_ = 0;
   std::vector<Span> spans_;
   std::map<SpanId, std::size_t> open_;  ///< open span id -> log index
-  std::vector<std::vector<LaneRecord>> lanes_;
 };
 
 }  // namespace ripple::metrics

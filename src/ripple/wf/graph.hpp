@@ -179,7 +179,7 @@ struct GraphResult {
   std::size_t nodes_pruned = 0;   ///< unselected branches + descendants
   /// The release/complete/spawn/prune stream in commit order, and its
   /// FNV-1a fingerprint — the determinism oracle benches and suites
-  /// compare across reruns and shard counts.
+  /// compare across reruns.
   std::vector<std::string> event_log;
   std::uint64_t event_hash = 0;
 };

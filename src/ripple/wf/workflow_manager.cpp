@@ -159,7 +159,7 @@ void WorkflowManager::release_ready(const std::shared_ptr<GraphRun>& run,
                                     std::vector<std::size_t> ready) {
   if (run->failed || run->reported) return;
   // Deterministic ready order: same release time, ascending node
-  // sequence — bit-identical across reruns and shard counts.
+  // sequence — bit-identical across reruns.
   std::sort(ready.begin(), ready.end());
   for (const std::size_t seq : ready) release_node(run, seq);
 }

@@ -33,7 +33,7 @@
 /// Determinism: ready nodes are released in (release time, node
 /// sequence) order, and every run keeps a release/complete/spawn/prune
 /// event log with an FNV-1a fingerprint that is bit-identical across
-/// same-seed reruns and scheduler shard counts.
+/// same-seed reruns.
 
 #include <cstdint>
 #include <deque>

@@ -1,10 +1,11 @@
 // Data-plane tests: replica catalog (finite stores, LRU eviction,
 // pinning, lineage), fair-share transfer engine (shared links,
-// concurrency caps, retries), the DataManager facade (stage_all batch
+// concurrency caps, retries, full replans), the DataManager facade (stage_all batch
 // cancellation), locality-aware placement, and workflow dataset wiring.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,8 @@
 #include "ripple/data/catalog.hpp"
 #include "ripple/data/placement_advisor.hpp"
 #include "ripple/data/transfer_engine.hpp"
+#include "ripple/metrics/counters.hpp"
+#include "ripple/metrics/tracer.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/platform/profiles.hpp"
 #include "ripple/wf/workflow_manager.hpp"
@@ -268,6 +271,94 @@ TEST(TransferEngineTest, CancelStopsTransferWithoutCallback) {
   EXPECT_FALSE(fired);
   EXPECT_EQ(engine.transfers_cancelled(), 1u);
   EXPECT_EQ(engine.transfers_completed(), 0u);
+}
+
+TEST(TransferEngineTest, ReplanAllReRatesLiveFlows) {
+  sim::EventLoop loop;
+  data::TransferEngine engine(loop, common::Rng(1));
+  engine.set_setup_latency(common::Distribution::constant(0.0));
+  engine.set_bandwidth("a", "b", 100.0);
+  double elapsed = -1.0;
+  engine.transfer("d", "a", "b", 1000.0, [&](bool ok, sim::Duration e) {
+    if (ok) elapsed = e;
+  });
+  EXPECT_EQ(engine.replan_all(), 0u);  // still in setup, nothing flowing
+  loop.run_until(5.0);  // 500 of 1000 bytes moved at 100 B/s
+  engine.set_bandwidth("a", "b", 250.0);
+  EXPECT_EQ(engine.replan_all(), 1u);
+  loop.run();
+  // Bandwidth setters are config-only; the tick is what re-rated the
+  // flow: 5 s at 100 B/s, then 500 bytes at 250 B/s.
+  EXPECT_NEAR(elapsed, 7.0, 1e-9);
+}
+
+struct TickRun {
+  std::vector<std::string> log;
+  std::uint64_t hash = 0;
+  std::vector<std::size_t> replanned;
+  std::uint64_t span_hash = 0;
+  std::size_t replan_spans = 0;
+};
+
+/// Transfers over 28 links with two mid-flight "telemetry ticks" that
+/// change the default bandwidth and replan every link.
+TickRun run_ticks(bool traced) {
+  sim::EventLoop loop;
+  data::TransferEngine engine(loop, common::Rng(99));
+  metrics::Tracer tracer;
+  metrics::Counters counters;
+  if (traced) {
+    tracer.set_enabled(true);
+    engine.set_trace(&tracer, &counters);
+  }
+  engine.set_setup_latency(common::Distribution::constant(0.05));
+  engine.set_default_bandwidth(100.0);
+
+  constexpr int kZones = 8;
+  int done = 0;
+  int id = 0;
+  for (int a = 0; a < kZones; ++a) {
+    for (int b = a + 1; b < kZones; ++b) {
+      for (int k = 0; k < 3; ++k) {
+        engine.transfer("d" + std::to_string(id++), "z" + std::to_string(a),
+                        "z" + std::to_string(b), 500.0 + 40.0 * k,
+                        [&done](bool ok, sim::Duration) { done += ok; });
+      }
+    }
+  }
+  TickRun out;
+  loop.run_until(2.0);
+  engine.set_default_bandwidth(150.0);
+  out.replanned.push_back(engine.replan_all());
+  loop.run_until(4.0);
+  engine.set_default_bandwidth(80.0);
+  out.replanned.push_back(engine.replan_all());
+  loop.run();
+  EXPECT_EQ(done, id);
+  out.log = engine.completion_log();
+  out.hash = engine.completion_hash();
+  out.span_hash = tracer.span_log_hash();
+  for (const metrics::Span& span : tracer.spans()) {
+    out.replan_spans += span.name == "replan" ? 1 : 0;
+  }
+  return out;
+}
+
+TEST(TransferEngineTest, ReplanAllTicksReproduceAcrossReruns) {
+  const TickRun first = run_ticks(false);
+  EXPECT_EQ(first.log.size(), 84u);
+  ASSERT_EQ(first.replanned.size(), 2u);
+  EXPECT_EQ(first.replanned[0], 84u);  // every transfer is flowing
+  const TickRun rerun = run_ticks(false);
+  EXPECT_EQ(rerun.log, first.log);
+  EXPECT_EQ(rerun.hash, first.hash);
+  EXPECT_EQ(rerun.replanned, first.replanned);
+  // Tracing only observes: same completions, one "replan" span per link
+  // per tick, and a span log that reruns bit for bit.
+  const TickRun traced = run_ticks(true);
+  EXPECT_EQ(traced.log, first.log);
+  EXPECT_EQ(traced.replan_spans, 2u * 28u);
+  EXPECT_EQ(run_ticks(true).span_hash, traced.span_hash);
 }
 
 TEST(Catalog, ExactFitReserveSurvivesFloatChurn) {

@@ -415,4 +415,82 @@ TEST(FailureRecovery, SameSeedSameOutcomeAcrossReruns) {
   EXPECT_EQ(first.failed, rerun.failed);
 }
 
+struct RecoveryPathsRun {
+  std::uint64_t event_hash = 0;
+  std::uint64_t recovery_hash = 0;
+  std::uint64_t repair_hash = 0;
+  std::uint64_t grant_hash = 0;
+  std::uint64_t span_hash = 0;
+  std::size_t spans = 0;
+  std::size_t done = 0;
+};
+
+/// A workload that exercises every recovery path: seeded node crashes
+/// interrupting re-placed tasks plus a store crash repaired from a
+/// surviving replica. With `tracing` the full span/counter pipeline
+/// rides along.
+RecoveryPathsRun run_recovery_paths(bool tracing) {
+  Session session{SessionConfig{.seed = 67}};
+  if (tracing) session.enable_tracing(/*gauge_tick=*/2.0);
+  session.add_platform(platform::delta_profile(4));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
+  session.tasks().set_restart_policy({.max_restarts = 3});
+
+  auto& data = session.data();
+  data.set_default_bandwidth(1e8);
+  data.add_store("sa", 1e9);
+  data.add_store("sb", 1e9);
+  data.add_store("sc", 2e9);
+  data.register_dataset("d", 1e8, "sa");
+  data.stage("d", "sb", [](bool, sim::Duration) {});
+
+  sim::FailureInjector::Schedule crashes;
+  crashes.mean_interarrival = 12.0;
+  crashes.mean_time_to_repair = 8.0;
+  crashes.horizon = 100.0;
+  session.failures().arm_node_crashes("delta", crashes);
+  session.failures().injector().inject_at(20.0, FailureKind::store_crash,
+                                          "sa");
+
+  std::vector<TaskDescription> batch(16, modeled_task(5.0, 32));
+  (void)session.tasks().submit_all(pilot, batch);
+  session.run();
+
+  RecoveryPathsRun out;
+  out.event_hash = session.failures().injector().event_log_hash();
+  out.recovery_hash = session.tasks().recovery_log_hash();
+  out.repair_hash = session.data().repair_log_hash();
+  out.grant_hash = session.scheduler().grant_log_hash();
+  out.span_hash = session.tracer().span_log_hash();
+  out.spans = session.tracer().spans().size();
+  out.done = session.tasks().count_in_state(TaskState::done);
+  return out;
+}
+
+TEST(FailureRecovery, CrashAndRepairLogsRerunTracedOrNot) {
+  const RecoveryPathsRun first = run_recovery_paths(false);
+  EXPECT_GT(first.done, 0u);
+  const RecoveryPathsRun rerun = run_recovery_paths(false);
+  EXPECT_EQ(rerun.event_hash, first.event_hash);
+  EXPECT_EQ(rerun.recovery_hash, first.recovery_hash);
+  EXPECT_EQ(rerun.repair_hash, first.repair_hash);
+  EXPECT_EQ(rerun.grant_hash, first.grant_hash);
+  EXPECT_EQ(rerun.done, first.done);
+  // With tracing on and faults armed, the span log (task phases,
+  // recovery episodes, placement passes, fault instants) reruns bit
+  // for bit, and tracing is observation only: the traced run's logs
+  // match the untraced baseline.
+  const RecoveryPathsRun traced = run_recovery_paths(true);
+  EXPECT_GT(traced.spans, 0u);
+  EXPECT_EQ(traced.event_hash, first.event_hash);
+  EXPECT_EQ(traced.recovery_hash, first.recovery_hash);
+  EXPECT_EQ(traced.repair_hash, first.repair_hash);
+  EXPECT_EQ(traced.grant_hash, first.grant_hash);
+  EXPECT_EQ(traced.done, first.done);
+  const RecoveryPathsRun traced_rerun = run_recovery_paths(true);
+  EXPECT_EQ(traced_rerun.span_hash, traced.span_hash);
+  EXPECT_EQ(traced_rerun.spans, traced.spans);
+  EXPECT_EQ(traced_rerun.grant_hash, traced.grant_hash);
+}
+
 }  // namespace

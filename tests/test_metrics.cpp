@@ -302,25 +302,6 @@ TEST(Tracer, HashFingerprintsContent) {
   EXPECT_NE(a->span_log_hash(), before);
 }
 
-TEST(Tracer, LanesCommitInMergeKeyOrder) {
-  // Lane records written out of order across two lanes must land in the
-  // log in (time, sequence, shard) order — the ShardExecutor contract.
-  Tracer tracer;
-  tracer.set_enabled(true);
-  tracer.begin_lanes(2);
-  tracer.lane_complete(1, common::MergeKey{2.0, 0, 1}, "c", "xfer", "l3",
-                       2.0, 2.5);
-  tracer.lane_complete(0, common::MergeKey{1.0, 1, 0}, "b", "xfer", "l2",
-                       1.0, 1.5);
-  tracer.lane_complete(0, common::MergeKey{1.0, 0, 0}, "a", "xfer", "l1",
-                       1.0, 1.2);
-  tracer.commit_lanes();
-  ASSERT_EQ(tracer.spans().size(), 3u);
-  EXPECT_EQ(tracer.spans()[0].name, "a");
-  EXPECT_EQ(tracer.spans()[1].name, "b");
-  EXPECT_EQ(tracer.spans()[2].name, "c");
-}
-
 // ---------------------------------------------------------------------------
 // Counters: monotonic counters, gauges, sampling tick
 // ---------------------------------------------------------------------------

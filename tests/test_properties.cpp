@@ -12,7 +12,6 @@
 
 #include "ripple/common/hash.hpp"
 #include "ripple/common/random.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/data/catalog.hpp"
 #include "ripple/data/transfer_engine.hpp"
@@ -857,7 +856,7 @@ TEST(TransferEngineCounters, ConsistentUnderCancelAndLinkFailureFuzz) {
 // content-addressed corpus while a cramped store forces evictions.
 // The full observable trace — grant order, transfer completions,
 // eviction order, per-graph event streams — must be bit-identical
-// across reruns and across scheduler shard counts {1, 4}.
+// across reruns.
 // ---------------------------------------------------------------------------
 
 struct TenantFuzzTrace {
@@ -873,12 +872,10 @@ struct TenantFuzzTrace {
   bool operator==(const TenantFuzzTrace&) const = default;
 };
 
-TenantFuzzTrace run_tenant_fuzz(std::uint64_t seed, std::size_t shards) {
-  common::ShardExecutor exec(shards);
+TenantFuzzTrace run_tenant_fuzz(std::uint64_t seed) {
   Session session{SessionConfig{.seed = seed}};
   session.add_platform(platform::delta_profile(4));
   Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 4});
-  if (shards > 1) session.scheduler().set_shard_executor(&exec);
 
   const std::vector<std::string> tenants = {"alpha", "beta", "gamma"};
   session.set_tenant_weight("alpha", 1.0);
@@ -969,19 +966,17 @@ TenantFuzzTrace run_tenant_fuzz(std::uint64_t seed, std::size_t shards) {
   return trace;
 }
 
-TEST(TenantDeterminism, InterleavedTenantsBitIdenticalAcrossShards) {
+TEST(TenantDeterminism, InterleavedTenantsBitIdenticalAcrossReruns) {
   for (const std::uint64_t seed : {11ull, 23ull, 67ull}) {
-    const TenantFuzzTrace serial = run_tenant_fuzz(seed, 1);
+    const TenantFuzzTrace first = run_tenant_fuzz(seed);
     // The workload actually exercised the contended paths: every graph
     // settled, data moved, and the cramped store had to evict.
-    EXPECT_EQ(serial.graphs_done, 9u) << "seed " << seed;
-    EXPECT_GT(serial.transfers, 0u) << "seed " << seed;
-    EXPECT_GE(serial.evictions, 1u) << "seed " << seed;
+    EXPECT_EQ(first.graphs_done, 9u) << "seed " << seed;
+    EXPECT_GT(first.transfers, 0u) << "seed " << seed;
+    EXPECT_GE(first.evictions, 1u) << "seed " << seed;
 
-    // Same seed, same trace: across a rerun and across shard counts.
-    EXPECT_EQ(run_tenant_fuzz(seed, 1), serial) << "rerun, seed " << seed;
-    EXPECT_EQ(run_tenant_fuzz(seed, 4), serial)
-        << "shards=4, seed " << seed;
+    // Same seed, same trace.
+    EXPECT_EQ(run_tenant_fuzz(seed), first) << "rerun, seed " << seed;
   }
 }
 

@@ -16,7 +16,6 @@
 #include "ripple/common/error.hpp"
 #include "ripple/common/hash.hpp"
 #include "ripple/common/random.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/core/scheduler.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/core/wait_queue.hpp"
@@ -476,9 +475,9 @@ TEST(SchedulerDeterminism, DataAwareZeroFootprintParity) {
 
 /// Plain backfill, data-aware backfill and fair share as they were
 /// before the wait queue had buckets: every queued request is probed,
-/// with a linear first-fit over copies of the pilots' nodes. Batch
-/// operations buffer every touched pilot's grants and commit them in
-/// (enqueue time, sequence) order, as the scheduler's merge does.
+/// with a linear first-fit over copies of the pilots' nodes. Every
+/// operation runs one pass over one pilot and commits its grants in
+/// pass order.
 class ReferenceScheduler {
  public:
   struct Request {
@@ -516,29 +515,17 @@ class ReferenceScheduler {
     commit(pass(pilots_[pilot]));
   }
 
-  void submit_batch(std::vector<std::pair<std::size_t, Request>> requests,
-                    double now) {
-    std::vector<std::size_t> touched;
-    for (auto& [pilot, request] : requests) {
-      touch(touched, pilot);
+  void submit_all(std::size_t pilot, std::vector<Request> requests,
+                  double now) {
+    for (Request& request : requests) {
       enqueue(pilot, std::move(request), now);
     }
-    commit(merged_passes(touched));
+    commit(pass(pilots_[pilot]));
   }
 
   void release(std::size_t pilot, const platform::Slot& slot) {
     free(pilot, slot);
     commit(pass(pilots_[pilot]));
-  }
-
-  void release_batch(
-      const std::vector<std::pair<std::size_t, platform::Slot>>& slots) {
-    std::vector<std::size_t> touched;
-    for (const auto& [pilot, slot] : slots) {
-      touch(touched, pilot);
-      free(pilot, slot);
-    }
-    commit(merged_passes(touched));
   }
 
   [[nodiscard]] const std::vector<std::string>& order() const {
@@ -568,16 +555,8 @@ class ReferenceScheduler {
   struct Grant {
     Request request;
     std::string node;
-    double enqueued_at = 0.0;
-    std::uint64_t sequence = 0;
     double cost = 0.0;
   };
-
-  static void touch(std::vector<std::size_t>& touched, std::size_t pilot) {
-    if (std::find(touched.begin(), touched.end(), pilot) == touched.end()) {
-      touched.push_back(pilot);
-    }
-  }
 
   void enqueue(std::size_t pilot, Request request, double now) {
     const WaitQueue::Key key{request.priority, next_sequence_++};
@@ -591,22 +570,6 @@ class ReferenceScheduler {
       node.gpus += slot.gpus;
       node.mem_gb += slot.mem_gb;
     }
-  }
-
-  std::vector<Grant> merged_passes(const std::vector<std::size_t>& touched) {
-    std::vector<Grant> grants;
-    for (const std::size_t pilot : touched) {
-      for (Grant& grant : pass(pilots_[pilot])) {
-        grants.push_back(std::move(grant));
-      }
-    }
-    std::sort(grants.begin(), grants.end(), [](const Grant& a, const Grant& b) {
-      if (a.enqueued_at != b.enqueued_at) {
-        return a.enqueued_at < b.enqueued_at;
-      }
-      return a.sequence < b.sequence;
-    });
-    return grants;
   }
 
   static NodeState* first_fit(PilotState& pilot, const Request& request) {
@@ -634,7 +597,7 @@ class ReferenceScheduler {
     node->cores -= request.cores;
     node->gpus -= request.gpus;
     node->mem_gb -= request.mem_gb;
-    Grant grant{request, node->id, it->second.enqueued_at, key.sequence};
+    Grant grant{request, node->id};
     if (!weights_.empty() && !request.tenant.empty()) {
       // DRF: dominant resource fraction of the pilot over the weight.
       const auto cores = static_cast<double>(request.cores);
@@ -731,15 +694,12 @@ struct ParityRun {
 };
 
 /// Drives the scheduler and the reference through the same seeded mix
-/// of submit, submit_batch, release and release_batch on 4 pilots,
-/// asserting identical grants after every step.
-ParityRun run_parity(bool locality, bool fair, std::size_t shards,
-                     std::uint64_t seed) {
-  common::ShardExecutor executor(shards);
+/// of submit, submit_all, single releases and release waves on 4
+/// pilots, asserting identical grants after every step.
+ParityRun run_parity(bool locality, bool fair, std::uint64_t seed) {
   Session session{SessionConfig{.seed = seed}};
   session.add_platform(platform::delta_profile(8));  // 64c/4g/256GB
   auto& sched = session.scheduler();
-  if (shards > 1) sched.set_shard_executor(&executor);
   ReferenceScheduler reference;
   std::vector<Pilot*> pilots;
   for (int p = 0; p < 4; ++p) {
@@ -828,33 +788,29 @@ ParityRun run_parity(bool locality, bool fair, std::size_t shards,
       sched.submit(pilots[pilot]->uid(), std::move(request));
       reference.submit(pilot, std::move(spec), session.now());
     } else if (op == 2) {
-      std::vector<Scheduler::PilotBatch> batches;
-      std::vector<std::pair<std::size_t, ReferenceScheduler::Request>> specs;
+      const auto pilot = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      std::vector<ScheduleRequest> requests;
+      std::vector<ReferenceScheduler::Request> specs;
       const std::int64_t count = rng.uniform_int(2, 6);
       for (std::int64_t i = 0; i < count; ++i) {
-        const auto pilot = static_cast<std::size_t>(rng.uniform_int(0, 3));
         auto [request, spec] = make(pilot);
-        batches.push_back({pilots[pilot]->uid(), {}});
-        batches.back().requests.push_back(std::move(request));
-        specs.emplace_back(pilot, std::move(spec));
+        requests.push_back(std::move(request));
+        specs.push_back(std::move(spec));
       }
-      sched.submit_batch(std::move(batches));
-      reference.submit_batch(std::move(specs), session.now());
+      sched.submit_all(pilots[pilot]->uid(), std::move(requests));
+      reference.submit_all(pilot, std::move(specs), session.now());
     } else if (op == 3 && !held.empty()) {
       const auto [pilot, slot] = pick_held();
       sched.release(pilots[pilot]->uid(), slot);
       reference.release(pilot, slot);
     } else if (op == 4 && !held.empty()) {
-      std::vector<std::pair<std::string, platform::Slot>> slots;
-      std::vector<std::pair<std::size_t, platform::Slot>> reference_slots;
+      // A wave of releases before the loop runs the granted callbacks.
       const std::int64_t count = rng.uniform_int(1, 4);
       for (std::int64_t i = 0; i < count && !held.empty(); ++i) {
         const auto [pilot, slot] = pick_held();
-        slots.emplace_back(pilots[pilot]->uid(), slot);
-        reference_slots.emplace_back(pilot, slot);
+        sched.release(pilots[pilot]->uid(), slot);
+        reference.release(pilot, slot);
       }
-      sched.release_batch(slots);
-      reference.release_batch(reference_slots);
     } else {
       ++epoch;
       session.run_until(session.now() + 1.0);
@@ -877,21 +833,18 @@ ParityRun run_parity(bool locality, bool fair, std::size_t shards,
   return run;
 }
 
-TEST(CompositePassParity, MatchesPerRequestPassesAcrossPoliciesAndShards) {
+TEST(CompositePassParity, MatchesPerRequestPassesAcrossPolicies) {
   for (const std::uint64_t seed : {5ull, 91ull}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) + " shards " +
-                   std::to_string(shards));
-      const ParityRun plain = run_parity(false, false, shards, seed);
-      EXPECT_GT(plain.order.size(), 200u);
-      // Declared inputs under the oracle, which no benchmark workload
-      // runs: residency must reorder some grants.
-      const ParityRun aware = run_parity(true, false, shards, seed);
-      EXPECT_NE(aware.order, plain.order);
-      // Fair share with the oracle installed too: it ignores residency.
-      const ParityRun fair = run_parity(true, true, shards, seed);
-      EXPECT_NE(fair.order, plain.order);
-    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ParityRun plain = run_parity(false, false, seed);
+    EXPECT_GT(plain.order.size(), 200u);
+    // Declared inputs under the oracle, which no benchmark workload
+    // runs: residency must reorder some grants.
+    const ParityRun aware = run_parity(true, false, seed);
+    EXPECT_NE(aware.order, plain.order);
+    // Fair share with the oracle installed too: it ignores residency.
+    const ParityRun fair = run_parity(true, true, seed);
+    EXPECT_NE(fair.order, plain.order);
   }
 }
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/shard_executor.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/data/catalog.hpp"
 #include "ripple/data/transfer_engine.hpp"
@@ -133,13 +132,11 @@ struct TieRun {
   std::uint64_t hash = 0;
 };
 
-TieRun run_tie_break(std::size_t shards) {
-  common::ShardExecutor exec(shards);
+TieRun run_tie_break() {
   Session session{SessionConfig{.seed = 21}};
   session.add_platform(platform::delta_profile(1));
   Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 1});
   auto& sched = session.scheduler();
-  if (shards > 1) sched.set_shard_executor(&exec);
 
   TieRun out;
   std::vector<platform::Slot> filler_slots;
@@ -167,17 +164,13 @@ TieRun run_tie_break(std::size_t shards) {
   return out;
 }
 
-TEST(TenantsTest, CrossTenantTieBreak) {
-  const TieRun serial = run_tie_break(1);
-  EXPECT_EQ(serial.order, (std::vector<std::string>{"r0", "r1", "r2", "r3",
-                                                    "r4", "r5"}));
-  for (const std::size_t shards : {4}) {
-    const TieRun sharded = run_tie_break(shards);
-    EXPECT_EQ(sharded.order, serial.order) << "shards=" << shards;
-    EXPECT_EQ(sharded.hash, serial.hash) << "shards=" << shards;
-  }
-  const TieRun rerun = run_tie_break(1);
-  EXPECT_EQ(rerun.hash, serial.hash);
+TEST(TenantsTest, CrossTenantTieBreakFollowsSubmissionOrder) {
+  const TieRun first = run_tie_break();
+  EXPECT_EQ(first.order, (std::vector<std::string>{"r0", "r1", "r2", "r3",
+                                                   "r4", "r5"}));
+  const TieRun rerun = run_tie_break();
+  EXPECT_EQ(rerun.order, first.order);
+  EXPECT_EQ(rerun.hash, first.hash);
 }
 
 // ---------------------------------------------------------------------------
