@@ -63,7 +63,7 @@ RunResult run_case(std::size_t tasks, double rate, std::size_t max_restarts,
   core::Pilot& pilot =
       session.submit_pilot({.platform = "delta", .nodes = kNodes});
   session.tasks().set_restart_policy(
-      {.max_restarts = max_restarts, .backoff = 0.5});
+      {.max_restarts = static_cast<int>(max_restarts), .backoff = 0.5});
 
   if (rate > 0.0) {
     sim::FailureInjector::Schedule crashes;

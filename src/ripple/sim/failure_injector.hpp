@@ -122,7 +122,7 @@ class FailureInjector {
     Schedule schedule;
     std::vector<std::string> targets;
     std::set<std::size_t> up;  ///< indices currently healthy
-    common::Rng rng;
+    common::Rng rng{};
     std::size_t fired = 0;
     EventLoop::TimerHandle next{};
   };
