@@ -206,15 +206,7 @@ bool DataManager::reclaim_one_prefetch(const std::string& zone) {
   for (auto it = flights_.begin(); it != flights_.end(); ++it) {
     if (it->first.second != zone) continue;
     if (!it->second.prefetch || !it->second.waiters.empty()) continue;
-    engine_.cancel(it->second.transfer_id);
-    for (const auto& src : it->second.src_zones) {
-      catalog_.unpin(it->first.first, src, it->second.tenant);
-    }
-    catalog_.release_reservation(zone, it->second.reserved_bytes,
-                                 it->second.tenant);
-    prefetch_inflight_[zone] -= it->second.reserved_bytes;
-    if (prefetch_inflight_[zone] < 0.0) prefetch_inflight_[zone] = 0.0;
-    flights_.erase(it);
+    drop_flight(it);
     return true;
   }
   return false;
@@ -227,16 +219,27 @@ bool DataManager::abandon_prefetch(const std::string& name,
   // Only speculation is revocable. A demand flight, or a prefetch a
   // demand stage piggybacked on, has callers counting on its callback.
   if (!it->second.prefetch || !it->second.waiters.empty()) return false;
-  engine_.cancel(it->second.transfer_id);
-  for (const auto& src : it->second.src_zones) {
-    catalog_.unpin(name, src, it->second.tenant);
-  }
-  catalog_.release_reservation(zone, it->second.reserved_bytes,
-                               it->second.tenant);
-  prefetch_inflight_[zone] -= it->second.reserved_bytes;
-  if (prefetch_inflight_[zone] < 0.0) prefetch_inflight_[zone] = 0.0;
-  flights_.erase(it);
+  drop_flight(it);
   return true;
+}
+
+void DataManager::release_flight(const FlightKey& key, const Flight& flight) {
+  for (const auto& src : flight.src_zones) {
+    catalog_.unpin(key.first, src, flight.tenant);
+  }
+  if (flight.prefetch) {
+    double& inflight = prefetch_inflight_[key.second];
+    inflight -= flight.reserved_bytes;
+    if (inflight < 0.0) inflight = 0.0;
+  }
+}
+
+void DataManager::drop_flight(Flights::iterator it) {
+  engine_.cancel(it->second.transfer_id);
+  release_flight(it->first, it->second);
+  catalog_.release_reservation(it->first.second, it->second.reserved_bytes,
+                               it->second.tenant);
+  flights_.erase(it);
 }
 
 void DataManager::on_flight_done(const FlightKey& key, bool ok,
@@ -246,16 +249,8 @@ void DataManager::on_flight_done(const FlightKey& key, bool ok,
   auto waiters = std::move(it->second.waiters);
   const double reserved = it->second.reserved_bytes;
   const std::string tenant = it->second.tenant;
-  for (const auto& src : it->second.src_zones) {
-    catalog_.unpin(key.first, src, tenant);
-  }
-  if (it->second.prefetch) {
-    prefetch_inflight_[key.second] -= reserved;
-    if (prefetch_inflight_[key.second] < 0.0) {
-      prefetch_inflight_[key.second] = 0.0;
-    }
-    if (ok) ++prefetches_completed_;
-  }
+  release_flight(key, it->second);
+  if (ok && it->second.prefetch) ++prefetches_completed_;
   flights_.erase(it);
   if (ok) {
     catalog_.commit_replica(key.first, key.second, tenant);
@@ -281,17 +276,9 @@ bool DataManager::cancel_stage(StageTicket ticket) {
                                  return waiter.first == ticket;
                                }),
                 waiters.end());
-  if (waiters.empty() && !it->second.prefetch) {
-    // Last waiter gone: the transfer itself is no longer wanted. (A
-    // prefetch flight keeps running waiterless — that is its job.)
-    engine_.cancel(it->second.transfer_id);
-    for (const auto& src : it->second.src_zones) {
-      catalog_.unpin(key.first, src, it->second.tenant);
-    }
-    catalog_.release_reservation(key.second, it->second.reserved_bytes,
-                                 it->second.tenant);
-    flights_.erase(it);
-  }
+  // Last waiter gone: the transfer itself is no longer wanted. (A
+  // prefetch flight keeps running waiterless — that is its job.)
+  if (waiters.empty() && !it->second.prefetch) drop_flight(it);
   return true;
 }
 
@@ -418,17 +405,7 @@ std::size_t DataManager::handle_store_failure(const std::string& zone) {
     const auto it = flights_.find(key);
     if (it == flights_.end()) continue;
     auto waiters = std::move(it->second.waiters);
-    engine_.cancel(it->second.transfer_id);
-    for (const auto& src : it->second.src_zones) {
-      catalog_.unpin(key.first, src, it->second.tenant);
-    }
-    catalog_.release_reservation(zone, it->second.reserved_bytes,
-                                 it->second.tenant);
-    if (it->second.prefetch) {
-      prefetch_inflight_[zone] -= it->second.reserved_bytes;
-      if (prefetch_inflight_[zone] < 0.0) prefetch_inflight_[zone] = 0.0;
-    }
-    flights_.erase(it);
+    drop_flight(it);
     for (auto& [ticket, callback] : waiters) {
       ticket_index_.erase(ticket);
       runtime_.loop().post(

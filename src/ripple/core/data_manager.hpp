@@ -260,12 +260,24 @@ class DataManager {
                         std::vector<std::string> sources, double bytes,
                         bool prefetch, const std::string& tenant);
 
+  using Flights = std::map<FlightKey, Flight>;
+
   /// Cancels one waiterless prefetch flight into `zone`, returning its
   /// reservation to the store (demand staging outranks speculation).
   /// False when none is left to reclaim.
   bool reclaim_one_prefetch(const std::string& zone);
 
   void on_flight_done(const FlightKey& key, bool ok, sim::Duration elapsed);
+
+  /// The half of a flight's teardown every ending shares: unpins the
+  /// source replicas and returns a prefetch's bytes to its zone's
+  /// budget (clamped at 0).
+  void release_flight(const FlightKey& key, const Flight& flight);
+
+  /// Abandons a flight before its transfer lands: cancels the transfer,
+  /// releases the flight, returns its store reservation and erases it.
+  /// The waiters, if any, are the caller's to settle.
+  void drop_flight(Flights::iterator it);
 
   /// Healthiest declared store for a repair replica of `name`: most
   /// free bytes among stores not already holding it, first-sorted zone
@@ -277,7 +289,7 @@ class DataManager {
   Runtime& runtime_;
   data::ReplicaCatalog catalog_;
   data::TransferEngine engine_;
-  std::map<FlightKey, Flight> flights_;
+  Flights flights_;
   std::map<StageTicket, FlightKey> ticket_index_;
   std::map<std::string, double> prefetch_inflight_;  ///< zone -> bytes
   double prefetch_budget_ = 32e9;
