@@ -275,7 +275,9 @@ std::size_t Scheduler::backfill(PilotEntry& entry) {
     double share = 0.0;
     bool non_resident = false;
   };
+  // The pass runs on every submit: size its buffers once per pass.
   std::vector<Run> runs;
+  runs.reserve(entry.waiting.buckets().size());
   std::vector<WaitQueue::iterator> split;
   std::vector<WaitQueue::iterator> cold;
   for (const auto& [shape, members] : entry.waiting.buckets()) {
@@ -320,10 +322,13 @@ std::size_t Scheduler::backfill(PilotEntry& entry) {
     if (ra.non_resident != rb.non_resident) return ra.non_resident;
     return x.sequence > y.sequence;
   };
-  std::priority_queue<Head, std::vector<Head>, decltype(later)> heads(later);
+  std::vector<Head> initial;
+  initial.reserve(runs.size());
   for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (runs[r].next < runs[r].end) heads.push({head_of(runs[r]), r});
+    if (runs[r].next < runs[r].end) initial.push_back({head_of(runs[r]), r});
   }
+  std::priority_queue<Head, std::vector<Head>, decltype(later)> heads(
+      later, std::move(initial));
 
   std::size_t grants = 0;
   while (!heads.empty()) {
