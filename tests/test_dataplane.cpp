@@ -1,7 +1,8 @@
 // Data-plane tests: replica catalog (finite stores, LRU eviction,
 // pinning, lineage), fair-share transfer engine (shared links,
-// concurrency caps, retries, full replans), the DataManager facade (stage_all batch
-// cancellation), locality-aware placement, and workflow dataset wiring.
+// concurrency caps, retries, full replans), the DataManager facade
+// (stage_all batch cancellation), locality-aware placement, and
+// workflow dataset wiring.
 
 #include <gtest/gtest.h>
 
