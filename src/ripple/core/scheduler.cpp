@@ -14,10 +14,6 @@ Scheduler::Scheduler(Runtime& runtime, SchedulerPolicy policy)
       policy_(policy),
       log_(runtime.make_logger("scheduler")) {}
 
-void Scheduler::set_policy(SchedulerPolicy policy) noexcept {
-  policy_ = policy;
-}
-
 void Scheduler::add_pilot(Pilot& pilot) {
   ensure(pilots_.count(pilot.uid()) == 0, Errc::invalid_state, "pilot ",
          pilot.uid(), " already registered");

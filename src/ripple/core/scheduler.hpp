@@ -83,7 +83,7 @@ class Scheduler {
   explicit Scheduler(Runtime& runtime,
                      SchedulerPolicy policy = SchedulerPolicy::backfill);
 
-  void set_policy(SchedulerPolicy policy) noexcept;
+  void set_policy(SchedulerPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] SchedulerPolicy policy() const noexcept { return policy_; }
 
   /// Live residency lookup: bytes of `datasets` that still have to move
