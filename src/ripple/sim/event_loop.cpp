@@ -7,16 +7,42 @@
 
 namespace ripple::sim {
 
+EventLoop::Key EventLoop::occupy(SimTime when, Callback&& callback) {
+  std::uint32_t index = 0;
+  if (free_slots_.empty()) {
+    ensure(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+           Errc::capacity, "EventLoop: too many pending events");
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[index].callback = std::move(callback);
+  return Key{when, next_sequence_++, index};
+}
+
+EventLoop::Callback EventLoop::vacate(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  Callback callback = std::move(slot.callback);
+  slot.cancelled = false;
+  if (++slot.generation != 0) free_slots_.push_back(index);
+  return callback;
+}
+
+EventLoop::TimerHandle EventLoop::handle(std::uint32_t index) const noexcept {
+  return TimerHandle{std::uint64_t{slots_[index].generation} << 32 | index};
+}
+
 EventLoop::TimerHandle EventLoop::call_at(SimTime when, Callback callback) {
   ensure(static_cast<bool>(callback), Errc::invalid_argument,
          "call_at: empty callback");
   ensure(when >= now_, Errc::invalid_argument, "call_at: time ", when,
          " is in the past (now=", now_, ")");
-  const std::uint64_t id = next_id_++;
-  heap_.push(Event{when, next_sequence_++, id, std::move(callback)});
-  live_.insert(id);
+  const Key key = occupy(when, std::move(callback));
+  heap_.push(key);
   peak_pending_ = std::max(peak_pending_, pending());
-  return TimerHandle{id};
+  return handle(key.slot);
 }
 
 EventLoop::TimerHandle EventLoop::call_after(Duration delay,
@@ -32,11 +58,10 @@ EventLoop::TimerHandle EventLoop::post(Callback callback) {
   // Same-time events always run before any strictly later event, and the
   // now-queue is FIFO by construction, so an O(1) deque push preserves
   // the exact (time, sequence) order the heap would have produced.
-  const std::uint64_t id = next_id_++;
-  now_queue_.push_back(Event{now_, next_sequence_++, id, std::move(callback)});
-  live_.insert(id);
+  const Key key = occupy(now_, std::move(callback));
+  now_queue_.push_back(key);
   peak_pending_ = std::max(peak_pending_, pending());
-  return TimerHandle{id};
+  return handle(key.slot);
 }
 
 void EventLoop::post_external(Callback callback) {
@@ -57,7 +82,7 @@ void EventLoop::drain_external() {
     drained.swap(external_);
     has_external_.store(false, std::memory_order_relaxed);
   }
-  // Ids and sequences are assigned on the loop thread, in drain order,
+  // Slots and sequences are assigned on the loop thread, in drain order,
   // so once an external callback is in, it behaves exactly like a
   // post()ed event.
   for (Callback& callback : drained) {
@@ -66,23 +91,31 @@ void EventLoop::drain_external() {
 }
 
 bool EventLoop::cancel(TimerHandle handle) {
-  if (!handle.valid()) return false;
-  // Events stay queued; execution skips cancelled ids. Only ids still
-  // queued may enter `cancelled_` — an id of an event that already ran
-  // would never be popped and would leak.
-  if (live_.count(handle.id) == 0) return false;
-  return cancelled_.insert(handle.id).second;
+  const std::uint64_t index = handle.id & 0xffffffffu;
+  const auto generation = static_cast<std::uint32_t>(handle.id >> 32);
+  // Generation 0 is never issued (it covers the invalid handle). A slot
+  // whose generation moved on holds a later event, or none.
+  if (generation == 0 || index >= slots_.size()) return false;
+  Slot& slot = slots_[index];
+  if (slot.generation != generation || slot.cancelled) return false;
+  // The key stays queued; skim_cancelled() drops it when it surfaces.
+  slot.cancelled = true;
+  ++cancelled_;
+  return true;
 }
 
 void EventLoop::skim_cancelled() {
-  while (!now_queue_.empty() &&
-         cancelled_.erase(now_queue_.front().id) > 0) {
-    live_.erase(now_queue_.front().id);
+  while (!now_queue_.empty() && slots_[now_queue_.front().slot].cancelled) {
+    const std::uint32_t index = now_queue_.front().slot;
     now_queue_.pop_front();
+    --cancelled_;
+    vacate(index);
   }
-  while (!heap_.empty() && cancelled_.erase(heap_.top().id) > 0) {
-    live_.erase(heap_.top().id);
+  while (!heap_.empty() && slots_[heap_.top().slot].cancelled) {
+    const std::uint32_t index = heap_.top().slot;
     heap_.pop();
+    --cancelled_;
+    vacate(index);
   }
 }
 
@@ -94,34 +127,22 @@ bool EventLoop::step(SimTime deadline) {
   const bool have_now = !now_queue_.empty();
   const bool have_heap = !heap_.empty();
   if (!have_now && !have_heap) return false;
-  bool from_now = have_now;
-  if (have_now && have_heap) {
-    const Event& n = now_queue_.front();
-    const Event& h = heap_.top();
-    from_now =
-        n.time < h.time || (n.time == h.time && n.sequence < h.sequence);
-  }
-
+  const bool from_now =
+      have_now && (!have_heap || Later{}(heap_.top(), now_queue_.front()));
+  const Key key = from_now ? now_queue_.front() : heap_.top();
+  if (key.time > deadline) return false;
   if (from_now) {
-    if (now_queue_.front().time > deadline) return false;
-    // Move the event out before popping so re-entrant posting from
-    // inside the callback sees a consistent queue.
-    Event event = std::move(now_queue_.front());
     now_queue_.pop_front();
-    live_.erase(event.id);
-    now_ = event.time;
-    ++processed_;
-    event.callback();
-    return true;
+  } else {
+    heap_.pop();
   }
-
-  if (heap_.top().time > deadline) return false;
-  Event event = std::move(const_cast<Event&>(heap_.top()));
-  heap_.pop();
-  live_.erase(event.id);
-  now_ = event.time;
+  // Take the callback out and free the slot before running it: the
+  // callback may schedule (growing the slab) or cancel its own handle,
+  // which must find the event already gone.
+  Callback callback = vacate(key.slot);
+  now_ = key.time;
   ++processed_;
-  event.callback();
+  callback();
   return true;
 }
 

@@ -8,6 +8,21 @@
 /// equal times fire in posting order (a monotonically increasing sequence
 /// number breaks ties), which makes every simulation bit-reproducible.
 ///
+/// Storage is flat, so each event's bookkeeping is constant-time work on
+/// contiguous memory:
+///
+/// - Callbacks live in a slab of reusable slots with a free list; a slot
+///   holds its callback from scheduling until its key pops.
+/// - The heap and the now-queue order trivially copyable 24-byte
+///   (time, sequence, slot) keys, so a heap sift moves keys, never
+///   callbacks.
+/// - A TimerHandle packs the slot index with the slot's generation,
+///   which advances every time the slot is freed. cancel() is an index
+///   and a compare: a stale handle (its event ran, or was cancelled and
+///   popped) no longer matches and cannot touch the slot's next
+///   occupant. A cancelled event stays queued as a tombstone flag in its
+///   slot; its callback is destroyed when its key pops.
+///
 /// post() — scheduling at the current time — bypasses the heap through a
 /// FIFO now-queue: O(1) instead of O(log pending), which matters because
 /// grant callbacks, pub/sub deliveries and reply dispatches are all
@@ -21,7 +36,7 @@
 #include <deque>
 #include <mutex>
 #include <queue>
-#include <unordered_set>
+#include <type_traits>
 #include <vector>
 
 #include "ripple/sim/callback.hpp"
@@ -40,7 +55,9 @@ class EventLoop {
   /// per-event heap allocation (see callback.hpp).
   using Callback = UniqueCallback;
 
-  /// Identifies a scheduled event so it can be cancelled.
+  /// Identifies a scheduled event so it can be cancelled: the slot
+  /// index in the low 32 bits, the slot's generation (never 0) in the
+  /// high 32 bits. A default-constructed handle is invalid.
   struct TimerHandle {
     std::uint64_t id = 0;
     [[nodiscard]] bool valid() const noexcept { return id != 0; }
@@ -70,8 +87,8 @@ class EventLoop {
   /// for real-thread payload integration only. Not cancellable.
   void post_external(Callback callback);
 
-  /// Cancels a pending event. Returns false if it already ran or was
-  /// already cancelled.
+  /// Cancels a pending event. Returns false if it already ran (or is
+  /// running) or was already cancelled.
   bool cancel(TimerHandle handle);
 
   /// Runs until the queue is empty. Returns events processed.
@@ -97,7 +114,7 @@ class EventLoop {
   }
 
   [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + now_queue_.size() - cancelled_.size();
+    return heap_.size() + now_queue_.size() - cancelled_;
   }
 
   /// High-water mark of pending() over the run — the event-loop depth
@@ -106,26 +123,44 @@ class EventLoop {
     return peak_pending_;
   }
 
-  /// Cancelled events still occupying the heap (they drop out when
-  /// popped). Bounded by pending cancellations; exposed for tests.
+  /// Cancelled events still queued (they drop out when popped).
+  /// Bounded by pending cancellations; exposed for tests.
   [[nodiscard]] std::size_t cancelled_backlog() const noexcept {
-    return cancelled_.size();
+    return cancelled_;
   }
 
  private:
-  struct Event {
+  /// What the heap and the now-queue order.
+  struct Key {
     SimTime time;
     std::uint64_t sequence;
-    std::uint64_t id;
-    Callback callback;
+    std::uint32_t slot;
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
       return a.sequence > b.sequence;
     }
   };
+
+  struct Slot {
+    Callback callback;
+    /// Advances when the slot is freed; 0 retires the slot for good, so
+    /// a handle's (index, generation) pair is never issued twice.
+    std::uint32_t generation = 1;
+    bool cancelled = false;
+  };
+
+  /// Stores `callback` in a free slot and returns its key.
+  Key occupy(SimTime when, Callback&& callback);
+
+  /// Hands the slot's callback over and frees the slot.
+  Callback vacate(std::uint32_t index);
+
+  /// The handle of the slot's current occupant.
+  [[nodiscard]] TimerHandle handle(std::uint32_t index) const noexcept;
 
   /// Pops and runs the next live event; returns false when exhausted or
   /// when the next event lies beyond `deadline`.
@@ -138,15 +173,14 @@ class EventLoop {
   /// Drops cancelled events sitting at the front of either queue.
   void skim_cancelled();
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
   /// Same-time events from post(): FIFO, so already in (time, sequence)
   /// order — now-queue entries never precede the heap's current time.
-  std::deque<Event> now_queue_;
-  /// Ids of events still queued (heap or now-queue). Keeps cancel() from
-  /// recording ids of already-fired events in `cancelled_`, which would
-  /// otherwise accumulate forever in long-running simulations.
-  std::unordered_set<std::uint64_t> live_;
-  std::unordered_set<std::uint64_t> cancelled_;
+  std::deque<Key> now_queue_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Cancelled events whose keys are still queued.
+  std::size_t cancelled_ = 0;
   /// Cross-thread hand-off inbox (post_external). The flag makes the
   /// common no-external case a single relaxed load per step.
   std::mutex external_mutex_;
@@ -154,7 +188,6 @@ class EventLoop {
   std::atomic<bool> has_external_{false};
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t peak_pending_ = 0;
   bool stopped_ = false;
