@@ -6,6 +6,11 @@
 /// UIDs are strings so that logs, metrics and JSON payloads stay readable.
 /// A process-wide generator hands out monotonically increasing counters per
 /// prefix; tests can reset it for reproducible fixtures.
+///
+/// Minting sits on the per-message path: every RPC mints a request and a
+/// reply uid. So next() builds "prefix.NNNNNN" in one reserved string and
+/// renders the counter with std::to_chars (strutil::zero_pad), never
+/// through a stream; the bytes are those the stream rendering produced.
 
 #include <cstdint>
 #include <mutex>

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
+#include <iterator>
+#include <limits>
 
 namespace ripple::strutil {
 
@@ -98,9 +101,13 @@ std::string format_fixed(double value, int precision) {
 }
 
 std::string zero_pad(std::uint64_t value, int width) {
-  std::ostringstream os;
-  os << std::setw(width) << std::setfill('0') << value;
-  return os.str();
+  char digits[std::numeric_limits<std::uint64_t>::digits10 + 1];
+  const char* end =
+      std::to_chars(std::begin(digits), std::end(digits), value).ptr;
+  const auto length = static_cast<int>(end - digits);
+  std::string out(static_cast<std::size_t>(std::max(width - length, 0)), '0');
+  out.append(digits, static_cast<std::size_t>(length));
+  return out;
 }
 
 }  // namespace ripple::strutil

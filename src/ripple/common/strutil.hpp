@@ -3,6 +3,7 @@
 /// \file strutil.hpp
 /// Small string helpers shared across Ripple (no external dependencies).
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -50,7 +51,8 @@ template <typename... Args>
 /// Fixed-precision decimal formatting (std::to_string has fixed 6 digits).
 [[nodiscard]] std::string format_fixed(double value, int precision);
 
-/// Zero-padded decimal rendering of `value` at `width` digits.
+/// Zero-padded decimal rendering of `value` at `width` digits; a wider
+/// value keeps all its digits.
 [[nodiscard]] std::string zero_pad(std::uint64_t value, int width);
 
 }  // namespace ripple::strutil

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <limits>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "ripple/common/config.hpp"
 #include "ripple/common/error.hpp"
@@ -60,6 +65,30 @@ TEST(Strutil, Padding) {
   EXPECT_EQ(strutil::pad_right("ab", 5), "ab   ");
   EXPECT_EQ(strutil::pad_left("abcdef", 3), "abcdef");
   EXPECT_EQ(strutil::zero_pad(42, 6), "000042");
+}
+
+/// zero_pad's stream rendering, which it reproduces byte for byte.
+std::string streamed_zero_pad(std::uint64_t value, int width) {
+  std::ostringstream os;
+  os << std::setw(width) << std::setfill('0') << value;
+  return os.str();
+}
+
+TEST(Strutil, ZeroPadMatchesTheStreamRendering) {
+  // Every digit count from 1 to 20, at and around each power of ten.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::uint64_t> values{0, kMax};
+  for (std::uint64_t power = 1;; power *= 10) {
+    values.insert(values.end(), {power - 1, power, power + 1});
+    if (power > kMax / 10) break;
+  }
+  for (const int width : {4, 6}) {
+    for (const std::uint64_t value : values) {
+      EXPECT_EQ(strutil::zero_pad(value, width),
+                streamed_zero_pad(value, width))
+          << value << " at width " << width;
+    }
+  }
 }
 
 TEST(Strutil, FormatDurationAdaptiveUnits) {
@@ -127,6 +156,21 @@ TEST(ErrorHandling, EnsureFormatsPartsOnlyWhenTheCheckFails) {
 // ---------------------------------------------------------------------------
 // ids
 // ---------------------------------------------------------------------------
+
+TEST(Ids, NextMatchesTheStreamRenderingPastThePad) {
+  common::IdGenerator gen;
+  for (std::uint64_t n = 0; n < 1'000'000; ++n) {
+    const std::string uid = gen.next("msg");
+    if (n % 1000 == 0 || n >= 999'990) {
+      ASSERT_EQ(uid, "msg." + streamed_zero_pad(n, 6));
+    }
+  }
+  EXPECT_EQ(gen.next("msg"), "msg.1000000");
+  EXPECT_EQ(gen.count("msg"), 1'000'001u);
+  // A prefix too long for the small-string buffer.
+  EXPECT_EQ(gen.next("pipeline.stage.replica"),
+            "pipeline.stage.replica.000000");
+}
 
 TEST(Ids, MonotonicPerPrefix) {
   common::IdGenerator gen;
