@@ -4,9 +4,9 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <iomanip>
 #include <iterator>
 #include <limits>
+#include <system_error>
 
 namespace ripple::strutil {
 
@@ -95,9 +95,19 @@ std::string format_bytes(double bytes) {
 }
 
 std::string format_fixed(double value, int precision) {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision) << value;
-  return os.str();
+  char buffer[64];
+  const auto fitted = std::to_chars(std::begin(buffer), std::end(buffer), value,
+                                    std::chars_format::fixed, precision);
+  if (fitted.ec == std::errc{}) return std::string(buffer, fitted.ptr);
+  // Only huge magnitudes get here. DBL_MAX has 309 integer digits; add
+  // the sign, the point and the fraction (a negative precision means 6).
+  std::string out(std::numeric_limits<double>::max_exponent10 + 3 +
+                      static_cast<std::size_t>(std::max(precision, 6)),
+                  '\0');
+  const auto wide = std::to_chars(out.data(), out.data() + out.size(), value,
+                                  std::chars_format::fixed, precision);
+  out.resize(static_cast<std::size_t>(wide.ptr - out.data()));
+  return out;
 }
 
 std::string zero_pad(std::uint64_t value, int width) {

@@ -48,7 +48,9 @@ template <typename... Args>
 /// Formats a byte count with binary units (B/KiB/MiB/GiB/TiB).
 [[nodiscard]] std::string format_bytes(double bytes);
 
-/// Fixed-precision decimal formatting (std::to_string has fixed 6 digits).
+/// Fixed-precision decimal formatting (std::to_string has fixed 6 digits),
+/// byte-identical to streaming the value with std::fixed and
+/// std::setprecision, but without a stream.
 [[nodiscard]] std::string format_fixed(double value, int precision);
 
 /// Zero-padded decimal rendering of `value` at `width` digits; a wider

@@ -91,6 +91,55 @@ TEST(Strutil, ZeroPadMatchesTheStreamRendering) {
   }
 }
 
+/// format_fixed's stream rendering, which it reproduces byte for byte.
+std::string streamed_fixed(double value, int precision) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(precision) << value;
+  return os.str();
+}
+
+TEST(Strutil, FormatFixedMatchesTheStreamRendering) {
+  using limits = std::numeric_limits<double>;
+  const double specials[] = {0.0,           -0.0,
+                             0.5,           1.5,
+                             2.5,           -2.5,
+                             0.125,         0.375,
+                             1e-7,          -1e-7,
+                             0.05,          2.675,
+                             123456789.875, 1e15,
+                             1e22,          1e300,
+                             limits::max(), -limits::max(),
+                             limits::min(), limits::denorm_min(),
+                             limits::infinity(), -limits::infinity(),
+                             limits::quiet_NaN(), -limits::quiet_NaN()};
+  for (int precision = 0; precision <= 6; ++precision) {
+    for (const double value : specials) {
+      EXPECT_EQ(strutil::format_fixed(value, precision),
+                streamed_fixed(value, precision))
+          << value << " at precision " << precision;
+    }
+  }
+  // Seeded sweep: random magnitudes and signs, and exact binary
+  // fractions k / 2^e, whose decimal expansions end in 5 and so land on
+  // rounding ties at some precision.
+  Rng rng(29);
+  for (int i = 0; i < 5000; ++i) {
+    const double scale = std::pow(10.0, rng.uniform_int(-8, 12));
+    const double random = rng.uniform(-1.0, 1.0) * scale;
+    const double tie =
+        static_cast<double>(rng.uniform_int(-100000, 100000)) /
+        std::ldexp(1.0, static_cast<int>(rng.uniform_int(1, 12)));
+    for (int precision = 0; precision <= 6; ++precision) {
+      ASSERT_EQ(strutil::format_fixed(random, precision),
+                streamed_fixed(random, precision))
+          << random << " at precision " << precision;
+      ASSERT_EQ(strutil::format_fixed(tie, precision),
+                streamed_fixed(tie, precision))
+          << tie << " at precision " << precision;
+    }
+  }
+}
+
 TEST(Strutil, FormatDurationAdaptiveUnits) {
   EXPECT_EQ(strutil::format_duration(2.5e-9), "2.5 ns");
   EXPECT_EQ(strutil::format_duration(63e-6), "63.0 us");
