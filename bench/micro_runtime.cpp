@@ -1,10 +1,11 @@
 // Micro-benchmarks of the runtime substrate (google-benchmark).
 //
 // These quantify the infrastructure costs underneath the paper's
-// metrics: event-loop throughput, JSON round-trips (the RPC payload
-// format), router/RPC hops, entity state transitions, scheduler
-// grant/release cycles and slot pool churn. They back the claim that architectural overheads are
-// "minimal" relative to the modeled network and model costs.
+// metrics: event-loop throughput and timeout churn, uid minting, JSON
+// round-trips (the RPC payload format), router/RPC hops, entity state
+// transitions, scheduler grant/release cycles and slot pool churn. They
+// back the claim that architectural overheads are "minimal" relative to
+// the modeled network and model costs.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "ripple/common/ids.hpp"
 #include "ripple/common/json.hpp"
 #include "ripple/common/thread_pool.hpp"
 #include "ripple/common/random.hpp"
@@ -44,6 +46,44 @@ void BM_EventLoopPostRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopPostRun);
+
+// Serving's per-request event pattern, as msg::RpcClient::call drives
+// it: arm a timeout with call_after, get the reply after a network delay,
+// and cancel the timeout when the reply is dispatched (post). 64
+// closed-loop clients send 4096 requests per iteration; the timeout is
+// 50 reply delays long, so cancelled timeouts sit in the heap among live
+// events and drop out as they surface.
+void BM_EventLoopTimeoutChurn(benchmark::State& state) {
+  constexpr int kClients = 64;
+  constexpr int kRequests = 4096;
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    int remaining = kRequests;
+    std::function<void()> send = [&] {
+      if (remaining == 0) return;
+      --remaining;
+      const auto timeout = loop.call_after(0.05, [] {});
+      loop.call_after(1e-3, [&, timeout] {
+        loop.post([&, timeout] {
+          loop.cancel(timeout);
+          send();
+        });
+      });
+    };
+    for (int i = 0; i < kClients; ++i) send();
+    benchmark::DoNotOptimize(loop.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_EventLoopTimeoutChurn);
+
+// One message uid, as msg::Message::request and reply_to mint them.
+void BM_MakeUid(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(common::make_uid("msg"));
+  }
+}
+BENCHMARK(BM_MakeUid);
 
 // The event-loop Callback is a small-buffer-optimized move-only type
 // (sim::UniqueCallback): captures up to 64 bytes live inline in the
