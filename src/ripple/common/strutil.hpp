@@ -3,21 +3,61 @@
 /// \file strutil.hpp
 /// Small string helpers shared across Ripple (no external dependencies).
 
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ripple::strutil {
 
-/// Concatenates all arguments through an ostringstream. The building block
-/// for log and error messages (GCC 12 lacks std::format).
+namespace detail {
+
+template <typename T, typename... Us>
+inline constexpr bool is_one_of_v = (std::is_same_v<T, Us> || ...);
+
+/// Appends `part` to `out` exactly as a default-formatted std::ostream
+/// would print it: text as is, `char` as a character, `bool` as 0/1,
+/// integers in decimal, `float`/`double` as printf's %g at precision 6.
+/// Any other type is streamed on its own.
+template <typename T>
+void append_part(std::string& out, const T& part) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out += std::string_view(part);
+  } else if constexpr (std::is_same_v<T, char>) {
+    out += part;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out += part ? '1' : '0';
+  } else if constexpr (is_one_of_v<T, short, unsigned short, int, unsigned,
+                                   long, unsigned long, long long,
+                                   unsigned long long>) {
+    char digits[24];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, part).ptr);
+  } else if constexpr (is_one_of_v<T, float, double>) {
+    char digits[32];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits,
+                                     static_cast<double>(part),
+                                     std::chars_format::general, 6)
+                           .ptr);
+  } else {
+    std::ostringstream os;
+    os << part;
+    out += os.str();
+  }
+}
+
+}  // namespace detail
+
+/// Concatenates all arguments as an ostringstream would print them, but
+/// without building one for text and numbers. The building block for
+/// log and error messages and log lines (GCC 12 lacks std::format).
 template <typename... Args>
-[[nodiscard]] std::string cat(Args&&... args) {
-  std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
-  return os.str();
+[[nodiscard]] std::string cat(const Args&... args) {
+  std::string out;
+  (detail::append_part(out, args), ...);
+  return out;
 }
 
 /// Splits `text` on `sep`, keeping empty fields.

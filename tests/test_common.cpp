@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ripple/common/config.hpp"
@@ -140,6 +141,85 @@ TEST(Strutil, FormatFixedMatchesTheStreamRendering) {
   }
 }
 
+/// A message part that counts how often it is streamed.
+struct CountedPart {
+  int* streamed = nullptr;
+
+  friend std::ostream& operator<<(std::ostream& os, const CountedPart& part) {
+    ++*part.streamed;
+    return os << "<part>";
+  }
+};
+
+/// cat's stream rendering, which it reproduces byte for byte.
+template <typename... Parts>
+std::string streamed_cat(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+TEST(Strutil, CatMatchesTheStreamRendering) {
+  // Every argument kind src/ passes: text, characters, flags, the
+  // integer widths at their limits and doubles at the %g edges.
+  const std::string text = "node-7";
+  const std::string_view view = "zone";
+  const char* pointer = "delta";
+  EXPECT_EQ(strutil::cat(), "");
+  EXPECT_EQ(strutil::cat(text, view, pointer, "lit", ' ', 'x', true, false),
+            streamed_cat(text, view, pointer, "lit", ' ', 'x', true, false));
+  EXPECT_EQ(strutil::cat(std::string("tmp"), '\0', ""),
+            streamed_cat(std::string("tmp"), '\0', ""));
+
+  using int_limits = std::numeric_limits<int>;
+  using size_limits = std::numeric_limits<std::size_t>;
+  using u64_limits = std::numeric_limits<std::uint64_t>;
+  using i64_limits = std::numeric_limits<std::int64_t>;
+  EXPECT_EQ(strutil::cat(0, -1, 42, int_limits::min(), int_limits::max()),
+            streamed_cat(0, -1, 42, int_limits::min(), int_limits::max()));
+  EXPECT_EQ(strutil::cat(size_limits::min(), ",", size_limits::max()),
+            streamed_cat(size_limits::min(), ",", size_limits::max()));
+  EXPECT_EQ(strutil::cat(u64_limits::max(), " ", i64_limits::min()),
+            streamed_cat(u64_limits::max(), " ", i64_limits::min()));
+
+  using limits = std::numeric_limits<double>;
+  const double doubles[] = {0.0,           -0.0,
+                            1.0,           -1.5,
+                            0.1,           1.0 / 3.0,
+                            1e-05,         1e-04,
+                            0.0001234567,  123456.0,
+                            999999.5,      1234567.0,
+                            1e21,          -1e21,
+                            1e300,         limits::max(),
+                            limits::min(), limits::denorm_min(),
+                            limits::infinity(), -limits::infinity(),
+                            limits::quiet_NaN(), -limits::quiet_NaN()};
+  for (const double value : doubles) {
+    EXPECT_EQ(strutil::cat(value), streamed_cat(value)) << value;
+    EXPECT_EQ(strutil::cat("t=", value, "s"), streamed_cat("t=", value, "s"));
+    const auto narrow = static_cast<float>(value);
+    EXPECT_EQ(strutil::cat(narrow), streamed_cat(narrow)) << narrow;
+  }
+  // Seeded sweep over magnitudes and signs, doubles and integers.
+  Rng rng(31);
+  for (int i = 0; i < 5000; ++i) {
+    const double value = rng.uniform(-1.0, 1.0) *
+                         std::pow(10.0, rng.uniform_int(-12, 24));
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 1 << 30));
+    ASSERT_EQ(strutil::cat(value, " ", count, ' ', -value),
+              streamed_cat(value, " ", count, ' ', -value));
+  }
+  // The shape of an event-log line, and a part that only streams.
+  int streamed = 0;
+  const CountedPart part{&streamed};
+  EXPECT_EQ(strutil::cat(strutil::format_fixed(12.5, 3), " release ", text),
+            "12.500 release node-7");
+  EXPECT_EQ(strutil::cat("a", part, 7, part),
+            streamed_cat("a", CountedPart{&streamed}, 7,
+                         CountedPart{&streamed}));
+  EXPECT_EQ(streamed, 4);
+}
+
 TEST(Strutil, FormatDurationAdaptiveUnits) {
   EXPECT_EQ(strutil::format_duration(2.5e-9), "2.5 ns");
   EXPECT_EQ(strutil::format_duration(63e-6), "63.0 us");
@@ -175,16 +255,6 @@ TEST(ErrorHandling, EnsurePassesAndThrows) {
   EXPECT_NO_THROW(ensure(true, Errc::internal, "fine"));
   EXPECT_THROW(ensure(false, Errc::capacity, "nope"), Error);
 }
-
-/// A message part that counts how often it is streamed.
-struct CountedPart {
-  int* streamed = nullptr;
-
-  friend std::ostream& operator<<(std::ostream& os, const CountedPart& part) {
-    ++*part.streamed;
-    return os << "<part>";
-  }
-};
 
 TEST(ErrorHandling, EnsureFormatsPartsOnlyWhenTheCheckFails) {
   int streamed = 0;
