@@ -172,7 +172,10 @@ void Scheduler::grant(PilotEntry& entry, WaitQueue::iterator position,
   ++granted_;
   runtime_.counters().add("sched.grants");
   if (!request.tenant.empty()) {
-    runtime_.counters().add(strutil::cat("sched.grants.", request.tenant));
+    // Name the per-tenant counter only when it will be kept.
+    if (runtime_.counters().enabled()) {
+      runtime_.counters().add(strutil::cat("sched.grants.", request.tenant));
+    }
     // The share cost is fixed against the pilot the grant landed on.
     if (!tenant_weights_.empty()) {
       const double share_cost =

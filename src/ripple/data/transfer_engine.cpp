@@ -139,7 +139,8 @@ TransferEngine::TransferId TransferEngine::transfer(
   }
   if (counters_ != nullptr) {
     counters_->add("data.transfers");
-    if (!tenant.empty()) {
+    // Name the per-tenant counter only when it will be kept.
+    if (!tenant.empty() && counters_->enabled()) {
       counters_->add(strutil::cat("data.transfers.", tenant));
     }
   }
@@ -248,7 +249,8 @@ TransferEngine::TransferId TransferEngine::transfer_striped(
   }
   if (counters_ != nullptr) {
     counters_->add("data.transfers");
-    if (!tenant.empty()) {
+    // Name the per-tenant counter only when it will be kept.
+    if (!tenant.empty() && counters_->enabled()) {
       counters_->add(strutil::cat("data.transfers.", tenant));
     }
   }
