@@ -145,8 +145,8 @@ BackfillResult run_backfill(bool data_aware, std::size_t hot,
         session.data().catalog().touch(dataset, "delta");
         compute();
       } else {
-        session.data().stage(dataset, "delta",
-                             [compute](bool ok, sim::Duration) {
+        session.data().stage({{dataset, "delta"}},
+                             [compute](bool ok, const std::string&) {
                                if (ok) compute();
                              });
       }

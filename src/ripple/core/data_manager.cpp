@@ -1,7 +1,6 @@
 #include "ripple/core/data_manager.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/strutil.hpp"
@@ -80,56 +79,62 @@ DataManager::Flight& DataManager::launch_flight(
   auto [it, inserted] = flights_.emplace(key, std::move(flight));
   it->second.transfer_id = engine_.transfer_striped(
       name, it->second.src_zones, dst_zone, bytes,
-      [this, key](bool ok, sim::Duration elapsed) {
-        on_flight_done(key, ok, elapsed);
-      },
+      [this, key](bool ok, sim::Duration) { on_flight_done(key, ok); },
       tenant);
   return it->second;
 }
 
-void DataManager::stage(const std::string& name, const std::string& dst_zone,
-                        TransferCallback on_done,
-                        const std::string& tenant) {
-  (void)stage_tracked(name, dst_zone, std::move(on_done), tenant);
-}
-
-DataManager::StageTicket DataManager::stage_tracked(
-    const std::string& name, const std::string& dst_zone,
-    TransferCallback on_done, const std::string& tenant) {
+DataManager::StageTicket DataManager::stage(std::vector<StageTarget> targets,
+                                            StageCallback on_done,
+                                            const std::string& tenant) {
   ensure(static_cast<bool>(on_done), Errc::invalid_argument,
          "stage: empty callback");
-  if (!catalog_.has(name)) {
+  if (targets.empty()) {
     runtime_.loop().post(
-        [on_done = std::move(on_done)] { on_done(false, 0.0); });
+        [on_done = std::move(on_done)] { on_done(true, ""); });
     return 0;
   }
+  const StageTicket ticket = next_ticket_++;
+  Call& call = calls_[ticket];
+  call.targets = std::move(targets);
+  call.remaining = call.targets.size();
+  call.on_done = std::move(on_done);
+  // A target that resolves now still reports on a later loop turn, one
+  // posted event per target, so a caller never sees its callback fire
+  // inside stage() and may cancel the ticket until the event runs.
+  for (std::size_t i = 0; i < call.targets.size(); ++i) {
+    if (const auto now = admit(call.targets[i], tenant, {ticket, i})) {
+      runtime_.loop().post(
+          [this, ticket, i, ok = *now] { settle(ticket, i, ok); });
+    }
+  }
+  return ticket;
+}
+
+std::optional<bool> DataManager::admit(const StageTarget& target,
+                                       const std::string& tenant,
+                                       Waiter waiter) {
+  const auto& [name, dst_zone] = target;
+  if (!catalog_.has(name)) return false;
   if (catalog_.available_in(name, dst_zone)) {
     catalog_.touch(name, dst_zone);
-    runtime_.loop().post(
-        [on_done = std::move(on_done)] { on_done(true, 0.0); });
-    return 0;
+    return true;
   }
 
   // Flights key on the canonical (content-resolved) name: concurrent
   // stages of the same content under different tenant aliases coalesce
   // onto one transfer instead of each paying for the bytes.
   const FlightKey key{catalog_.canonical(name), dst_zone};
-  const StageTicket ticket = next_ticket_++;
   const auto flight = flights_.find(key);
   if (flight != flights_.end()) {  // piggyback on the shared transfer
-    flight->second.waiters.emplace_back(ticket, std::move(on_done));
-    ticket_index_.emplace(ticket, key);
-    return ticket;
+    flight->second.waiters.push_back(waiter);
+    return std::nullopt;
   }
 
   const Dataset& ds = catalog_.dataset(name);
   // Eviction may have reclaimed every replica of an unprotected
   // dataset; that is a failed stage, not an internal error.
-  if (ds.zones.empty()) {
-    runtime_.loop().post(
-        [on_done = std::move(on_done)] { on_done(false, 0.0); });
-    return 0;
-  }
+  if (ds.zones.empty()) return false;
   // Demand outranks speculation: when the store cannot take the
   // reservation, reclaim waiterless prefetch flights into this zone
   // (cancelling them frees their reservations) before giving up — but
@@ -141,19 +146,13 @@ DataManager::StageTicket DataManager::stage_tracked(
       reserved = catalog_.reserve(dst_zone, ds.bytes, tenant);
     }
   }
-  if (!reserved) {
-    runtime_.loop().post(
-        [on_done = std::move(on_done)] { on_done(false, 0.0); });
-    return 0;
-  }
+  if (!reserved) return false;
   // Every replica contributes: a multi-zone dataset moves as one
   // striped transfer over the disjoint (src, dst) links.
-  Flight& launched = launch_flight(
-      key, {ds.zones.begin(), ds.zones.end()}, ds.bytes,
-      /*prefetch=*/false, tenant);
-  launched.waiters.emplace_back(ticket, std::move(on_done));
-  ticket_index_.emplace(ticket, key);
-  return ticket;
+  launch_flight(key, {ds.zones.begin(), ds.zones.end()}, ds.bytes,
+                /*prefetch=*/false, tenant)
+      .waiters.push_back(waiter);
+  return std::nullopt;
 }
 
 std::size_t DataManager::prefetch(const std::vector<std::string>& names,
@@ -242,11 +241,10 @@ void DataManager::drop_flight(Flights::iterator it) {
   flights_.erase(it);
 }
 
-void DataManager::on_flight_done(const FlightKey& key, bool ok,
-                                 sim::Duration elapsed) {
+void DataManager::on_flight_done(const FlightKey& key, bool ok) {
   const auto it = flights_.find(key);
   if (it == flights_.end()) return;
-  auto waiters = std::move(it->second.waiters);
+  const std::vector<Waiter> waiters = std::move(it->second.waiters);
   const double reserved = it->second.reserved_bytes;
   const std::string tenant = it->second.tenant;
   release_flight(key, it->second);
@@ -257,112 +255,50 @@ void DataManager::on_flight_done(const FlightKey& key, bool ok,
   } else {
     catalog_.release_reservation(key.second, reserved, tenant);
   }
-  for (auto& [ticket, callback] : waiters) {
-    ticket_index_.erase(ticket);
-    callback(ok, elapsed);
+  for (const Waiter& waiter : waiters) {
+    settle(waiter.ticket, waiter.target, ok);
+  }
+}
+
+void DataManager::settle(StageTicket ticket, std::size_t target, bool ok) {
+  const auto it = calls_.find(ticket);
+  if (it == calls_.end()) return;
+  if (ok && --it->second.remaining != 0) return;
+  const Call call = std::move(it->second);
+  calls_.erase(it);
+  if (ok) {
+    call.on_done(true, "");
+    return;
+  }
+  withdraw(ticket, call.targets);
+  call.on_done(false, call.targets[target].dataset);
+}
+
+void DataManager::withdraw(StageTicket ticket,
+                           const std::vector<StageTarget>& targets) {
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const auto flight =
+        flights_.find({catalog_.canonical(targets[i].dataset), targets[i].zone});
+    if (flight == flights_.end()) continue;
+    auto& waiters = flight->second.waiters;
+    const auto waiter =
+        std::find(waiters.begin(), waiters.end(), Waiter{ticket, i});
+    if (waiter == waiters.end()) continue;  // resolved or settled already
+    waiters.erase(waiter);
+    // Last waiter gone: the transfer itself is no longer wanted; other
+    // callers' waiters keep a shared one running. (A prefetch flight
+    // keeps running waiterless — that is its job.)
+    if (waiters.empty() && !flight->second.prefetch) drop_flight(flight);
   }
 }
 
 bool DataManager::cancel_stage(StageTicket ticket) {
-  const auto indexed = ticket_index_.find(ticket);
-  if (indexed == ticket_index_.end()) return false;
-  const FlightKey key = indexed->second;
-  ticket_index_.erase(indexed);
-  const auto it = flights_.find(key);
-  if (it == flights_.end()) return false;
-  auto& waiters = it->second.waiters;
-  waiters.erase(std::remove_if(waiters.begin(), waiters.end(),
-                               [ticket](const auto& waiter) {
-                                 return waiter.first == ticket;
-                               }),
-                waiters.end());
-  // Last waiter gone: the transfer itself is no longer wanted. (A
-  // prefetch flight keeps running waiterless — that is its job.)
-  if (waiters.empty() && !it->second.prefetch) drop_flight(it);
+  const auto it = calls_.find(ticket);
+  if (it == calls_.end()) return false;
+  const std::vector<StageTarget> targets = std::move(it->second.targets);
+  calls_.erase(it);
+  withdraw(ticket, targets);
   return true;
-}
-
-struct DataManager::StageBatch {
-  std::size_t remaining = 0;
-  bool failed = false;     ///< first failure already reported
-  bool abandoned = false;  ///< cancel_batch: callback must never fire
-  std::vector<StageTicket> tickets;
-  BatchCallback on_done;
-};
-
-void DataManager::stage_all(const std::vector<std::string>& names,
-                            const std::string& dst_zone,
-                            BatchCallback on_done,
-                            const std::string& tenant) {
-  (void)stage_all_tracked(names, dst_zone, std::move(on_done), tenant);
-}
-
-DataManager::BatchHandle DataManager::stage_all_tracked(
-    const std::vector<std::string>& names, const std::string& dst_zone,
-    BatchCallback on_done, const std::string& tenant) {
-  std::vector<std::pair<std::string, std::string>> targets;
-  targets.reserve(names.size());
-  for (const auto& name : names) targets.emplace_back(name, dst_zone);
-  return stage_all_tracked(targets, std::move(on_done), tenant);
-}
-
-DataManager::BatchHandle DataManager::stage_all_tracked(
-    const std::vector<std::pair<std::string, std::string>>& targets,
-    BatchCallback on_done, const std::string& tenant) {
-  ensure(static_cast<bool>(on_done), Errc::invalid_argument,
-         "stage_all: empty callback");
-  if (targets.empty()) {
-    runtime_.loop().post(
-        [on_done = std::move(on_done)] { on_done(true, ""); });
-    return nullptr;
-  }
-  auto batch = std::make_shared<StageBatch>();
-  batch->remaining = targets.size();
-  batch->tickets.resize(targets.size(), 0);
-  batch->on_done = std::move(on_done);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const std::string& name = targets[i].first;
-    batch->tickets[i] = stage_tracked(
-        name, targets[i].second,
-        [this, batch, i, name](bool ok, sim::Duration) {
-          batch->tickets[i] = 0;  // completed: nothing left to cancel
-          if (batch->abandoned) return;
-          if (!ok && !batch->failed) {
-            batch->failed = true;
-            // Abandon the batch's other in-flight stages; shared
-            // transfers keep running for their remaining waiters.
-            for (const StageTicket ticket : batch->tickets) {
-              if (ticket != 0) cancel_stage(ticket);
-            }
-            batch->on_done(false, name);
-            return;
-          }
-          if (--batch->remaining == 0 && !batch->failed) {
-            batch->on_done(true, "");
-          }
-        },
-        tenant);
-  }
-  return batch;
-}
-
-void DataManager::cancel_batch(const BatchHandle& handle) {
-  if (!handle) return;
-  auto batch = std::static_pointer_cast<StageBatch>(handle);
-  if (batch->failed || batch->abandoned) return;
-  batch->abandoned = true;
-  for (StageTicket& ticket : batch->tickets) {
-    if (ticket != 0) {
-      cancel_stage(ticket);
-      ticket = 0;
-    }
-  }
-}
-
-void DataManager::put(const std::string& name, double bytes,
-                      const std::string& zone,
-                      const std::string& content_id) {
-  catalog_.register_dataset(name, bytes, zone, content_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,12 +340,11 @@ std::size_t DataManager::handle_store_failure(const std::string& zone) {
   for (const FlightKey& key : inbound) {
     const auto it = flights_.find(key);
     if (it == flights_.end()) continue;
-    auto waiters = std::move(it->second.waiters);
+    const std::vector<Waiter> waiters = std::move(it->second.waiters);
     drop_flight(it);
-    for (auto& [ticket, callback] : waiters) {
-      ticket_index_.erase(ticket);
+    for (const Waiter& waiter : waiters) {
       runtime_.loop().post(
-          [cb = std::move(callback)] { cb(false, 0.0); });
+          [this, waiter] { settle(waiter.ticket, waiter.target, false); });
     }
   }
 
@@ -431,7 +366,8 @@ std::size_t DataManager::handle_store_failure(const std::string& zone) {
       record_repair(strutil::cat("repair ", name, " -> ", target));
       ++repairs_started_;
       ++repairs;
-      stage(name, target, [this, name, target](bool ok, sim::Duration) {
+      stage({{name, target}}, [this, name, target](bool ok,
+                                                   const std::string&) {
         if (ok) {
           ++repairs_completed_;
           record_repair(strutil::cat("repaired ", name, " ", target));

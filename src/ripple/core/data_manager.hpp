@@ -1,31 +1,33 @@
 #pragma once
 
 /// \file data_manager.hpp
-/// Dataset registry and staging facade over the data plane.
+/// Dataset registry and the one staging call over the data plane.
 ///
 /// The paper collects "existing data capabilities into a DataManager".
-/// Since the data-plane rework this class is a thin compatibility
-/// facade over two subsystems it owns: the data::ReplicaCatalog
-/// (datasets, finite per-zone stores, pinning/lineage, LRU eviction)
-/// and the data::TransferEngine (fair-share shared-link transfer
-/// scheduling with concurrency caps and retries). Existing call sites —
-/// stage(), stage_all(), put() — keep working unchanged; new code can
-/// reach the full surface through catalog() and engine().
+/// This class owns the two data-plane subsystems: the
+/// data::ReplicaCatalog (datasets, finite per-zone stores,
+/// pinning/lineage, LRU eviction) and the data::TransferEngine
+/// (fair-share shared-link transfer scheduling with concurrency caps and
+/// retries). Staging has one way in: stage() takes a list of (dataset,
+/// zone) targets, returns a ticket for cancel_stage() and calls back
+/// once. The full subsystem surface stays reachable through catalog()
+/// and engine().
 ///
-/// Staging a task means ensuring its input datasets are present in the
-/// pilot's zone. Concurrent stages of one (dataset, zone) pair share a
-/// single transfer; stage_all() cancels its surviving siblings when one
-/// dataset fails, so no batch leaves untracked transfers behind. A
-/// dataset replicated in several zones stages as one multi-source
-/// striped transfer (every replica's link contributes its fair share);
-/// prefetch() additionally pushes datasets toward a likely consumer
-/// zone on idle links ahead of demand, without ever evicting and within
-/// a per-store in-flight budget.
+/// Concurrent stages of one (dataset, zone) pair share a single
+/// transfer. A call's first failure withdraws its other targets, so no
+/// call leaves untracked transfers behind. A dataset replicated in
+/// several zones stages as one multi-source striped transfer (every
+/// replica's link contributes its fair share); prefetch() additionally
+/// pushes datasets toward a likely consumer zone on idle links ahead of
+/// demand, without ever evicting and within a per-store in-flight
+/// budget.
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,76 +78,45 @@ class DataManager {
   [[nodiscard]] double bytes_required(const std::vector<std::string>& names,
                                       const std::string& zone) const;
 
-  using TransferCallback = std::function<void(bool ok, sim::Duration)>;
+  /// One staging target: replicate `dataset` into `zone`.
+  struct StageTarget {
+    std::string dataset;
+    std::string zone;
+  };
 
-  /// Ensures `name` is replicated into `dst_zone`; instantaneous when a
-  /// replica already exists there. Concurrent transfers of the same
-  /// dataset to the same zone share one copy (callers all complete when
-  /// the first transfer lands).
-  /// `tenant` attributes the staging work for multi-tenant accounting:
-  /// the store reservation counts against the tenant's quota, the
-  /// transfer rides the tenant's weighted link share, and the committed
-  /// replica is charged to the tenant. Empty (the default) opts out.
-  void stage(const std::string& name, const std::string& dst_zone,
-             TransferCallback on_done, const std::string& tenant = "");
-
-  /// Handle for cancelling one stage() waiter; 0 when the request
-  /// completed (or failed) without an in-flight transfer.
+  /// Names one pending stage() call for cancel_stage(); 0 names none.
   using StageTicket = std::uint64_t;
 
-  /// stage() returning a cancellable ticket. Cancelling the last waiter
-  /// of a shared transfer aborts the transfer itself.
-  StageTicket stage_tracked(const std::string& name,
-                            const std::string& dst_zone,
-                            TransferCallback on_done,
-                            const std::string& tenant = "");
-
-  /// Cancels a pending staged waiter; its callback never fires. Returns
-  /// false when the ticket already completed.
-  bool cancel_stage(StageTicket ticket);
-
-  using BatchCallback =
+  using StageCallback =
       std::function<void(bool ok, const std::string& failed_dataset)>;
 
-  /// Stages every dataset in `names` into `dst_zone` and fires `on_done`
-  /// exactly once: (false, name) as soon as any transfer fails — at
-  /// which point the batch's remaining in-flight stages are cancelled
-  /// (transfers shared with other callers keep running for them) — or
-  /// (true, "") when all have landed. An empty batch completes
-  /// asynchronously on the next event-loop turn.
-  void stage_all(const std::vector<std::string>& names,
-                 const std::string& dst_zone, BatchCallback on_done,
-                 const std::string& tenant = "");
+  /// Stages every target and calls `on_done` exactly once, on a later
+  /// loop turn: (true, "") when all have landed, or (false, dataset) at
+  /// the first target that fails, which withdraws the call's other
+  /// targets (a transfer no other caller waits on is cancelled).
+  ///
+  /// A target already resident completes at once and counts as a use.
+  /// A target already inbound rides the transfer in flight, so
+  /// concurrent stages of one (dataset, zone) pair, or of aliases of one
+  /// content id, share a single copy. Any other target reserves room in
+  /// the zone's store (reclaiming waiterless prefetches when the dataset
+  /// could ever fit) and transfers from every replica. An unknown
+  /// dataset, one with no replica left, or one the store cannot take
+  /// fails.
+  ///
+  /// `tenant` attributes the work for multi-tenant accounting: the
+  /// store reservation counts against the tenant's quota, the transfer
+  /// rides the tenant's weighted link share, and the committed replica
+  /// is charged to the tenant. Empty (the default) opts out. An empty
+  /// target list returns 0 and calls back (true, "").
+  StageTicket stage(std::vector<StageTarget> targets, StageCallback on_done,
+                    const std::string& tenant = "");
 
-  /// Opaque handle to a stage_all batch; null when the batch completed
-  /// inline (empty name list).
-  using BatchHandle = std::shared_ptr<void>;
-
-  /// stage_all() returning a handle for cancel_batch().
-  BatchHandle stage_all_tracked(const std::vector<std::string>& names,
-                                const std::string& dst_zone,
-                                BatchCallback on_done,
-                                const std::string& tenant = "");
-
-  /// Pair form: per-target destination zones — the stage-out fan-out,
-  /// where each produced dataset may go somewhere else. Same batch
-  /// semantics (first failure cancels the surviving siblings).
-  BatchHandle stage_all_tracked(
-      const std::vector<std::pair<std::string, std::string>>& targets,
-      BatchCallback on_done, const std::string& tenant = "");
-
-  /// Abandons a batch: its remaining in-flight stages are cancelled
-  /// (transfers shared with other callers keep running for them) and
-  /// the batch callback never fires. No-op for null or already
-  /// completed/failed handles. Callers cancelling a task mid-stage-in
-  /// use this so abandoned transfers stop burning link bandwidth.
-  void cancel_batch(const BatchHandle& handle);
-
-  /// Records a task-produced dataset (stage-out target). A non-empty
-  /// `content_id` deduplicates against identical content published
-  /// under other names (see register_dataset).
-  void put(const std::string& name, double bytes, const std::string& zone,
-           const std::string& content_id = "");
+  /// Withdraws a pending call: its callback never fires, and its
+  /// transfers that no other caller waits on are cancelled. Callers
+  /// abandoning a task mid-stage use this so the transfers stop burning
+  /// link bandwidth. False for 0, unknown and already settled tickets.
+  bool cancel_stage(StageTicket ticket);
 
   // --- failure handling -----------------------------------------------------
 
@@ -154,8 +125,8 @@ class DataManager {
   /// replica it held (fail_store), and each lost dataset that still has
   /// a surviving replica elsewhere is re-replicated ("repaired") into
   /// the declared store with the most free bytes that does not already
-  /// hold it — a striped re-stripe from the survivors over the existing
-  /// stage() path. Datasets with no survivor are logged as lost.
+  /// hold it — a striped re-stripe from the survivors through stage().
+  /// Datasets with no survivor are logged as lost.
   /// Flights *from* the zone keep running (their bytes are modeled as
   /// already in flight; the catalog tolerates their late unpins).
   /// Returns the number of repairs started.
@@ -235,7 +206,19 @@ class DataManager {
   }
 
  private:
-  struct StageBatch;
+  /// One pending stage() call, keyed by its ticket.
+  struct Call {
+    std::vector<StageTarget> targets;
+    std::size_t remaining = 0;  ///< targets not yet landed
+    StageCallback on_done;
+  };
+
+  /// A call's target waiting on a flight.
+  struct Waiter {
+    StageTicket ticket = 0;
+    std::size_t target = 0;  ///< index into the call's targets
+    friend bool operator==(const Waiter&, const Waiter&) = default;
+  };
 
   struct Flight {
     data::TransferEngine::TransferId transfer_id = 0;
@@ -248,7 +231,7 @@ class DataManager {
     /// and the committed replica are all charged to (and released with)
     /// this value. Empty for untenanted flights.
     std::string tenant;
-    std::vector<std::pair<StageTicket, TransferCallback>> waiters;
+    std::vector<Waiter> waiters;
   };
 
   using FlightKey = std::pair<std::string, std::string>;
@@ -267,7 +250,20 @@ class DataManager {
   /// False when none is left to reclaim.
   bool reclaim_one_prefetch(const std::string& zone);
 
-  void on_flight_done(const FlightKey& key, bool ok, sim::Duration elapsed);
+  /// Starts one target of call `waiter.ticket`: its outcome when it
+  /// resolves at once, or nullopt when `waiter` now waits on a flight.
+  std::optional<bool> admit(const StageTarget& target,
+                            const std::string& tenant, Waiter waiter);
+
+  /// Target `target` of call `ticket` resolved. No-op once the call is
+  /// cancelled or has failed.
+  void settle(StageTicket ticket, std::size_t target, bool ok);
+
+  /// Takes the call's targets off the flights they wait on, in target
+  /// order, cancelling each demand transfer left with no waiter.
+  void withdraw(StageTicket ticket, const std::vector<StageTarget>& targets);
+
+  void on_flight_done(const FlightKey& key, bool ok);
 
   /// The half of a flight's teardown every ending shares: unpins the
   /// source replicas and returns a prefetch's bytes to its zone's
@@ -290,7 +286,7 @@ class DataManager {
   data::ReplicaCatalog catalog_;
   data::TransferEngine engine_;
   Flights flights_;
-  std::map<StageTicket, FlightKey> ticket_index_;
+  std::unordered_map<StageTicket, Call> calls_;
   std::map<std::string, double> prefetch_inflight_;  ///< zone -> bytes
   double prefetch_budget_ = 32e9;
   std::uint64_t prefetches_started_ = 0;

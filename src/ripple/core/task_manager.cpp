@@ -312,8 +312,11 @@ void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
   const std::string zone = active.pilot->cluster().name();
   const std::uint64_t epoch = active.epoch;
   const std::string tenant = active.task->description().tenant;
-  active.stage_batch = data_.stage_all_tracked(
-      inputs, zone,
+  std::vector<DataManager::StageTarget> targets;
+  targets.reserve(inputs.size());
+  for (const auto& name : inputs) targets.push_back({name, zone});
+  active.stage_ticket = data_.stage(
+      std::move(targets),
       [this, uid, inputs, zone, epoch](bool ok,
                                        const std::string& failed_dataset) {
         const auto it = tasks_.find(uid);
@@ -321,7 +324,7 @@ void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
         Active& active = it->second;
         if (active.epoch != epoch) return;  // attempt was interrupted
         active.stage_in_pending = false;
-        active.stage_batch.reset();
+        active.stage_ticket = 0;
         runtime_.tracer().end(active.trace_stage, runtime_.loop().now());
         active.trace_stage = 0;
         if (is_terminal(active.task->state())) return;
@@ -730,10 +733,7 @@ void TaskManager::interrupt_task(const std::string& uid,
       scheduler_.has_pilot(active.pilot->uid())) {
     scheduler_.cancel(active.pilot->uid(), uid);
   }
-  if (active.stage_batch) {
-    data_.cancel_batch(active.stage_batch);
-    active.stage_batch.reset();
-  }
+  data_.cancel_stage(std::exchange(active.stage_ticket, 0));
   active.stage_in_pending = false;
   release_input_pins(active);
   if (active.slot_held) {
@@ -916,7 +916,7 @@ void TaskManager::to_staging_out(const std::string& uid) {
                              .payload.get_or("output_bytes", 1e6)
                              .as_double();
     try {
-      data_.put(directive.dataset, bytes, pilot_zone);
+      data_.register_dataset(directive.dataset, bytes, pilot_zone);
     } catch (const Error& error) {
       fail_task(uid, strutil::cat("stage-out of '", directive.dataset,
                                   "' failed: ", error.what()));
@@ -926,18 +926,19 @@ void TaskManager::to_staging_out(const std::string& uid) {
   // Tracked like stage-in: the first failed output cancels the task's
   // surviving output transfers instead of leaving them running
   // untracked (transfers shared with other callers keep running).
-  std::vector<std::pair<std::string, std::string>> targets;
+  std::vector<DataManager::StageTarget> targets;
   targets.reserve(outputs.size());
   for (const auto& directive : outputs) {
-    targets.emplace_back(directive.dataset, directive.zone.empty()
-                                                ? pilot_zone
-                                                : directive.zone);
+    targets.push_back({directive.dataset, directive.zone.empty()
+                                              ? pilot_zone
+                                              : directive.zone});
   }
-  active.stage_batch = data_.stage_all_tracked(
-      targets, [this, uid](bool ok, const std::string& failed_dataset) {
+  active.stage_ticket = data_.stage(
+      std::move(targets),
+      [this, uid](bool ok, const std::string& failed_dataset) {
         const auto it = tasks_.find(uid);
         if (it == tasks_.end()) return;
-        it->second.stage_batch.reset();
+        it->second.stage_ticket = 0;
         if (is_terminal(it->second.task->state())) return;
         if (!ok) {
           fail_task(uid, strutil::cat("stage-out of '", failed_dataset,
@@ -1025,9 +1026,8 @@ void TaskManager::fail_task(const std::string& uid,
     // drop the queue entry so the scheduler never grants a dead task.
     scheduler_.cancel(active.pilot->uid(), uid);
   }
-  if (active.stage_batch) {
-    data_.cancel_batch(active.stage_batch);
-    active.stage_batch.reset();
+  if (active.stage_ticket != 0) {
+    data_.cancel_stage(std::exchange(active.stage_ticket, 0));
     active.stage_in_pending = false;
   }
   release_slot(active);
@@ -1043,10 +1043,7 @@ bool TaskManager::cancel(const std::string& uid) {
   Active& active = active_for(uid);
   const TaskState state = active.task->state();
   const auto abandon_staging = [this, &active] {
-    if (active.stage_batch) {
-      data_.cancel_batch(active.stage_batch);
-      active.stage_batch.reset();
-    }
+    data_.cancel_stage(std::exchange(active.stage_ticket, 0));
     active.stage_in_pending = false;
   };
   switch (state) {

@@ -158,10 +158,10 @@ class TaskManager {
     /// wait: the task enters SCHEDULING immediately and launch is gated
     /// on both the grant and this flag clearing.
     bool stage_in_pending = false;
-    /// The in-flight staging batch (overlapped stage-in, then reused
-    /// for stage-out), cancelled with the task so abandoned transfers
-    /// stop consuming link bandwidth.
-    DataManager::BatchHandle stage_batch;
+    /// The pending staging call (overlapped stage-in, then stage-out);
+    /// 0 when none. Cancelled with the task so abandoned transfers stop
+    /// consuming link bandwidth.
+    DataManager::StageTicket stage_ticket = 0;
     /// Inputs pinned in the pilot's zone from stage-in completion until
     /// the payload finishes reading them — store pressure while the
     /// task waits for its grant must not evict what was just staged.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/hash.hpp"
@@ -217,11 +218,16 @@ void WorkflowManager::release_node(const std::shared_ptr<GraphRun>& run,
   if (node.node.stage.consumes.empty()) {
     node.data_ready = true;
   } else {
-    node.stage_batch = session_.data().stage_all_tracked(
-        node.node.stage.consumes, zone,
+    std::vector<core::DataManager::StageTarget> targets;
+    targets.reserve(node.node.stage.consumes.size());
+    for (const auto& name : node.node.stage.consumes) {
+      targets.push_back({name, zone});
+    }
+    node.stage_ticket = session_.data().stage(
+        std::move(targets),
         [this, run, seq, zone](bool ok, const std::string& failed_dataset) {
           NodeRun& staged = run->nodes[seq];
-          staged.stage_batch.reset();
+          staged.stage_ticket = 0;
           // The node may have completed already (service bootstrap
           // failure); a late-landing pin would leak.
           if (staged.completed) return;
@@ -509,12 +515,9 @@ void WorkflowManager::complete_node(const std::shared_ptr<GraphRun>& run,
   node.completed = true;
   node.finished_at = session_.now();
   ++run->finished_nodes;
-  if (node.stage_batch) {
-    // Completing with transfers still in flight (service bootstrap
-    // failed): abandon them so they stop consuming link bandwidth.
-    session_.data().cancel_batch(node.stage_batch);
-    node.stage_batch.reset();
-  }
+  // Completing with transfers still in flight (service bootstrap
+  // failed): abandon them so they stop consuming link bandwidth.
+  session_.data().cancel_stage(std::exchange(node.stage_ticket, 0));
   release_node_data(node, run->tenant);
   // Declared outputs are a contract: completing without having
   // registered one is a failure the downstream nodes would otherwise

@@ -122,9 +122,9 @@ class WorkflowManager {
     std::vector<std::pair<std::string, std::string>> prefetched;
 
     core::Pilot* pilot = nullptr;  ///< chosen at release
-    /// The node's `consumes` staging batch; cancelled if the node
-    /// completes while transfers are still in flight.
-    core::DataManager::BatchHandle stage_batch;
+    /// The node's pending `consumes` staging call (0 when none);
+    /// cancelled if the node completes while transfers are in flight.
+    core::DataManager::StageTicket stage_ticket = 0;
     std::vector<std::string> service_uids;
     std::vector<std::unique_ptr<ml::Autoscaler>> autoscalers;
     std::vector<std::string> task_uids;

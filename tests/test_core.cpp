@@ -321,9 +321,9 @@ TEST_F(DataManagerTest, RegisterAndQuery) {
 TEST_F(DataManagerTest, StagePresentIsInstant) {
   data.register_dataset("d", 1e9, "delta");
   bool done = false;
-  data.stage("d", "delta", [&](bool ok, sim::Duration t) {
+  data.stage({{"d", "delta"}}, [&](bool ok, const std::string&) {
     EXPECT_TRUE(ok);
-    EXPECT_DOUBLE_EQ(t, 0.0);
+    EXPECT_DOUBLE_EQ(runtime.loop().now(), 0.0);
     done = true;
   });
   runtime.loop().run();
@@ -335,9 +335,9 @@ TEST_F(DataManagerTest, TransferTimeFollowsBandwidth) {
   data.register_dataset("blob", 10e9, "lab");
   data.set_bandwidth("lab", "delta", 1e9);  // 10 s of payload time
   double duration = -1;
-  data.stage("blob", "delta", [&](bool ok, sim::Duration t) {
+  data.stage({{"blob", "delta"}}, [&](bool ok, const std::string&) {
     EXPECT_TRUE(ok);
-    duration = t;
+    duration = runtime.loop().now();  // the stage started at t = 0
   });
   runtime.loop().run();
   EXPECT_GT(duration, 10.0);
@@ -351,11 +351,10 @@ TEST_F(DataManagerTest, ConcurrentStagesShareOneTransfer) {
   data.register_dataset("shared", 1e9, "lab");
   int completions = 0;
   for (int i = 0; i < 5; ++i) {
-    data.stage("shared", "delta",
-               [&](bool ok, sim::Duration) {
-                 EXPECT_TRUE(ok);
-                 ++completions;
-               });
+    data.stage({{"shared", "delta"}}, [&](bool ok, const std::string&) {
+      EXPECT_TRUE(ok);
+      ++completions;
+    });
   }
   runtime.loop().run();
   EXPECT_EQ(completions, 5);
@@ -364,7 +363,7 @@ TEST_F(DataManagerTest, ConcurrentStagesShareOneTransfer) {
 
 TEST_F(DataManagerTest, UnknownDatasetFails) {
   bool ok = true;
-  data.stage("ghost", "delta", [&](bool result, sim::Duration) {
+  data.stage({{"ghost", "delta"}}, [&](bool result, const std::string&) {
     ok = result;
   });
   runtime.loop().run();

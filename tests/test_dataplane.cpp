@@ -1,16 +1,20 @@
 // Data-plane tests: replica catalog (finite stores, LRU eviction,
 // pinning, lineage), fair-share transfer engine (shared links,
-// concurrency caps, retries, full replans), the DataManager facade
-// (stage_all batch cancellation), locality-aware placement, and
-// workflow dataset wiring.
+// concurrency caps, retries, full replans), DataManager's staging call
+// (withdrawal on failure and cancel, a seeded fuzz of the call),
+// locality-aware placement, and workflow dataset wiring.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ripple/common/error.hpp"
+#include "ripple/common/strutil.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/data/catalog.hpp"
 #include "ripple/data/placement_advisor.hpp"
@@ -568,8 +572,8 @@ TEST_F(DataPlaneFacadeTest, StageEvictsIntoFiniteStore) {
   data.set_bandwidth("lab", "delta", 1e9);
 
   bool ok = false;
-  data.stage("incoming", "delta",
-             [&](bool result, sim::Duration) { ok = result; });
+  data.stage({{"incoming", "delta"}},
+             [&](bool result, const std::string&) { ok = result; });
   runtime.loop().run();
   EXPECT_TRUE(ok);
   EXPECT_TRUE(data.available_in("incoming", "delta"));
@@ -583,8 +587,8 @@ TEST_F(DataPlaneFacadeTest, StageFailsWhenStoreCannotFit) {
   data.add_store("tiny", 1e9);
   data.register_dataset("blob", 8e9, "lab");
   bool ok = true;
-  data.stage("blob", "tiny",
-             [&](bool result, sim::Duration) { ok = result; });
+  data.stage({{"blob", "tiny"}},
+             [&](bool result, const std::string&) { ok = result; });
   runtime.loop().run();
   EXPECT_FALSE(ok);
   EXPECT_EQ(data.transfers(), 0u);
@@ -595,8 +599,8 @@ TEST_F(DataPlaneFacadeTest, SourceReplicaPinnedDuringFlight) {
   data.register_dataset("feed", 8e9, "lab");
   data.set_bandwidth("lab", "delta", 1e9);
   bool staged = false;
-  data.stage("feed", "delta",
-             [&](bool ok, sim::Duration) { staged = ok; });
+  data.stage({{"feed", "delta"}},
+             [&](bool ok, const std::string&) { staged = ok; });
   runtime.loop().run_until(1.0);
   // Mid-flight: the source replica must resist eviction pressure.
   EXPECT_GT(data.catalog().pins("feed", "lab"), 0u);
@@ -606,25 +610,24 @@ TEST_F(DataPlaneFacadeTest, SourceReplicaPinnedDuringFlight) {
   EXPECT_EQ(data.catalog().pins("feed", "lab"), 0u);
 }
 
-TEST_F(DataPlaneFacadeTest, StageAllFailureCancelsSiblingsButNotSharers) {
+TEST_F(DataPlaneFacadeTest, StageFailureWithdrawsSiblingsButNotSharers) {
   data.register_dataset("shared", 10e9, "lab");
   data.register_dataset("solo", 10e9, "lab");
   data.set_bandwidth("lab", "delta", 1e9);
 
   int batch_a_calls = 0;
   std::string batch_a_failed;
-  data.stage_all({"missing", "shared", "solo"}, "delta",
-                 [&](bool ok, const std::string& failed) {
-                   ++batch_a_calls;
-                   EXPECT_FALSE(ok);
-                   batch_a_failed = failed;
-                 });
+  data.stage({{"missing", "delta"}, {"shared", "delta"}, {"solo", "delta"}},
+             [&](bool ok, const std::string& failed) {
+               ++batch_a_calls;
+               EXPECT_FALSE(ok);
+               batch_a_failed = failed;
+             });
   int batch_b_calls = 0;
-  data.stage_all({"shared"}, "delta",
-                 [&](bool ok, const std::string&) {
-                   ++batch_b_calls;
-                   EXPECT_TRUE(ok);
-                 });
+  data.stage({{"shared", "delta"}}, [&](bool ok, const std::string&) {
+    ++batch_b_calls;
+    EXPECT_TRUE(ok);
+  });
   runtime.loop().run();
 
   EXPECT_EQ(batch_a_calls, 1);
@@ -644,31 +647,30 @@ TEST_F(DataPlaneFacadeTest, StageFailsCleanlyWhenLastReplicaEvicted) {
   data.register_dataset("squatter", 8e9, "elsewhere");
   // Staging squatter into lab evicts victim's only replica.
   bool squatter_ok = false;
-  data.stage("squatter", "lab",
-             [&](bool ok, sim::Duration) { squatter_ok = ok; });
+  data.stage({{"squatter", "lab"}},
+             [&](bool ok, const std::string&) { squatter_ok = ok; });
   runtime.loop().run();
   ASSERT_TRUE(squatter_ok);
   ASSERT_TRUE(data.dataset("victim").zones.empty());
 
   // A stage of the orphaned dataset fails via its callback — no throw.
   bool victim_ok = true;
-  data.stage("victim", "delta",
-             [&](bool ok, sim::Duration) { victim_ok = ok; });
+  data.stage({{"victim", "delta"}},
+             [&](bool ok, const std::string&) { victim_ok = ok; });
   runtime.loop().run();
   EXPECT_FALSE(victim_ok);
 }
 
-TEST_F(DataPlaneFacadeTest, CancelBatchAbortsInFlightTransfers) {
+TEST_F(DataPlaneFacadeTest, CancelStageAbortsInFlightTransfers) {
   data.register_dataset("bulk", 10e9, "lab");
   data.set_bandwidth("lab", "delta", 1e9);
   bool fired = false;
-  const DataManager::BatchHandle batch = data.stage_all_tracked(
-      {"bulk"}, "delta",
-      [&](bool, const std::string&) { fired = true; });
+  const DataManager::StageTicket ticket = data.stage(
+      {{"bulk", "delta"}}, [&](bool, const std::string&) { fired = true; });
   runtime.loop().run_until(1.0);
-  data.cancel_batch(batch);
+  EXPECT_TRUE(data.cancel_stage(ticket));
   runtime.loop().run();
-  EXPECT_FALSE(fired);  // abandoned batches never call back
+  EXPECT_FALSE(fired);  // cancelled calls never call back
   EXPECT_EQ(data.cancelled_transfers(), 1u);
   EXPECT_FALSE(data.available_in("bulk", "delta"));
   // The reservation and the source pin were returned.
@@ -685,7 +687,7 @@ TEST_F(DataPlaneFacadeTest, StageStripesAcrossEveryReplica) {
 
   bool ok = false;
   double done_at = -1.0;
-  data.stage("wide", "delta", [&](bool result, sim::Duration) {
+  data.stage({{"wide", "delta"}}, [&](bool result, const std::string&) {
     ok = result;
     done_at = runtime.loop().now();
   });
@@ -703,6 +705,257 @@ TEST_F(DataPlaneFacadeTest, StageStripesAcrossEveryReplica) {
   EXPECT_EQ(data.catalog().pins("wide", "archive"), 0u);
 }
 
+TEST_F(DataPlaneFacadeTest, CancelBeforeAPostedOutcomeRunsSilencesTheCall) {
+  // Resident and unknown targets resolve inside stage() but report on a
+  // later loop turn; a cancel in between wins.
+  data.register_dataset("here", 1e9, "delta");
+  int fired = 0;
+  const auto count = [&](bool, const std::string&) { ++fired; };
+  const DataManager::StageTicket resident =
+      data.stage({{"here", "delta"}}, count);
+  const DataManager::StageTicket unknown =
+      data.stage({{"ghost", "delta"}}, count);
+  const DataManager::StageTicket both =
+      data.stage({{"here", "delta"}, {"ghost", "delta"}}, count);
+  EXPECT_TRUE(data.cancel_stage(resident));
+  EXPECT_TRUE(data.cancel_stage(unknown));
+  EXPECT_TRUE(data.cancel_stage(both));
+  runtime.loop().run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(data.transfers(), 0u);
+}
+
+TEST_F(DataPlaneFacadeTest, OneCallMayNameADatasetTwice) {
+  data.register_dataset("twin", 4e9, "lab");
+  data.register_dataset("here", 1e9, "delta");
+  data.set_bandwidth("lab", "delta", 1e9);
+  int calls = 0;
+  bool result = false;
+  data.stage({{"twin", "delta"}, {"here", "delta"}, {"twin", "delta"}},
+             [&](bool ok, const std::string& failed) {
+               ++calls;
+               result = ok;
+               EXPECT_EQ(failed, "");
+             });
+  runtime.loop().run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(result);
+  EXPECT_EQ(data.transfers(), 1u);  // both entries rode one transfer
+
+  // A failing call withdraws both entries of its twin: the transfer
+  // nobody else waits on is cancelled and gives everything back.
+  data.register_dataset("pair", 4e9, "lab");
+  std::string failed_name;
+  data.stage({{"pair", "delta"}, {"missing", "delta"}, {"pair", "delta"}},
+             [&](bool ok, const std::string& failed) {
+               EXPECT_FALSE(ok);
+               failed_name = failed;
+             });
+  runtime.loop().run();
+  EXPECT_EQ(failed_name, "missing");
+  EXPECT_EQ(data.transfers(), 2u);
+  EXPECT_EQ(data.cancelled_transfers(), 1u);
+  EXPECT_FALSE(data.available_in("pair", "delta"));
+  EXPECT_DOUBLE_EQ(data.catalog().store("delta").reserved, 0.0);
+  EXPECT_EQ(data.catalog().pins("pair", "lab"), 0u);
+}
+
+TEST_F(DataPlaneFacadeTest, CancelStageOfSettledUnknownOrZeroTicketIsFalse) {
+  data.register_dataset("here", 1e9, "delta");
+  const auto ignore = [](bool, const std::string&) {};
+  const DataManager::StageTicket landed =
+      data.stage({{"here", "delta"}}, ignore);
+  const DataManager::StageTicket failed =
+      data.stage({{"ghost", "delta"}}, ignore);
+  ASSERT_NE(landed, 0u);
+  ASSERT_NE(failed, 0u);
+  runtime.loop().run();
+  EXPECT_FALSE(data.cancel_stage(landed));
+  EXPECT_FALSE(data.cancel_stage(failed));
+  EXPECT_FALSE(data.cancel_stage(failed + 1000));  // never issued
+  EXPECT_FALSE(data.cancel_stage(0));
+  // A cancelled ticket is settled too.
+  const DataManager::StageTicket dropped =
+      data.stage({{"here", "delta"}}, ignore);
+  EXPECT_TRUE(data.cancel_stage(dropped));
+  EXPECT_FALSE(data.cancel_stage(dropped));
+  // An empty call has nothing to cancel: no ticket, and it still
+  // reports success.
+  bool empty_ok = false;
+  EXPECT_EQ(data.stage({}, [&](bool ok, const std::string&) { empty_ok = ok; }),
+            0u);
+  runtime.loop().run();
+  EXPECT_TRUE(empty_ok);
+}
+
+TEST_F(DataPlaneFacadeTest, OneCallStagesEachTargetIntoItsOwnZone) {
+  // The stage-out shape: every product may go somewhere else.
+  data.register_dataset("out-a", 2e9, "delta");
+  data.register_dataset("out-b", 3e9, "delta");
+  data.set_bandwidth("delta", "lab", 1e9);
+  data.set_bandwidth("delta", "archive", 1e9);
+  int calls = 0;
+  bool result = false;
+  data.stage({{"out-a", "lab"}, {"out-b", "archive"}, {"out-a", "delta"}},
+             [&](bool ok, const std::string&) {
+               ++calls;
+               result = ok;
+             });
+  runtime.loop().run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(result);
+  EXPECT_TRUE(data.available_in("out-a", "lab"));
+  EXPECT_TRUE(data.available_in("out-b", "archive"));
+  EXPECT_FALSE(data.available_in("out-b", "lab"));
+  EXPECT_EQ(data.transfers(), 2u);
+}
+
+/// One seeded fuzz run of the staging call: calls of 0-5 targets into
+/// finite stores (with aliases, unknown names and tenants), cancels of
+/// any issued ticket, prefetches, links going down for a while and store
+/// crashes, against a lossy transfer engine. Every dataset keeps a copy
+/// in an archive zone without a store, so store crashes and evictions
+/// never orphan it. Checks the call's contract as it goes and returns
+/// the callback log.
+std::vector<std::string> run_stage_fuzz(std::uint64_t seed, int operations) {
+  Runtime runtime{seed};
+  DataManager data{runtime};
+  common::Rng driver = common::Rng(seed).fork("stage-fuzz");
+  data.set_default_bandwidth(1e9);
+  data.set_setup_latency(common::Distribution::lognormal(0.2, 0.5, 0.01));
+  data.engine().set_failure(0.1, 1);
+  const std::vector<std::string> zones = {"a", "b", "c", "d"};
+  for (const auto& zone : zones) data.add_store(zone, 40e9);
+  const auto pick = [&driver](const std::vector<std::string>& from) {
+    return from[static_cast<std::size_t>(
+        driver.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+
+  std::vector<std::string> names;
+  for (int i = 0; i < 24; ++i) {
+    const std::string name = "ds" + std::to_string(i);
+    const std::string content = "cid" + std::to_string(i);
+    const double bytes = driver.uniform(1e9, 12e9);
+    data.register_dataset(name, bytes, "archive", content);
+    if (driver.chance(0.5)) data.register_dataset(name, bytes, pick(zones));
+    names.push_back(name);
+    if (i % 8 == 0) {  // another tenant's name for the same content
+      names.push_back("alias" + std::to_string(i));
+      data.register_dataset(names.back(), bytes, pick(zones), content);
+    }
+  }
+  std::vector<std::string> requested = names;
+  requested.push_back("ghost");  // never registered
+  const std::vector<std::string> tenants = {"", "t1", "t2"};
+
+  struct Call {
+    std::vector<std::string> datasets;
+    int callbacks = 0;
+    bool cancelled = false;
+  };
+  std::vector<Call> calls;
+  std::vector<DataManager::StageTicket> tickets;
+  std::vector<std::string> log;
+  std::vector<std::string> link_ends = zones;
+  link_ends.push_back("archive");
+
+  for (int op = 0; op < operations; ++op) {
+    // Some operations land in the same instant as the previous one,
+    // before its posted outcomes run.
+    if (driver.chance(0.8)) {
+      runtime.loop().run_until(runtime.loop().now() + driver.exponential(0.5));
+    }
+    const double roll = driver.uniform(0.0, 1.0);
+    if (roll < 0.55) {
+      const auto count = driver.uniform_int(0, 5);
+      std::vector<DataManager::StageTarget> targets;
+      Call call;
+      for (std::int64_t i = 0; i < count; ++i) {
+        targets.push_back({pick(requested), pick(zones)});
+        call.datasets.push_back(targets.back().dataset);
+      }
+      const std::size_t id = calls.size();
+      calls.push_back(std::move(call));
+      tickets.push_back(data.stage(
+          std::move(targets),
+          [&, id](bool ok, const std::string& failed) {
+            Call& settled = calls[id];
+            EXPECT_FALSE(settled.cancelled) << "call " << id;
+            ++settled.callbacks;
+            if (ok) {
+              EXPECT_EQ(failed, "");
+            } else {
+              EXPECT_NE(std::find(settled.datasets.begin(),
+                                  settled.datasets.end(), failed),
+                        settled.datasets.end())
+                  << failed;
+            }
+            log.push_back(strutil::cat(
+                strutil::format_fixed(runtime.loop().now(), 6), " call ", id,
+                ok ? " ok" : " failed ", failed));
+          },
+          pick(tenants)));
+    } else if (roll < 0.7) {
+      if (tickets.empty()) continue;
+      const auto id = static_cast<std::size_t>(driver.uniform_int(
+          0, static_cast<std::int64_t>(tickets.size()) - 1));
+      if (data.cancel_stage(tickets[id])) {
+        EXPECT_EQ(calls[id].callbacks, 0) << "call " << id;
+        calls[id].cancelled = true;
+      }
+    } else if (roll < 0.82) {
+      const std::size_t started =
+          data.prefetch({pick(names), pick(names)}, pick(zones), pick(tenants));
+      log.push_back(strutil::cat("prefetch ", started));
+    } else if (roll < 0.97) {
+      const std::string from = pick(link_ends);
+      const std::string to = pick(link_ends);
+      if (from == to) continue;
+      data.engine().fail_link(from, to);
+      runtime.loop().call_after(driver.exponential(5.0), [&, from, to] {
+        data.engine().restore_link(from, to);
+      });
+    } else {
+      // A crashed store comes back at once, empty, at its old capacity.
+      const std::string zone = pick(zones);
+      log.push_back(strutil::cat("repairs ", data.handle_store_failure(zone)));
+      data.add_store(zone, 40e9);
+    }
+  }
+  runtime.loop().run();  // every downed link comes back up
+
+  for (std::size_t id = 0; id < calls.size(); ++id) {
+    EXPECT_EQ(calls[id].callbacks, calls[id].cancelled ? 0 : 1)
+        << "call " << id;
+  }
+  EXPECT_EQ(data.engine().live(), 0u);
+  for (const auto& zone : zones) {
+    // Zero but for rounding: the ledger sums fractional byte sizes in
+    // floating point. A leaked reservation would be gigabytes.
+    EXPECT_LT(std::abs(data.catalog().store(zone).reserved), 1.0) << zone;
+    for (const auto& name : names) {
+      EXPECT_EQ(data.catalog().pins(name, zone), 0u) << name << " in " << zone;
+    }
+  }
+  log.push_back(strutil::cat("transfers ", data.transfers(), " cancelled ",
+                             data.cancelled_transfers(), " bytes ",
+                             data.bytes_moved(), " evictions ",
+                             data.catalog().evictions()));
+  return log;
+}
+
+TEST(StageFuzz, EveryCallSettlesOnceAndReleasesEverything) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    const std::vector<std::string> log = run_stage_fuzz(seed, 3000);
+    EXPECT_GT(log.size(), 1000u);
+  }
+}
+
+TEST(StageFuzz, SameSeedSameCallbackLog) {
+  EXPECT_EQ(run_stage_fuzz(7, 3000), run_stage_fuzz(7, 3000));
+}
+
 // ---------------------------------------------------------------------------
 // Replication-ahead prefetch
 // ---------------------------------------------------------------------------
@@ -713,8 +966,8 @@ TEST_F(DataPlaneFacadeTest, PrefetchUsesIdleLinksOnly) {
   data.set_bandwidth("lab", "delta", 1e9);
 
   bool staged = false;
-  data.stage("busy-feed", "delta",
-             [&](bool result, sim::Duration) { staged = result; });
+  data.stage({{"busy-feed", "delta"}},
+             [&](bool result, const std::string&) { staged = result; });
   runtime.loop().run_until(3.0);  // demand transfer occupies the link
   EXPECT_EQ(data.prefetch({"hot"}, "delta"), 0u);  // link busy: skip
   runtime.loop().run();
@@ -769,8 +1022,8 @@ TEST_F(DataPlaneFacadeTest, DemandStagingReclaimsPrefetchReservations) {
   runtime.loop().run_until(2.0);  // prefetch mid-flight
 
   bool ok = false;
-  data.stage("needed", "delta",
-             [&](bool result, sim::Duration) { ok = result; });
+  data.stage({{"needed", "delta"}},
+             [&](bool result, const std::string&) { ok = result; });
   runtime.loop().run();
   EXPECT_TRUE(ok);
   EXPECT_TRUE(data.available_in("needed", "delta"));
@@ -787,8 +1040,8 @@ TEST_F(DataPlaneFacadeTest, DemandStagePiggybacksOnPrefetch) {
   ASSERT_EQ(data.prefetch({"warm"}, "delta"), 1u);
   runtime.loop().run_until(3.0);  // prefetch mid-flight
   bool ok = false;
-  data.stage("warm", "delta",
-             [&](bool result, sim::Duration) { ok = result; });
+  data.stage({{"warm", "delta"}},
+             [&](bool result, const std::string&) { ok = result; });
   runtime.loop().run();
   EXPECT_TRUE(ok);
   // The demand stage rode the in-flight prefetch: one transfer total.

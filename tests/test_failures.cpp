@@ -296,7 +296,7 @@ TEST(FailureRecovery, StoreCrashRepairsFromSurvivingReplica) {
   data.add_store("c", 2e9);
   data.register_dataset("d", 1e8, "a");
   bool staged = false;
-  data.stage("d", "b", [&](bool ok, sim::Duration) { staged = ok; });
+  data.stage({{"d", "b"}}, [&](bool ok, const std::string&) { staged = ok; });
 
   // Store "a" dies after the copy into "b" has landed; the repair must
   // re-stripe from the survivor into "c" (most free bytes). Later the
@@ -347,7 +347,8 @@ TEST(FailureRecovery, LinkDownIsTerminalUntilRestored) {
                                           "a|b");
 
   bool first_ok = true;
-  data.stage("d", "b", [&](bool ok, sim::Duration) { first_ok = ok; });
+  data.stage({{"d", "b"}},
+             [&](bool ok, const std::string&) { first_ok = ok; });
   session.run();
   // Terminal: the attempt died on the downed link without burning the
   // retry budget, and the waiter saw the failure.
@@ -357,7 +358,8 @@ TEST(FailureRecovery, LinkDownIsTerminalUntilRestored) {
   session.failures().injector().inject_at(session.now() + 1.0,
                                           FailureKind::link_up, "a|b");
   bool second_ok = false;
-  data.stage("d", "b", [&](bool ok, sim::Duration) { second_ok = ok; });
+  data.stage({{"d", "b"}},
+             [&](bool ok, const std::string&) { second_ok = ok; });
   session.run();
   EXPECT_TRUE(second_ok);
   EXPECT_TRUE(data.available_in("d", "b"));
@@ -442,7 +444,7 @@ RecoveryPathsRun run_recovery_paths(bool tracing) {
   data.add_store("sb", 1e9);
   data.add_store("sc", 2e9);
   data.register_dataset("d", 1e8, "sa");
-  data.stage("d", "sb", [](bool, sim::Duration) {});
+  data.stage({{"d", "sb"}}, [](bool, const std::string&) {});
 
   sim::FailureInjector::Schedule crashes;
   crashes.mean_interarrival = 12.0;

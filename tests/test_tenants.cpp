@@ -276,8 +276,8 @@ TEST(TenantsTest, SecondTenantHitsFirstTenantsWarmReplica) {
   bool first = false;
   bool second = false;
   data.stage(
-      "t0/corpus", "delta", [&](bool ok, sim::Duration) { first = ok; },
-      "tenant0");
+      {{"t0/corpus", "delta"}},
+      [&](bool ok, const std::string&) { first = ok; }, "tenant0");
   session.run();
   ASSERT_TRUE(first);
   const double moved_after_first = data.bytes_moved();
@@ -286,8 +286,8 @@ TEST(TenantsTest, SecondTenantHitsFirstTenantsWarmReplica) {
   // The second tenant's differently-named stage resolves to the warm
   // canonical replica: no second transfer, no extra bytes.
   data.stage(
-      "t1/corpus", "delta", [&](bool ok, sim::Duration) { second = ok; },
-      "tenant1");
+      {{"t1/corpus", "delta"}},
+      [&](bool ok, const std::string&) { second = ok; }, "tenant1");
   session.run();
   EXPECT_TRUE(second);
   EXPECT_DOUBLE_EQ(data.bytes_moved(), moved_after_first);
