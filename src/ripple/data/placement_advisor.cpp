@@ -2,18 +2,16 @@
 
 #include <algorithm>
 
-#include "ripple/common/error.hpp"
 #include "ripple/core/entities.hpp"
 #include "ripple/core/scheduler.hpp"
 #include "ripple/platform/cluster.hpp"
 
 namespace ripple::data {
 
-void PlacementAdvisor::set_queue_penalty(double seconds_per_request) {
-  ensure(seconds_per_request >= 0.0, Errc::invalid_argument,
-         "queue penalty must be >= 0");
-  queue_penalty_ = seconds_per_request;
-}
+namespace {
+/// Seconds of estimated compute wait per already-queued request.
+constexpr double kQueuePenalty = 0.5;
+}  // namespace
 
 double PlacementAdvisor::bytes_to_move(
     const std::vector<std::string>& datasets,
@@ -59,7 +57,7 @@ double PlacementAdvisor::score(const std::vector<std::string>& datasets,
   // degrades to raw bytes, and adding seconds to bytes would drown the
   // penalty — skip it so the bytes-only mode stays purely data-driven.
   if (engine_ != nullptr && scheduler_ != nullptr) {
-    total += queue_penalty_ *
+    total += kQueuePenalty *
              static_cast<double>(scheduler_->queue_length(pilot_uid));
   }
   return total;

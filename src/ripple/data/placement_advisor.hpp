@@ -45,10 +45,6 @@ class PlacementAdvisor {
                    const core::Scheduler* scheduler = nullptr)
       : catalog_(catalog), engine_(engine), scheduler_(scheduler) {}
 
-  /// Seconds of estimated compute wait per already-queued request when
-  /// scoring a pilot (default 0.5). Zero disables the queue penalty.
-  void set_queue_penalty(double seconds_per_request);
-
   /// Bytes that must move into `zone` before `datasets` are all local.
   /// Unknown datasets cost nothing (they will be produced in place).
   [[nodiscard]] double bytes_to_move(
@@ -66,7 +62,8 @@ class PlacementAdvisor {
       const std::string& zone) const;
 
   /// The full placement score of one candidate: stage-in time plus the
-  /// queue-depth penalty of `pilot_uid`. The penalty (seconds) applies
+  /// queue-depth penalty of `pilot_uid`, 0.5 s of estimated compute wait
+  /// per already-queued request. The penalty (seconds) applies
   /// only when both engine and scheduler are wired — against the
   /// bytes-based fallback it would be unit-nonsense noise.
   [[nodiscard]] double score(const std::vector<std::string>& datasets,
@@ -88,7 +85,6 @@ class PlacementAdvisor {
   const ReplicaCatalog& catalog_;
   const TransferEngine* engine_ = nullptr;
   const core::Scheduler* scheduler_ = nullptr;
-  double queue_penalty_ = 0.5;
 };
 
 }  // namespace ripple::data

@@ -15,9 +15,7 @@ Duration LinkModel::sample_delay(common::Rng& rng, std::size_t bytes) const {
 }
 
 Network::Network(EventLoop& loop, common::Rng rng)
-    : loop_(loop), rng_(rng) {
-  loopback_.latency = common::Distribution::constant(1e-6);
-}
+    : loop_(loop), rng_(rng) {}
 
 void Network::add_zone(const std::string& zone) {
   ensure(!zone.empty(), Errc::invalid_argument, "zone name must not be empty");
@@ -75,7 +73,8 @@ Duration Network::sample_delay(const HostId& from, const HostId& to,
     if (zone_model != zone_loopback_.end()) {
       delay = zone_model->second.sample_delay(rng_, bytes);
     } else {
-      delay = loopback_.sample_delay(rng_, bytes);
+      static const LinkModel kLoopback{common::Distribution::constant(1e-6)};
+      delay = kLoopback.sample_delay(rng_, bytes);
     }
     label = "loopback";
   } else {

@@ -54,10 +54,8 @@ class Network {
   void set_link(const std::string& zone_a, const std::string& zone_b,
                 LinkModel link);
 
-  /// Sets the same-host loopback model (default: 1 us constant).
-  void set_loopback(LinkModel link) { loopback_ = link; }
-
-  /// Sets the same-host model for hosts of one zone. HPC platforms use
+  /// Sets the same-host model for hosts of one zone (hosts of other
+  /// zones pay a 1 us constant loopback). HPC platforms use
   /// this to charge the local TCP/ZeroMQ stack cost even for node-local
   /// messaging (comparable to, slightly below, inter-node latency).
   void set_zone_loopback(const std::string& zone, LinkModel link) {
@@ -101,7 +99,6 @@ class Network {
   common::Rng rng_;
   std::unordered_map<HostId, std::string> host_zone_;
   std::map<std::pair<std::string, std::string>, LinkModel> links_;
-  LinkModel loopback_;
   std::unordered_map<std::string, LinkModel> zone_loopback_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;

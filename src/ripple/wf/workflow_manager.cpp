@@ -14,6 +14,10 @@ namespace ripple::wf {
 
 namespace {
 std::string event_time(double time) { return strutil::format_fixed(time, 3); }
+
+/// How many dependency edges ahead of a launching node the frontier
+/// prefetch looks.
+constexpr std::size_t kPrefetchDepth = 2;
 }  // namespace
 
 WorkflowManager::WorkflowManager(core::Session& session)
@@ -307,7 +311,7 @@ void WorkflowManager::release_node(const std::shared_ptr<GraphRun>& run,
 
 void WorkflowManager::prefetch_frontier(const std::shared_ptr<GraphRun>& run,
                                         std::size_t seq) {
-  if (run->failed || prefetch_depth_ == 0) return;
+  if (run->failed) return;
   // BFS over successor edges: candidates are ordered by (steps until
   // consumption, node sequence), so data a nearer successor needs
   // claims the idle-link prefetch budget first; link slack is the
@@ -318,7 +322,7 @@ void WorkflowManager::prefetch_frontier(const std::shared_ptr<GraphRun>& run,
   while (!queue.empty()) {
     const auto [at, depth] = queue.front();
     queue.pop_front();
-    if (depth == prefetch_depth_) continue;
+    if (depth == kPrefetchDepth) continue;
     for (const std::size_t edge_index : run->nodes[at].out_edges) {
       const std::size_t next = run->edges[edge_index].to;
       if (!seen.insert(next).second) continue;

@@ -25,8 +25,8 @@
 ///
 /// Prefetch generalizes the pipeline's stage-k+1 lookahead to the
 /// frontier of ready successors: when a node's tasks launch, the
-/// consumed datasets of its not-yet-released successors (up to
-/// `set_prefetch_depth` edges ahead, nearest first, so data needed
+/// consumed datasets of its not-yet-released successors (up to two
+/// dependency edges ahead, nearest first, so data needed
 /// sooner claims the idle-link budget first) are pushed toward their
 /// predicted pilots on idle links only.
 ///
@@ -87,12 +87,6 @@ class WorkflowManager {
   [[nodiscard]] const std::map<std::string, GraphResult>& graph_results()
       const noexcept {
     return graph_results_;
-  }
-
-  /// How many dependency edges ahead of a launching node the frontier
-  /// prefetch looks (default 2).
-  void set_prefetch_depth(std::size_t depth) noexcept {
-    prefetch_depth_ = depth;
   }
 
  private:
@@ -233,7 +227,6 @@ class WorkflowManager {
 
   core::Session& session_;
   common::Logger log_;
-  std::size_t prefetch_depth_ = 2;
   std::map<std::string, PipelineResult> results_;
   std::map<std::string, GraphResult> graph_results_;
 };
