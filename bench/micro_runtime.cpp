@@ -1,9 +1,10 @@
 // Micro-benchmarks of the runtime substrate (google-benchmark).
 //
 // These quantify the infrastructure costs underneath the paper's
-// metrics: event-loop throughput and timeout churn, uid minting, JSON
-// round-trips (the RPC payload format), router/RPC hops, entity state
-// transitions, scheduler grant/release cycles and slot pool churn. They
+// metrics: event-loop throughput and timeout churn, uid minting, string
+// concatenation, JSON round-trips (the RPC payload format), router/RPC
+// hops, entity state transitions, scheduler grant/release cycles, slot
+// pool churn and the data plane's staging call. They
 // back the claim that architectural overheads are "minimal" relative to
 // the modeled network and model costs.
 
@@ -22,6 +23,8 @@
 #include "ripple/common/thread_pool.hpp"
 #include "ripple/common/random.hpp"
 #include "ripple/common/statistics.hpp"
+#include "ripple/common/strutil.hpp"
+#include "ripple/core/data_manager.hpp"
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/core/states.hpp"
@@ -84,6 +87,57 @@ void BM_MakeUid(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeUid);
+
+// The two strutil::cat shapes the dataflow workload builds most often:
+// a workflow event-log line and a per-tenant counter name.
+void BM_StrCat(benchmark::State& state) {
+  const std::string node = "b2";
+  const std::string tenant = "t1";
+  const double now = 1234.5678;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        strutil::cat(strutil::format_fixed(now, 3), " release ", node));
+    benchmark::DoNotOptimize(strutil::cat("sched.grants.", tenant));
+  }
+}
+BENCHMARK(BM_StrCat);
+
+// One DataManager::stage call of four targets, drained through the loop.
+// Arg 0: all four are resident, the common case (most of dataflow's
+// staged targets already are). Arg 1: the fourth rides a long transfer
+// already in flight, so the loop runs the three posted outcomes and the
+// call is then withdrawn from the flight with cancel_stage.
+void BM_Stage(benchmark::State& state) {
+  const bool in_flight = state.range(0) == 1;
+  core::Runtime runtime(7);
+  core::DataManager data(runtime);
+  data.set_default_bandwidth(1e9);
+  std::vector<core::DataManager::StageTarget> targets;
+  for (int i = 0; i < 4; ++i) {
+    const std::string name = "t1/part" + std::to_string(i);
+    data.register_dataset(name, 1e9, "delta");
+    targets.push_back({name, "delta"});
+  }
+  if (in_flight) {
+    data.register_dataset("t1/remote", 1e15, "archive");
+    targets.back() = {"t1/remote", "delta"};
+    (void)data.stage({targets.back()}, [](bool, const std::string&) {});
+  }
+  std::size_t landed = 0;
+  for (auto _ : state) {
+    const auto ticket =
+        data.stage(targets, [&](bool ok, const std::string&) { landed += ok; });
+    if (in_flight) {
+      runtime.loop().run_until(runtime.loop().now());
+      data.cancel_stage(ticket);
+    } else {
+      runtime.loop().run();
+    }
+  }
+  benchmark::DoNotOptimize(landed);
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_Stage)->Arg(0)->Arg(1);
 
 // The event-loop Callback is a small-buffer-optimized move-only type
 // (sim::UniqueCallback): captures up to 64 bytes live inline in the
