@@ -52,7 +52,7 @@ void append_part(std::string& out, const T& part) {
 
 /// Concatenates all arguments as an ostringstream would print them, but
 /// without building one for text and numbers. The building block for
-/// log and error messages and log lines (GCC 12 lacks std::format).
+/// log lines and error messages (GCC 12 lacks std::format).
 template <typename... Args>
 [[nodiscard]] std::string cat(const Args&... args) {
   std::string out;

@@ -277,8 +277,8 @@ void DataManager::settle(StageTicket ticket, std::size_t target, bool ok) {
 void DataManager::withdraw(StageTicket ticket,
                            const std::vector<StageTarget>& targets) {
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto flight =
-        flights_.find({catalog_.canonical(targets[i].dataset), targets[i].zone});
+    const auto& [name, zone] = targets[i];
+    const auto flight = flights_.find({catalog_.canonical(name), zone});
     if (flight == flights_.end()) continue;
     auto& waiters = flight->second.waiters;
     const auto waiter =

@@ -1026,10 +1026,8 @@ void TaskManager::fail_task(const std::string& uid,
     // drop the queue entry so the scheduler never grants a dead task.
     scheduler_.cancel(active.pilot->uid(), uid);
   }
-  if (active.stage_ticket != 0) {
-    data_.cancel_stage(std::exchange(active.stage_ticket, 0));
-    active.stage_in_pending = false;
-  }
+  data_.cancel_stage(std::exchange(active.stage_ticket, 0));
+  active.stage_in_pending = false;
   release_slot(active);
   release_input_pins(active);
   active.payload.reset();
