@@ -820,24 +820,24 @@ TEST_F(DataPlaneFacadeTest, OneCallStagesEachTargetIntoItsOwnZone) {
 std::vector<std::string> run_stage_fuzz(std::uint64_t seed, int operations) {
   Runtime runtime{seed};
   DataManager data{runtime};
-  common::Rng driver = common::Rng(seed).fork("stage-fuzz");
+  common::Rng rng = common::Rng(seed).fork("stage-fuzz");
   data.set_default_bandwidth(1e9);
   data.set_setup_latency(common::Distribution::lognormal(0.2, 0.5, 0.01));
   data.engine().set_failure(0.1, 1);
   const std::vector<std::string> zones = {"a", "b", "c", "d"};
   for (const auto& zone : zones) data.add_store(zone, 40e9);
-  const auto pick = [&driver](const std::vector<std::string>& from) {
+  const auto pick = [&rng](const std::vector<std::string>& from) {
     return from[static_cast<std::size_t>(
-        driver.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
   };
 
   std::vector<std::string> names;
   for (int i = 0; i < 24; ++i) {
     const std::string name = "ds" + std::to_string(i);
     const std::string content = "cid" + std::to_string(i);
-    const double bytes = driver.uniform(1e9, 12e9);
+    const double bytes = rng.uniform(1e9, 12e9);
     data.register_dataset(name, bytes, "archive", content);
-    if (driver.chance(0.5)) data.register_dataset(name, bytes, pick(zones));
+    if (rng.chance(0.5)) data.register_dataset(name, bytes, pick(zones));
     names.push_back(name);
     if (i % 8 == 0) {  // another tenant's name for the same content
       names.push_back("alias" + std::to_string(i));
@@ -862,12 +862,12 @@ std::vector<std::string> run_stage_fuzz(std::uint64_t seed, int operations) {
   for (int op = 0; op < operations; ++op) {
     // Some operations land in the same instant as the previous one,
     // before its posted outcomes run.
-    if (driver.chance(0.8)) {
-      runtime.loop().run_until(runtime.loop().now() + driver.exponential(0.5));
+    if (rng.chance(0.8)) {
+      runtime.loop().run_until(runtime.loop().now() + rng.exponential(0.5));
     }
-    const double roll = driver.uniform(0.0, 1.0);
+    const double roll = rng.uniform(0.0, 1.0);
     if (roll < 0.55) {
-      const auto count = driver.uniform_int(0, 5);
+      const auto count = rng.uniform_int(0, 5);
       std::vector<DataManager::StageTarget> targets;
       Call call;
       for (std::int64_t i = 0; i < count; ++i) {
@@ -897,7 +897,7 @@ std::vector<std::string> run_stage_fuzz(std::uint64_t seed, int operations) {
           pick(tenants)));
     } else if (roll < 0.7) {
       if (tickets.empty()) continue;
-      const auto id = static_cast<std::size_t>(driver.uniform_int(
+      const auto id = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(tickets.size()) - 1));
       if (data.cancel_stage(tickets[id])) {
         EXPECT_EQ(calls[id].callbacks, 0) << "call " << id;
@@ -912,7 +912,7 @@ std::vector<std::string> run_stage_fuzz(std::uint64_t seed, int operations) {
       const std::string to = pick(link_ends);
       if (from == to) continue;
       data.engine().fail_link(from, to);
-      runtime.loop().call_after(driver.exponential(5.0), [&, from, to] {
+      runtime.loop().call_after(rng.exponential(5.0), [&, from, to] {
         data.engine().restore_link(from, to);
       });
     } else {
