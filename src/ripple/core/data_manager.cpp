@@ -115,41 +115,41 @@ std::optional<bool> DataManager::admit(const StageTarget& target,
                                        const std::string& tenant,
                                        Waiter waiter) {
   const auto& [name, dst_zone] = target;
-  if (!catalog_.has(name)) return false;
-  if (catalog_.available_in(name, dst_zone)) {
-    catalog_.touch(name, dst_zone);
+  const Dataset* ds = catalog_.find(name);
+  if (ds == nullptr) return false;
+  if (ds->zones.count(dst_zone) != 0) {
+    catalog_.touch(ds->name, dst_zone);
     return true;
   }
 
   // Flights key on the canonical (content-resolved) name: concurrent
   // stages of the same content under different tenant aliases coalesce
   // onto one transfer instead of each paying for the bytes.
-  const FlightKey key{catalog_.canonical(name), dst_zone};
+  const FlightKey key{ds->name, dst_zone};
   const auto flight = flights_.find(key);
   if (flight != flights_.end()) {  // piggyback on the shared transfer
     flight->second.waiters.push_back(waiter);
     return std::nullopt;
   }
 
-  const Dataset& ds = catalog_.dataset(name);
   // Eviction may have reclaimed every replica of an unprotected
   // dataset; that is a failed stage, not an internal error.
-  if (ds.zones.empty()) return false;
+  if (ds->zones.empty()) return false;
   // Demand outranks speculation: when the store cannot take the
   // reservation, reclaim waiterless prefetch flights into this zone
   // (cancelling them frees their reservations) before giving up — but
   // only when the dataset could ever fit; a doomed oversized stage
   // must not wipe out useful speculative work on its way to failing.
-  bool reserved = catalog_.reserve(dst_zone, ds.bytes, tenant);
-  if (!reserved && ds.bytes <= catalog_.store(dst_zone).capacity) {
+  bool reserved = catalog_.reserve(dst_zone, ds->bytes, tenant);
+  if (!reserved && ds->bytes <= catalog_.store(dst_zone).capacity) {
     while (!reserved && reclaim_one_prefetch(dst_zone)) {
-      reserved = catalog_.reserve(dst_zone, ds.bytes, tenant);
+      reserved = catalog_.reserve(dst_zone, ds->bytes, tenant);
     }
   }
   if (!reserved) return false;
   // Every replica contributes: a multi-zone dataset moves as one
   // striped transfer over the disjoint (src, dst) links.
-  launch_flight(key, {ds.zones.begin(), ds.zones.end()}, ds.bytes,
+  launch_flight(key, {ds->zones.begin(), ds->zones.end()}, ds->bytes,
                 /*prefetch=*/false, tenant)
       .waiters.push_back(waiter);
   return std::nullopt;
@@ -160,32 +160,29 @@ std::size_t DataManager::prefetch(const std::vector<std::string>& names,
                                   const std::string& tenant) {
   std::size_t started = 0;
   for (const auto& name : names) {
-    if (!catalog_.has(name)) continue;
-    if (catalog_.available_in(name, zone)) continue;
-    const std::string& canon = catalog_.canonical(name);
-    if (flights_.count({canon, zone}) != 0) continue;  // already inbound
-    const Dataset& ds = catalog_.dataset(name);
-    if (ds.zones.empty()) continue;
+    const Dataset* ds = catalog_.find(name);
+    if (ds == nullptr || ds->zones.count(zone) != 0) continue;
+    if (flights_.count({ds->name, zone}) != 0) continue;  // already inbound
+    if (ds->zones.empty()) continue;
     // Budget: bytes already being prefetched into this store.
     const auto inflight = prefetch_inflight_.find(zone);
     const double pending =
         inflight == prefetch_inflight_.end() ? 0.0 : inflight->second;
-    if (pending + ds.bytes > prefetch_budget_) continue;
+    if (pending + ds->bytes > prefetch_budget_) continue;
     // Never evict for a prefetch: demand data outranks speculation.
-    if (catalog_.store(zone).free() < ds.bytes) continue;
+    if (catalog_.store(zone).free() < ds->bytes) continue;
     // Idle links only — a prefetch must not steal fair-share bandwidth
     // from demand transfers already flowing.
     std::vector<std::string> idle_sources;
-    for (const auto& src : ds.zones) {
-      if (src == zone) continue;
+    for (const auto& src : ds->zones) {
       if (engine_.active_on(src, zone) == 0 &&
           engine_.queued_on(src, zone) == 0) {
         idle_sources.push_back(src);
       }
     }
     if (idle_sources.empty()) continue;
-    if (!catalog_.reserve(zone, ds.bytes, tenant)) continue;
-    launch_flight({canon, zone}, std::move(idle_sources), ds.bytes,
+    if (!catalog_.reserve(zone, ds->bytes, tenant)) continue;
+    launch_flight({ds->name, zone}, std::move(idle_sources), ds->bytes,
                   /*prefetch=*/true, tenant);
     ++started;
   }

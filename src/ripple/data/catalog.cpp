@@ -1,5 +1,7 @@
 #include "ripple/data/catalog.hpp"
 
+#include <algorithm>
+
 #include "ripple/common/error.hpp"
 #include "ripple/common/strutil.hpp"
 
@@ -37,60 +39,62 @@ void ReplicaCatalog::register_dataset(const std::string& name, double bytes,
                                       const std::string& content_id) {
   ensure(!name.empty(), Errc::invalid_argument, "dataset needs a name");
   ensure(bytes >= 0.0, Errc::invalid_argument, "dataset bytes must be >= 0");
+  Entry* entry = lookup(name);
   if (!content_id.empty()) {
     const auto cit = content_index_.find(content_id);
-    if (cit != content_index_.end() && cit->second != canonical(name)) {
+    if (cit != content_index_.end() && cit->second != entry) {
       // The content id already has a canonical dataset under another
       // name: `name` becomes an alias of it. A name that is already a
       // distinct dataset (or an alias of a different one) cannot be
       // re-bound — that would silently merge two different blobs.
-      const std::string& canon = cit->second;
-      ensure(datasets_.count(name) == 0, Errc::invalid_state, "dataset '", name,
+      Entry& canon = *cit->second;
+      ensure(entry == nullptr || entry->info.name != name, Errc::invalid_state,
+             "dataset '", name,
              "' already registered; cannot re-bind it to content id '",
              content_id, "'");
-      const auto ait = aliases_.find(name);
-      ensure(ait == aliases_.end() || ait->second == canon, Errc::invalid_state,
-             "dataset '", name, "' already aliases '",
-             ait == aliases_.end() ? "" : ait->second, "'; cannot re-bind to '",
-             canon, "'");
-      aliases_.emplace(name, canon);
+      ensure(entry == nullptr, Errc::invalid_state, "dataset '", name,
+             "' already aliases '", entry == nullptr ? name : entry->info.name,
+             "'; cannot re-bind to '", canon.info.name, "'");
+      aliases_.emplace(name, &canon);
       // Lineage recorded against the alias name before the alias
       // existed (consumers registered ahead of production) now
       // protects the canonical entry.
-      const auto lit = lineage_.find(name);
-      if (lit != lineage_.end()) {
-        auto& merged = lineage_[canon];
-        for (const auto& [tenant, count] : lit->second) {
+      if (auto early = lineage_.extract(name)) {
+        auto& merged = lineage_[canon.info.name];
+        for (const auto& [tenant, count] : early.mapped()) {
           merged[tenant] += count;
         }
-        lineage_.erase(name);
       }
-      add_replica(datasets_.at(canon), zone);
+      add_replica(canon, zone);
       return;
     }
   }
-  const std::string& canon = canonical(name);
-  auto [it, inserted] = datasets_.try_emplace(canon);
-  if (inserted) {
-    it->second.info.name = canon;
-    it->second.info.bytes = bytes;
+  if (entry == nullptr) {
+    entry = &datasets_[name];
+    entry->info.name = name;
+    entry->info.bytes = bytes;
   }
   if (!content_id.empty()) {
-    if (it->second.info.content_id.empty()) {
-      it->second.info.content_id = content_id;
-      content_index_.emplace(content_id, canon);
+    if (entry->info.content_id.empty()) {
+      entry->info.content_id = content_id;
+      content_index_.emplace(content_id, entry);
     } else {
-      ensure(it->second.info.content_id == content_id, Errc::invalid_state,
-             "dataset '", canon, "' has content id '",
-             it->second.info.content_id, "'; cannot re-register as '",
+      ensure(entry->info.content_id == content_id, Errc::invalid_state,
+             "dataset '", entry->info.name, "' has content id '",
+             entry->info.content_id, "'; cannot re-register as '",
              content_id, "'");
     }
   }
-  add_replica(it->second, zone);
+  add_replica(*entry, zone);
+}
+
+const Dataset* ReplicaCatalog::find(const std::string& name) const {
+  const Entry* entry = lookup(name);
+  return entry == nullptr ? nullptr : &entry->info;
 }
 
 bool ReplicaCatalog::has(const std::string& name) const {
-  return datasets_.count(canonical(name)) != 0;
+  return lookup(name) != nullptr;
 }
 
 const Dataset& ReplicaCatalog::dataset(const std::string& name) const {
@@ -99,13 +103,13 @@ const Dataset& ReplicaCatalog::dataset(const std::string& name) const {
 
 bool ReplicaCatalog::available_in(const std::string& name,
                                   const std::string& zone) const {
-  const auto it = datasets_.find(canonical(name));
-  return it != datasets_.end() && it->second.replicas.count(zone) != 0;
+  const Entry* entry = lookup(name);
+  return entry != nullptr && entry->replicas.count(zone) != 0;
 }
 
 const std::string& ReplicaCatalog::canonical(const std::string& name) const {
-  const auto it = aliases_.find(name);
-  return it == aliases_.end() ? name : it->second;
+  const Entry* entry = lookup(name);
+  return entry == nullptr ? name : entry->info.name;
 }
 
 // ---------------------------------------------------------------------------
@@ -184,26 +188,26 @@ void ReplicaCatalog::commit_replica(const std::string& name,
 }
 
 void ReplicaCatalog::touch(const std::string& name, const std::string& zone) {
-  const auto it = datasets_.find(canonical(name));
-  if (it == datasets_.end()) return;
-  const auto rep = it->second.replicas.find(zone);
-  if (rep == it->second.replicas.end()) return;
+  Entry* entry = lookup(name);
+  if (entry == nullptr) return;
+  const auto rep = entry->replicas.find(zone);
+  if (rep == entry->replicas.end()) return;
   Store& store = store_for(zone);
-  remove_from_lru(store, rep->second.last_use, it->first);
+  remove_from_lru(store, rep->second.last_use, entry->info.name);
   rep->second.last_use = ++clock_;
-  store.lru.insert({rep->second.last_use, it->first});
+  store.lru.insert({rep->second.last_use, entry->info.name});
 }
 
 bool ReplicaCatalog::drop_replica(const std::string& name,
                                   const std::string& zone) {
-  const auto it = datasets_.find(canonical(name));
-  if (it == datasets_.end()) return false;
-  Entry& entry = it->second;
+  Entry* found = lookup(name);
+  if (found == nullptr) return false;
+  Entry& entry = *found;
   const auto rep = entry.replicas.find(zone);
   if (rep == entry.replicas.end()) return false;
   if (protected_replica(entry, rep->second)) return false;
   Store& store = store_for(zone);
-  remove_from_lru(store, rep->second.last_use, it->first);
+  remove_from_lru(store, rep->second.last_use, entry.info.name);
   store.info.used -= entry.info.bytes;
   if (store.info.used < 0.0) store.info.used = 0.0;
   uncharge_owner(store, rep->second, entry.info.bytes);
@@ -231,10 +235,12 @@ void ReplicaCatalog::unpin(const std::string& name, const std::string& zone,
   // A pin taken before the zone's store failed: the replica was
   // force-dropped, and the interrupted reader's release is tolerated
   // (whichever tenant held it — lost pins are tracked by total).
-  const auto lost = lost_pins_.find({zone, canonical(name)});
-  if (lost != lost_pins_.end()) {
-    if (--lost->second == 0) lost_pins_.erase(lost);
-    return;
+  if (!lost_pins_.empty()) {
+    const auto lost = lost_pins_.find({zone, canonical(name)});
+    if (lost != lost_pins_.end()) {
+      if (--lost->second == 0) lost_pins_.erase(lost);
+      return;
+    }
   }
   Entry& entry = entry_for(name);
   const auto rep = entry.replicas.find(zone);
@@ -254,10 +260,10 @@ void ReplicaCatalog::unpin(const std::string& name, const std::string& zone,
 
 std::size_t ReplicaCatalog::pins(const std::string& name,
                                  const std::string& zone) const {
-  const auto it = datasets_.find(canonical(name));
-  if (it == datasets_.end()) return 0;
-  const auto rep = it->second.replicas.find(zone);
-  return rep == it->second.replicas.end() ? 0 : rep->second.pins;
+  const Entry* entry = lookup(name);
+  if (entry == nullptr) return 0;
+  const auto rep = entry->replicas.find(zone);
+  return rep == entry->replicas.end() ? 0 : rep->second.pins;
 }
 
 void ReplicaCatalog::add_consumers(const std::string& name,
@@ -340,8 +346,10 @@ std::vector<std::string> ReplicaCatalog::fail_store(const std::string& zone) {
     }
     entry.replicas.erase(rep);
     entry.info.zones.erase(zone);
-    lost.push_back(name);  // datasets_ is ordered: `lost` comes out sorted
+    lost.push_back(name);
   }
+  // The walk is in hash order; callers repair in the returned order.
+  std::sort(lost.begin(), lost.end());
   stores_.erase(zone);
   return lost;
 }
@@ -350,8 +358,9 @@ bool ReplicaCatalog::protected_replica(const Entry& entry,
                                        const Replica& replica) const {
   // Protection is GLOBAL: pins and lineage consumers are summed across
   // every tenant, so one tenant's store pressure can never evict a
-  // replica another tenant is still reading (or about to read).
-  return replica.pins > 0 || consumers_left(entry.info.name) > 0;
+  // replica another tenant is still reading (or about to read). lineage_
+  // holds a name only while it has consumers left.
+  return replica.pins > 0 || lineage_.count(entry.info.name) != 0;
 }
 
 bool ReplicaCatalog::make_room(const std::string& zone, double bytes) {
@@ -419,19 +428,27 @@ void ReplicaCatalog::uncharge_owner(Store& store, const Replica& replica,
   if (it->second <= slack(bytes)) store.used_by_tenant.erase(it);
 }
 
-ReplicaCatalog::Entry& ReplicaCatalog::entry_for(const std::string& name) {
-  const auto it = datasets_.find(canonical(name));
-  ensure(it != datasets_.end(), Errc::not_found, "unknown dataset '", name,
-         "'");
-  return it->second;
+const ReplicaCatalog::Entry* ReplicaCatalog::lookup(
+    const std::string& name) const {
+  const auto it = datasets_.find(name);
+  if (it != datasets_.end()) return &it->second;
+  const auto alias = aliases_.find(name);
+  return alias == aliases_.end() ? nullptr : alias->second;
+}
+
+ReplicaCatalog::Entry* ReplicaCatalog::lookup(const std::string& name) {
+  return const_cast<Entry*>(std::as_const(*this).lookup(name));
 }
 
 const ReplicaCatalog::Entry& ReplicaCatalog::entry_for(
     const std::string& name) const {
-  const auto it = datasets_.find(canonical(name));
-  ensure(it != datasets_.end(), Errc::not_found, "unknown dataset '", name,
-         "'");
-  return it->second;
+  const Entry* entry = lookup(name);
+  ensure(entry != nullptr, Errc::not_found, "unknown dataset '", name, "'");
+  return *entry;
+}
+
+ReplicaCatalog::Entry& ReplicaCatalog::entry_for(const std::string& name) {
+  return const_cast<Entry&>(std::as_const(*this).entry_for(name));
 }
 
 ReplicaCatalog::Store& ReplicaCatalog::store_for(const std::string& zone) {

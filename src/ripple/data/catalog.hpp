@@ -20,6 +20,15 @@
 /// has finished). Eviction order is deterministic: strictly ascending
 /// last-use stamps from a logical clock, name as the tie-break.
 ///
+/// Every query resolves its name with one hash probe: datasets are kept
+/// in an unordered map by canonical name, and each alias maps straight
+/// to its canonical entry (entries never move: unordered_map nodes are
+/// stable and no dataset is ever erased), so an alias or an unknown
+/// name costs a second probe at most. find() hands callers the Dataset
+/// itself, so a caller that needs residency, size and zones resolves the
+/// name once. Nothing iterates the index except fail_store(), which
+/// sorts what it returns.
+///
 /// Multi-tenant sharing. The catalog is one namespace shared by every
 /// tenant (concurrent workflow session). Two mechanisms make sharing
 /// safe and profitable:
@@ -50,6 +59,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,6 +107,11 @@ class ReplicaCatalog {
   void register_dataset(const std::string& name, double bytes,
                         const std::string& zone,
                         const std::string& content_id = "");
+
+  /// The dataset `name` (canonical or alias) resolves to; null when
+  /// unknown. Stable for the catalog's lifetime: datasets are never
+  /// erased, only their replicas.
+  [[nodiscard]] const Dataset* find(const std::string& name) const;
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] const Dataset& dataset(const std::string& name) const;
@@ -180,10 +195,12 @@ class ReplicaCatalog {
   /// The zone's store failed: every replica in it is force-dropped —
   /// pins and lineage notwithstanding — reservations are wiped and the
   /// store itself is forgotten (a later add_store re-declares it; until
-  /// then the zone is back to infinite capacity). Returns the names of
-  /// datasets that lost a replica, sorted. Pins held on force-dropped
-  /// replicas are remembered so the interrupted readers' later unpin()
-  /// calls are tolerated no-ops; pin() on a lost replica still throws.
+  /// then the zone is back to infinite capacity). Returns the canonical
+  /// names of datasets that lost a replica, sorted (the index itself is
+  /// unordered, so the list is sorted explicitly). Pins held on
+  /// force-dropped replicas are remembered so the interrupted readers'
+  /// later unpin() calls are tolerated no-ops; pin() on a lost replica
+  /// still throws.
   std::vector<std::string> fail_store(const std::string& zone);
 
   /// Zones with a declared store, sorted.
@@ -236,19 +253,30 @@ class ReplicaCatalog {
                        const std::string& name);
   void uncharge_owner(Store& store, const Replica& replica, double bytes);
 
+  /// The entry `name` resolves to, or null: one probe of datasets_ for a
+  /// canonical name, a second of aliases_ for an alias or unknown name.
+  [[nodiscard]] const Entry* lookup(const std::string& name) const;
+  [[nodiscard]] Entry* lookup(const std::string& name);
+  /// lookup() that throws not_found for an unknown name.
   [[nodiscard]] Entry& entry_for(const std::string& name);
   [[nodiscard]] const Entry& entry_for(const std::string& name) const;
   [[nodiscard]] Store& store_for(const std::string& zone);
 
-  std::map<std::string, Entry> datasets_;  ///< canonical name -> entry
-  std::map<std::string, std::string> aliases_;  ///< name -> canonical
-  std::map<std::string, std::string> content_index_;  ///< cid -> canonical
+  std::unordered_map<std::string, Entry> datasets_;  ///< canonical -> entry
+  /// Alias -> its canonical entry. No name is both an alias and a key of
+  /// datasets_.
+  std::unordered_map<std::string, Entry*> aliases_;
+  std::unordered_map<std::string, Entry*> content_index_;  ///< cid -> entry
   std::map<std::string, Store> stores_;
   /// (zone, dataset) -> pins force-dropped by fail_store, kept so late
-  /// unpin() calls from interrupted readers do not throw.
+  /// unpin() calls from interrupted readers do not throw. Empty unless
+  /// a store failed with pinned replicas, so unpin() searches it only
+  /// then.
   std::map<std::pair<std::string, std::string>, std::size_t> lost_pins_;
-  /// canonical name -> tenant -> consumers left (protection sums them).
-  std::map<std::string, std::map<std::string, std::size_t>> lineage_;
+  /// canonical name (or a name not registered yet) -> tenant -> consumers
+  /// left; a name is present only while it has consumers left.
+  std::unordered_map<std::string, std::map<std::string, std::size_t>>
+      lineage_;
   std::uint64_t clock_ = 0;
   std::uint64_t total_evictions_ = 0;
   std::vector<std::string> eviction_log_;

@@ -18,9 +18,9 @@ double PlacementAdvisor::bytes_to_move(
     const std::string& zone) const {
   double bytes = 0.0;
   for (const auto& name : datasets) {
-    if (!catalog_.has(name)) continue;
-    if (catalog_.available_in(name, zone)) continue;
-    bytes += catalog_.dataset(name).bytes;
+    const Dataset* ds = catalog_.find(name);
+    if (ds == nullptr || ds->zones.count(zone) != 0) continue;
+    bytes += ds->bytes;
   }
   return bytes;
 }
@@ -31,20 +31,18 @@ double PlacementAdvisor::stage_in_time(
   if (engine_ == nullptr) return bytes_to_move(datasets, zone);
   double seconds = 0.0;
   for (const auto& name : datasets) {
-    if (!catalog_.has(name)) continue;
-    if (catalog_.available_in(name, zone)) continue;
-    const Dataset& ds = catalog_.dataset(name);
+    const Dataset* ds = catalog_.find(name);
+    if (ds == nullptr || ds->zones.count(zone) != 0) continue;
     // Achievable rate if the transfer joined now: the sum over the
     // dataset's replica links of TransferEngine::newcomer_rate — the
     // exact quantity the striped split hands each stripe at admission,
     // so the estimate and the actual schedule share one formula.
     double rate = 0.0;
-    for (const auto& src : ds.zones) {
-      if (src == zone) continue;
+    for (const auto& src : ds->zones) {
       rate += engine_->newcomer_rate(src, zone);
     }
     if (rate <= 0.0) continue;  // no usable replica: produced in place
-    seconds += ds.bytes / rate;
+    seconds += ds->bytes / rate;
   }
   return seconds;
 }

@@ -529,16 +529,18 @@ void WorkflowManager::complete_node(const std::shared_ptr<GraphRun>& run,
   bool contract_ok = true;
   if (!run->failed) {
     const std::string zone = node.pilot->cluster().name();
+    auto& catalog = session_.data().catalog();
     for (const auto& name : node.node.stage.produces) {
-      if (!session_.data().has(name)) {
+      const data::Dataset* ds = catalog.find(name);
+      if (ds == nullptr) {
         run->failed = true;
         contract_ok = false;
         log_.error("graph '", run->name, "': node '", node.node.stage.name,
                    "' declared output '", name, "' but never produced it");
-      } else if (session_.data().available_in(name, zone)) {
+      } else if (ds->zones.count(zone) != 0) {
         // Freshly produced: mark recently used so store pressure does
         // not evict it before its consumers run.
-        session_.data().catalog().touch(name, zone);
+        catalog.touch(ds->name, zone);
       }
     }
   }
