@@ -136,6 +136,7 @@ bool ReplicaCatalog::reserve(const std::string& zone, double bytes,
   }
   if (!make_room(zone, bytes)) return false;
   store.info.reserved += bytes;
+  ++store.reservations;
   if (!tenant.empty()) store.reserved_by_tenant[tenant] += bytes;
   return true;
 }
@@ -146,15 +147,7 @@ void ReplicaCatalog::release_reservation(const std::string& zone,
   Store& store = store_for(zone);
   ensure(store.info.reserved >= bytes - slack(bytes), Errc::invalid_state,
          "store '", zone, "' releasing more than reserved");
-  store.info.reserved -= bytes;
-  if (store.info.reserved < 0.0) store.info.reserved = 0.0;
-  if (!tenant.empty()) {
-    const auto it = store.reserved_by_tenant.find(tenant);
-    if (it != store.reserved_by_tenant.end()) {
-      it->second -= bytes;
-      if (it->second <= slack(bytes)) store.reserved_by_tenant.erase(it);
-    }
-  }
+  unreserve(store, bytes, tenant);
 }
 
 void ReplicaCatalog::commit_replica(const std::string& name,
@@ -165,17 +158,7 @@ void ReplicaCatalog::commit_replica(const std::string& name,
   ensure(store.info.reserved >= entry.info.bytes - slack(entry.info.bytes),
          Errc::invalid_state, "committing '", name, "' in '", zone,
          "' without a reservation");
-  store.info.reserved -= entry.info.bytes;
-  if (store.info.reserved < 0.0) store.info.reserved = 0.0;
-  if (!tenant.empty()) {
-    const auto it = store.reserved_by_tenant.find(tenant);
-    if (it != store.reserved_by_tenant.end()) {
-      it->second -= entry.info.bytes;
-      if (it->second <= slack(entry.info.bytes)) {
-        store.reserved_by_tenant.erase(it);
-      }
-    }
-  }
+  unreserve(store, entry.info.bytes, tenant);
   if (entry.replicas.count(zone) != 0) return;  // landed twice: keep one
   entry.info.zones.insert(zone);
   Replica replica;
@@ -417,6 +400,22 @@ void ReplicaCatalog::add_replica(Entry& entry, const std::string& zone) {
 void ReplicaCatalog::remove_from_lru(Store& store, std::uint64_t last_use,
                                      const std::string& name) {
   store.lru.erase({last_use, name});
+}
+
+void ReplicaCatalog::unreserve(Store& store, double bytes,
+                               const std::string& tenant) {
+  if (store.reservations > 0) --store.reservations;
+  store.info.reserved -= bytes;
+  // The last outstanding reservation leaves exactly nothing reserved,
+  // whatever rounding dust the running sum has gathered.
+  if (store.reservations == 0 || store.info.reserved < 0.0) {
+    store.info.reserved = 0.0;
+  }
+  if (tenant.empty()) return;
+  const auto it = store.reserved_by_tenant.find(tenant);
+  if (it == store.reserved_by_tenant.end()) return;
+  it->second -= bytes;
+  if (it->second <= slack(bytes)) store.reserved_by_tenant.erase(it);
 }
 
 void ReplicaCatalog::uncharge_owner(Store& store, const Replica& replica,

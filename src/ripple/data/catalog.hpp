@@ -78,8 +78,10 @@ struct Dataset {
 /// Aggregate view of one zone's store.
 struct StoreInfo {
   double capacity = std::numeric_limits<double>::infinity();
-  double used = 0.0;      ///< bytes held by committed replicas
-  double reserved = 0.0;  ///< bytes promised to in-flight transfers
+  double used = 0.0;  ///< bytes held by committed replicas
+  /// Bytes promised to in-flight transfers; exactly 0 whenever none is
+  /// outstanding.
+  double reserved = 0.0;
   std::uint64_t evictions = 0;
 
   [[nodiscard]] double free() const noexcept {
@@ -235,6 +237,11 @@ class ReplicaCatalog {
     /// unique per touch, dataset tie-break keeps determinism if a
     /// future refactor reuses stamps.
     std::set<std::pair<std::uint64_t, std::string>> lru;
+    /// Reservations not yet released or committed. info.reserved is a
+    /// floating-point running sum that keeps rounding dust once
+    /// fractional sizes go through it, so it is reset to 0 when this
+    /// count returns to 0.
+    std::size_t reservations = 0;
     std::map<std::string, double> used_by_tenant;
     std::map<std::string, double> reserved_by_tenant;
     std::map<std::string, double> quota;  ///< tenant -> byte cap
@@ -252,6 +259,9 @@ class ReplicaCatalog {
   void remove_from_lru(Store& store, std::uint64_t last_use,
                        const std::string& name);
   void uncharge_owner(Store& store, const Replica& replica, double bytes);
+  /// Returns one reservation of `bytes` made by `tenant` (released or
+  /// committed) to the store's pools.
+  void unreserve(Store& store, double bytes, const std::string& tenant);
 
   /// The entry `name` resolves to, or null: one probe of datasets_ for a
   /// canonical name, a second of aliases_ for an alias or unknown name.

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -930,9 +929,9 @@ std::vector<std::string> run_stage_fuzz(std::uint64_t seed, int operations) {
   }
   EXPECT_EQ(data.engine().live(), 0u);
   for (const auto& zone : zones) {
-    // Zero but for rounding: the ledger sums fractional byte sizes in
-    // floating point. A leaked reservation would be gigabytes.
-    EXPECT_LT(std::abs(data.catalog().store(zone).reserved), 1.0) << zone;
+    // Exactly zero: the pool sums fractional byte sizes in floating
+    // point, and the last release clears its rounding dust.
+    EXPECT_EQ(data.catalog().store(zone).reserved, 0.0) << zone;
     for (const auto& name : names) {
       EXPECT_EQ(data.catalog().pins(name, zone), 0u) << name << " in " << zone;
     }
@@ -1516,12 +1515,15 @@ TEST(Catalog, ShrinkToExactFootprintToleratesReservationDust) {
   catalog.register_dataset("d", 1.0, "z");
   const double third = 1e8 / 3.0;
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(catalog.reserve("z", third));
-  for (int i = 0; i < 3; ++i) catalog.release_reservation("z", third);
-  EXPECT_GT(catalog.store("z").reserved, 0.0);  // the dust is real
+  for (int i = 0; i < 2; ++i) catalog.release_reservation("z", third);
+  EXPECT_GT(catalog.store("z").reserved, third);  // the dust is real
   // Shrinking to the exact nominal footprint must not misfire on it:
   // before the unified ULP tolerance this threw invalid_state.
-  EXPECT_NO_THROW(catalog.add_store("z", 1.0));
-  EXPECT_DOUBLE_EQ(catalog.store("z").capacity, 1.0);
+  EXPECT_NO_THROW(catalog.add_store("z", 1.0 + third));
+  EXPECT_DOUBLE_EQ(catalog.store("z").capacity, 1.0 + third);
+  // The last release leaves nothing reserved, dust included.
+  catalog.release_reservation("z", third);
+  EXPECT_EQ(catalog.store("z").reserved, 0.0);
 }
 
 TEST(Catalog, FailStoreDropsReplicasAndToleratesLatePins) {
