@@ -8,11 +8,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ripple/common/error.hpp"
+#include "ripple/common/random.hpp"
 #include "ripple/common/strutil.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/data/catalog.hpp"
@@ -1503,6 +1507,240 @@ TEST(WorkflowData, FailedPipelineReleasesUnstartedStageLineage) {
 }
 
 // ---------------------------------------------------------------------------
+// The catalog's hashed index
+// ---------------------------------------------------------------------------
+
+TEST(Catalog, FindResolvesEveryAliasToTheCanonicalDataset) {
+  data::ReplicaCatalog catalog;
+  catalog.register_dataset("t0/part", 60.0, "z", "cid:part");
+  catalog.register_dataset("t1/part", 60.0, "w", "cid:part");
+  catalog.register_dataset("t2/part", 60.0, "z", "cid:part");
+  const data::Dataset* canonical = catalog.find("t0/part");
+  ASSERT_NE(canonical, nullptr);
+  EXPECT_EQ(canonical, &catalog.dataset("t0/part"));
+  EXPECT_EQ(catalog.find("t1/part"), canonical);
+  EXPECT_EQ(catalog.find("t2/part"), canonical);
+  EXPECT_EQ(canonical->name, "t0/part");
+  EXPECT_EQ(canonical->zones, (std::set<std::string>{"w", "z"}));
+  EXPECT_EQ(catalog.find("t3/part"), nullptr);
+  EXPECT_EQ(catalog.find(""), nullptr);
+  // Entries never move: growing (and rehashing) the index keeps the
+  // address every alias resolves to.
+  for (int i = 0; i < 1000; ++i) {
+    catalog.register_dataset(strutil::cat("x", i), 1.0, "z");
+  }
+  EXPECT_EQ(catalog.find("t0/part"), canonical);
+  EXPECT_EQ(catalog.find("t2/part"), canonical);
+}
+
+/// One seeded sweep of the catalog's queries. 300 names (every fifth
+/// without a content id, the last 50 sharing a content id with one of
+/// the first 50, so whichever registers first is canonical) and 20 that
+/// are never registered, three finite stores and an unbounded archive:
+/// registrations, reserve + commit transfers, touches, drops, pins and
+/// unpins, with one store failure halfway. A plain reference follows
+/// every step, taking evictions from the eviction log and the failure
+/// from fail_store's result; after each step has, find, dataset,
+/// canonical, available_in and pins must agree with each other and with
+/// it. Returns how many evictions, aliases and lost replicas the sweep
+/// saw.
+struct SweepTally {
+  std::size_t evictions = 0;
+  std::size_t aliases = 0;
+  std::size_t lost = 0;
+};
+
+SweepTally run_catalog_sweep(std::uint64_t seed, int steps) {
+  common::Rng rng = common::Rng(seed).fork("catalog-sweep");
+  data::ReplicaCatalog catalog;
+  const std::vector<std::string> zones = {"a", "b", "c", "archive"};
+  const std::vector<std::string> stores = {"a", "b", "c"};
+  for (const auto& zone : stores) catalog.add_store(zone, 100.0);
+
+  std::vector<std::string> names;
+  std::vector<std::string> content;
+  std::vector<double> sizes;
+  for (int i = 0; i < 300; ++i) {
+    names.push_back(strutil::cat("t", i % 3, "/ds", i));
+    content.push_back(i % 5 == 0 ? "" : strutil::cat("cid", i % 250));
+    sizes.push_back(rng.uniform(1.0, 30.0));
+  }
+  std::vector<std::string> queried = names;
+  for (int i = 0; i < 20; ++i) queried.push_back(strutil::cat("ghost", i));
+
+  // The reference: name -> canonical, canonical -> zones, and pins.
+  std::map<std::string, std::string> canonical_of;
+  std::map<std::string, std::string> by_content;
+  std::map<std::string, double> bytes_of;
+  std::map<std::string, std::set<std::string>> zones_of;
+  std::map<std::pair<std::string, std::string>, std::size_t> pins;
+  std::vector<std::pair<std::string, std::string>> lost_pins;
+  SweepTally tally;
+
+  const auto pick = [&rng](std::size_t count) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+  };
+  const auto follow_evictions = [&]() -> std::string {
+    const auto& log = catalog.eviction_log();
+    for (; tally.evictions < log.size(); ++tally.evictions) {
+      const std::string& line = log[tally.evictions];
+      const std::string zone = line.substr(0, line.find('/'));
+      const std::string name = line.substr(line.find('/') + 1);
+      if (zones_of[name].erase(zone) == 0) return "evicted absent " + line;
+      if (pins.count({name, zone}) != 0) return "evicted pinned " + line;
+    }
+    return "";
+  };
+  const auto mismatch = [&]() -> std::string {
+    for (const auto& name : queried) {
+      const data::Dataset* found = catalog.find(name);
+      const auto ref = canonical_of.find(name);
+      if ((found != nullptr) != (ref != canonical_of.end())) {
+        return "find " + name;
+      }
+      if (catalog.has(name) != (found != nullptr)) return "has " + name;
+      if (found == nullptr) {
+        if (catalog.canonical(name) != name) return "canonical " + name;
+        for (const auto& zone : zones) {
+          if (catalog.available_in(name, zone)) return "available " + name;
+        }
+        continue;
+      }
+      const std::string& canon = ref->second;
+      if (&catalog.dataset(name) != found) return "dataset " + name;
+      if (catalog.canonical(name) != canon) return "canonical " + name;
+      if (found->name != canon) return "name " + name;
+      if (catalog.find(canon) != found) return "find canonical " + name;
+      if (found->bytes != bytes_of[canon]) return "bytes " + name;
+      if (found->zones != zones_of[canon]) return "zones " + name;
+      for (const auto& zone : zones) {
+        if (catalog.available_in(name, zone) !=
+            (zones_of[canon].count(zone) != 0)) {
+          return "available_in " + name + " " + zone;
+        }
+        const auto held = pins.find({canon, zone});
+        const std::size_t pinned = held == pins.end() ? 0 : held->second;
+        if (catalog.pins(name, zone) != pinned) {
+          return "pins " + name + " " + zone;
+        }
+      }
+    }
+    return "";
+  };
+
+  for (int step = 0; step < steps; ++step) {
+    const std::size_t i = pick(names.size());
+    const std::string& name = names[i];
+    const std::string& zone = zones[pick(zones.size())];
+    const auto known = canonical_of.find(name);
+    const double roll = rng.uniform(0.0, 1.0);
+    if (step == steps / 2) {
+      const std::string failed = stores[pick(stores.size())];
+      std::vector<std::string> expected;
+      for (auto& [canon, where] : zones_of) {
+        if (where.erase(failed) != 0) expected.push_back(canon);
+      }
+      for (auto it = pins.begin(); it != pins.end();) {
+        if (it->first.second != failed) {
+          ++it;
+          continue;
+        }
+        for (std::size_t n = 0; n < it->second; ++n) {
+          lost_pins.push_back(it->first);
+        }
+        it = pins.erase(it);
+      }
+      const std::vector<std::string> lost = catalog.fail_store(failed);
+      if (lost != expected) ADD_FAILURE() << "fail_store " << failed;
+      tally.lost = lost.size();
+      // The interrupted readers release their pins late.
+      for (const auto& [canon, where] : lost_pins) {
+        EXPECT_NO_THROW(catalog.unpin(canon, where)) << canon;
+      }
+      catalog.add_store(failed, 100.0);
+    } else if (roll < 0.35) {
+      // Register: the name (and, for a new content id, the canonical
+      // entry) exists even when the replica then cannot fit.
+      if (known == canonical_of.end()) {
+        const auto cid = by_content.find(content[i]);
+        const bool alias = !content[i].empty() && cid != by_content.end();
+        const std::string canon = alias ? cid->second : name;
+        canonical_of[name] = canon;
+        if (alias) {
+          ++tally.aliases;
+        } else {
+          bytes_of[canon] = sizes[i];
+          zones_of[canon];
+          if (!content[i].empty()) by_content[content[i]] = canon;
+        }
+      }
+      try {
+        catalog.register_dataset(name, sizes[i], zone, content[i]);
+        zones_of[canonical_of[name]].insert(zone);
+      } catch (const Error& error) {
+        if (error.code() != Errc::capacity) throw;
+      }
+    } else if (roll < 0.6) {
+      if (known == canonical_of.end()) continue;
+      const std::string& canon = known->second;
+      if (zones_of[canon].count(zone) != 0) continue;
+      if (catalog.reserve(zone, bytes_of[canon])) {
+        const std::string landed = follow_evictions();
+        if (!landed.empty()) ADD_FAILURE() << landed;
+        catalog.commit_replica(name, zone);
+        zones_of[canon].insert(zone);
+      }
+    } else if (roll < 0.75) {
+      catalog.touch(name, zone);
+    } else if (roll < 0.85) {
+      const bool dropped = catalog.drop_replica(name, zone);
+      const bool expect =
+          known != canonical_of.end() &&
+          zones_of[known->second].count(zone) != 0 &&
+          pins.count({known->second, zone}) == 0;
+      if (dropped != expect) ADD_FAILURE() << "drop " << name << " " << zone;
+      if (dropped) zones_of[known->second].erase(zone);
+    } else if (roll < 0.93) {
+      if (known == canonical_of.end() || pins.size() >= 4) continue;
+      if (zones_of[known->second].count(zone) == 0) continue;
+      catalog.pin(name, zone);
+      ++pins[{known->second, zone}];
+    } else if (!pins.empty()) {
+      auto it = pins.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(pick(pins.size())));
+      catalog.unpin(it->first.first, it->first.second);
+      if (--it->second == 0) pins.erase(it);
+    }
+    const std::string evicted = follow_evictions();
+    if (!evicted.empty()) {
+      ADD_FAILURE() << "step " << step << ": " << evicted;
+      return tally;
+    }
+    const std::string wrong = mismatch();
+    if (!wrong.empty()) {
+      ADD_FAILURE() << "step " << step << ": " << wrong;
+      return tally;
+    }
+  }
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_THROW((void)catalog.dataset(strutil::cat("ghost", i)), Error);
+  }
+  return tally;
+}
+
+TEST(CatalogSweep, QueriesAgreeWithAPlainReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    const SweepTally tally = run_catalog_sweep(seed, 600);
+    // Not vacuous: the sweep evicted, aliased and lost replicas.
+    EXPECT_GT(tally.evictions, 100u);
+    EXPECT_GT(tally.aliases, 10u);
+    EXPECT_GT(tally.lost, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Store accounting tolerance and store failure
 // ---------------------------------------------------------------------------
 
@@ -1546,6 +1784,27 @@ TEST(Catalog, FailStoreDropsReplicasAndToleratesLatePins) {
   EXPECT_THROW(catalog.unpin("a", "z"), Error);
   // New pins on the dead zone are still real errors.
   EXPECT_THROW(catalog.pin("b", "z"), Error);
+}
+
+TEST(Catalog, FailStoreSortsLostNamesWhateverTheRegistrationOrder) {
+  // The index is unordered: the lost list is sorted explicitly, so
+  // neither reverse nor shuffled registration shows in it. Aliases are
+  // not listed, their canonical dataset is.
+  std::vector<std::string> sorted;
+  for (int i = 0; i < 64; ++i) sorted.push_back(strutil::cat("ds", i));
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::string> reversed(sorted.rbegin(), sorted.rend());
+  std::vector<std::string> shuffled = sorted;
+  common::Rng(5).shuffle(shuffled);
+  for (const auto& order : {reversed, shuffled}) {
+    data::ReplicaCatalog catalog;
+    for (const auto& name : order) {
+      catalog.register_dataset(name, 1.0, "z", strutil::cat("cid:", name));
+    }
+    catalog.register_dataset("alias", 1.0, "z", "cid:ds7");
+    catalog.register_dataset("elsewhere", 1.0, "w");  // loses nothing
+    EXPECT_EQ(catalog.fail_store("z"), sorted);
+  }
 }
 
 TEST(Catalog, StoreZonesSortedAndShrinksWithFailures) {
