@@ -4,7 +4,8 @@
 // metrics: event-loop throughput and timeout churn, uid minting, string
 // concatenation, JSON round-trips (the RPC payload format), router/RPC
 // hops, entity state transitions, scheduler grant/release cycles, slot
-// pool churn and the data plane's staging call. They
+// pool churn, the data plane's staging call and the replica catalog's
+// lookups and LRU eviction. They
 // back the claim that architectural overheads are "minimal" relative to
 // the modeled network and model costs.
 
@@ -28,6 +29,7 @@
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/core/states.hpp"
+#include "ripple/data/catalog.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
@@ -138,6 +140,109 @@ void BM_Stage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_Stage)->Arg(0)->Arg(1);
+
+// The placement advisor's per-candidate query, as stage_in_time runs it
+// for each dataset a node consumes: resolve the name, skip it when it is
+// unknown or already in the zone, else read its size. The catalog is
+// shaped like dataflow's: 24 corpus parts (half also in "lab") with 48
+// aliases from two more tenants, and 6,000 intermediates and results of
+// 1,200 diamond graphs. The 1,000 queries per iteration mix misses on
+// intermediates not produced yet, alias hits and canonical hits in
+// dataflow's proportions (78,000 : 25,600 : 39,200 per seed-1 run).
+void BM_CatalogFind(benchmark::State& state) {
+  data::ReplicaCatalog catalog;
+  for (int t = 0; t < 3; ++t) {
+    for (int p = 0; p < 24; ++p) {
+      const std::string name = strutil::cat("t", t, "/part", p);
+      const std::string cid = strutil::cat("cid:part", p);
+      catalog.register_dataset(name, 4e9, "archive", cid);
+      if (p % 2 == 0) catalog.register_dataset(name, 4e9, "lab", cid);
+    }
+  }
+  const auto intermediate = [](int t, int g, int i) {
+    return i < 4 ? strutil::cat("t", t, "/g", g, "/mid", i)
+                 : strutil::cat("t", t, "/g", g, "/result");
+  };
+  for (int g = 0; g < 400; ++g) {
+    for (int t = 0; t < 3; ++t) {
+      for (int i = 0; i < 5; ++i) {
+        catalog.register_dataset(intermediate(t, g, i), 1e9,
+                                 (g + i) % 2 == 0 ? "delta" : "frontier");
+      }
+    }
+  }
+  common::Rng rng(11);
+  std::vector<std::string> queries;
+  for (int q = 0; q < 1000; ++q) {
+    const int t = static_cast<int>(rng.uniform_int(0, 2));
+    const double roll = rng.uniform(0.0, 1.0);
+    if (roll < 78.0 / 142.8) {  // an intermediate not produced yet
+      queries.push_back(intermediate(
+          t, static_cast<int>(rng.uniform_int(400, 799)),
+          static_cast<int>(rng.uniform_int(0, 3))));
+    } else if (roll < (78.0 + 25.6) / 142.8) {  // another tenant's alias
+      queries.push_back(strutil::cat("t", rng.uniform_int(1, 2), "/part",
+                                     rng.uniform_int(0, 23)));
+    } else if (rng.chance(0.5)) {  // a canonical corpus part
+      queries.push_back(strutil::cat("t0/part", rng.uniform_int(0, 23)));
+    } else {  // a produced intermediate
+      queries.push_back(intermediate(
+          t, static_cast<int>(rng.uniform_int(0, 399)),
+          static_cast<int>(rng.uniform_int(0, 3))));
+    }
+  }
+  const std::string zone = "delta";
+  for (auto _ : state) {
+    double bytes = 0.0;
+    for (const auto& name : queries) {
+      const data::Dataset* ds = catalog.find(name);
+      if (ds == nullptr || ds->zones.count(zone) != 0) continue;
+      bytes += ds->bytes;
+    }
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(queries.size()));
+}
+BENCHMARK(BM_CatalogFind);
+
+// One reservation into a full store, as a transfer's admission makes it:
+// make_room walks the LRU index past the protected replicas at its head
+// (two pinned by readers, two with lineage consumers left), evicts the
+// oldest unprotected one, and the reservation is committed as a fresh
+// replica of the evicted dataset, which refills the store.
+void BM_CatalogMakeRoom(benchmark::State& state) {
+  constexpr int kReplicas = 64;
+  constexpr double kBytes = 1e9;
+  data::ReplicaCatalog catalog;
+  catalog.add_store("delta", kReplicas * kBytes);
+  std::vector<std::string> evictable;
+  for (int i = 0; i < kReplicas; ++i) {
+    const std::string name = strutil::cat("t1/g", i, "/mid0");
+    catalog.register_dataset(name, kBytes, "delta");
+    if (i < 2) {
+      catalog.pin(name, "delta");
+    } else if (i < 4) {
+      catalog.add_consumers(name, 1);
+    } else {
+      evictable.push_back(name);
+    }
+  }
+  std::size_t next = 0;  // the LRU unprotected replica
+  for (auto _ : state) {
+    const bool reserved = catalog.reserve("delta", kBytes);
+    catalog.commit_replica(evictable[next], "delta");
+    next = (next + 1) % evictable.size();
+    benchmark::DoNotOptimize(reserved);
+  }
+  if (catalog.evictions() != static_cast<std::uint64_t>(state.iterations()) ||
+      catalog.eviction_log().back() !=
+          "delta/" + evictable[(next + evictable.size() - 1) %
+                               evictable.size()]) {
+    state.SkipWithError("make_room did not evict one LRU replica per call");
+  }
+}
+BENCHMARK(BM_CatalogMakeRoom);
 
 // The event-loop Callback is a small-buffer-optimized move-only type
 // (sim::UniqueCallback): captures up to 64 bytes live inline in the
