@@ -1542,12 +1542,13 @@ TEST(Catalog, FindResolvesEveryAliasToTheCanonicalDataset) {
 /// every step, taking evictions from the eviction log and the failure
 /// from fail_store's result; after each step has, find, dataset,
 /// canonical, available_in and pins must agree with each other and with
-/// it. Returns how many evictions, aliases and lost replicas the sweep
-/// saw.
+/// it. Returns how many evictions, aliases, lost replicas and lost pins
+/// the sweep saw.
 struct SweepTally {
   std::size_t evictions = 0;
   std::size_t aliases = 0;
   std::size_t lost = 0;
+  std::size_t lost_pins = 0;
 };
 
 SweepTally run_catalog_sweep(std::uint64_t seed, int steps) {
@@ -1637,6 +1638,13 @@ SweepTally run_catalog_sweep(std::uint64_t seed, int steps) {
     const double roll = rng.uniform(0.0, 1.0);
     if (step == steps / 2) {
       const std::string failed = stores[pick(stores.size())];
+      // A reader holds a pin in the failing store, released late below.
+      for (const auto& [canon, where] : zones_of) {
+        if (where.count(failed) == 0) continue;
+        catalog.pin(canon, failed);
+        ++pins[{canon, failed}];
+        break;
+      }
       std::vector<std::string> expected;
       for (auto& [canon, where] : zones_of) {
         if (where.erase(failed) != 0) expected.push_back(canon);
@@ -1654,6 +1662,7 @@ SweepTally run_catalog_sweep(std::uint64_t seed, int steps) {
       const std::vector<std::string> lost = catalog.fail_store(failed);
       if (lost != expected) ADD_FAILURE() << "fail_store " << failed;
       tally.lost = lost.size();
+      tally.lost_pins = lost_pins.size();
       // The interrupted readers release their pins late.
       for (const auto& [canon, where] : lost_pins) {
         EXPECT_NO_THROW(catalog.unpin(canon, where)) << canon;
@@ -1737,6 +1746,7 @@ TEST(CatalogSweep, QueriesAgreeWithAPlainReference) {
     EXPECT_GT(tally.evictions, 100u);
     EXPECT_GT(tally.aliases, 10u);
     EXPECT_GT(tally.lost, 0u);
+    EXPECT_GT(tally.lost_pins, 0u);
   }
 }
 
@@ -1760,6 +1770,23 @@ TEST(Catalog, ShrinkToExactFootprintToleratesReservationDust) {
   EXPECT_NO_THROW(catalog.add_store("z", 1.0 + third));
   EXPECT_DOUBLE_EQ(catalog.store("z").capacity, 1.0 + third);
   // The last release leaves nothing reserved, dust included.
+  catalog.release_reservation("z", third);
+  EXPECT_EQ(catalog.store("z").reserved, 0.0);
+}
+
+TEST(Catalog, ReservationCountNeverGoesBelowZero) {
+  data::ReplicaCatalog catalog;
+  catalog.add_store("z", 1e9);
+  // A sub-byte commit without a reservation passes the one-byte slack;
+  // it must not leave the store's count of outstanding reservations
+  // below zero, or a later release would clear a live reservation.
+  catalog.register_dataset("tiny", 0.5, "elsewhere");
+  catalog.commit_replica("tiny", "z");
+  const double third = 1e8 / 3.0;
+  ASSERT_TRUE(catalog.reserve("z", third));
+  ASSERT_TRUE(catalog.reserve("z", third));
+  catalog.release_reservation("z", third);
+  EXPECT_DOUBLE_EQ(catalog.store("z").reserved, third);
   catalog.release_reservation("z", third);
   EXPECT_EQ(catalog.store("z").reserved, 0.0);
 }
