@@ -174,21 +174,19 @@ void BM_CatalogFind(benchmark::State& state) {
   common::Rng rng(11);
   std::vector<std::string> queries;
   for (int q = 0; q < 1000; ++q) {
-    const int t = static_cast<int>(rng.uniform_int(0, 2));
+    const auto t = static_cast<int>(rng.uniform_int(0, 2));
+    const auto g = static_cast<int>(rng.uniform_int(0, 399));
+    const auto i = static_cast<int>(rng.uniform_int(0, 3));
+    const auto part = rng.uniform_int(0, 23);
     const double roll = rng.uniform(0.0, 1.0);
     if (roll < 78.0 / 142.8) {  // an intermediate not produced yet
-      queries.push_back(intermediate(
-          t, static_cast<int>(rng.uniform_int(400, 799)),
-          static_cast<int>(rng.uniform_int(0, 3))));
+      queries.push_back(intermediate(t, g + 400, i));
     } else if (roll < (78.0 + 25.6) / 142.8) {  // another tenant's alias
-      queries.push_back(strutil::cat("t", rng.uniform_int(1, 2), "/part",
-                                     rng.uniform_int(0, 23)));
-    } else if (rng.chance(0.5)) {  // a canonical corpus part
-      queries.push_back(strutil::cat("t0/part", rng.uniform_int(0, 23)));
+      queries.push_back(strutil::cat("t", 1 + t % 2, "/part", part));
+    } else if (roll < (78.0 + 25.6 + 19.6) / 142.8) {  // a canonical part
+      queries.push_back(strutil::cat("t0/part", part));
     } else {  // a produced intermediate
-      queries.push_back(intermediate(
-          t, static_cast<int>(rng.uniform_int(0, 399)),
-          static_cast<int>(rng.uniform_int(0, 3))));
+      queries.push_back(intermediate(t, g, i));
     }
   }
   const std::string zone = "delta";
@@ -235,10 +233,11 @@ void BM_CatalogMakeRoom(benchmark::State& state) {
     next = (next + 1) % evictable.size();
     benchmark::DoNotOptimize(reserved);
   }
-  if (catalog.evictions() != static_cast<std::uint64_t>(state.iterations()) ||
-      catalog.eviction_log().back() !=
-          "delta/" + evictable[(next + evictable.size() - 1) %
-                               evictable.size()]) {
+  const std::size_t last = (next + evictable.size() - 1) % evictable.size();
+  const bool one_per_call =
+      catalog.evictions() == static_cast<std::uint64_t>(state.iterations()) &&
+      catalog.eviction_log().back() == "delta/" + evictable[last];
+  if (!one_per_call) {
     state.SkipWithError("make_room did not evict one LRU replica per call");
   }
 }

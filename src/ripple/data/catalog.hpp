@@ -237,10 +237,9 @@ class ReplicaCatalog {
     /// unique per touch, dataset tie-break keeps determinism if a
     /// future refactor reuses stamps.
     std::set<std::pair<std::uint64_t, std::string>> lru;
-    /// Reservations not yet released or committed. info.reserved is a
-    /// floating-point running sum that keeps rounding dust once
-    /// fractional sizes go through it, so it is reset to 0 when this
-    /// count returns to 0.
+    /// Reservations not yet released or committed. When it returns to
+    /// 0, info.reserved (a running sum that gathers rounding dust from
+    /// fractional sizes) is reset to exactly 0.
     std::size_t reservations = 0;
     std::map<std::string, double> used_by_tenant;
     std::map<std::string, double> reserved_by_tenant;
@@ -279,9 +278,8 @@ class ReplicaCatalog {
   std::unordered_map<std::string, Entry*> content_index_;  ///< cid -> entry
   std::map<std::string, Store> stores_;
   /// (zone, dataset) -> pins force-dropped by fail_store, kept so late
-  /// unpin() calls from interrupted readers do not throw. Empty unless
-  /// a store failed with pinned replicas, so unpin() searches it only
-  /// then.
+  /// unpin() calls from interrupted readers do not throw (unpin()
+  /// searches it only while it is non-empty).
   std::map<std::pair<std::string, std::string>, std::size_t> lost_pins_;
   /// canonical name (or a name not registered yet) -> tenant -> consumers
   /// left; a name is present only while it has consumers left.

@@ -1533,6 +1533,13 @@ TEST(Catalog, FindResolvesEveryAliasToTheCanonicalDataset) {
   EXPECT_EQ(catalog.find("t2/part"), canonical);
 }
 
+struct SweepTally {
+  std::size_t evictions = 0;
+  std::size_t aliases = 0;
+  std::size_t lost = 0;
+  std::size_t lost_pins = 0;
+};
+
 /// One seeded sweep of the catalog's queries. 300 names (every fifth
 /// without a content id, the last 50 sharing a content id with one of
 /// the first 50, so whichever registers first is canonical) and 20 that
@@ -1544,13 +1551,6 @@ TEST(Catalog, FindResolvesEveryAliasToTheCanonicalDataset) {
 /// canonical, available_in and pins must agree with each other and with
 /// it. Returns how many evictions, aliases, lost replicas and lost pins
 /// the sweep saw.
-struct SweepTally {
-  std::size_t evictions = 0;
-  std::size_t aliases = 0;
-  std::size_t lost = 0;
-  std::size_t lost_pins = 0;
-};
-
 SweepTally run_catalog_sweep(std::uint64_t seed, int steps) {
   common::Rng rng = common::Rng(seed).fork("catalog-sweep");
   data::ReplicaCatalog catalog;
@@ -1704,10 +1704,9 @@ SweepTally run_catalog_sweep(std::uint64_t seed, int steps) {
       catalog.touch(name, zone);
     } else if (roll < 0.85) {
       const bool dropped = catalog.drop_replica(name, zone);
-      const bool expect =
-          known != canonical_of.end() &&
-          zones_of[known->second].count(zone) != 0 &&
-          pins.count({known->second, zone}) == 0;
+      const bool expect = known != canonical_of.end() &&
+                          zones_of[known->second].count(zone) != 0 &&
+                          pins.count({known->second, zone}) == 0;
       if (dropped != expect) ADD_FAILURE() << "drop " << name << " " << zone;
       if (dropped) zones_of[known->second].erase(zone);
     } else if (roll < 0.93) {
