@@ -357,6 +357,8 @@ TEST(TransferEngineTest, ReplanAllTicksReproduceAcrossReruns) {
   EXPECT_EQ(first.log.size(), 84u);
   ASSERT_EQ(first.replanned.size(), 2u);
   EXPECT_EQ(first.replanned[0], 84u);  // every transfer is flowing
+  // Pinned: any change to the engine's schedule moves these.
+  EXPECT_EQ(first.hash, 0x1bca64b11fa348bfull) << std::hex << first.hash;
   const TickRun rerun = run_ticks(false);
   EXPECT_EQ(rerun.log, first.log);
   EXPECT_EQ(rerun.hash, first.hash);
@@ -366,6 +368,8 @@ TEST(TransferEngineTest, ReplanAllTicksReproduceAcrossReruns) {
   const TickRun traced = run_ticks(true);
   EXPECT_EQ(traced.log, first.log);
   EXPECT_EQ(traced.replan_spans, 2u * 28u);
+  EXPECT_EQ(traced.span_hash, 0x5dbaf8f7df5d0fcdull)
+      << std::hex << traced.span_hash;
   EXPECT_EQ(run_ticks(true).span_hash, traced.span_hash);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -628,6 +629,23 @@ DataPlaneTrace run_dataplane_fuzz(std::uint64_t seed) {
   return trace;
 }
 
+/// FNV-1a over the order-sensitive part of a trace: completion and
+/// eviction order, the counters, the bytes moved and the finish time.
+std::uint64_t fingerprint(const DataPlaneTrace& trace) {
+  std::uint64_t hash = common::fnv1a(common::kFnvOffsetBasis,
+                                     std::uint64_t{trace.completions.size()});
+  for (const auto& name : trace.completions) hash = common::fnv1a(hash, name);
+  hash = common::fnv1a(hash, std::uint64_t{trace.evictions.size()});
+  for (const auto& name : trace.evictions) hash = common::fnv1a(hash, name);
+  for (const std::uint64_t count : {trace.started, trace.completed,
+                                    trace.failed, trace.retries,
+                                    trace.stripes}) {
+    hash = common::fnv1a(hash, count);
+  }
+  hash = common::fnv1a(hash, std::bit_cast<std::uint64_t>(trace.bytes_moved));
+  return common::fnv1a(hash, std::bit_cast<std::uint64_t>(trace.finished_at));
+}
+
 TEST(DataPlaneDeterminism, SameSeedSameCompletionAndEvictionOrder) {
   const DataPlaneTrace a = run_dataplane_fuzz(4242);
   const DataPlaneTrace b = run_dataplane_fuzz(4242);
@@ -652,8 +670,17 @@ TEST(DataPlaneDeterminism, SameSeedSameCompletionAndEvictionOrder) {
 }
 
 TEST(DataPlaneDeterminism, InvariantsHoldAcrossSeeds) {
-  for (const std::uint64_t seed : {1ull, 7ull, 999ull}) {
+  // Pinned fingerprints: any change to the engine's schedule, random
+  // draws or accounting moves them.
+  const std::map<std::uint64_t, std::uint64_t> pinned = {
+      {1, 0xe4303c961b591592ull},
+      {7, 0xd0c4487e9ec70263ull},
+      {999, 0x50ae522e3c80b083ull},
+      {4242, 0x2cf91d4fa43cfbc8ull}};
+  for (const auto& [seed, expected] : pinned) {
     const DataPlaneTrace trace = run_dataplane_fuzz(seed);
+    EXPECT_EQ(fingerprint(trace), expected)
+        << "seed " << seed << " 0x" << std::hex << fingerprint(trace);
     EXPECT_TRUE(trace.stores_within_capacity) << "seed " << seed;
     EXPECT_TRUE(trace.pinned_survived) << "seed " << seed;
     EXPECT_EQ(trace.started, trace.completed + trace.failed)
@@ -767,6 +794,23 @@ TEST(BootstrapShape, LaunchContentionAppearsAtScale) {
 // Transfer-engine counter consistency under cancels and link failures
 // ---------------------------------------------------------------------------
 
+/// FNV-1a over a drained engine's outcome: the completion log hash,
+/// every counter, the bytes moved and the drain time.
+std::uint64_t fuzz_fingerprint(const data::TransferEngine& engine,
+                               sim::SimTime drained_at) {
+  std::uint64_t hash = engine.completion_hash();
+  for (const std::uint64_t count :
+       {engine.transfers_started(), engine.transfers_completed(),
+        engine.transfers_failed(), engine.transfers_cancelled(),
+        engine.retries(), engine.stripes_started(),
+        engine.stripe_failovers()}) {
+    hash = common::fnv1a(hash, count);
+  }
+  hash =
+      common::fnv1a(hash, std::bit_cast<std::uint64_t>(engine.bytes_moved()));
+  return common::fnv1a(hash, std::bit_cast<std::uint64_t>(drained_at));
+}
+
 // Every admitted transfer must settle into exactly one of
 // completed/failed/cancelled (or still be live), under arbitrary
 // interleavings of stochastic attempt failures, striped failover,
@@ -775,7 +819,12 @@ TEST(BootstrapShape, LaunchContentionAppearsAtScale) {
 // transitions: double-finishing a stripe or double-counting an
 // orphan-stripe cancel breaks the equation.
 TEST(TransferEngineCounters, ConsistentUnderCancelAndLinkFailureFuzz) {
-  for (const std::uint64_t seed : {3ull, 17ull, 4242ull}) {
+  // Pinned per-seed fingerprints of the outcome (see fuzz_fingerprint).
+  const std::map<std::uint64_t, std::uint64_t> pinned = {
+      {3, 0x7917ea4fd91fab66ull},
+      {17, 0x2b7cc859b87a89fcull},
+      {4242, 0xc5ab3da83e697d58ull}};
+  for (const auto& [seed, expected] : pinned) {
     sim::EventLoop loop;
     common::Rng rng(seed);
     data::TransferEngine engine(loop, rng.fork("engine"));
@@ -847,6 +896,9 @@ TEST(TransferEngineCounters, ConsistentUnderCancelAndLinkFailureFuzz) {
     EXPECT_EQ(callbacks,
               engine.transfers_completed() + engine.transfers_failed())
         << "seed " << seed;
+    const std::uint64_t print = fuzz_fingerprint(engine, loop.now());
+    EXPECT_EQ(print, expected) << "seed " << seed << " 0x" << std::hex
+                               << print;
   }
 }
 
