@@ -64,12 +64,10 @@ StripeResult run_transfer(bool striped, double gigabytes,
     result.ok = ok;
     result.seconds = elapsed;
   };
-  if (striped) {
-    engine.transfer_striped("payload", {"r1", "r2", "r3"}, "hub",
-                            gigabytes * 1e9, on_done);
-  } else {
-    engine.transfer("payload", "r1", "hub", gigabytes * 1e9, on_done);
-  }
+  engine.transfer("payload",
+                  striped ? std::vector<std::string>{"r1", "r2", "r3"}
+                          : std::vector<std::string>{"r1"},
+                  "hub", gigabytes * 1e9, on_done);
   loop.run();
   result.stripes = engine.stripes_started();
   return result;

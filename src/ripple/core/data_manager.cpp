@@ -63,8 +63,8 @@ DataManager::Flight& DataManager::launch_flight(
     bool prefetch, const std::string& tenant) {
   const std::string& name = key.first;
   const std::string& dst_zone = key.second;
-  // Every source replica feeds the (striped) transfer: pin them all so
-  // store pressure in their zones cannot evict them mid-flight.
+  // Every source replica feeds a stripe of the transfer: pin them all
+  // so store pressure in their zones cannot evict them mid-flight.
   for (const auto& src : sources) catalog_.pin(name, src, tenant);
 
   Flight flight;
@@ -77,7 +77,7 @@ DataManager::Flight& DataManager::launch_flight(
     ++prefetches_started_;
   }
   auto [it, inserted] = flights_.emplace(key, std::move(flight));
-  it->second.transfer_id = engine_.transfer_striped(
+  it->second.transfer_id = engine_.transfer(
       name, it->second.src_zones, dst_zone, bytes,
       [this, key](bool ok, sim::Duration) { on_flight_done(key, ok); },
       tenant);

@@ -222,7 +222,7 @@ class DataManager {
 
   struct Flight {
     data::TransferEngine::TransferId transfer_id = 0;
-    /// Source replicas feeding the (possibly striped) transfer, each
+    /// Source replicas feeding the transfer, one stripe each, each
     /// pinned for the flight's duration.
     std::vector<std::string> src_zones;
     double reserved_bytes = 0.0;
@@ -236,8 +236,8 @@ class DataManager {
 
   using FlightKey = std::pair<std::string, std::string>;
 
-  /// Launches the transfer of `name` into `dst_zone` (striped across
-  /// every replica when there are several) and registers the flight.
+  /// Launches the transfer of `name` into `dst_zone` (one stripe per
+  /// source replica) and registers the flight.
   /// `sources` must be non-empty and reserve() must have succeeded.
   Flight& launch_flight(const FlightKey& key,
                         std::vector<std::string> sources, double bytes,

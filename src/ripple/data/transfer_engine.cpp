@@ -111,104 +111,13 @@ std::size_t TransferEngine::queued_on(const std::string& zone_a,
 }
 
 TransferEngine::TransferId TransferEngine::transfer(
-    const std::string& dataset, const std::string& src_zone,
+    const std::string& dataset, std::vector<std::string> src_zones,
     const std::string& dst_zone, double bytes, Callback on_done,
     const std::string& tenant) {
   ensure(static_cast<bool>(on_done), Errc::invalid_argument,
          "transfer: empty callback");
   ensure(bytes >= 0.0, Errc::invalid_argument,
          "transfer: bytes must be >= 0");
-  ensure(src_zone != dst_zone, Errc::invalid_argument,
-         "transfer: src and dst zones are the same");
-
-  const TransferId id = next_id_++;
-  Transfer t;
-  t.id = id;
-  t.dataset = dataset;
-  t.src = src_zone;
-  t.dst = dst_zone;
-  t.total_bytes = bytes;
-  t.remaining = bytes;
-  t.started_at = loop_.now();
-  t.tenant = tenant;
-  t.on_done = std::move(on_done);
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    t.trace = tracer_->begin("transfer", "xfer", dataset, loop_.now(), 0,
-                             {{"src", src_zone}, {"dst", dst_zone}});
-    if (!tenant.empty()) tracer_->arg(t.trace, "tenant", tenant);
-  }
-  if (counters_ != nullptr) {
-    counters_->add("data.transfers");
-    // Name the per-tenant counter only when it will be kept.
-    if (!tenant.empty() && counters_->enabled()) {
-      counters_->add(strutil::cat("data.transfers.", tenant));
-    }
-  }
-  transfers_.emplace(id, std::move(t));
-  ++started_;
-  enter_link(id);
-  return id;
-}
-
-void TransferEngine::enter_link(TransferId id) {
-  Transfer& t = transfers_.at(id);
-  const LinkKey key = key_for(t.src, t.dst);
-  Link& link = links_[key];
-  if (link.active.size() < cap_for(key) && !over_quota(key, t)) {
-    admit(t);
-  } else {
-    link.queued.push_back(id);
-  }
-}
-
-bool TransferEngine::over_quota(const LinkKey& key,
-                                const Transfer& t) const {
-  if (t.tenant.empty()) return false;
-  const auto quota = link_quota_.find(t.tenant);
-  if (quota == link_quota_.end()) return false;
-  const auto link_it = links_.find(key);
-  if (link_it == links_.end()) return false;
-  double in_flight = 0.0;
-  std::size_t own = 0;
-  for (const TransferId active_id : link_it->second.active) {
-    const Transfer& other = transfers_.at(active_id);
-    if (other.tenant != t.tenant) continue;
-    ++own;
-    in_flight += other.total_bytes;
-  }
-  // Starvation guard: a tenant with nothing in flight on the link may
-  // always start one transfer, however large — the quota throttles
-  // concurrency, it cannot wedge a tenant whose datasets exceed it.
-  if (own == 0) return false;
-  return in_flight + t.total_bytes > quota->second;
-}
-
-void TransferEngine::drain_queue(const LinkKey& key, Link& link) {
-  // A failed link keeps its queue parked: restore_link drains it.
-  if (down_.count(key) != 0) return;
-  // Skip-scan: quota-parked entries stay queued (in order) while later
-  // entries of other tenants are admitted past them. deque::erase
-  // returns the successor, so the scan survives its own admissions.
-  auto it = link.queued.begin();
-  while (it != link.queued.end() && link.active.size() < cap_for(key)) {
-    Transfer& t = transfers_.at(*it);
-    if (over_quota(key, t)) {
-      ++it;
-      continue;
-    }
-    it = link.queued.erase(it);
-    admit(t);
-  }
-}
-
-TransferEngine::TransferId TransferEngine::transfer_striped(
-    const std::string& dataset, std::vector<std::string> src_zones,
-    const std::string& dst_zone, double bytes, Callback on_done,
-    const std::string& tenant) {
-  ensure(static_cast<bool>(on_done), Errc::invalid_argument,
-         "transfer_striped: empty callback");
-  ensure(bytes >= 0.0, Errc::invalid_argument,
-         "transfer_striped: bytes must be >= 0");
   // Distinct sources in sorted order: one stripe per (src, dst) link,
   // admitted deterministically.
   std::sort(src_zones.begin(), src_zones.end());
@@ -218,34 +127,24 @@ TransferEngine::TransferId TransferEngine::transfer_striped(
       std::remove(src_zones.begin(), src_zones.end(), dst_zone),
       src_zones.end());
   ensure(!src_zones.empty(), Errc::invalid_argument,
-         "transfer_striped: no usable source zone");
-  if (src_zones.size() == 1) {
-    return transfer(dataset, src_zones.front(), dst_zone, bytes,
-                    std::move(on_done), tenant);
-  }
+         "transfer: no usable source zone");
 
-  // Weight each stripe by the rate its link can actually give a
-  // newcomer *right now* (newcomer_rate), so a congested replica
-  // carries proportionally fewer bytes and the parent is not gated on
-  // its slowest link. Deterministic: link state is a pure function of
-  // the event schedule at this instant.
-  double rate_sum = 0.0;
-  for (const auto& src : src_zones) {
-    rate_sum += newcomer_rate(src, dst_zone);
-  }
-
-  const TransferId parent_id = next_id_++;
-  StripedTransfer parent;
-  parent.id = parent_id;
-  parent.dataset = dataset;
-  parent.total_bytes = bytes;
-  parent.started_at = loop_.now();
-  parent.tenant = tenant;
-  parent.on_done = std::move(on_done);
+  const bool one_stripe = src_zones.size() == 1;
+  const TransferId id = next_id_++;
+  Transfer& t = transfers_[id];
+  t.dataset = dataset;
+  t.total_bytes = bytes;
+  t.started_at = loop_.now();
+  t.on_done = std::move(on_done);
   if (tracer_ != nullptr && tracer_->enabled()) {
-    parent.trace = tracer_->begin("transfer-striped", "xfer", dataset,
-                                  loop_.now(), 0, {{"dst", dst_zone}});
-    if (!tenant.empty()) tracer_->arg(parent.trace, "tenant", tenant);
+    // A lone stripe is traced as the transfer itself.
+    t.trace = one_stripe
+                  ? tracer_->begin("transfer", "xfer", dataset, loop_.now(),
+                                   0, {{"src", src_zones.front()},
+                                       {"dst", dst_zone}})
+                  : tracer_->begin("transfer-striped", "xfer", dataset,
+                                   loop_.now(), 0, {{"dst", dst_zone}});
+    if (!tenant.empty()) tracer_->arg(t.trace, "tenant", tenant);
   }
   if (counters_ != nullptr) {
     counters_->add("data.transfers");
@@ -255,7 +154,17 @@ TransferEngine::TransferId TransferEngine::transfer_striped(
     }
   }
   ++started_;
+  if (!one_stripe) stripes_started_ += src_zones.size();
 
+  // Weight each stripe by the rate its link can actually give a
+  // newcomer *right now* (newcomer_rate), so a congested replica
+  // carries proportionally fewer bytes and the transfer is not gated on
+  // its slowest link. Deterministic: link state is a pure function of
+  // the event schedule at this instant.
+  double rate_sum = 0.0;
+  for (const auto& src : src_zones) {
+    rate_sum += newcomer_rate(src, dst_zone);
+  }
   // Bandwidth-proportional split; the last stripe takes the remainder
   // so the shares always sum to exactly `bytes`.
   double assigned = 0.0;
@@ -268,54 +177,97 @@ TransferEngine::TransferId TransferEngine::transfer_striped(
     assigned += share;
 
     const TransferId stripe_id = next_id_++;
-    Transfer stripe;
+    Stripe& stripe = stripes_[stripe_id];
     stripe.id = stripe_id;
-    stripe.dataset = dataset;
+    stripe.transfer = id;
     stripe.src = src;
     stripe.dst = dst_zone;
+    stripe.tenant = tenant;
     stripe.total_bytes = share;
     stripe.remaining = share;
-    stripe.started_at = parent.started_at;
-    stripe.parent = parent_id;
-    stripe.tenant = tenant;
-    if (tracer_ != nullptr && tracer_->enabled()) {
+    if (!one_stripe && t.trace != 0) {
       stripe.trace = tracer_->begin("stripe", "xfer", dataset, loop_.now(),
-                                    parent.trace, {{"src", src}});
+                                    t.trace, {{"src", src}});
     }
-    transfers_.emplace(stripe_id, std::move(stripe));
-    parent.stripes.push_back(stripe_id);
-    ++stripes_started_;
+    t.stripes.push_back(stripe_id);
   }
-  auto [it, inserted] = striped_.emplace(parent_id, std::move(parent));
-  // Admission after the parent is registered: a zero-byte stripe could
-  // otherwise complete before its siblings exist.
-  for (const TransferId stripe_id : it->second.stripes) {
-    enter_link(stripe_id);
-  }
-  return parent_id;
+  // Admission after every stripe is registered: a zero-byte stripe
+  // could otherwise complete before its siblings exist.
+  for (const TransferId stripe_id : t.stripes) enter_link(stripe_id);
+  return id;
 }
 
-void TransferEngine::admit(Transfer& transfer) {
-  const LinkKey key = key_for(transfer.src, transfer.dst);
+void TransferEngine::enter_link(TransferId id) {
+  Stripe& stripe = stripes_.at(id);
+  const LinkKey key = key_for(stripe.src, stripe.dst);
   Link& link = links_[key];
-  link.active.push_back(transfer.id);
-  transfer.phase = Phase::setup;
-  ++transfer.attempts;
+  if (link.active.size() < cap_for(key) && !over_quota(key, stripe)) {
+    admit(stripe);
+  } else {
+    link.queued.push_back(id);
+  }
+}
+
+bool TransferEngine::over_quota(const LinkKey& key, const Stripe& s) const {
+  if (s.tenant.empty()) return false;
+  const auto quota = link_quota_.find(s.tenant);
+  if (quota == link_quota_.end()) return false;
+  const auto link_it = links_.find(key);
+  if (link_it == links_.end()) return false;
+  double in_flight = 0.0;
+  std::size_t own = 0;
+  for (const TransferId active_id : link_it->second.active) {
+    const Stripe& other = stripes_.at(active_id);
+    if (other.tenant != s.tenant) continue;
+    ++own;
+    in_flight += other.total_bytes;
+  }
+  // Starvation guard: a tenant with nothing in flight on the link may
+  // always start one transfer, however large — the quota throttles
+  // concurrency, it cannot wedge a tenant whose datasets exceed it.
+  if (own == 0) return false;
+  return in_flight + s.total_bytes > quota->second;
+}
+
+void TransferEngine::drain_queue(const LinkKey& key, Link& link) {
+  // A failed link keeps its queue parked: restore_link drains it.
+  if (down_.count(key) != 0) return;
+  // Skip-scan: quota-parked entries stay queued (in order) while later
+  // entries of other tenants are admitted past them. deque::erase
+  // returns the successor, so the scan survives its own admissions.
+  auto it = link.queued.begin();
+  while (it != link.queued.end() && link.active.size() < cap_for(key)) {
+    Stripe& stripe = stripes_.at(*it);
+    if (over_quota(key, stripe)) {
+      ++it;
+      continue;
+    }
+    it = link.queued.erase(it);
+    admit(stripe);
+  }
+}
+
+void TransferEngine::admit(Stripe& stripe) {
+  const LinkKey key = key_for(stripe.src, stripe.dst);
+  Link& link = links_[key];
+  link.active.push_back(stripe.id);
+  stripe.phase = Phase::setup;
+  ++stripe.attempts;
   // Per-attempt draws, in admission order: deterministic given the
   // event schedule.
-  transfer.attempt_fails = rng_.chance(failure_probability_);
+  stripe.attempt_fails = rng_.chance(failure_probability_);
   // An attempt admitted onto a failed link dies after its setup
   // latency (the handshake times out); on_attempt_end treats it as
   // terminal while the link stays down.
-  if (down_.count(key) != 0) transfer.attempt_fails = true;
+  if (down_.count(key) != 0) stripe.attempt_fails = true;
   const sim::Duration setup = setup_.sample(rng_);
-  const TransferId id = transfer.id;
-  transfer.timer = loop_.call_after(setup, [this, id] { begin_flow(id); });
+  const TransferId id = stripe.id;
+  stripe.timer = loop_.call_after(setup, [this, id] { begin_flow(id); });
 }
 
 void TransferEngine::begin_flow(TransferId id) {
-  const auto it = transfers_.find(id);
-  if (it == transfers_.end()) return;
+  const auto it = stripes_.find(id);
+  if (it == stripes_.end()) return;
   it->second.phase = Phase::flowing;
   it->second.timer = {};
   it->second.last_update = loop_.now();
@@ -328,12 +280,12 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
 
   std::size_t flowing = 0;
   for (const TransferId id : link.active) {
-    Transfer& t = transfers_.at(id);
-    if (t.phase != Phase::flowing) continue;
+    Stripe& s = stripes_.at(id);
+    if (s.phase != Phase::flowing) continue;
     ++flowing;
-    t.remaining -= t.rate * (now - t.last_update);
-    if (t.remaining < 0.0) t.remaining = 0.0;
-    t.last_update = now;
+    s.remaining -= s.rate * (now - s.last_update);
+    if (s.remaining < 0.0) s.remaining = 0.0;
+    s.last_update = now;
   }
   if (flowing == 0) return;
 
@@ -345,11 +297,11 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
     // engine.
     const double share = bandwidth / static_cast<double>(flowing);
     for (const TransferId id : link.active) {
-      Transfer& t = transfers_.at(id);
-      if (t.phase != Phase::flowing) continue;
-      t.rate = share;
-      const sim::Duration eta = t.remaining / share;
-      sink.push_back(PlannedTimer{now + eta, t.id, eta});
+      Stripe& s = stripes_.at(id);
+      if (s.phase != Phase::flowing) continue;
+      s.rate = share;
+      const sim::Duration eta = s.remaining / share;
+      sink.push_back(PlannedTimer{now + eta, s.id, eta});
     }
     return;
   }
@@ -359,23 +311,23 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
   // split.
   std::map<std::string, std::size_t> flows_by_tenant;
   for (const TransferId id : link.active) {
-    const Transfer& t = transfers_.at(id);
-    if (t.phase != Phase::flowing) continue;
-    ++flows_by_tenant[t.tenant];
+    const Stripe& s = stripes_.at(id);
+    if (s.phase != Phase::flowing) continue;
+    ++flows_by_tenant[s.tenant];
   }
   double weight_sum = 0.0;
   for (const auto& [tenant, count] : flows_by_tenant) {
     weight_sum += weight_for(tenant);
   }
   for (const TransferId id : link.active) {
-    Transfer& t = transfers_.at(id);
-    if (t.phase != Phase::flowing) continue;
+    Stripe& s = stripes_.at(id);
+    if (s.phase != Phase::flowing) continue;
     const double share =
-        bandwidth * (weight_for(t.tenant) / weight_sum) /
-        static_cast<double>(flows_by_tenant.at(t.tenant));
-    t.rate = share;
-    const sim::Duration eta = t.remaining / share;
-    sink.push_back(PlannedTimer{now + eta, t.id, eta});
+        bandwidth * (weight_for(s.tenant) / weight_sum) /
+        static_cast<double>(flows_by_tenant.at(s.tenant));
+    s.rate = share;
+    const sim::Duration eta = s.remaining / share;
+    sink.push_back(PlannedTimer{now + eta, s.id, eta});
   }
 }
 
@@ -388,9 +340,9 @@ void TransferEngine::replan(const LinkKey& key) {
   std::vector<PlannedTimer> planned;
   plan_link(key, link_it->second, planned);
   for (const PlannedTimer& plan : planned) {
-    Transfer& t = transfers_.at(plan.id);
-    if (t.timer.valid()) loop_.cancel(t.timer);
-    t.timer = loop_.call_after(plan.eta,
+    Stripe& s = stripes_.at(plan.id);
+    if (s.timer.valid()) loop_.cancel(s.timer);
+    s.timer = loop_.call_after(plan.eta,
                                [this, id = plan.id] { on_attempt_end(id); });
   }
 }
@@ -409,7 +361,7 @@ std::size_t TransferEngine::replan_all() {
           now, 0, {{"flows", std::to_string(planned.size() - before)}});
     }
   }
-  // Commit the timer reschedules in (completion time, transfer id)
+  // Commit the timer reschedules in (completion time, stripe id)
   // order. Ids are unique, so the timer sequence — and with it every
   // downstream completion event — is a pure function of the plan.
   std::sort(planned.begin(), planned.end(),
@@ -418,9 +370,9 @@ std::size_t TransferEngine::replan_all() {
               return a.id < b.id;
             });
   for (const PlannedTimer& plan : planned) {
-    Transfer& t = transfers_.at(plan.id);
-    if (t.timer.valid()) loop_.cancel(t.timer);
-    t.timer = loop_.call_after(plan.eta,
+    Stripe& s = stripes_.at(plan.id);
+    if (s.timer.valid()) loop_.cancel(s.timer);
+    s.timer = loop_.call_after(plan.eta,
                                [this, id = plan.id] { on_attempt_end(id); });
   }
   return planned.size();
@@ -434,22 +386,33 @@ std::uint64_t TransferEngine::completion_hash() const noexcept {
   return hash;
 }
 
-void TransferEngine::leave_link(Transfer& transfer) {
-  const LinkKey key = key_for(transfer.src, transfer.dst);
+void TransferEngine::leave_link(Stripe& stripe) {
+  const LinkKey key = key_for(stripe.src, stripe.dst);
   Link& link = links_[key];
   link.active.erase(
-      std::remove(link.active.begin(), link.active.end(), transfer.id),
+      std::remove(link.active.begin(), link.active.end(), stripe.id),
       link.active.end());
-  if (transfer.timer.valid()) {
-    loop_.cancel(transfer.timer);
-    transfer.timer = {};
+  if (stripe.timer.valid()) {
+    loop_.cancel(stripe.timer);
+    stripe.timer = {};
   }
-  transfer.phase = Phase::queued;
-  transfer.rate = 0.0;
+  stripe.phase = Phase::queued;
+  stripe.rate = 0.0;
   // A freed slot admits queued work before the survivors re-plan, so
   // the link never idles below its cap while admissible work waits.
   drain_queue(key, link);
   replan(key);
+}
+
+void TransferEngine::withdraw(Stripe& stripe) {
+  Link& link = links_[key_for(stripe.src, stripe.dst)];
+  const auto queued =
+      std::find(link.queued.begin(), link.queued.end(), stripe.id);
+  if (queued != link.queued.end()) {
+    link.queued.erase(queued);
+  } else {
+    leave_link(stripe);
+  }
 }
 
 void TransferEngine::fail_link(const std::string& zone_a,
@@ -480,105 +443,54 @@ void TransferEngine::restore_link(const std::string& zone_a,
 }
 
 void TransferEngine::fail_attempt_terminal(TransferId id) {
-  const auto it = transfers_.find(id);
-  if (it == transfers_.end()) return;  // settled by a reentrant callback
-  Transfer& t = it->second;
-  Link& link = links_[key_for(t.src, t.dst)];
-  const auto queued = std::find(link.queued.begin(), link.queued.end(), id);
-  if (queued != link.queued.end()) {
-    link.queued.erase(queued);
-  } else {
-    leave_link(t);
-  }
-  if (t.parent != 0) {
-    finish_stripe(id, false);  // dies into the parent's failover path
-    return;
-  }
-  ++failed_;
-  if (counters_ != nullptr) counters_->add("data.failed");
-  close_span(t.trace, "failed");
-  Callback on_done = std::move(t.on_done);
-  const sim::Duration elapsed = loop_.now() - t.started_at;
-  transfers_.erase(it);
-  on_done(false, elapsed);
+  const auto it = stripes_.find(id);
+  if (it == stripes_.end()) return;  // settled by a reentrant callback
+  withdraw(it->second);
+  finish_stripe(id, false);  // dies into the transfer's failover path
 }
 
 void TransferEngine::on_attempt_end(TransferId id) {
-  const auto it = transfers_.find(id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
-  t.remaining = 0.0;
-  t.timer = {};
-
-  if (t.attempt_fails) {
+  const auto it = stripes_.find(id);
+  if (it == stripes_.end()) return;
+  Stripe& s = it->second;
+  s.remaining = 0.0;
+  s.timer = {};
+  leave_link(s);
+  if (s.attempt_fails) {
     // Retrying a dead link is pointless: while it is down, every
     // failure is terminal regardless of the budget.
-    const bool terminal = down_.count(key_for(t.src, t.dst)) != 0;
-    leave_link(t);
-    if (!terminal && t.attempts <= max_retries_) {
+    const bool terminal = down_.count(key_for(s.src, s.dst)) != 0;
+    if (!terminal && s.attempts <= max_retries_) {
       ++retries_;
       if (counters_ != nullptr) counters_->add("data.retries");
-      t.remaining = t.total_bytes;
+      s.remaining = s.total_bytes;
       enter_link(id);
       return;
     }
-    if (t.parent != 0) {
-      finish_stripe(id, false);
-      return;
-    }
-    ++failed_;
-    if (counters_ != nullptr) counters_->add("data.failed");
-    close_span(t.trace, "failed");
-    Callback on_done = std::move(t.on_done);
-    const sim::Duration elapsed = loop_.now() - t.started_at;
-    transfers_.erase(it);
-    on_done(false, elapsed);
-    return;
   }
-
-  leave_link(t);
-  if (t.parent != 0) {
-    // Stripe bytes are credited when the parent commits, so a striped
-    // transfer that ultimately fails reports 0 — same as a failed
-    // plain transfer.
-    finish_stripe(id, true);
-    return;
-  }
-  bytes_moved_ += t.total_bytes;
-  ++completed_;
-  if (counters_ != nullptr) counters_->add("data.completed");
-  close_span(t.trace, "ok");
-  const sim::Duration elapsed = loop_.now() - t.started_at;
-  transfer_times_.add(elapsed);
-  completion_log_.push_back(t.dataset);
-  Callback on_done = std::move(t.on_done);
-  transfers_.erase(it);
-  on_done(true, elapsed);
+  finish_stripe(id, !s.attempt_fails);
 }
 
 void TransferEngine::finish_stripe(TransferId id, bool ok) {
-  const auto it = transfers_.find(id);
-  if (it == transfers_.end()) return;  // already settled: idempotent
-  const TransferId parent_id = it->second.parent;
+  const auto it = stripes_.find(id);
+  if (it == stripes_.end()) return;  // already settled: idempotent
+  const TransferId transfer_id = it->second.transfer;
   const double stripe_bytes = it->second.total_bytes;
   close_span(it->second.trace, ok ? "ok" : "failed");
-  transfers_.erase(it);
-  const auto pit = striped_.find(parent_id);
-  if (pit == striped_.end()) return;  // orphan: parent already settled
-  StripedTransfer& parent = pit->second;
-  parent.stripes.erase(
-      std::remove(parent.stripes.begin(), parent.stripes.end(), id),
-      parent.stripes.end());
-  const sim::Duration elapsed = loop_.now() - parent.started_at;
+  stripes_.erase(it);
+  Transfer& t = transfers_.at(transfer_id);
+  t.stripes.erase(std::remove(t.stripes.begin(), t.stripes.end(), id),
+                  t.stripes.end());
+  const sim::Duration elapsed = loop_.now() - t.started_at;
   if (!ok) {
-    if (!parent.stripes.empty()) {
+    if (!t.stripes.empty()) {
       // Failover: a dead stripe's share moves to the first surviving
       // stripe (creation order — deterministic) instead of failing the
       // transfer, so extra replicas add reliability, never risk. The
       // heir's current attempt simply carries more bytes; its own
       // retry budget still applies.
       ++stripe_failovers_;
-      Transfer& heir = transfers_.at(parent.stripes.front());
+      Stripe& heir = stripes_.at(t.stripes.front());
       heir.total_bytes += stripe_bytes;
       heir.remaining += stripe_bytes;
       if (heir.phase == Phase::flowing) {
@@ -590,37 +502,30 @@ void TransferEngine::finish_stripe(TransferId id, bool ok) {
     // the partial bytes of earlier stripes are never committed.
     ++failed_;
     if (counters_ != nullptr) counters_->add("data.failed");
-    close_span(parent.trace, "failed");
-    Callback on_done = std::move(parent.on_done);
-    striped_.erase(pit);
+    close_span(t.trace, "failed");
+    Callback on_done = std::move(t.on_done);
+    transfers_.erase(transfer_id);
     on_done(false, elapsed);
     return;
   }
-  if (!parent.stripes.empty()) return;  // commit when the last lands
+  if (!t.stripes.empty()) return;  // commit when the last lands
   ++completed_;
   if (counters_ != nullptr) counters_->add("data.completed");
-  close_span(parent.trace, "ok");
-  bytes_moved_ += parent.total_bytes;
+  close_span(t.trace, "ok");
+  bytes_moved_ += t.total_bytes;
   transfer_times_.add(elapsed);
-  completion_log_.push_back(parent.dataset);
-  Callback on_done = std::move(parent.on_done);
-  striped_.erase(pit);
+  completion_log_.push_back(t.dataset);
+  Callback on_done = std::move(t.on_done);
+  transfers_.erase(transfer_id);
   on_done(true, elapsed);
 }
 
 void TransferEngine::abort_stripe(TransferId id) {
-  const auto it = transfers_.find(id);
-  if (it == transfers_.end()) return;
-  Transfer& t = it->second;
-  Link& link = links_[key_for(t.src, t.dst)];
-  const auto queued = std::find(link.queued.begin(), link.queued.end(), id);
-  if (queued != link.queued.end()) {
-    link.queued.erase(queued);
-  } else {
-    leave_link(t);
-  }
-  close_span(t.trace, "cancelled");
-  transfers_.erase(it);
+  const auto it = stripes_.find(id);
+  if (it == stripes_.end()) return;
+  withdraw(it->second);
+  close_span(it->second.trace, "cancelled");
+  stripes_.erase(it);
 }
 
 void TransferEngine::close_span(metrics::SpanId id, const char* outcome) {
@@ -630,29 +535,12 @@ void TransferEngine::close_span(metrics::SpanId id, const char* outcome) {
 }
 
 bool TransferEngine::cancel(TransferId id) {
-  const auto striped = striped_.find(id);
-  if (striped != striped_.end()) {
-    const std::vector<TransferId> stripes = std::move(striped->second.stripes);
-    close_span(striped->second.trace, "cancelled");
-    striped_.erase(striped);
-    for (const TransferId sid : stripes) abort_stripe(sid);
-    ++cancelled_;
-    if (counters_ != nullptr) counters_->add("data.cancelled");
-    return true;
-  }
   const auto it = transfers_.find(id);
   if (it == transfers_.end()) return false;
-  if (it->second.parent != 0) {
-    if (striped_.count(it->second.parent) != 0) {
-      return cancel(it->second.parent);  // a stripe stands for the set
-    }
-    // Orphan stripe: its parent already settled (failed, cancelled),
-    // so the set's outcome is accounted — tear the stripe down without
-    // touching the counters again (the old path double-counted here).
-    abort_stripe(id);
-    return true;
-  }
-  abort_stripe(id);  // same dequeue-or-leave-link teardown
+  const std::vector<TransferId> stripes = std::move(it->second.stripes);
+  close_span(it->second.trace, "cancelled");
+  transfers_.erase(it);
+  for (const TransferId stripe : stripes) abort_stripe(stripe);
   ++cancelled_;
   if (counters_ != nullptr) counters_->add("data.cancelled");
   return true;

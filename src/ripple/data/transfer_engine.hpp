@@ -20,16 +20,16 @@
 /// link, e.g. external archives), then the Network link model's
 /// bandwidth, then the engine default.
 ///
-/// A dataset replicated in several zones can move as one *striped*
-/// transfer (transfer_striped): the bytes are split across the distinct
-/// (src, dst) links proportionally to the rate each link would give a
-/// newcomer right now (bandwidth discounted by its active and queued
-/// transfers), and every stripe rides the ordinary fair-share
-/// replanning of its own link. Stripes complete (and retry, and
-/// cancel) independently; the parent transfer commits when the last
-/// stripe lands and is the only thing the completion log records —
-/// stripe order is deterministic (sources sorted), so same-seed
-/// schedules stay bit-reproducible.
+/// Every transfer is striped: it owns one stripe per distinct source
+/// zone, and a transfer from one replica is simply a transfer with one
+/// stripe. The bytes are split across the disjoint (src, dst) links
+/// proportionally to the rate each link would give a newcomer right now
+/// (bandwidth discounted by its active and queued transfers), and every
+/// stripe rides the ordinary fair-share replanning of its own link.
+/// Stripes complete (and retry) independently; the transfer commits when
+/// the last stripe lands and is the only thing the completion log and
+/// the counters record — stripe order is deterministic (sources sorted),
+/// so same-seed schedules stay bit-reproducible.
 ///
 /// Multi-tenant links. Transfers carry an optional tenant id. Two
 /// opt-in controls keep one tenant's burst from starving another's:
@@ -47,9 +47,9 @@
 ///
 /// replan_all() — the "telemetry tick", run after mid-simulation
 /// bandwidth changes — plans every link in turn, then commits the timer
-/// reschedules in (completion time, transfer id) order. Transfer ids
-/// are unique, so the committed timer sequence is a pure function of
-/// the plan (completion_hash fingerprints the outcome). The per-link
+/// reschedules in (completion time, stripe id) order. Stripe ids are
+/// unique, so the committed timer sequence is a pure function of the
+/// plan (completion_hash fingerprints the outcome). The per-link
 /// replan run by join/leave events commits in admission order.
 
 #include <cstdint>
@@ -111,10 +111,10 @@ class TransferEngine {
 
   /// Marks the (a, b) link down: every active or queued attempt on it
   /// fails *terminally* — retrying a dead link is pointless, so the
-  /// retry budget is bypassed. Stripes die into their parent's normal
-  /// failover path (the share moves to a surviving stripe on a live
-  /// link); plain transfers fail. Attempts admitted while the link is
-  /// down fail after their setup latency the same way. Idempotent.
+  /// retry budget is bypassed. A dead stripe's share fails over to a
+  /// surviving stripe of its transfer on a live link; a transfer whose
+  /// last stripe dies fails. Attempts admitted while the link is down
+  /// fail after their setup latency the same way. Idempotent.
   void fail_link(const std::string& zone_a, const std::string& zone_b);
 
   /// Brings a failed link back up and admits whatever queued on it in
@@ -127,52 +127,42 @@ class TransferEngine {
   }
 
   /// Wires the runtime's tracer/counters in (either may be null). When
-  /// tracing is enabled each transfer gets a span (stripes as children
-  /// of their striped parent), replan_all() emits one "replan" span per
-  /// link, and the transfer counters tick.
+  /// tracing is enabled each transfer gets a span — one "transfer" span
+  /// for a single stripe, a "transfer-striped" span with a "stripe"
+  /// child per source otherwise — replan_all() emits one "replan" span
+  /// per link, and the transfer counters tick.
   void set_trace(metrics::Tracer* tracer,
                  metrics::Counters* counters) noexcept {
     tracer_ = tracer;
     counters_ = counters;
   }
 
-  /// Recomputes the fair-share rate of every flowing transfer on every
+  /// Recomputes the fair-share rate of every flowing stripe on every
   /// link against freshly resolved bandwidth — the "telemetry tick".
   /// Bandwidth setters stay config-only (existing schedules are
   /// untouched); a caller that changes bandwidth mid-run calls this to
   /// re-rate live flows. The rescheduling commits in (completion time,
-  /// transfer id) order. Returns the number of flowing transfers
-  /// replanned.
+  /// stripe id) order. Returns the number of flowing stripes replanned.
   std::size_t replan_all();
 
-  /// Starts (or queues, when the link is at its cap) a transfer of
-  /// `bytes` from `src_zone` to `dst_zone`. `on_done` fires exactly
-  /// once with the outcome and the elapsed time since this call.
+  /// Starts a transfer of `bytes` into `dst_zone` from the replicas in
+  /// `src_zones`: one stripe per distinct source zone (duplicates
+  /// collapse, a source equal to the destination is ignored), each
+  /// carrying a share of the bytes proportional to the rate its link
+  /// would give a newcomer now (newcomer_rate) and admitted, or queued
+  /// at the link's cap, in sorted source order. `on_done` fires exactly
+  /// once, with the outcome and the elapsed time since this call:
+  /// success when the last stripe lands; a stripe that exhausts its
+  /// retries fails over its share to the first surviving stripe, and
+  /// the transfer fails only when its last stripe dies.
   TransferId transfer(const std::string& dataset,
-                      const std::string& src_zone,
+                      std::vector<std::string> src_zones,
                       const std::string& dst_zone, double bytes,
                       Callback on_done, const std::string& tenant = "");
 
-  /// Starts a multi-source striped transfer of `bytes` into `dst_zone`:
-  /// one stripe per distinct source zone (duplicates collapse, sources
-  /// equal to the destination are ignored), each carrying a share of
-  /// the bytes proportional to the rate its link would give a newcomer
-  /// now (newcomer_rate). Stripes are admitted in sorted source order,
-  /// so the schedule is deterministic. `on_done` fires exactly once:
-  /// success when the last stripe lands; a stripe that exhausts its
-  /// retries fails over its share to the first surviving stripe, and
-  /// the transfer fails only when the last stripe dies. A single
-  /// usable source degrades to the plain transfer() path. Counters and
-  /// the completion log see the parent once, never the stripes.
-  TransferId transfer_striped(const std::string& dataset,
-                              std::vector<std::string> src_zones,
-                              const std::string& dst_zone, double bytes,
-                              Callback on_done,
-                              const std::string& tenant = "");
-
-  /// Abandons a transfer; its callback never fires. Returns false when
-  /// the id is unknown (already completed/cancelled). Cancelling a
-  /// striped parent (or any of its stripes) abandons the whole set.
+  /// Abandons a transfer and all its stripes; its callback never fires.
+  /// Returns false when the id is unknown (already settled or
+  /// cancelled).
   bool cancel(TransferId id);
 
   /// Resolved bandwidth for a zone pair: override, then Network link
@@ -181,8 +171,8 @@ class TransferEngine {
                                          const std::string& zone_b) const;
 
   /// The rate a transfer joining the link right now could expect:
-  /// resolved bandwidth discounted by the transfers already active or
-  /// queued there. The single source of truth for both the striped
+  /// resolved bandwidth discounted by the stripes already active or
+  /// queued there. The single source of truth for both the stripe
   /// split and the PlacementAdvisor's stage-in estimate.
   [[nodiscard]] double newcomer_rate(const std::string& src_zone,
                                      const std::string& dst_zone) const;
@@ -205,7 +195,8 @@ class TransferEngine {
     return cancelled_;
   }
   [[nodiscard]] std::uint64_t retries() const noexcept { return retries_; }
-  /// Stripes admitted on behalf of striped transfers (>= 2 per parent).
+  /// Stripes of multi-source transfers (>= 2 per transfer); a
+  /// transfer from one source counts none.
   [[nodiscard]] std::uint64_t stripes_started() const noexcept {
     return stripes_started_;
   }
@@ -213,15 +204,10 @@ class TransferEngine {
   [[nodiscard]] std::uint64_t stripe_failovers() const noexcept {
     return stripe_failovers_;
   }
-  /// Transfers started but not yet settled (plain transfers in flight
-  /// plus striped parents whose last stripe has not landed). The fuzz
-  /// suite asserts started == completed + failed + cancelled + live.
+  /// Transfers started but not yet settled. The fuzz suite asserts
+  /// started == completed + failed + cancelled + live.
   [[nodiscard]] std::uint64_t live() const noexcept {
-    std::uint64_t n = striped_.size();
-    for (const auto& [id, t] : transfers_) {
-      if (t.parent == 0) ++n;
-    }
-    return n;
+    return transfers_.size();
   }
 
   [[nodiscard]] double bytes_moved() const noexcept { return bytes_moved_; }
@@ -246,106 +232,102 @@ class TransferEngine {
 
   enum class Phase { queued, setup, flowing };
 
-  struct Transfer {
+  /// One source's share of a transfer, riding the (src, dst) link.
+  struct Stripe {
     TransferId id = 0;
-    std::string dataset;
+    TransferId transfer = 0;  ///< the owning transfer
     std::string src;
     std::string dst;
+    std::string tenant;  ///< weighted share / quota bucket
     double total_bytes = 0.0;
     double remaining = 0.0;
     double rate = 0.0;
     sim::SimTime last_update = 0.0;
-    sim::SimTime started_at = 0.0;  ///< transfer() call time
     sim::EventLoop::TimerHandle timer;
     Phase phase = Phase::queued;
     int attempts = 0;
     bool attempt_fails = false;  ///< sampled at admission, per attempt
-    TransferId parent = 0;       ///< striped parent; 0 for plain transfers
-    std::string tenant;          ///< weighted share / quota bucket
-    metrics::SpanId trace = 0;   ///< open tracer span, 0 when untraced
-    Callback on_done;
+    metrics::SpanId trace = 0;   ///< "stripe" span, 0 for a lone stripe
   };
 
-  /// A multi-source transfer: bookkeeping for the stripes in flight.
-  /// Metrics and the completion log see the parent exactly once.
-  struct StripedTransfer {
-    TransferId id = 0;
+  /// A transfer: its stripes in flight and what it reports once.
+  struct Transfer {
     std::string dataset;
     double total_bytes = 0.0;
-    sim::SimTime started_at = 0.0;
-    std::vector<TransferId> stripes;  ///< still in flight
-    std::string tenant;               ///< inherited by every stripe
+    sim::SimTime started_at = 0.0;    ///< transfer() call time
+    std::vector<TransferId> stripes;  ///< still in flight, creation order
     metrics::SpanId trace = 0;        ///< open tracer span, 0 when untraced
     Callback on_done;
   };
 
   struct Link {
-    std::vector<TransferId> active;  ///< setup + flowing, admission order
-    std::deque<TransferId> queued;
+    std::vector<TransferId> active;  ///< stripes in setup + flowing
+    std::deque<TransferId> queued;   ///< stripes, admission order
   };
 
   [[nodiscard]] static LinkKey key_for(const std::string& zone_a,
                                        const std::string& zone_b);
   [[nodiscard]] std::size_t cap_for(const LinkKey& key) const;
 
-  void admit(Transfer& transfer);
+  void admit(Stripe& stripe);
   void begin_flow(TransferId id);
   void on_attempt_end(TransferId id);
-  void leave_link(Transfer& transfer);
+  void leave_link(Stripe& stripe);
 
   /// Admits (or queues, at the link cap or the tenant's link quota) a
-  /// transfer already registered in transfers_ — the shared tail of
-  /// transfer()/transfer_striped().
+  /// stripe already registered in stripes_.
   void enter_link(TransferId id);
 
-  /// True when admitting `t` now would push its tenant past its
+  /// Takes a stripe off its link: out of the queue, or out of the
+  /// active set (which admits queued work and replans the survivors).
+  void withdraw(Stripe& stripe);
+
+  /// True when admitting `s` now would push its tenant past its
   /// per-link in-flight byte quota. Always false for tenants without a
   /// quota, and for a tenant with nothing active on the link (the
   /// starvation guard).
-  [[nodiscard]] bool over_quota(const LinkKey& key, const Transfer& t) const;
+  [[nodiscard]] bool over_quota(const LinkKey& key, const Stripe& s) const;
 
-  /// Admits queued transfers while capacity (and quota) allow,
+  /// Admits queued stripes while capacity (and quota) allow,
   /// skip-scanning past quota-parked entries so they cannot block other
-  /// tenants. With no quotas registered this is the old strict-FIFO
-  /// drain. No-op while the link is down.
+  /// tenants. With no quotas registered this is a strict-FIFO drain.
+  /// No-op while the link is down.
   void drain_queue(const LinkKey& key, Link& link);
 
   [[nodiscard]] double weight_for(const std::string& tenant) const;
 
-  /// A stripe finished its last attempt: settle it against its parent.
-  /// Success commits the parent when it was the last stripe; failure
-  /// fails the parent and abandons the survivors. Idempotent: an id
-  /// already settled (or an orphan whose parent is gone) is a no-op.
+  /// A stripe finished its last attempt: settle it against its
+  /// transfer. Success commits the transfer when it was the last
+  /// stripe; failure moves the share to the first surviving stripe, or
+  /// fails the transfer when none is left. No-op for a settled id.
   void finish_stripe(TransferId id, bool ok);
 
   /// Fails an attempt terminally, bypassing the retry budget — the
-  /// link-down path. Stripes settle through finish_stripe (failover);
-  /// plain transfers fail their callback.
+  /// link-down path; the stripe settles through finish_stripe.
   void fail_attempt_terminal(TransferId id);
 
   /// Removes a stripe from its link/queue without callbacks or metric
-  /// changes (the parent's outcome is accounted elsewhere).
+  /// changes (the transfer's outcome is accounted by cancel()).
   void abort_stripe(TransferId id);
 
   /// Ends an open transfer span with an `outcome` annotation; no-op on
   /// id 0 or without a wired tracer.
   void close_span(metrics::SpanId id, const char* outcome);
 
-  /// Advances progress of every flowing transfer on the link to `now`,
+  /// Advances progress of every flowing stripe on the link to `now`,
   /// reassigns fair-share rates and reschedules completion timers.
   void replan(const LinkKey& key);
 
   /// One completion-timer reschedule produced by a planning pass.
   struct PlannedTimer {
     sim::SimTime at = 0.0;  ///< completion time
-    TransferId id = 0;
+    TransferId id = 0;      ///< the stripe
     sim::Duration eta = 0.0;
   };
 
   /// The loop-free half of replan(): advances progress and assigns the
-  /// new fair-share rate of every flowing transfer on the link,
-  /// buffering a timer record per transfer instead of touching the
-  /// event loop.
+  /// new fair-share rate of every flowing stripe on the link, buffering
+  /// a timer record per stripe instead of touching the event loop.
   void plan_link(const LinkKey& key, Link& link,
                  std::vector<PlannedTimer>& sink);
 
@@ -361,7 +343,7 @@ class TransferEngine {
   std::map<LinkKey, Link> links_;
   std::set<LinkKey> down_;  ///< links currently failed
   std::map<TransferId, Transfer> transfers_;
-  std::map<TransferId, StripedTransfer> striped_;
+  std::map<TransferId, Stripe> stripes_;
   double default_bandwidth_ = 1.25e9;  ///< 10 Gb/s
   std::size_t default_concurrency_ = 32;
   common::Distribution setup_ =

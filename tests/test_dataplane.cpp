@@ -202,12 +202,12 @@ TEST(TransferEngineTest, FairShareSplitsLinkBandwidth) {
 
   double done_a = -1.0;
   double done_b = -1.0;
-  engine.transfer("a", "src", "dst", 10e9, [&](bool ok, sim::Duration) {
+  engine.transfer("a", {"src"}, "dst", 10e9, [&](bool ok, sim::Duration) {
     EXPECT_TRUE(ok);
     done_a = loop.now();
   });
   loop.call_after(5.0, [&] {
-    engine.transfer("b", "src", "dst", 10e9, [&](bool ok, sim::Duration) {
+    engine.transfer("b", {"src"}, "dst", 10e9, [&](bool ok, sim::Duration) {
       EXPECT_TRUE(ok);
       done_b = loop.now();
     });
@@ -231,9 +231,9 @@ TEST(TransferEngineTest, ConcurrencyCapQueuesExcessTransfers) {
 
   double done_a = -1.0;
   double done_b = -1.0;
-  engine.transfer("a", "src", "dst", 1e9,
+  engine.transfer("a", {"src"}, "dst", 1e9,
                   [&](bool, sim::Duration) { done_a = loop.now(); });
-  engine.transfer("b", "src", "dst", 1e9,
+  engine.transfer("b", {"src"}, "dst", 1e9,
                   [&](bool, sim::Duration) { done_b = loop.now(); });
   EXPECT_EQ(engine.active_on("src", "dst"), 1u);
   EXPECT_EQ(engine.queued_on("src", "dst"), 1u);
@@ -252,7 +252,7 @@ TEST(TransferEngineTest, FailuresRetryUpToBudget) {
   engine.set_failure(0.97, 2);
 
   int fired = 0;
-  engine.transfer("flaky", "src", "dst", 1e9,
+  engine.transfer("flaky", {"src"}, "dst", 1e9,
                   [&](bool, sim::Duration) { ++fired; });
   loop.run();
   EXPECT_EQ(fired, 1);
@@ -272,7 +272,7 @@ TEST(TransferEngineTest, CancelStopsTransferWithoutCallback) {
 
   bool fired = false;
   const auto id = engine.transfer(
-      "doomed", "src", "dst", 10e9,
+      "doomed", {"src"}, "dst", 10e9,
       [&](bool, sim::Duration) { fired = true; });
   loop.call_after(1.0, [&] { EXPECT_TRUE(engine.cancel(id)); });
   loop.run();
@@ -287,7 +287,7 @@ TEST(TransferEngineTest, ReplanAllReRatesLiveFlows) {
   engine.set_setup_latency(common::Distribution::constant(0.0));
   engine.set_bandwidth("a", "b", 100.0);
   double elapsed = -1.0;
-  engine.transfer("d", "a", "b", 1000.0, [&](bool ok, sim::Duration e) {
+  engine.transfer("d", {"a"}, "b", 1000.0, [&](bool ok, sim::Duration e) {
     if (ok) elapsed = e;
   });
   EXPECT_EQ(engine.replan_all(), 0u);  // still in setup, nothing flowing
@@ -328,7 +328,7 @@ TickRun run_ticks(bool traced) {
   for (int a = 0; a < kZones; ++a) {
     for (int b = a + 1; b < kZones; ++b) {
       for (int k = 0; k < 3; ++k) {
-        engine.transfer("d" + std::to_string(id++), "z" + std::to_string(a),
+        engine.transfer("d" + std::to_string(id++), {"z" + std::to_string(a)},
                         "z" + std::to_string(b), 500.0 + 40.0 * k,
                         [&done](bool ok, sim::Duration) { done += ok; });
       }
@@ -414,11 +414,11 @@ TEST(TransferEngineTest, StripedTransferSplitsAcrossDisjointLinks) {
   engine.set_bandwidth("s3", "dst", 1e9);
 
   double done_at = -1.0;
-  engine.transfer_striped("wide", {"s1", "s2", "s3"}, "dst", 30e9,
-                          [&](bool ok, sim::Duration) {
-                            EXPECT_TRUE(ok);
-                            done_at = loop.now();
-                          });
+  engine.transfer("wide", {"s1", "s2", "s3"}, "dst", 30e9,
+                  [&](bool ok, sim::Duration) {
+                    EXPECT_TRUE(ok);
+                    done_at = loop.now();
+                  });
   EXPECT_EQ(engine.active_on("s1", "dst"), 1u);
   EXPECT_EQ(engine.active_on("s2", "dst"), 1u);
   EXPECT_EQ(engine.active_on("s3", "dst"), 1u);
@@ -443,8 +443,8 @@ TEST(TransferEngineTest, StripedSplitIsBandwidthProportional) {
   engine.set_bandwidth("slow", "dst", 1e9);
 
   double done_at = -1.0;
-  engine.transfer_striped("skewed", {"fast", "slow"}, "dst", 30e9,
-                          [&](bool, sim::Duration) { done_at = loop.now(); });
+  engine.transfer("skewed", {"fast", "slow"}, "dst", 30e9,
+                  [&](bool, sim::Duration) { done_at = loop.now(); });
   loop.run();
   // Shares proportional to bandwidth (20 GB over 2 GB/s, 10 GB over
   // 1 GB/s): both stripes land at 10 s — the aggregate-rate optimum.
@@ -464,15 +464,15 @@ TEST(TransferEngineTest, StripedSplitDiscountsCongestedLinks) {
   engine.set_bandwidth("a", "dst", 1e9);
   engine.set_bandwidth("b", "dst", 1e9);
   for (int i = 0; i < 9; ++i) {
-    engine.transfer("noise-" + std::to_string(i), "b", "dst", 500e9,
+    engine.transfer("noise-" + std::to_string(i), {"b"}, "dst", 500e9,
                     [](bool, sim::Duration) {});
   }
   double done_at = -1.0;
-  engine.transfer_striped("hot", {"a", "b"}, "dst", 30e9,
-                          [&](bool ok, sim::Duration) {
-                            EXPECT_TRUE(ok);
-                            done_at = loop.now();
-                          });
+  engine.transfer("hot", {"a", "b"}, "dst", 30e9,
+                  [&](bool ok, sim::Duration) {
+                    EXPECT_TRUE(ok);
+                    done_at = loop.now();
+                  });
   loop.run_until(200.0);
   // Effective rates at admission: a = 1 GB/s, b = 0.1 GB/s -> a hauls
   // ~27.3 GB, b ~2.7 GB, both landing near 27.3 s.
@@ -498,11 +498,11 @@ TEST(TransferEngineTest, StripeFailureFailsOverToSurvivors) {
 
     int fired = 0;
     bool outcome = false;
-    engine.transfer_striped("contested", {"s1", "s2"}, "dst", 10e9,
-                            [&](bool ok, sim::Duration) {
-                              ++fired;
-                              outcome = ok;
-                            });
+    engine.transfer("contested", {"s1", "s2"}, "dst", 10e9,
+                    [&](bool ok, sim::Duration) {
+                      ++fired;
+                      outcome = ok;
+                    });
     loop.run();
     EXPECT_EQ(fired, 1) << "seed " << seed;
     EXPECT_EQ(engine.transfers_started(), 1u);
@@ -532,7 +532,7 @@ TEST(TransferEngineTest, StripedCancelAbortsEveryStripe) {
   engine.set_bandwidth("s2", "dst", 1e9);
 
   bool fired = false;
-  const auto id = engine.transfer_striped(
+  const auto id = engine.transfer(
       "doomed", {"s1", "s2"}, "dst", 20e9,
       [&](bool, sim::Duration) { fired = true; });
   loop.call_after(1.0, [&] { EXPECT_TRUE(engine.cancel(id)); });
@@ -551,14 +551,14 @@ TEST(TransferEngineTest, StripedSingleSourceDegradesToPlainTransfer) {
   engine.set_setup_latency(common::Distribution::constant(0.0));
 
   double done_at = -1.0;
-  engine.transfer_striped("solo", {"src", "src"}, "dst", 5e9,
-                          [&](bool ok, sim::Duration) {
-                            EXPECT_TRUE(ok);
-                            done_at = loop.now();
-                          });
+  engine.transfer("solo", {"src", "src"}, "dst", 5e9,
+                  [&](bool ok, sim::Duration) {
+                    EXPECT_TRUE(ok);
+                    done_at = loop.now();
+                  });
   loop.run();
   EXPECT_NEAR(done_at, 5.0, 1e-9);
-  EXPECT_EQ(engine.stripes_started(), 0u);  // plain path, no stripes
+  EXPECT_EQ(engine.stripes_started(), 0u);  // one source: no stripes
 }
 
 // ---------------------------------------------------------------------------
@@ -1087,7 +1087,7 @@ TEST(PlacementAdvisorTest, StageInTimeTracksLiveLinkContention) {
   EXPECT_DOUBLE_EQ(advisor.stage_in_time({"ds"}, "b"), 10.0);
   // A transfer flowing on far->b halves the fair share a newcomer
   // would get there; the estimate must see it.
-  engine.transfer("noise", "far", "b", 50e9, [](bool, sim::Duration) {});
+  engine.transfer("noise", {"far"}, "b", 50e9, [](bool, sim::Duration) {});
   EXPECT_DOUBLE_EQ(advisor.stage_in_time({"ds"}, "a"), 10.0);
   EXPECT_DOUBLE_EQ(advisor.stage_in_time({"ds"}, "b"), 20.0);
   // Resident data costs nothing.

@@ -598,11 +598,8 @@ DataPlaneTrace run_dataplane_fuzz(std::uint64_t seed) {
           catalog.release_reservation(dst, bytes);
         }
       };
-      if (stripe) {
-        engine.transfer_striped(name, usable, dst, bytes, on_done);
-      } else {
-        engine.transfer(name, usable.front(), dst, bytes, on_done);
-      }
+      if (!stripe) usable.resize(1);
+      engine.transfer(name, usable, dst, bytes, on_done);
     });
   }
   loop.run();
@@ -853,13 +850,13 @@ TEST(TransferEngineCounters, ConsistentUnderCancelAndLinkFailureFuzz) {
         const auto cb = [&callbacks](bool, sim::Duration) { ++callbacks; };
         if (driver.chance(0.4)) {
           // Striped across every other zone (sources == dst collapse).
-          ids.push_back(engine.transfer_striped(
-              "s" + std::to_string(name++), zones, dst, bytes, cb));
+          ids.push_back(engine.transfer("s" + std::to_string(name++), zones,
+                                        dst, bytes, cb));
         } else {
           const auto& src =
               zones[static_cast<std::size_t>(driver.uniform_int(0, 3))];
           if (src == dst) continue;
-          ids.push_back(engine.transfer("p" + std::to_string(name++), src,
+          ids.push_back(engine.transfer("p" + std::to_string(name++), {src},
                                         dst, bytes, cb));
         }
       }

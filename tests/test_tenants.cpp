@@ -189,14 +189,14 @@ TEST(TenantsTest, WeightedLinkSharesSplitBandwidthByWeight) {
   double done_heavy = -1.0;
   double done_light = -1.0;
   engine.transfer(
-      "a", "src", "dst", 10e9,
+      "a", {"src"}, "dst", 10e9,
       [&](bool ok, sim::Duration) {
         EXPECT_TRUE(ok);
         done_heavy = loop.now();
       },
       "heavy");
   engine.transfer(
-      "b", "src", "dst", 10e9,
+      "b", {"src"}, "dst", 10e9,
       [&](bool ok, sim::Duration) {
         EXPECT_TRUE(ok);
         done_light = loop.now();
@@ -222,7 +222,7 @@ TEST(TenantsTest, LinkQuotaSerializesOverCapTenant) {
   std::vector<double> done;
   for (int i = 0; i < 3; ++i) {
     engine.transfer(
-        "d" + std::to_string(i), "src", "dst", 8e9,
+        "d" + std::to_string(i), {"src"}, "dst", 8e9,
         [&](bool ok, sim::Duration) {
           EXPECT_TRUE(ok);
           done.push_back(loop.now());
@@ -253,7 +253,8 @@ TEST(TenantsTest, LinkQuotaNeverStarvesSoloTransfer) {
 
   bool finished = false;
   engine.transfer(
-      "big", "src", "dst", 8e9, [&](bool ok, sim::Duration) { finished = ok; },
+      "big", {"src"}, "dst", 8e9,
+      [&](bool ok, sim::Duration) { finished = ok; },
       "capped");
   loop.run();
   EXPECT_TRUE(finished);
