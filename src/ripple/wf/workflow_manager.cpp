@@ -333,9 +333,17 @@ void WorkflowManager::prefetch_frontier(const std::shared_ptr<GraphRun>& run,
     }
   }
   std::sort(candidates.begin(), candidates.end());
+  const data::ReplicaCatalog& catalog = session_.data().catalog();
   for (const auto& [depth, next] : candidates) {
     NodeRun& successor = run->nodes[next];
-    if (successor.node.stage.consumes.empty()) continue;
+    // Only existing data can move ahead of demand: a successor whose
+    // inputs are all still to be produced gets no prediction, no
+    // prefetch and no ledger entries.
+    const auto& consumes = successor.node.stage.consumes;
+    if (std::none_of(consumes.begin(), consumes.end(),
+                     [&](const auto& name) { return catalog.has(name); })) {
+      continue;
+    }
     // Replication-ahead: while this node computes, idle links push a
     // coming successor's inputs toward where it will probably run. A
     // wrong prediction costs only budgeted idle-link bytes — the
