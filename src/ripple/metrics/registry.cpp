@@ -68,25 +68,9 @@ std::vector<std::string> Registry::series_names() const {
   return out;
 }
 
-void Registry::add_duration(const std::string& name, double seconds) {
-  duration_series_[name].add(seconds);
-}
-
-const common::Summary& Registry::durations(const std::string& name) const {
-  const auto it = duration_series_.find(name);
-  ensure(it != duration_series_.end(), Errc::not_found, "no duration series '",
-         name, "'");
-  return it->second;
-}
-
-bool Registry::has_durations(const std::string& name) const {
-  return duration_series_.count(name) != 0;
-}
-
 void Registry::clear() {
   bootstraps_.clear();
   request_series_.clear();
-  duration_series_.clear();
 }
 
 json::Value Registry::to_json() const {
@@ -106,12 +90,6 @@ json::Value Registry::to_json() const {
     requests.set(name, series.to_json());
   }
   out.set("requests", std::move(requests));
-
-  json::Value durations = json::Value::object();
-  for (const auto& [name, summary] : duration_series_) {
-    durations.set(name, summary.to_json());
-  }
-  out.set("durations", std::move(durations));
   return out;
 }
 

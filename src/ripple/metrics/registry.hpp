@@ -3,7 +3,7 @@
 /// \file registry.hpp
 /// Central collection point for the paper's three metrics:
 /// BT (bootstrap time, Fig. 3), RT (response time, Figs. 4-5) and
-/// IT (inference time, Fig. 6), plus arbitrary named duration series.
+/// IT (inference time, Fig. 6).
 
 #include <map>
 #include <string>
@@ -56,11 +56,6 @@ class Registry {
   [[nodiscard]] const RequestSeries& series(const std::string& name) const;
   [[nodiscard]] std::vector<std::string> series_names() const;
 
-  // --- free-form duration series ---
-  void add_duration(const std::string& name, double seconds);
-  [[nodiscard]] const common::Summary& durations(const std::string& name) const;
-  [[nodiscard]] bool has_durations(const std::string& name) const;
-
   void clear();
 
   [[nodiscard]] json::Value to_json() const;
@@ -68,7 +63,6 @@ class Registry {
  private:
   std::vector<BootstrapRecord> bootstraps_;
   std::map<std::string, RequestSeries> request_series_;
-  std::map<std::string, common::Summary> duration_series_;
 };
 
 }  // namespace ripple::metrics

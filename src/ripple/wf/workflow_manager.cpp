@@ -558,12 +558,6 @@ void WorkflowManager::complete_node(const std::shared_ptr<GraphRun>& run,
                             node.node.stage.name, " ok=", node_ok ? 1 : 0,
                             " done=", node.tasks_done,
                             " failed=", node.tasks_failed));
-  session_.metrics().add_duration(
-      run->pipeline_mode
-          ? strutil::cat("pipeline.", run->name, ".stage.",
-                         display_name(node))
-          : strutil::cat("graph.", run->name, ".node.", display_name(node)),
-      node.finished_at - node.started_at);
   if (node.trace != 0) {
     auto& tracer = session_.tracer();
     tracer.arg(node.trace, "tasks_done", std::to_string(node.tasks_done));
@@ -684,10 +678,6 @@ void WorkflowManager::finish_graph(const std::shared_ptr<GraphRun>& run) {
     session_.tracer().end(run->trace, session_.now());
     run->trace = 0;
   }
-  session_.metrics().add_duration(
-      strutil::cat(run->pipeline_mode ? "pipeline." : "graph.", run->name,
-                   ".makespan"),
-      result.makespan);
   log_.info(run->pipeline_mode ? "pipeline '" : "graph '", run->name, "' ",
             result.ok ? "completed" : "FAILED", " in ",
             strutil::format_duration(result.makespan));

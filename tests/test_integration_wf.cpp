@@ -69,13 +69,11 @@ TEST(IntegrationWf, PipelineWithStagedDataAndServiceStage) {
     EXPECT_TRUE(session.data().available_in(
         "features-" + std::to_string(i), "delta"));
   }
-  // Stage durations recorded as metrics.
-  EXPECT_TRUE(session.metrics().has_durations("pipeline.staged.makespan"));
-  // Prep stage makespan includes the ~10 s transfer.
-  EXPECT_GT(session.metrics()
-                .durations("pipeline.staged.stage.prep")
-                .mean(),
-            40.0);
+  // Stage durations are part of the result.
+  ASSERT_EQ(result.stage_names, (std::vector<std::string>{"prep", "serve"}));
+  // Prep stage duration includes the ~10 s transfer.
+  EXPECT_GT(result.stage_durations[0], 40.0);
+  EXPECT_GE(result.makespan, result.stage_durations[0]);
 }
 
 TEST(IntegrationWf, MixedLocalRemoteFleetSurvivesKill) {

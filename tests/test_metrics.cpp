@@ -62,29 +62,24 @@ TEST(Registry, RequestSeriesAggregation) {
   EXPECT_THROW((void)registry.series("exp9"), Error);
 }
 
-TEST(Registry, DurationSeriesAndClear) {
+TEST(Registry, ClearDropsBootstrapsAndRequestSeries) {
   Registry registry;
-  registry.add_duration("stage.one", 10.0);
-  registry.add_duration("stage.one", 20.0);
-  EXPECT_TRUE(registry.has_durations("stage.one"));
-  EXPECT_DOUBLE_EQ(registry.durations("stage.one").mean(), 15.0);
-  EXPECT_THROW((void)registry.durations("stage.two"), Error);
+  registry.add_bootstrap({"svc.0", 2.0, 30.0, 0.2, 1});
+  registry.add_request("rt", timing(1, 2, 3));
   registry.clear();
-  EXPECT_FALSE(registry.has_durations("stage.one"));
   EXPECT_TRUE(registry.bootstraps().empty());
+  EXPECT_FALSE(registry.has_series("rt"));
 }
 
 TEST(Registry, JsonExportShape) {
   Registry registry;
   registry.add_bootstrap({"svc.0", 2.0, 30.0, 0.2, 1});
   registry.add_request("rt", timing(1, 2, 3));
-  registry.add_duration("d", 5.0);
   const auto j = registry.to_json();
   EXPECT_EQ(j.at("bootstrap").at("count").as_int(), 1);
   EXPECT_TRUE(j.at("requests").contains("rt"));
   EXPECT_DOUBLE_EQ(
       j.at("requests").at("rt").at("total").at("mean").as_double(), 6.0);
-  EXPECT_TRUE(j.at("durations").contains("d"));
 }
 
 TEST(Timeline, RecordsAndQueries) {
