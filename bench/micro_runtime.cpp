@@ -3,11 +3,10 @@
 // These quantify the infrastructure costs underneath the paper's
 // metrics: event-loop throughput and timeout churn, uid minting, string
 // concatenation, JSON round-trips (the RPC payload format), router/RPC
-// hops, entity state transitions, scheduler grant/release cycles, slot
-// pool churn, the data plane's staging call and the replica catalog's
-// lookups and LRU eviction. They
-// back the claim that architectural overheads are "minimal" relative to
-// the modeled network and model costs.
+// hops, entity state transitions, scheduler grant/release cycles, the
+// data plane's staging call and the replica catalog's lookups and LRU
+// eviction. They back the claim that architectural overheads are
+// "minimal" relative to the modeled network and model costs.
 
 #include <benchmark/benchmark.h>
 
@@ -34,7 +33,6 @@
 #include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
 #include "ripple/sim/event_loop.hpp"
-#include "ripple/sim/resource.hpp"
 
 namespace {
 
@@ -412,24 +410,6 @@ void BM_StateTransition(benchmark::State& state) {
                           static_cast<std::int64_t>(std::size(kLifecycle)));
 }
 BENCHMARK(BM_StateTransition)->Arg(0)->Arg(1);
-
-void BM_SlotPoolChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventLoop loop;
-    sim::SlotPool pool(loop, "gpus", 8);
-    int granted = 0;
-    for (int i = 0; i < 256; ++i) {
-      pool.acquire(1, [&](sim::SlotPool::Grant grant) {
-        ++granted;
-        loop.call_after(1e-3, [&pool, grant] { pool.release(grant); });
-      });
-    }
-    loop.run();
-    benchmark::DoNotOptimize(granted);
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_SlotPoolChurn);
 
 void BM_SchedulerCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -64,32 +64,6 @@ EventLoop::TimerHandle EventLoop::post(Callback callback) {
   return handle(key.slot);
 }
 
-void EventLoop::post_external(Callback callback) {
-  ensure(static_cast<bool>(callback), Errc::invalid_argument,
-         "post_external: empty callback");
-  {
-    std::lock_guard lock(external_mutex_);
-    external_.push_back(std::move(callback));
-  }
-  has_external_.store(true, std::memory_order_release);
-}
-
-void EventLoop::drain_external() {
-  if (!has_external_.load(std::memory_order_acquire)) return;
-  std::deque<Callback> drained;
-  {
-    std::lock_guard lock(external_mutex_);
-    drained.swap(external_);
-    has_external_.store(false, std::memory_order_relaxed);
-  }
-  // Slots and sequences are assigned on the loop thread, in drain order,
-  // so once an external callback is in, it behaves exactly like a
-  // post()ed event.
-  for (Callback& callback : drained) {
-    post(std::move(callback));
-  }
-}
-
 bool EventLoop::cancel(TimerHandle handle) {
   const std::uint64_t index = handle.id & 0xffffffffu;
   const auto generation = static_cast<std::uint32_t>(handle.id >> 32);
@@ -120,7 +94,6 @@ void EventLoop::skim_cancelled() {
 }
 
 bool EventLoop::step(SimTime deadline) {
-  drain_external();
   skim_cancelled();
   // The next live event is whichever of the now-queue front and the heap
   // top comes first in the global (time, sequence) order.

@@ -31,10 +31,8 @@
 /// now-queue front and the heap top, so traces stay bit-identical to the
 /// heap-only implementation.
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <queue>
 #include <type_traits>
 #include <vector>
@@ -76,16 +74,6 @@ class EventLoop {
   /// pending same-time events ("post to the back of the now-queue").
   /// O(1) fast path: skips the heap entirely.
   TimerHandle post(Callback callback);
-
-  /// Thread-safe completion hand-off: the only EventLoop entry point
-  /// that may be called from another thread. Worker threads (payload
-  /// computation on the ThreadPool) park their completion callbacks
-  /// here; the loop drains them into the now-queue at the next step
-  /// boundary, so the callback runs on the loop thread like any other
-  /// event. Cross-thread arrival order is wall-clock, not seeded —
-  /// deterministic control-plane code must keep using post(); this is
-  /// for real-thread payload integration only. Not cancellable.
-  void post_external(Callback callback);
 
   /// Cancels a pending event. Returns false if it already ran (or is
   /// running) or was already cancelled.
@@ -166,10 +154,6 @@ class EventLoop {
   /// when the next event lies beyond `deadline`.
   bool step(SimTime deadline);
 
-  /// Moves externally posted callbacks into the now-queue (loop thread
-  /// only; called at step boundaries).
-  void drain_external();
-
   /// Drops cancelled events sitting at the front of either queue.
   void skim_cancelled();
 
@@ -181,11 +165,6 @@ class EventLoop {
   std::vector<std::uint32_t> free_slots_;
   /// Cancelled events whose keys are still queued.
   std::size_t cancelled_ = 0;
-  /// Cross-thread hand-off inbox (post_external). The flag makes the
-  /// common no-external case a single relaxed load per step.
-  std::mutex external_mutex_;
-  std::deque<Callback> external_;
-  std::atomic<bool> has_external_{false};
   SimTime now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;

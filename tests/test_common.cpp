@@ -1,5 +1,5 @@
-// Unit tests for common utilities: strings, ids, config, logging,
-// statistics and random distributions.
+// Unit tests for common utilities: strings, ids, logging, statistics
+// and random distributions.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "ripple/common/config.hpp"
 #include "ripple/common/error.hpp"
 #include "ripple/common/ids.hpp"
 #include "ripple/common/json.hpp"
@@ -370,51 +369,6 @@ TEST(Logging, JsonLinesSinkEmitsParsableRecords) {
 
   common::LogConfig::global().set_sink(nullptr);
   common::LogConfig::global().set_level(common::LogLevel::warn);
-}
-
-// ---------------------------------------------------------------------------
-// config
-// ---------------------------------------------------------------------------
-
-TEST(Config, DottedPathLookups) {
-  const auto config = common::Config::from_string(
-      R"({"platform": {"network": {"latency_ms": 0.063, "up": true},
-          "name": "delta"}, "count": 4})");
-  EXPECT_DOUBLE_EQ(config.get_double("platform.network.latency_ms", -1),
-                   0.063);
-  EXPECT_TRUE(config.get_bool("platform.network.up", false));
-  EXPECT_EQ(config.get_string("platform.name", "?"), "delta");
-  EXPECT_EQ(config.get_int("count", -1), 4);
-  EXPECT_EQ(config.get_int("missing.path", 7), 7);
-  EXPECT_TRUE(config.has("platform.network"));
-  EXPECT_FALSE(config.has("platform.storage"));
-}
-
-TEST(Config, SetCreatesIntermediateObjects) {
-  common::Config config;
-  config.set("a.b.c", json::Value(3));
-  EXPECT_EQ(config.get_int("a.b.c", -1), 3);
-  config.set("a.b.c", json::Value(4));
-  EXPECT_EQ(config.get_int("a.b.c", -1), 4);
-}
-
-TEST(Config, DeepMergeOverlay) {
-  auto base = common::Config::from_string(
-      R"({"a": {"x": 1, "y": 2}, "keep": "base"})");
-  const auto overlay = common::Config::from_string(
-      R"({"a": {"y": 20, "z": 30}, "new": true})");
-  base.merge(overlay);
-  EXPECT_EQ(base.get_int("a.x", -1), 1);
-  EXPECT_EQ(base.get_int("a.y", -1), 20);
-  EXPECT_EQ(base.get_int("a.z", -1), 30);
-  EXPECT_EQ(base.get_string("keep", ""), "base");
-  EXPECT_TRUE(base.get_bool("new", false));
-}
-
-TEST(Config, RejectsNonObjectRoot) {
-  EXPECT_THROW((void)common::Config::from_string("[1,2]"), Error);
-  EXPECT_THROW((void)common::Config::from_file("/nonexistent/x.json"),
-               Error);
 }
 
 // ---------------------------------------------------------------------------

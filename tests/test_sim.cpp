@@ -1,5 +1,5 @@
 // Unit tests for the simulation substrate: event loop (with a seeded
-// comparison against an ordered-map reference), slot pool, network model.
+// comparison against an ordered-map reference) and network model.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "ripple/common/random.hpp"
 #include "ripple/sim/event_loop.hpp"
 #include "ripple/sim/network.hpp"
-#include "ripple/sim/resource.hpp"
 
 namespace {
 
@@ -394,78 +393,6 @@ TEST(EventLoopFuzz, MatchesAnOrderedMapReference) {
     SCOPED_TRACE(seed);
     EventLoopFuzz(seed).run(3000);
   }
-}
-
-// ---------------------------------------------------------------------------
-// SlotPool
-// ---------------------------------------------------------------------------
-
-TEST(SlotPool, GrantsImmediatelyWhenFree) {
-  EventLoop loop;
-  sim::SlotPool pool(loop, "gpus", 4);
-  int granted = 0;
-  pool.acquire(2, [&](sim::SlotPool::Grant) { ++granted; });
-  pool.acquire(2, [&](sim::SlotPool::Grant) { ++granted; });
-  loop.run();
-  EXPECT_EQ(granted, 2);
-  EXPECT_EQ(pool.in_use(), 4u);
-  EXPECT_EQ(pool.available(), 0u);
-}
-
-TEST(SlotPool, FifoNoOvertaking) {
-  EventLoop loop;
-  sim::SlotPool pool(loop, "slots", 4);
-  std::vector<int> order;
-  sim::SlotPool::Grant first_grant;
-  pool.acquire(4, [&](sim::SlotPool::Grant g) {
-    order.push_back(0);
-    first_grant = g;
-  });
-  pool.acquire(3, [&](sim::SlotPool::Grant) { order.push_back(1); });
-  pool.acquire(1, [&](sim::SlotPool::Grant) { order.push_back(2); });
-  loop.run();
-  // Only the head got slots; the 1-slot request must NOT overtake.
-  EXPECT_EQ(order, (std::vector<int>{0}));
-  EXPECT_EQ(pool.queue_length(), 2u);
-
-  pool.release(first_grant);
-  loop.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(SlotPool, WaitTimesRecorded) {
-  EventLoop loop;
-  sim::SlotPool pool(loop, "slots", 1);
-  sim::SlotPool::Grant held;
-  pool.acquire(1, [&](sim::SlotPool::Grant g) { held = g; });
-  pool.acquire(1, [&](sim::SlotPool::Grant) {});
-  loop.run();
-  loop.call_after(5.0, [&] { pool.release(held); });
-  loop.run();
-  ASSERT_EQ(pool.wait_times().count(), 2u);
-  EXPECT_DOUBLE_EQ(pool.wait_times().max(), 5.0);
-  EXPECT_DOUBLE_EQ(pool.wait_times().min(), 0.0);
-}
-
-TEST(SlotPool, UtilizationIntegral) {
-  EventLoop loop;
-  sim::SlotPool pool(loop, "slots", 2);
-  pool.acquire(2, [&](sim::SlotPool::Grant g) {
-    loop.call_after(10.0, [&pool, g] { pool.release(g); });
-  });
-  loop.run();
-  loop.call_after(10.0, [] {});  // idle tail: 10 busy, 10 idle
-  loop.run();
-  EXPECT_NEAR(pool.mean_utilization(), 0.5, 1e-9);
-}
-
-TEST(SlotPool, RejectsImpossibleAndInvalid) {
-  EventLoop loop;
-  sim::SlotPool pool(loop, "slots", 2);
-  EXPECT_THROW(pool.acquire(3, [](sim::SlotPool::Grant) {}), Error);
-  EXPECT_THROW(pool.acquire(0, [](sim::SlotPool::Grant) {}), Error);
-  EXPECT_THROW(pool.release(sim::SlotPool::Grant{}), Error);
-  EXPECT_THROW(sim::SlotPool(loop, "zero", 0), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@
 
 #include "ripple/common/concurrent_queue.hpp"
 #include "ripple/common/thread_pool.hpp"
-#include "ripple/sim/event_loop.hpp"
 
 namespace {
 
@@ -209,31 +208,6 @@ TEST(ThreadPool, ParallelForChunkGranularityBalancesLoad) {
   const double fine = timed(4);
   EXPECT_GT(coarse, 0.23);  // all 8 sleeps land on one worker
   EXPECT_LT(fine, 0.21);    // sleeps overlap at finer granularity
-}
-
-TEST(EventLoop, PostExternalHandsOffAcrossThreads) {
-  sim::EventLoop loop;
-  bool ran = false;
-  std::thread worker([&] { loop.post_external([&ran] { ran = true; }); });
-  worker.join();  // hand-off complete before the loop runs
-  EXPECT_EQ(loop.run(), 1u);
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventLoop, PostExternalMidRunDrainsAtStepBoundary) {
-  sim::EventLoop loop;
-  std::vector<int> order;
-  loop.call_after(1.0, [&] {
-    std::thread worker(
-        [&] { loop.post_external([&] { order.push_back(2); }); });
-    worker.join();  // the external callback is parked before we return
-    order.push_back(1);
-  });
-  loop.call_after(2.0, [&] { order.push_back(3); });
-  loop.run();
-  // The drained callback runs at the next step boundary (t=1), ahead of
-  // the strictly later t=2 timer.
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedWork) {
