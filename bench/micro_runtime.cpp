@@ -4,9 +4,10 @@
 // metrics: event-loop throughput and timeout churn, uid minting, string
 // concatenation, JSON round-trips (the RPC payload format), router/RPC
 // hops, entity state transitions, scheduler grant/release cycles, the
-// data plane's staging call and the replica catalog's lookups and LRU
-// eviction. They back the claim that architectural overheads are
-// "minimal" relative to the modeled network and model costs.
+// data plane's staging call, transfers and bandwidth re-planning, and
+// the replica catalog's lookups and LRU eviction. They back the claim
+// that architectural overheads are "minimal" relative to the modeled
+// network and model costs.
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +30,7 @@
 #include "ripple/core/session.hpp"
 #include "ripple/core/states.hpp"
 #include "ripple/data/catalog.hpp"
+#include "ripple/data/transfer_engine.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/msg/rpc.hpp"
 #include "ripple/platform/profiles.hpp"
@@ -240,6 +242,73 @@ void BM_CatalogMakeRoom(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CatalogMakeRoom);
+
+// Transfers as dataflow makes them: each from one source replica, from
+// the transfer call through setup, the fair-share replans of its link
+// and its landing, drained through the loop. 64 transfers per iteration
+// on four links (two archives and two compute zones), 16 on each.
+void BM_TransferChurn(benchmark::State& state) {
+  const std::vector<std::string> sources = {"archive", "lab"};
+  const std::vector<std::string> zones = {"delta", "frontier"};
+  std::vector<std::string> names;
+  for (int i = 0; i < 64; ++i) names.push_back(strutil::cat("t1/part", i));
+  std::size_t landed = 0;
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    data::TransferEngine engine(loop, common::Rng(7));
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      engine.transfer(names[i], {sources[i % 2]}, zones[i / 2 % 2], 4e9,
+                      [&landed](bool ok, sim::Duration) { landed += ok; });
+    }
+    loop.run();
+  }
+  benchmark::DoNotOptimize(landed);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(names.size()));
+}
+BENCHMARK(BM_TransferChurn);
+
+// One "telemetry tick", TransferEngine::replan_all, over 28 links (every
+// pair of eight zones) carrying three flowing transfers each, after a
+// change of the default bandwidth. Loading the links and tearing them
+// down is untimed; each iteration times 16 ticks. The tombstones of the
+// timers a tick cancels are popped by the loop later, outside the tick.
+void BM_TransferReplanAll(benchmark::State& state) {
+  constexpr int kZones = 8;
+  constexpr int kTicks = 16;
+  std::vector<std::string> zones;
+  for (int z = 0; z < kZones; ++z) zones.push_back(strutil::cat("z", z));
+  std::size_t replanned = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      sim::EventLoop loop;
+      data::TransferEngine engine(loop, common::Rng(99));
+      engine.set_setup_latency(common::Distribution::constant(0.05));
+      engine.set_default_bandwidth(100.0);
+      int id = 0;
+      for (int a = 0; a < kZones; ++a) {
+        for (int b = a + 1; b < kZones; ++b) {
+          for (int k = 0; k < 3; ++k) {
+            engine.transfer(strutil::cat("d", id++), {zones[a]}, zones[b],
+                            500.0 + 40.0 * k, [](bool, sim::Duration) {});
+          }
+        }
+      }
+      loop.run_until(1.0);  // every transfer is flowing
+      state.ResumeTiming();
+      for (int tick = 0; tick < kTicks; ++tick) {
+        engine.set_default_bandwidth(tick % 2 == 0 ? 150.0 : 80.0);
+        replanned += engine.replan_all();
+      }
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(replanned);
+  state.SetItemsProcessed(state.iterations() * kTicks);
+}
+BENCHMARK(BM_TransferReplanAll);
 
 // The event-loop Callback is a small-buffer-optimized move-only type
 // (sim::UniqueCallback): captures up to 64 bytes live inline in the
