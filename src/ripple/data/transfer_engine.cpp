@@ -87,9 +87,12 @@ double TransferEngine::bandwidth_between(const std::string& zone_a,
 
 double TransferEngine::newcomer_rate(const std::string& src_zone,
                                      const std::string& dst_zone) const {
-  const double load = static_cast<double>(active_on(src_zone, dst_zone)) +
-                      static_cast<double>(queued_on(src_zone, dst_zone)) +
-                      1.0;
+  const auto it = links_.find(key_for(src_zone, dst_zone));
+  const double load =
+      it == links_.end() ? 1.0
+                         : static_cast<double>(it->second.active.size()) +
+                               static_cast<double>(it->second.queued.size()) +
+                               1.0;
   return bandwidth_between(src_zone, dst_zone) / load;
 }
 
@@ -180,8 +183,7 @@ TransferEngine::TransferId TransferEngine::transfer(
     Stripe& stripe = stripes_[stripe_id];
     stripe.id = stripe_id;
     stripe.transfer = id;
-    stripe.src = src;
-    stripe.dst = dst_zone;
+    stripe.link = key_for(src, dst_zone);
     stripe.tenant = tenant;
     stripe.total_bytes = share;
     stripe.remaining = share;
@@ -199,7 +201,7 @@ TransferEngine::TransferId TransferEngine::transfer(
 
 void TransferEngine::enter_link(TransferId id) {
   Stripe& stripe = stripes_.at(id);
-  const LinkKey key = key_for(stripe.src, stripe.dst);
+  const LinkKey& key = stripe.link;
   Link& link = links_[key];
   if (link.active.size() < cap_for(key) && !over_quota(key, stripe)) {
     admit(stripe);
@@ -248,7 +250,7 @@ void TransferEngine::drain_queue(const LinkKey& key, Link& link) {
 }
 
 void TransferEngine::admit(Stripe& stripe) {
-  const LinkKey key = key_for(stripe.src, stripe.dst);
+  const LinkKey& key = stripe.link;
   Link& link = links_[key];
   link.active.push_back(stripe.id);
   stripe.phase = Phase::setup;
@@ -271,7 +273,7 @@ void TransferEngine::begin_flow(TransferId id) {
   it->second.phase = Phase::flowing;
   it->second.timer = {};
   it->second.last_update = loop_.now();
-  replan(key_for(it->second.src, it->second.dst));
+  replan(it->second.link);
 }
 
 void TransferEngine::plan_link(const LinkKey& key, Link& link,
@@ -387,7 +389,7 @@ std::uint64_t TransferEngine::completion_hash() const noexcept {
 }
 
 void TransferEngine::leave_link(Stripe& stripe) {
-  const LinkKey key = key_for(stripe.src, stripe.dst);
+  const LinkKey& key = stripe.link;
   Link& link = links_[key];
   link.active.erase(
       std::remove(link.active.begin(), link.active.end(), stripe.id),
@@ -405,7 +407,7 @@ void TransferEngine::leave_link(Stripe& stripe) {
 }
 
 void TransferEngine::withdraw(Stripe& stripe) {
-  Link& link = links_[key_for(stripe.src, stripe.dst)];
+  Link& link = links_[stripe.link];
   const auto queued =
       std::find(link.queued.begin(), link.queued.end(), stripe.id);
   if (queued != link.queued.end()) {
@@ -446,7 +448,7 @@ void TransferEngine::fail_attempt_terminal(TransferId id) {
   const auto it = stripes_.find(id);
   if (it == stripes_.end()) return;  // settled by a reentrant callback
   withdraw(it->second);
-  finish_stripe(id, false);  // dies into the transfer's failover path
+  finish_stripe(it, false);  // dies into the transfer's failover path
 }
 
 void TransferEngine::on_attempt_end(TransferId id) {
@@ -459,7 +461,7 @@ void TransferEngine::on_attempt_end(TransferId id) {
   if (s.attempt_fails) {
     // Retrying a dead link is pointless: while it is down, every
     // failure is terminal regardless of the budget.
-    const bool terminal = down_.count(key_for(s.src, s.dst)) != 0;
+    const bool terminal = down_.count(s.link) != 0;
     if (!terminal && s.attempts <= max_retries_) {
       ++retries_;
       if (counters_ != nullptr) counters_->add("data.retries");
@@ -468,12 +470,12 @@ void TransferEngine::on_attempt_end(TransferId id) {
       return;
     }
   }
-  finish_stripe(id, !s.attempt_fails);
+  finish_stripe(it, !s.attempt_fails);
 }
 
-void TransferEngine::finish_stripe(TransferId id, bool ok) {
-  const auto it = stripes_.find(id);
-  if (it == stripes_.end()) return;  // already settled: idempotent
+void TransferEngine::finish_stripe(std::map<TransferId, Stripe>::iterator it,
+                                   bool ok) {
+  const TransferId id = it->first;
   const TransferId transfer_id = it->second.transfer;
   const double stripe_bytes = it->second.total_bytes;
   close_span(it->second.trace, ok ? "ok" : "failed");
@@ -494,7 +496,7 @@ void TransferEngine::finish_stripe(TransferId id, bool ok) {
       heir.total_bytes += stripe_bytes;
       heir.remaining += stripe_bytes;
       if (heir.phase == Phase::flowing) {
-        replan(key_for(heir.src, heir.dst));
+        replan(heir.link);
       }
       return;
     }

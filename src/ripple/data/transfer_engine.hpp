@@ -236,9 +236,8 @@ class TransferEngine {
   struct Stripe {
     TransferId id = 0;
     TransferId transfer = 0;  ///< the owning transfer
-    std::string src;
-    std::string dst;
-    std::string tenant;  ///< weighted share / quota bucket
+    LinkKey link;             ///< key_for(src, dst)
+    std::string tenant;       ///< weighted share / quota bucket
     double total_bytes = 0.0;
     double remaining = 0.0;
     double rate = 0.0;
@@ -299,8 +298,8 @@ class TransferEngine {
   /// A stripe finished its last attempt: settle it against its
   /// transfer. Success commits the transfer when it was the last
   /// stripe; failure moves the share to the first surviving stripe, or
-  /// fails the transfer when none is left. No-op for a settled id.
-  void finish_stripe(TransferId id, bool ok);
+  /// fails the transfer when none is left.
+  void finish_stripe(std::map<TransferId, Stripe>::iterator it, bool ok);
 
   /// Fails an attempt terminally, bypassing the retry budget — the
   /// link-down path; the stripe settles through finish_stripe.
