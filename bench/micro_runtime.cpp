@@ -263,8 +263,12 @@ void BM_TransferChurn(benchmark::State& state) {
     loop.run();
   }
   benchmark::DoNotOptimize(landed);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(names.size()));
+  const auto transfers =
+      state.iterations() * static_cast<std::int64_t>(names.size());
+  if (landed != static_cast<std::size_t>(transfers)) {
+    state.SkipWithError("a transfer did not land");
+  }
+  state.SetItemsProcessed(transfers);
 }
 BENCHMARK(BM_TransferChurn);
 
@@ -275,6 +279,8 @@ BENCHMARK(BM_TransferChurn);
 // timers a tick cancels are popped by the loop later, outside the tick.
 void BM_TransferReplanAll(benchmark::State& state) {
   constexpr int kZones = 8;
+  constexpr int kPerLink = 3;
+  constexpr int kFlows = kZones * (kZones - 1) / 2 * kPerLink;
   constexpr int kTicks = 16;
   std::vector<std::string> zones;
   for (int z = 0; z < kZones; ++z) zones.push_back(strutil::cat("z", z));
@@ -289,7 +295,7 @@ void BM_TransferReplanAll(benchmark::State& state) {
       int id = 0;
       for (int a = 0; a < kZones; ++a) {
         for (int b = a + 1; b < kZones; ++b) {
-          for (int k = 0; k < 3; ++k) {
+          for (int k = 0; k < kPerLink; ++k) {
             engine.transfer(strutil::cat("d", id++), {zones[a]}, zones[b],
                             500.0 + 40.0 * k, [](bool, sim::Duration) {});
           }
@@ -306,6 +312,10 @@ void BM_TransferReplanAll(benchmark::State& state) {
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(replanned);
+  if (replanned != static_cast<std::size_t>(state.iterations() * kTicks *
+                                             kFlows)) {
+    state.SkipWithError("a tick did not replan every flow");
+  }
   state.SetItemsProcessed(state.iterations() * kTicks);
 }
 BENCHMARK(BM_TransferReplanAll);

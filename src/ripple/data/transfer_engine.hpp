@@ -260,8 +260,8 @@ class TransferEngine {
   };
 
   struct Link {
-    std::vector<TransferId> active;  ///< stripes in setup + flowing
-    std::deque<TransferId> queued;   ///< stripes, admission order
+    std::vector<TransferId> active;  ///< setup + flowing, admission order
+    std::deque<TransferId> queued;
   };
 
   [[nodiscard]] static LinkKey key_for(const std::string& zone_a,
