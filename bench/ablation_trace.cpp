@@ -9,8 +9,13 @@
 //           bounding measurement noise so the "on" gate is meaningful.
 //   on    — tracing + counters + gauge sampling enabled.
 //
+// The three arms run interleaved, one run of each per round in all six
+// orders, until every arm has run for at least 30 ms of wall time, so
+// host drift and contention hit all three alike; each arm reports its
+// median run.
+//
 // Gates, all enforced at exit:
-//   1. Wall-clock overhead (min over reps, small absolute epsilon):
+//   1. Wall-clock overhead (median runs, small absolute epsilon):
 //      off <= 2% of base, on <= 5% of base.
 //   2. Observation only: the traced run's sim makespan and jobs-done
 //      equal the untraced run's bit for bit.
@@ -27,10 +32,12 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "ripple/common/statistics.hpp"
 #include "ripple/metrics/chrome_trace.hpp"
 #include "ripple/metrics/critical_path.hpp"
 
@@ -126,19 +133,46 @@ TraceRun run_case(bool tracing, std::size_t hot, std::size_t cold,
   return out;
 }
 
-/// Min-of-reps wall time for one arm (the other fields come from the
-/// last rep; they are identical across reps by the determinism gates).
-TraceRun best_of(std::size_t reps, bool tracing, std::size_t hot,
-                 std::size_t cold, std::uint64_t seed) {
-  TraceRun best;
-  double wall = 1e300;
-  for (std::size_t i = 0; i < reps; ++i) {
-    TraceRun run = run_case(tracing, hot, cold, seed);
-    wall = std::min(wall, run.wall_ms);
-    best = std::move(run);
+/// The overhead arms: base (untraced), off (untraced again) and on.
+struct Arms {
+  TraceRun base;
+  TraceRun off;
+  TraceRun on;
+  std::size_t rounds = 0;
+};
+
+/// Runs base, off and on once per round for at least `min_rounds`
+/// rounds and until every arm's runs add up to `min_ms` of wall time.
+/// Successive rounds take the six orders of the three arms in turn, so
+/// base and off follow a traced run equally often: a run right after a
+/// traced one is slower (by a quarter to a half in smoke runs on a
+/// 4-vCPU x86-64 host), which must not land on one untraced arm only.
+/// Each arm's wall_ms is the median of its runs; its other fields come
+/// from its last run (the determinism gates hold them fixed).
+Arms measure_arms(std::size_t min_rounds, double min_ms, std::size_t hot,
+                  std::size_t cold, std::uint64_t seed) {
+  Arms arms;
+  TraceRun* runs[] = {&arms.base, &arms.off, &arms.on};
+  common::Summary walls[3];
+  std::size_t order[] = {0, 1, 2};
+  const auto short_arm = [&] {
+    for (const auto& arm : walls) {
+      if (arm.sum() < min_ms) return true;
+    }
+    return false;
+  };
+  while (arms.rounds < min_rounds || short_arm()) {
+    for (const std::size_t arm : order) {
+      *runs[arm] = run_case(/*tracing=*/arm == 2, hot, cold, seed);
+      walls[arm].add(runs[arm]->wall_ms);
+    }
+    std::next_permutation(std::begin(order), std::end(order));
+    ++arms.rounds;
   }
-  best.wall_ms = wall;
-  return best;
+  for (std::size_t arm = 0; arm < 3; ++arm) {
+    runs[arm]->wall_ms = walls[arm].median();
+  }
+  return arms;
 }
 
 }  // namespace
@@ -148,9 +182,10 @@ int main(int argc, char** argv) {
   const bool smoke = smoke_mode(argc, argv);
   const std::size_t hot = 4;
   const std::size_t cold = smoke ? 3 : 6;
-  const std::size_t reps = smoke ? 2 : 5;
+  const std::size_t min_rounds = 6;  // every order of the arms once
+  const double min_arm_ms = 30.0;
   const std::uint64_t seed = 808;
-  // Wall-clock gates use min-of-reps plus a small absolute epsilon so
+  // Wall-clock gates compare medians plus a small absolute epsilon so
   // a few-ms sim does not fail on scheduler jitter alone.
   const double eps_ms = 5.0;
 
@@ -158,9 +193,10 @@ int main(int argc, char** argv) {
   bool pass = true;
 
   // --- overhead ------------------------------------------------------------
-  const TraceRun base = best_of(reps, false, hot, cold, seed);
-  const TraceRun off = best_of(reps, false, hot, cold, seed);
-  const TraceRun on = best_of(reps, true, hot, cold, seed);
+  const Arms arms = measure_arms(min_rounds, min_arm_ms, hot, cold, seed);
+  const TraceRun& base = arms.base;
+  const TraceRun& off = arms.off;
+  const TraceRun& on = arms.on;
 
   const auto overhead_pct = [&](double arm) {
     return 100.0 * (arm - base.wall_ms) / base.wall_ms;
@@ -177,8 +213,9 @@ int main(int argc, char** argv) {
                           strutil::format_fixed(overhead_pct(on.wall_ms), 2),
                           std::to_string(on.spans),
                           std::to_string(on.samples)});
-  std::cout << metrics::banner(
-      "Tracing overhead (min over " + std::to_string(reps) + " reps)");
+  std::cout << metrics::banner("Tracing overhead (median of " +
+                               std::to_string(arms.rounds) +
+                               " interleaved rounds)");
   std::cout << overhead_table.to_string();
   overhead_table.write_csv(output_dir() + "/ablation_trace_overhead.csv");
   overhead_table.write_json(output_dir() + "/ablation_trace_overhead.json");

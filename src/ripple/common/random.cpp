@@ -30,34 +30,48 @@ std::uint64_t mix(std::uint64_t x) {
 
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(mix(seed)) {}
+Rng::Rng(const Rng& other)
+    : seed_(other.seed_),
+      engine_(other.engine_
+                  ? std::make_unique<std::mt19937_64>(*other.engine_)
+                  : nullptr) {}
+
+Rng& Rng::operator=(const Rng& other) {
+  if (this != &other) *this = Rng(other);
+  return *this;
+}
+
+std::mt19937_64& Rng::engine() {
+  if (!engine_) engine_ = std::make_unique<std::mt19937_64>(mix(seed_));
+  return *engine_;
+}
 
 double Rng::uniform(double lo, double hi) {
   std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
+  return dist(engine());
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   ensure(lo <= hi, Errc::invalid_argument, "uniform_int: lo > hi");
   std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-  return dist(engine_);
+  return dist(engine());
 }
 
 double Rng::normal(double mean, double stddev) {
   std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  return dist(engine());
 }
 
 double Rng::lognormal(double median, double sigma) {
   ensure(median > 0.0, Errc::invalid_argument, "lognormal median must be > 0");
   std::lognormal_distribution<double> dist(std::log(median), sigma);
-  return dist(engine_);
+  return dist(engine());
 }
 
 double Rng::exponential(double mean) {
   ensure(mean > 0.0, Errc::invalid_argument, "exponential mean must be > 0");
   std::exponential_distribution<double> dist(1.0 / mean);
-  return dist(engine_);
+  return dist(engine());
 }
 
 bool Rng::chance(double p) {
@@ -84,7 +98,7 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-Rng Rng::fork(std::string_view tag) {
+Rng Rng::fork(std::string_view tag) const {
   return Rng(mix(seed_ ^ hash_tag(tag)));
 }
 

@@ -563,8 +563,9 @@ void TaskManager::on_payload_done(const std::string& uid,
     active.task->set_slot(active.spec_slot);
     active.node = active.spec_node;
     active.slot_held = active.spec_slot_held;
-    active.ctx = std::move(active.spec_ctx);
+    // The straggler's payload goes before the context it runs in.
     active.payload = std::move(active.spec_payload);
+    active.ctx = std::move(active.spec_ctx);
     active.spec_slot_held = false;
     active.spec_node = nullptr;
     if (active.spec_timer.valid()) {
@@ -961,6 +962,7 @@ void TaskManager::finish(const std::string& uid) {
   release_slot(active);
   release_input_pins(active);
   active.payload.reset();
+  active.ctx.reset();
   close_phase_spans(active);
   close_task_span(active, "done");
   runtime_.counters().add("task.done");
@@ -1031,6 +1033,7 @@ void TaskManager::fail_task(const std::string& uid,
   release_slot(active);
   release_input_pins(active);
   active.payload.reset();
+  active.ctx.reset();
   close_phase_spans(active);
   close_task_span(active, "failed");
   runtime_.counters().add("task.failed");

@@ -151,8 +151,12 @@ class TaskManager {
     std::unique_ptr<Task> task;
     Pilot* pilot = nullptr;
     platform::Node* node = nullptr;  ///< placement, set on grant
-    std::unique_ptr<TaskPayload> payload;
+    /// The current attempt's context and payload. Both live from launch
+    /// to the end of the attempt (finish, fail_task, interrupt_task);
+    /// the payload is destroyed first, so it never outlives its context
+    /// (declaration order keeps that true when the record is destroyed).
     std::unique_ptr<ExecutionContext> ctx;
+    std::unique_ptr<TaskPayload> payload;
     bool slot_held = false;
     /// Stage-in still in flight. Staging overlaps the scheduler queue
     /// wait: the task enters SCHEDULING immediately and launch is gated

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "ripple/common/error.hpp"
@@ -64,10 +65,11 @@ InferenceClientPayload::InferenceClientPayload(
     const core::TaskDescription& desc)
     : desc_(desc) {}
 
-namespace {
-
 /// Book-keeps one client task's request stream; owns the RpcClient and
-/// load balancer and keeps itself alive until all requests complete.
+/// load balancer, and is kept alive by its pending callbacks and timers
+/// until all requests complete or stop() ends it. It holds the runtime
+/// and uid it needs, not the execution context, which the TaskManager
+/// frees when the attempt ends.
 /// Failures (server rejects, vanished endpoints, timeouts) are retried
 /// with bounded exponential backoff; each retry re-picks an endpoint,
 /// so backpressure doubles as rerouting. With `watch` set, the balancer
@@ -76,11 +78,12 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
  public:
   ClientRun(core::ExecutionContext& ctx, ClientConfig config,
             core::TaskPayload::DoneFn done, core::TaskPayload::FailFn fail)
-      : ctx_(ctx),
+      : runtime_(*ctx.runtime),
+        uid_(ctx.uid),
         config_(std::move(config)),
         done_(std::move(done)),
         fail_(std::move(fail)),
-        rpc_(ctx.router(), ctx.uid + ".cli", ctx.host),
+        rpc_(std::in_place, runtime_.router(), uid_ + ".cli", ctx.host),
         retry_rng_(ctx.rng.fork("retry")),
         balancer_(make_balancer(config_.balancer, config_.endpoints,
                                 ctx.rng.fork("balancer"))) {}
@@ -92,7 +95,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     }
     if (!config_.watch.empty()) {
       auto self = shared_from_this();
-      subscription_ = ctx_.runtime->pubsub().subscribe(
+      subscription_ = runtime_.pubsub().subscribe(
           "endpoints",
           [self](const std::string&, const json::Value& event) {
             self->on_endpoint_event(event);
@@ -108,7 +111,25 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     for (std::size_t i = 0; i < first_wave; ++i) send_next();
   }
 
+  /// Ends the run early: its payload was destroyed. Destroying the
+  /// RpcClient unbinds the address and drops every pending callback
+  /// (and the references to this run they hold); armed retry and think
+  /// timers find the run finished and return. Nothing calls done/fail
+  /// after.
+  void stop() {
+    finished_ = true;
+    unsubscribe();
+    rpc_.reset();
+  }
+
  private:
+  void unsubscribe() {
+    if (subscription_ != 0) {
+      runtime_.pubsub().unsubscribe(subscription_);
+      subscription_ = 0;
+    }
+  }
+
   void on_endpoint_event(const json::Value& event) {
     if (finished_) return;
     if (event.get_or("name", json::Value("")).as_string() != config_.watch) {
@@ -160,7 +181,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   void reconcile_watch() {
     if (config_.watch.empty()) return;
     const std::vector<std::string> current =
-        ctx_.runtime->endpoints_of(config_.watch);
+        runtime_.endpoints_of(config_.watch);
     for (const std::string& endpoint : current) {
       deferred_down_.erase(endpoint);
       balancer_->add_endpoint(endpoint);
@@ -186,9 +207,9 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     const std::string target = balancer_->pick();
     json::Value args = json::Value::object();
     args.set("prompt_tokens", config_.prompt_tokens);
-    args.set("client", ctx_.uid);
+    args.set("client", uid_);
     auto self = shared_from_this();
-    rpc_.call(
+    rpc_->call(
         target, "infer", std::move(args),
         [self, target, tries](msg::CallResult result) {
           self->on_result(target, tries, std::move(result));
@@ -213,7 +234,8 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
           std::pow(config_.retry_multiplier, static_cast<double>(tries)) *
           retry_rng_.uniform(0.5, 1.5);
       auto self = shared_from_this();
-      ctx_.loop().call_after(delay, [self, tries] {
+      runtime_.loop().call_after(delay, [self, tries] {
+        if (self->finished_) return;
         self->reconcile_watch();
         self->attempt(tries + 1);
       });
@@ -223,7 +245,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     if (result.ok) {
       ++ok_;
       const msg::RequestTiming timing = result.timing();
-      ctx_.metrics().add_request(config_.series, timing);
+      runtime_.metrics().add_request(config_.series, timing);
       totals_.add(timing.total);
     } else {
       ++failed_;
@@ -232,8 +254,9 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     if (sent_ < config_.requests) {
       if (config_.think_time > 0.0) {
         auto self = shared_from_this();
-        ctx_.loop().call_after(config_.think_time,
-                               [self] { self->send_next(); });
+        runtime_.loop().call_after(config_.think_time, [self] {
+          if (!self->finished_) self->send_next();
+        });
       } else {
         send_next();
       }
@@ -245,10 +268,7 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   void finish() {
     if (finished_) return;
     finished_ = true;
-    if (subscription_ != 0) {
-      ctx_.runtime->pubsub().unsubscribe(subscription_);
-      subscription_ = 0;
-    }
+    unsubscribe();
     if (ok_ == 0 && failed_ > 0) {
       fail_(strutil::cat("all ", failed_, " requests failed: ",
                          last_error_));
@@ -269,11 +289,13 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
     done_(std::move(result));
   }
 
-  core::ExecutionContext& ctx_;
+  core::Runtime& runtime_;
+  std::string uid_;
   ClientConfig config_;
   core::TaskPayload::DoneFn done_;
   core::TaskPayload::FailFn fail_;
-  msg::RpcClient rpc_;
+  /// Empty once stop() ran.
+  std::optional<msg::RpcClient> rpc_;
   common::Rng retry_rng_;
   std::unique_ptr<LoadBalancer> balancer_;
   msg::PubSub::SubscriptionId subscription_ = 0;
@@ -292,7 +314,9 @@ class ClientRun : public std::enable_shared_from_this<ClientRun> {
   common::Summary totals_;
 };
 
-}  // namespace
+InferenceClientPayload::~InferenceClientPayload() {
+  if (const auto run = run_.lock()) run->stop();
+}
 
 void InferenceClientPayload::run(core::ExecutionContext& ctx, DoneFn done,
                                  FailFn fail) {
@@ -308,6 +332,9 @@ void InferenceClientPayload::run(core::ExecutionContext& ctx, DoneFn done,
   }
   auto run_state = std::make_shared<ClientRun>(
       ctx, std::move(config), std::move(done), std::move(fail));
+  run_ = run_state;
+  // start() may finish the run at once, and done/fail may destroy this
+  // payload: nothing below touches it.
   run_state->start();
 }
 

@@ -28,6 +28,8 @@
 ///                    "endpoints" events and add/remove balancer
 ///                    endpoints as replicas scale ("" = static set)
 
+#include <memory>
+
 #include "ripple/core/executor.hpp"
 
 namespace ripple::ml {
@@ -60,14 +62,23 @@ struct ClientConfig {
   [[nodiscard]] json::Value to_json() const;
 };
 
+class ClientRun;
+
+/// Destroying the payload (its attempt ended: done, failed, interrupted
+/// or a losing speculative twin) stops the request stream at once: no
+/// further requests or callbacks, and the client address is unbound.
 class InferenceClientPayload final : public core::TaskPayload {
  public:
   explicit InferenceClientPayload(const core::TaskDescription& desc);
+  ~InferenceClientPayload() override;
+  InferenceClientPayload(const InferenceClientPayload&) = delete;
+  InferenceClientPayload& operator=(const InferenceClientPayload&) = delete;
 
   void run(core::ExecutionContext& ctx, DoneFn done, FailFn fail) override;
 
  private:
   core::TaskDescription desc_;
+  std::weak_ptr<ClientRun> run_;
 };
 
 }  // namespace ripple::ml

@@ -86,7 +86,12 @@ RpcClient::RpcClient(Router& router, Address address, sim::HostId host)
                [this](Message message) { on_message(std::move(message)); });
 }
 
-RpcClient::~RpcClient() { router_.unbind(address_); }
+RpcClient::~RpcClient() {
+  router_.unbind(address_);
+  for (const auto& [corr_id, pending] : pending_) {
+    if (pending.timer.valid()) router_.loop().cancel(pending.timer);
+  }
+}
 
 void RpcClient::call(const Address& target, const std::string& method,
                      json::Value args, DoneCallback on_done,
@@ -116,7 +121,8 @@ void RpcClient::call(const Address& target, const std::string& method,
 
   if (!router_.send(host_, std::move(request))) {
     // Target unbound: fail asynchronously for uniform callback ordering.
-    router_.loop().post([this, corr_id] {
+    router_.loop().post([this, corr_id, alive = std::weak_ptr<char>(alive_)] {
+      if (alive.expired()) return;
       const auto it = pending_.find(corr_id);
       if (it == pending_.end()) return;
       Pending failed = std::move(it->second);

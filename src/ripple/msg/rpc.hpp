@@ -93,6 +93,8 @@ class RpcServer {
 };
 
 /// Client side: issues calls and matches replies by correlation id.
+/// Destroying a client unbinds its address, cancels its timeout timers
+/// and drops every pending callback without running it.
 class RpcClient {
  public:
   using DoneCallback = std::function<void(CallResult)>;
@@ -104,8 +106,9 @@ class RpcClient {
   RpcClient& operator=(const RpcClient&) = delete;
 
   /// Sends `method(args)` to `target`. `timeout` == 0 disables the timer.
-  /// The callback always fires exactly once (reply, timeout, or
-  /// unreachable target).
+  /// The callback fires exactly once (reply, timeout, or unreachable
+  /// target) if the client is still alive then, and never after the
+  /// client is destroyed.
   void call(const Address& target, const std::string& method,
             json::Value args, DoneCallback on_done,
             sim::Duration timeout = 0.0);
@@ -131,6 +134,9 @@ class RpcClient {
   std::unordered_map<std::string, Pending> pending_;  // corr_id -> pending
   std::uint64_t timeouts_ = 0;
   std::uint64_t late_ = 0;
+  /// Liveness token captured (weakly) by posted "target unreachable"
+  /// events, which cannot be cancelled like the timeout timers.
+  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 
 }  // namespace ripple::msg

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ripple/common/error.hpp"
@@ -459,6 +460,79 @@ TEST(Random, ForkDecorrelatesStreams) {
   EXPECT_DOUBLE_EQ(child_a.uniform(0, 1), child_a2.uniform(0, 1));
   // Different tags give different streams (overwhelmingly likely).
   EXPECT_NE(child_a.uniform(0, 1), child_b.uniform(0, 1));
+}
+
+// Rerun-equality tests cannot see a stream that changed the same way on
+// every run; these pinned values can. They also hold a copy or a move
+// of a stream, taken before or after its first draws, to continuing the
+// original's sequence.
+TEST(Random, PinnedFirstDraws) {
+  struct Case {
+    const char* name;
+    Rng (*make)();
+    double uniform;
+    double normal;
+    std::int64_t uniform_int;
+    double exponential;
+  };
+  const Case cases[] = {
+      {"Rng(1)", [] { return Rng(1); }, 0x1.109f48cd2b63p-1,
+       0x1.f207a2af3a1c1p-1, 532465243383, 0x1.8543a0d28128fp-1},
+      {"Rng(1).fork(task.000001)", [] { return Rng(1).fork("task.000001"); },
+       0x1.efc362a1fbcbp-3, 0x1.96b5116e00f87p-2, 242071886604,
+       0x1.1bd198ba40d67p-2},
+      {"Rng(1000003).fork(network)",
+       [] { return Rng(1000003).fork("network"); }, 0x1.aa879c716bf86p-1,
+       -0x1.c4c9cfb8b667cp-2, 833065880628, 0x1.ca47aa8b01364p+0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(c.make().uniform(0.0, 1.0), c.uniform);
+    EXPECT_EQ(c.make().normal(0.0, 1.0), c.normal);
+    EXPECT_EQ(c.make().uniform_int(0, 1000000000000), c.uniform_int);
+    EXPECT_EQ(c.make().exponential(1.0), c.exponential);
+  }
+}
+
+TEST(Random, CopiesAndMovesContinueTheSequence) {
+  // The first six uniform draws of Rng(1).fork("task.000001").
+  const double seq[] = {0x1.efc362a1fbcbp-3,  0x1.2223620cc3effp-1,
+                        0x1.0b476ed00d131p-2, 0x1.208cd416e3f9p-1,
+                        0x1.2c2282a66dd6fp-1, 0x1.0d12fc6a35cc2p-1};
+  const auto stream = [] { return Rng(1).fork("task.000001"); };
+  const auto draw = [](Rng& rng) { return rng.uniform(0.0, 1.0); };
+
+  Rng original = stream();
+  Rng copy = original;  // before any draw
+  EXPECT_EQ(draw(copy), seq[0]);
+  EXPECT_EQ(draw(copy), seq[1]);
+  EXPECT_EQ(draw(original), seq[0]);  // the copy drew from its own engine
+  Rng moved = std::move(original);    // after one draw
+  EXPECT_EQ(draw(moved), seq[1]);
+  EXPECT_EQ(draw(moved), seq[2]);
+
+  Rng fresh = stream();
+  Rng moved_fresh = std::move(fresh);  // before any draw
+  EXPECT_EQ(draw(moved_fresh), seq[0]);
+  EXPECT_EQ(draw(moved_fresh), seq[1]);
+
+  Rng drawn = stream();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(draw(drawn), seq[i]);
+  Rng late_copy = drawn;  // after three draws
+  EXPECT_EQ(draw(late_copy), seq[3]);
+  EXPECT_EQ(draw(late_copy), seq[4]);
+  EXPECT_EQ(draw(drawn), seq[3]);
+  EXPECT_EQ(draw(drawn), seq[4]);
+  Rng late_move = std::move(late_copy);  // after five draws
+  EXPECT_EQ(draw(late_move), seq[5]);
+
+  Rng assigned(7);
+  assigned = stream();  // move-assigned before any draw
+  EXPECT_EQ(draw(assigned), seq[0]);
+  Rng copy_assigned(7);
+  copy_assigned = assigned;  // copy-assigned after one draw
+  EXPECT_EQ(draw(copy_assigned), seq[1]);
+  EXPECT_EQ(draw(assigned), seq[1]);
 }
 
 TEST(Random, WeightedIndexRespectsWeights) {

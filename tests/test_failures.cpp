@@ -3,16 +3,20 @@
 // crashes re-placed with backoff, pilot preemption re-bound to
 // survivors, stragglers beaten by speculation, store crashes repaired
 // from surviving replicas, link failures terminal for in-flight
-// attempts. Same seed, bit-identical failure/recovery/repair logs.
+// attempts, inference clients stopped with an attempt that ends early.
+// Same seed, bit-identical failure/recovery/repair logs.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "ripple/common/random.hpp"
 #include "ripple/core/failure_coordinator.hpp"
 #include "ripple/core/session.hpp"
+#include "ripple/ml/inference_service.hpp"
+#include "ripple/ml/install.hpp"
 #include "ripple/platform/profiles.hpp"
 #include "ripple/sim/event_loop.hpp"
 #include "ripple/sim/failure_injector.hpp"
@@ -363,6 +367,115 @@ TEST(FailureRecovery, LinkDownIsTerminalUntilRestored) {
   session.run();
   EXPECT_TRUE(second_ok);
   EXPECT_TRUE(data.available_in("d", "b"));
+}
+
+// ---------------------------------------------------------------------------
+// Inference clients whose attempt ends early
+// ---------------------------------------------------------------------------
+
+/// One llama-8b service on a 2-node delta pilot, and one inference
+/// client task of 400 requests, 8 in flight, submitted once the service
+/// is ready. The service stops when the client's task ends.
+class EarlyEndingClient : public ::testing::Test {
+ protected:
+  EarlyEndingClient() {
+    ml::install(session_);
+    session_.add_platform(platform::delta_profile(2));
+    pilot_ = &session_.submit_pilot({.platform = "delta", .nodes = 2});
+  }
+
+  /// Submits a `cores`-core client once the service is ready, calls
+  /// `on_submit` right after, and runs the session. `served_` counts
+  /// the service's requests when the client's task ends.
+  void run(std::size_t cores, std::function<void()> on_submit = [] {}) {
+    ServiceDescription svc;
+    svc.name = "llm";
+    svc.program = "inference";
+    svc.config = json::Value::object({{"model", "llama-8b"}});
+    svc_uid_ = session_.services().submit(*pilot_, svc);
+    session_.services().when_ready({svc_uid_}, [&, cores](bool ok) {
+      ASSERT_TRUE(ok);
+      const std::string endpoint = session_.services().get(svc_uid_).endpoint();
+      TaskDescription desc;
+      desc.kind = "inference_client";
+      desc.cores = cores;
+      desc.payload =
+          json::Value::object({{"endpoints", json::Value::array({endpoint})},
+                               {"requests", 400},
+                               {"concurrency", 8}});
+      uid_ = session_.tasks().submit(*pilot_, desc);
+      session_.tasks().when_done({uid_}, [this](bool) {
+        served_ = server().served();
+        session_.services().stop_all();
+      });
+      on_submit();
+    });
+    session_.run();
+  }
+
+  ml::InferenceServer& server() {
+    auto* program = dynamic_cast<ml::InferenceProgram*>(
+        session_.services().program(svc_uid_));
+    return *program->server();
+  }
+
+  const Task& client() { return session_.tasks().get(uid_); }
+
+  std::int64_t result_count(const char* key) {
+    return client().result().get_or(key, json::Value(0)).as_int();
+  }
+
+  Session session_{SessionConfig{.seed = 41}};
+  Pilot* pilot_ = nullptr;
+  std::string svc_uid_;
+  std::string uid_;
+  std::uint64_t served_ = 0;
+};
+
+TEST_F(EarlyEndingClient, CrashedAttemptStopsAndItsRestartFinishes) {
+  // A full-node client runs beside the service's node. Its node crashes
+  // 8 s into the run and comes back 10 s later. The interrupted attempt
+  // must stop with its payload: late replies must not reach its freed
+  // context, and it must not keep sending. The restarted attempt sends
+  // all 400 requests again and completes the task.
+  session_.tasks().set_restart_policy({.max_restarts = 2});
+  std::uint64_t sent_before_crash = 0;
+  run(/*cores=*/64, [&] {
+    session_.loop().call_after(8.0, [&] {
+      ASSERT_EQ(client().state(), TaskState::running);
+      // Every request sent so far has reached the server by now.
+      sent_before_crash = server().served() + server().outstanding();
+      const std::string node = client().slot().node_id;
+      auto& injector = session_.failures().injector();
+      injector.inject_at(session_.now(), FailureKind::node_crash, node);
+      injector.inject_at(session_.now() + 10.0, FailureKind::node_restore,
+                         node);
+    });
+  });
+
+  ASSERT_EQ(client().state(), TaskState::done);
+  EXPECT_EQ(result_count("ok"), 400);
+  EXPECT_EQ(result_count("failed"), 0);
+  EXPECT_EQ(session_.tasks().restarts_total(), 1u);
+  // Only the restarted attempt's requests and the ones the first
+  // attempt sent before the crash reach the service.
+  EXPECT_EQ(sent_before_crash, 9u);
+  EXPECT_EQ(served_, 400u + sent_before_crash);
+}
+
+TEST_F(EarlyEndingClient, LosingSpeculativeTwinStops) {
+  // The client's duplicate launches a second after the primary starts
+  // and still has requests in flight when the primary finishes first.
+  // The cancelled twin's replies must find it stopped: they may not
+  // read its freed context or report a second result.
+  session_.tasks().set_speculation(
+      {.enabled = true, .latency_multiple = 1.5, .min_delay = 1.0});
+  run(/*cores=*/1);
+
+  ASSERT_EQ(client().state(), TaskState::done);
+  EXPECT_EQ(result_count("ok"), 400);
+  EXPECT_EQ(session_.tasks().speculations(), 1u);
+  EXPECT_EQ(session_.tasks().speculation_wins(), 0u);
 }
 
 // ---------------------------------------------------------------------------
