@@ -452,21 +452,23 @@ void BM_RpcRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_RpcRoundTrip);
 
 // One entity state transition as the managers report it through
-// Runtime::publish_state: the Timeline append plus, for a task, the
-// posted dependency-check hook (a no-op here). Each iteration takes 256
-// tasks through CREATED -> SCHEDULING -> SCHEDULED -> LAUNCHING ->
-// RUNNING -> DONE, runs the loop and clears the Timeline. Arg(1) adds a
-// "state" subscriber, which makes every transition build and deliver
-// a JSON event as well.
+// Runtime::publish_state: an append of (id, state, time) to the Timeline.
+// 256 tasks are registered once; each iteration takes them through
+// CREATED -> SCHEDULING -> SCHEDULED -> LAUNCHING -> RUNNING -> DONE,
+// runs the loop and clears the Timeline's log. Arg(1) adds a "state"
+// subscriber, which makes every transition build and deliver a JSON
+// event as well.
 void BM_StateTransition(benchmark::State& state) {
   constexpr core::TaskState kLifecycle[] = {
       core::TaskState::created,   core::TaskState::scheduling,
       core::TaskState::scheduled, core::TaskState::launching,
       core::TaskState::running,   core::TaskState::done};
-  std::vector<std::string> uids;
-  for (int i = 0; i < 256; ++i) uids.push_back("task." + std::to_string(i));
   core::Runtime runtime(1);
-  runtime.set_transition_hook([] {});
+  std::vector<metrics::Timeline::EntityId> tasks;
+  for (int i = 0; i < 256; ++i) {
+    tasks.push_back(
+        runtime.timeline().add("task." + std::to_string(i), "task"));
+  }
   std::size_t delivered = 0;
   if (state.range(0) != 0) {
     runtime.pubsub().subscribe(
@@ -475,9 +477,9 @@ void BM_StateTransition(benchmark::State& state) {
         });
   }
   for (auto _ : state) {
-    for (const auto& uid : uids) {
+    for (const auto task : tasks) {
       for (const core::TaskState next : kLifecycle) {
-        runtime.publish_state("task", uid, core::to_string(next));
+        runtime.publish_state(task, core::to_string(next));
       }
     }
     runtime.loop().run();
@@ -485,7 +487,7 @@ void BM_StateTransition(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(delivered);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(uids.size()) *
+                          static_cast<std::int64_t>(tasks.size()) *
                           static_cast<std::int64_t>(std::size(kLifecycle)));
 }
 BENCHMARK(BM_StateTransition)->Arg(0)->Arg(1);

@@ -13,17 +13,22 @@ common::Logger Runtime::make_logger(const std::string& name) {
   return common::Logger(name, [this] { return loop_.now(); });
 }
 
-void Runtime::publish_state(std::string_view kind, const std::string& uid,
+metrics::Timeline::EntityId Runtime::add_entity(std::string_view kind,
+                                                std::string_view uid,
+                                                std::string_view state) {
+  const metrics::Timeline::EntityId entity = timeline_.add(uid, kind);
+  publish_state(entity, state);
+  return entity;
+}
+
+void Runtime::publish_state(metrics::Timeline::EntityId entity,
                             std::string_view state) {
   const double now = loop_.now();
-  timeline_.record(uid, kind, state, now);
-  if (transition_hook_ && (kind == "task" || kind == "service")) {
-    loop_.post([this] { transition_hook_(); });
-  }
+  timeline_.record(entity, state, now);
   if (!pubsub_.has_subscribers("state")) return;
   json::Value event = json::Value::object();
-  event.set("kind", kind);
-  event.set("uid", uid);
+  event.set("kind", timeline_.kind(entity));
+  event.set("uid", timeline_.uid(entity));
   event.set("state", state);
   event.set("time", now);
   pubsub_.publish("state", std::move(event));

@@ -6,7 +6,6 @@
 /// component receives a reference.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -57,20 +56,19 @@ class Runtime {
     return ids_.next(prefix);
   }
 
-  /// Reports an entity state transition (`kind` is "task", "service"
-  /// or "pilot"). The Timeline records it at once. A task or service
-  /// transition posts the transition hook. Only when the bus has a
-  /// "state" subscriber is the transition also published there as a
-  /// JSON event {kind, uid, state, time}, delivered asynchronously.
-  void publish_state(std::string_view kind, const std::string& uid,
-                     std::string_view state);
+  /// Registers a new entity with the Timeline (`kind` is "task",
+  /// "service" or "pilot") and reports its first state; its later
+  /// transitions are reported under the returned id.
+  [[nodiscard]] metrics::Timeline::EntityId add_entity(std::string_view kind,
+                                                       std::string_view uid,
+                                                       std::string_view state);
 
-  /// Installs the callback posted after every task or service
-  /// transition: the TaskManager's dependency re-check. It runs where
-  /// a "state" bus delivery would, after the transitioning event.
-  void set_transition_hook(std::function<void()> hook) {
-    transition_hook_ = std::move(hook);
-  }
+  /// Reports an entity state transition. The Timeline records it at
+  /// once. Only when the bus has a "state" subscriber is the transition
+  /// also published there as a JSON event {kind, uid, state, time},
+  /// delivered asynchronously.
+  void publish_state(metrics::Timeline::EntityId entity,
+                     std::string_view state);
 
   /// Live endpoint directory, updated *synchronously* by the
   /// ServiceManager as services enter/leave RUNNING (the matching
@@ -98,7 +96,6 @@ class Runtime {
   metrics::Timeline timeline_;
   metrics::Tracer tracer_;
   metrics::Counters counters_;
-  std::function<void()> transition_hook_;
   std::map<std::string, std::set<std::string>> endpoint_directory_;
 };
 

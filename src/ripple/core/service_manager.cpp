@@ -12,6 +12,11 @@ namespace ripple::core {
 namespace {
 constexpr sim::Duration kPublishRpcTimeout = 30.0;
 constexpr sim::Duration kDrainPollInterval = 0.05;
+
+/// Whether `service` passes a query's name filter ("" passes all).
+bool named(const Service& service, const std::string& filter) {
+  return filter.empty() || service.description().name == filter;
+}
 }  // namespace
 
 ServiceManager::ServiceManager(Runtime& runtime, Scheduler& scheduler,
@@ -23,51 +28,14 @@ ServiceManager::ServiceManager(Runtime& runtime, Scheduler& scheduler,
       log_(runtime.make_logger("service_manager")) {}
 
 // ---------------------------------------------------------------------------
-// Lookup helpers
+// Queries
 // ---------------------------------------------------------------------------
-
-ServiceManager::Active& ServiceManager::active_for(const std::string& uid) {
-  const auto it = services_.find(uid);
-  ensure(it != services_.end(), Errc::not_found, "unknown service '", uid, "'");
-  return it->second;
-}
-
-const ServiceManager::Active& ServiceManager::active_for(
-    const std::string& uid) const {
-  const auto it = services_.find(uid);
-  ensure(it != services_.end(), Errc::not_found, "unknown service '", uid, "'");
-  return it->second;
-}
-
-const Service& ServiceManager::get(const std::string& uid) const {
-  return *active_for(uid).service;
-}
-
-Service& ServiceManager::get_mutable(const std::string& uid) {
-  return *active_for(uid).service;
-}
-
-bool ServiceManager::exists(const std::string& uid) const {
-  return services_.count(uid) != 0;
-}
-
-std::vector<std::string> ServiceManager::uids() const {
-  std::vector<std::string> out;
-  out.reserve(services_.size());
-  for (const auto& [uid, active] : services_) out.push_back(uid);
-  return out;
-}
 
 std::vector<std::string> ServiceManager::endpoints(
     const std::string& name_filter) const {
   std::vector<std::string> out;
-  for (const auto& [uid, active] : services_) {
-    if (active.service->state() != ServiceState::running) continue;
-    if (!name_filter.empty() &&
-        active.service->description().name != name_filter) {
-      continue;
-    }
-    out.push_back(active.service->endpoint());
+  for (const std::string& uid : running(name_filter)) {
+    out.push_back(services_.at(uid).service.endpoint());
   }
   return out;
 }
@@ -75,34 +43,21 @@ std::vector<std::string> ServiceManager::endpoints(
 std::vector<std::string> ServiceManager::running(
     const std::string& name_filter) const {
   std::vector<std::string> out;
-  for (const auto& [uid, active] : services_) {
-    if (active.service->state() != ServiceState::running) continue;
-    if (!name_filter.empty() &&
-        active.service->description().name != name_filter) {
-      continue;
-    }
-    out.push_back(uid);
+  for (const EntityId id : services_.in_uid_order()) {
+    const Service& service = services_[id].service;
+    if (service.state() != ServiceState::running) continue;
+    if (!named(service, name_filter)) continue;
+    out.push_back(service.uid());
   }
   return out;
-}
-
-std::size_t ServiceManager::count_in_state(ServiceState state) const {
-  std::size_t n = 0;
-  for (const auto& [uid, active] : services_) {
-    if (active.service->state() == state) ++n;
-  }
-  return n;
 }
 
 std::size_t ServiceManager::count_active(
     const std::string& name_filter) const {
   std::size_t n = 0;
-  for (const auto& [uid, active] : services_) {
-    if (is_terminal(active.service->state())) continue;
-    if (!name_filter.empty() &&
-        active.service->description().name != name_filter) {
-      continue;
-    }
+  for (const Active& active : services_) {
+    if (is_terminal(active.service.state())) continue;
+    if (!named(active.service, name_filter)) continue;
     ++n;
   }
   return n;
@@ -111,19 +66,16 @@ std::size_t ServiceManager::count_active(
 std::size_t ServiceManager::total_outstanding(
     const std::string& name_filter) const {
   std::size_t n = 0;
-  for (const auto& [uid, active] : services_) {
-    if (active.service->state() != ServiceState::running) continue;
-    if (!name_filter.empty() &&
-        active.service->description().name != name_filter) {
-      continue;
-    }
+  for (const Active& active : services_) {
+    if (active.service.state() != ServiceState::running) continue;
+    if (!named(active.service, name_filter)) continue;
     if (active.program) n += active.program->outstanding();
   }
   return n;
 }
 
 std::size_t ServiceManager::outstanding_of(const std::string& uid) const {
-  const Active& active = active_for(uid);
+  const Active& active = services_.at(uid);
   return active.program ? active.program->outstanding() : 0;
 }
 
@@ -131,12 +83,9 @@ double ServiceManager::window_latency_quantile(
     const std::string& name_filter, double q) const {
   const sim::SimTime now = runtime_.loop().now();
   std::vector<double> samples;
-  for (const auto& [uid, active] : services_) {
-    if (active.service->state() != ServiceState::running) continue;
-    if (!name_filter.empty() &&
-        active.service->description().name != name_filter) {
-      continue;
-    }
+  for (const Active& active : services_) {
+    if (active.service.state() != ServiceState::running) continue;
+    if (!named(active.service, name_filter)) continue;
     if (active.program) {
       active.program->collect_window_latencies(now, samples);
     }
@@ -149,9 +98,9 @@ double ServiceManager::window_latency_quantile(
 std::size_t ServiceManager::count_bootstrapping(
     const std::string& pilot_uid) const {
   std::size_t n = 0;
-  for (const auto& [uid, active] : services_) {
-    if (active.service->pilot_uid() != pilot_uid) continue;
-    switch (active.service->state()) {
+  for (const Active& active : services_) {
+    if (active.service.pilot_uid() != pilot_uid) continue;
+    switch (active.service.state()) {
       case ServiceState::scheduling:
       case ServiceState::scheduled:
       case ServiceState::launching:
@@ -164,24 +113,24 @@ std::size_t ServiceManager::count_bootstrapping(
 }
 
 ServiceProgram* ServiceManager::program(const std::string& uid) {
-  return active_for(uid).program.get();
+  return services_.at(uid).program.get();
 }
 
 json::Value ServiceManager::stats(const std::string& uid) const {
-  const Active& active = active_for(uid);
+  const Active& active = services_.at(uid);
   json::Value out = json::Value::object();
   out.set("uid", uid);
-  out.set("name", active.service->description().name);
-  out.set("state", to_string(active.service->state()));
-  out.set("endpoint", active.service->endpoint());
-  out.set("remote", active.service->remote());
-  out.set("restarts", active.service->restarts());
-  if (active.service->bootstrap().complete()) {
+  out.set("name", active.service.description().name);
+  out.set("state", to_string(active.service.state()));
+  out.set("endpoint", active.service.endpoint());
+  out.set("remote", active.service.remote());
+  out.set("restarts", active.service.restarts());
+  if (active.service.bootstrap().complete()) {
     json::Value boot = json::Value::object();
-    boot.set("launch", active.service->bootstrap().launch);
-    boot.set("init", active.service->bootstrap().init);
-    boot.set("publish", active.service->bootstrap().publish);
-    boot.set("total", active.service->bootstrap().total());
+    boot.set("launch", active.service.bootstrap().launch);
+    boot.set("init", active.service.bootstrap().init);
+    boot.set("publish", active.service.bootstrap().publish);
+    boot.set("total", active.service.bootstrap().total());
     out.set("bootstrap", std::move(boot));
   }
   if (active.program) out.set("program", active.program->stats());
@@ -192,11 +141,21 @@ json::Value ServiceManager::stats(const std::string& uid) const {
 // State bookkeeping
 // ---------------------------------------------------------------------------
 
+ServiceManager::Active& ServiceManager::add(std::string uid,
+                                            ServiceDescription desc) {
+  Active& active =
+      services_[services_.emplace(std::move(uid), std::move(desc))];
+  if (transition_listener_) transition_listener_();
+  active.timeline = runtime_.add_entity(
+      "service", active.uid(), to_string(ServiceState::created));
+  return active;
+}
+
 void ServiceManager::set_state(Active& active, ServiceState state) {
-  const ServiceState previous = active.service->state();
-  active.service->set_state(state, runtime_.loop().now());
-  runtime_.publish_state("service", active.service->uid(),
-                         to_string(state));
+  const ServiceState previous = active.service.state();
+  active.service.set_state(state, runtime_.loop().now());
+  if (transition_listener_) transition_listener_();
+  runtime_.publish_state(active.timeline, to_string(state));
   // Endpoint registry events: entering RUNNING registers the endpoint,
   // leaving it (drain, stop, failure) deregisters it. Subscribers
   // (balancing clients, the autoscaler) reroute traffic accordingly.
@@ -214,16 +173,16 @@ void ServiceManager::publish_endpoint_event(const Active& active, bool up) {
   // Directory first (synchronous), event second (asynchronous): late
   // subscribers snapshot the directory and cannot miss this change.
   if (up) {
-    runtime_.register_endpoint(active.service->description().name,
-                               active.service->endpoint());
+    runtime_.register_endpoint(active.service.description().name,
+                               active.service.endpoint());
   } else {
-    runtime_.deregister_endpoint(active.service->description().name,
-                                 active.service->endpoint());
+    runtime_.deregister_endpoint(active.service.description().name,
+                                 active.service.endpoint());
   }
   json::Value event = json::Value::object();
-  event.set("name", active.service->description().name);
-  event.set("uid", active.service->uid());
-  event.set("endpoint", active.service->endpoint());
+  event.set("name", active.service.description().name);
+  event.set("uid", active.service.uid());
+  event.set("endpoint", active.service.endpoint());
   event.set("up", up);
   runtime_.pubsub().publish("endpoints", std::move(event));
 }
@@ -268,10 +227,8 @@ void ServiceManager::when_ready(std::vector<std::string> uids,
 // Registry endpoint (per cluster)
 // ---------------------------------------------------------------------------
 
-const std::string& ServiceManager::ensure_registry(
-    platform::Cluster& cluster) {
-  auto it = registries_.find(cluster.name());
-  if (it == registries_.end()) {
+void ServiceManager::ensure_registry(platform::Cluster& cluster) {
+  if (registries_.count(cluster.name()) == 0) {
     const std::string address = "svcmgr." + cluster.name();
     auto server = std::make_unique<msg::RpcServer>(
         runtime_.router(), address, cluster.head_host());
@@ -287,19 +244,14 @@ const std::string& ServiceManager::ensure_registry(
           const std::string uid =
               responder->request().payload.get_or("uid", json::Value(""))
                   .as_string();
-          const auto found = services_.find(uid);
-          if (found != services_.end()) {
-            found->second.service->set_last_heartbeat(
-                runtime_.loop().now());
+          if (Active* found = services_.find(uid)) {
+            found->service.set_last_heartbeat(runtime_.loop().now());
             arm_liveness_deadline(uid);
           }
           responder->reply(json::Value::object({{"ok", true}}));
         });
-    it = registries_.emplace(cluster.name(), std::move(server)).first;
+    registries_.emplace(cluster.name(), std::move(server));
   }
-  static const std::string prefix = "svcmgr.";
-  (void)it;
-  return registries_.find(cluster.name())->first;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,23 +264,17 @@ std::string ServiceManager::create_service(Pilot& pilot,
   ensure(executor_.programs().has(desc.program), Errc::not_found,
          "service program '", desc.program, "' is not registered");
   const std::string uid = runtime_.make_uid("svc");
-  Active active;
-  active.service = std::make_unique<Service>(uid, std::move(desc));
-  active.service->set_pilot_uid(pilot.uid());
+  ensure_registry(pilot.cluster());
+  Active& active = add(uid, std::move(desc));
+  active.service.set_pilot_uid(pilot.uid());
   active.pilot = &pilot;
   active.cluster = &pilot.cluster();
-  ensure_registry(pilot.cluster());
-  auto [it, inserted] = services_.emplace(uid, std::move(active));
-  ensure(inserted, Errc::internal, "duplicate service uid");
-  runtime_.publish_state("service", uid, to_string(ServiceState::created));
 
   // Readiness timeout covers the whole bootstrap.
-  it->second.ready_timer = runtime_.loop().call_after(
-      it->second.service->description().ready_timeout, [this, uid] {
-        const auto found = services_.find(uid);
-        if (found == services_.end()) return;
-        if (found->second.service->state() == ServiceState::running) return;
-        if (is_terminal(found->second.service->state())) return;
+  active.ready_timer = runtime_.loop().call_after(
+      active.service.description().ready_timeout, [this, uid] {
+        const ServiceState state = services_.at(uid).state();
+        if (state == ServiceState::running || is_terminal(state)) return;
         fail_service(uid, "ready timeout exceeded");
       });
   return uid;
@@ -339,9 +285,7 @@ std::string ServiceManager::submit(Pilot& pilot, ServiceDescription desc) {
   // Enter the scheduler asynchronously (symmetric with TaskManager):
   // submission order across managers is preserved by the event loop.
   runtime_.loop().post([this, uid] {
-    const auto found = services_.find(uid);
-    if (found == services_.end()) return;
-    if (found->second.service->state() != ServiceState::created) return;
+    if (services_.at(uid).state() != ServiceState::created) return;
     begin_scheduling(uid);
   });
   return uid;
@@ -374,7 +318,7 @@ std::vector<std::string> ServiceManager::submit_all(
 
 ScheduleRequest ServiceManager::make_request(const std::string& uid,
                                              Active& active) {
-  const ServiceDescription& desc = active.service->description();
+  const ServiceDescription& desc = active.service.description();
   ScheduleRequest request;
   request.uid = uid;
   request.cores = desc.cores;
@@ -388,22 +332,30 @@ ScheduleRequest ServiceManager::make_request(const std::string& uid,
   return request;
 }
 
-void ServiceManager::begin_scheduling(const std::string& uid) {
-  Active& active = active_for(uid);
-  // Oversized services fail individually; this runs inside an
+bool ServiceManager::enter_scheduling(const std::string& uid,
+                                      Active& active) {
+  // Oversized services fail individually: this runs inside an
   // event-loop callback, where a Scheduler::submit throw would abort
-  // the run.
-  const ServiceDescription& desc = active.service->description();
+  // the run, and Scheduler::submit_all validates a whole batch up
+  // front, where one impossible request must not strand its siblings.
+  const ServiceDescription& desc = active.service.description();
   if (!scheduler_.fits_pilot(active.pilot->uid(), desc.cores, desc.gpus,
                              desc.mem_gb)) {
     fail_service(uid, strutil::cat("request (", desc.cores, "c/",
                                    desc.gpus,
                                    "g) cannot fit any node of pilot ",
                                    active.pilot->uid()));
-    return;
+    return false;
   }
   set_state(active, ServiceState::scheduling);
-  scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+  return true;
+}
+
+void ServiceManager::begin_scheduling(const std::string& uid) {
+  Active& active = services_.at(uid);
+  if (enter_scheduling(uid, active)) {
+    scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+  }
 }
 
 void ServiceManager::begin_scheduling_batch(
@@ -411,23 +363,11 @@ void ServiceManager::begin_scheduling_batch(
   std::vector<ScheduleRequest> requests;
   requests.reserve(uids.size());
   for (const auto& uid : uids) {
-    const auto it = services_.find(uid);
-    if (it == services_.end()) continue;
-    if (it->second.service->state() != ServiceState::created) continue;
-    // Fail oversized services individually; Scheduler::submit_all
-    // validates the whole batch up front, and one impossible request
-    // must not strand its siblings.
-    const ServiceDescription& desc = it->second.service->description();
-    if (!scheduler_.fits_pilot(pilot.uid(), desc.cores, desc.gpus,
-                               desc.mem_gb)) {
-      fail_service(uid, strutil::cat("request (", desc.cores, "c/",
-                                     desc.gpus,
-                                     "g) cannot fit any node of pilot ",
-                                     pilot.uid()));
-      continue;
+    Active& active = services_.at(uid);
+    if (active.state() != ServiceState::created) continue;
+    if (enter_scheduling(uid, active)) {
+      requests.push_back(make_request(uid, active));
     }
-    set_state(it->second, ServiceState::scheduling);
-    requests.push_back(make_request(uid, it->second));
   }
   if (!requests.empty()) {
     scheduler_.submit_all(pilot.uid(), std::move(requests));
@@ -436,15 +376,13 @@ void ServiceManager::begin_scheduling_batch(
 
 void ServiceManager::on_granted(const std::string& uid, platform::Slot slot,
                                 platform::Node* node) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.service->state())) {
+  Active& active = services_.at(uid);
+  if (is_terminal(active.service.state())) {
     // Canceled while queued but after grant was posted: give it back.
     scheduler_.release(active.pilot->uid(), slot);
     return;
   }
-  active.service->set_slot(std::move(slot));
+  active.service.set_slot(std::move(slot));
   active.slot_held = true;
   active.host = node->host();
   set_state(active, ServiceState::scheduled);
@@ -458,11 +396,11 @@ void ServiceManager::on_granted(const std::string& uid, platform::Slot slot,
 json::Value ServiceManager::contention_config(const Active& active) const {
   // Injected knobs that let programs model shared-filesystem contention
   // during concurrent model loads (Fig. 3: init under 640 loaders).
-  json::Value config = active.service->description().config;
+  json::Value config = active.service.description().config;
   std::size_t initializing = 0;
-  for (const auto& [uid, other] : services_) {
-    if (other.service->pilot_uid() == active.service->pilot_uid() &&
-        other.service->state() == ServiceState::initializing) {
+  for (const Active& other : services_) {
+    if (other.service.pilot_uid() == active.service.pilot_uid() &&
+        other.service.state() == ServiceState::initializing) {
       ++initializing;
     }
   }
@@ -474,14 +412,12 @@ json::Value ServiceManager::contention_config(const Active& active) const {
 }
 
 void ServiceManager::on_launched(const std::string& uid) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.service->state())) return;
+  Active& active = services_.at(uid);
+  if (is_terminal(active.service.state())) return;
   set_state(active, ServiceState::initializing);
 
   active.program =
-      executor_.programs().create(active.service->description());
+      executor_.programs().create(active.service.description());
   active.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
       uid, active.host, contention_config(active)));
   active.program->init(
@@ -492,10 +428,8 @@ void ServiceManager::on_launched(const std::string& uid) {
 }
 
 void ServiceManager::on_initialized(const std::string& uid) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.service->state())) return;
+  Active& active = services_.at(uid);
+  if (is_terminal(active.service.state())) return;
   set_state(active, ServiceState::publishing);
 
   active.server = std::make_unique<msg::RpcServer>(runtime_.router(), uid,
@@ -504,9 +438,7 @@ void ServiceManager::on_initialized(const std::string& uid) {
   active.server->bind_method(
       "health", [this, uid](std::shared_ptr<msg::Responder> responder) {
         json::Value body = json::Value::object();
-        const auto found = services_.find(uid);
-        body.set("ok", found != services_.end() &&
-                           !found->second.crashed);
+        body.set("ok", !services_.at(uid).crashed);
         responder->reply(std::move(body));
       });
 
@@ -519,24 +451,20 @@ void ServiceManager::on_initialized(const std::string& uid) {
 }
 
 void ServiceManager::do_publish(const std::string& uid) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.service->state())) return;
+  Active& active = services_.at(uid);
+  if (is_terminal(active.service.state())) return;
 
   active.pub_client = std::make_unique<msg::RpcClient>(
       runtime_.router(), uid + ".pub", active.host);
   json::Value args = json::Value::object();
   args.set("uid", uid);
   args.set("endpoint", uid);
-  args.set("name", active.service->description().name);
+  args.set("name", active.service.description().name);
   active.pub_client->call(
       "svcmgr." + active.cluster->name(), "register_endpoint",
       std::move(args),
       [this, uid](msg::CallResult result) {
-        const auto found = services_.find(uid);
-        if (found == services_.end()) return;
-        if (is_terminal(found->second.service->state())) return;
+        if (is_terminal(services_.at(uid).state())) return;
         if (!result.ok) {
           fail_service(uid, strutil::cat("endpoint publication failed: ",
                                          result.error));
@@ -548,27 +476,27 @@ void ServiceManager::do_publish(const std::string& uid) {
 }
 
 void ServiceManager::on_published(const std::string& uid) {
-  Active& active = active_for(uid);
+  Active& active = services_.at(uid);
   active.pub_client.reset();
   if (active.ready_timer.valid()) {
     runtime_.loop().cancel(active.ready_timer);
     active.ready_timer = {};
   }
-  active.service->set_endpoint(uid);
+  active.service.set_endpoint(uid);
   set_state(active, ServiceState::running);
 
   // Record the bootstrap decomposition (Fig. 3).
-  BootstrapTiming& boot = active.service->bootstrap();
-  boot.launch = active.service->duration(ServiceState::launching,
+  BootstrapTiming& boot = active.service.bootstrap();
+  boot.launch = active.service.duration(ServiceState::launching,
                                          ServiceState::initializing);
-  boot.init = active.service->duration(ServiceState::initializing,
+  boot.init = active.service.duration(ServiceState::initializing,
                                        ServiceState::publishing);
-  boot.publish = active.service->duration(ServiceState::publishing,
+  boot.publish = active.service.duration(ServiceState::publishing,
                                           ServiceState::running);
   runtime_.metrics().add_bootstrap(metrics::BootstrapRecord{
       uid, boot.launch, boot.init, boot.publish, active.cohort_at_launch});
 
-  if (active.service->description().monitor) start_monitoring(uid);
+  if (active.service.description().monitor) start_monitoring(uid);
 }
 
 // ---------------------------------------------------------------------------
@@ -584,28 +512,22 @@ std::string ServiceManager::register_remote(platform::Cluster& cluster,
   ensure(node_index < cluster.node_count(), Errc::invalid_argument,
          "node index ", node_index, " out of range for ", cluster.name());
   const std::string uid = runtime_.make_uid("svc");
-  Active active;
-  active.service = std::make_unique<Service>(uid, std::move(desc));
-  active.service->set_remote(true);
-  active.cluster = &cluster;
-  active.host = cluster.node(node_index).host();
-  auto [it, inserted] = services_.emplace(uid, std::move(active));
-  ensure(inserted, Errc::internal, "duplicate service uid");
-  runtime_.publish_state("service", uid, to_string(ServiceState::created));
-
-  Active& stored = it->second;
+  Active& stored = add(uid, std::move(desc));
+  stored.service.set_remote(true);
+  stored.cluster = &cluster;
+  stored.host = cluster.node(node_index).host();
   stored.program =
-      executor_.programs().create(stored.service->description());
+      executor_.programs().create(stored.service.description());
   stored.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
-      uid, stored.host, stored.service->description().config));
+      uid, stored.host, stored.service.description().config));
   stored.program->init(
       *stored.ctx,
       [this, uid] {
-        Active& active = active_for(uid);
+        Active& active = services_.at(uid);
         active.server = std::make_unique<msg::RpcServer>(
             runtime_.router(), uid, active.host);
         active.program->bind(*active.server);
-        active.service->set_endpoint(uid);
+        active.service.set_endpoint(uid);
         set_state(active, ServiceState::running);
       },
       [this, uid](const std::string& error) {
@@ -619,24 +541,22 @@ std::string ServiceManager::register_remote(platform::Cluster& cluster,
 // ---------------------------------------------------------------------------
 
 void ServiceManager::start_monitoring(const std::string& uid) {
-  Active& active = active_for(uid);
+  Active& active = services_.at(uid);
   active.hb_client = std::make_unique<msg::RpcClient>(
       runtime_.router(), uid + ".hb", active.host);
-  active.service->set_last_heartbeat(runtime_.loop().now());
+  active.service.set_last_heartbeat(runtime_.loop().now());
   schedule_heartbeat(uid);
   arm_liveness_deadline(uid);
 }
 
 void ServiceManager::schedule_heartbeat(const std::string& uid) {
-  Active& active = active_for(uid);
+  Active& active = services_.at(uid);
   const sim::Duration interval =
-      active.service->description().heartbeat_interval;
+      active.service.description().heartbeat_interval;
   active.hb_send_timer = runtime_.loop().call_after(interval, [this, uid] {
-    const auto it = services_.find(uid);
-    if (it == services_.end()) return;
-    Active& active = it->second;
-    if (active.service->state() != ServiceState::running &&
-        active.service->state() != ServiceState::draining) {
+    Active& active = services_.at(uid);
+    if (active.service.state() != ServiceState::running &&
+        active.service.state() != ServiceState::draining) {
       return;
     }
     if (active.crashed || !active.hb_client) return;
@@ -645,17 +565,17 @@ void ServiceManager::schedule_heartbeat(const std::string& uid) {
     active.hb_client->call(
         "svcmgr." + active.cluster->name(), "heartbeat", std::move(args),
         [](msg::CallResult) { /* delivery is what matters */ },
-        active.service->description().heartbeat_interval);
+        active.service.description().heartbeat_interval);
     schedule_heartbeat(uid);
   });
 }
 
 void ServiceManager::arm_liveness_deadline(const std::string& uid) {
-  Active& active = active_for(uid);
+  Active& active = services_.at(uid);
   if (active.hb_deadline_timer.valid()) {
     runtime_.loop().cancel(active.hb_deadline_timer);
   }
-  const ServiceDescription& desc = active.service->description();
+  const ServiceDescription& desc = active.service.description();
   const sim::Duration window =
       desc.heartbeat_interval * static_cast<double>(desc.heartbeat_misses);
   active.hb_deadline_timer = runtime_.loop().call_after(
@@ -663,11 +583,9 @@ void ServiceManager::arm_liveness_deadline(const std::string& uid) {
 }
 
 void ServiceManager::on_liveness_timeout(const std::string& uid) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (active.service->state() != ServiceState::running &&
-      active.service->state() != ServiceState::draining) {
+  Active& active = services_.at(uid);
+  if (active.service.state() != ServiceState::running &&
+      active.service.state() != ServiceState::draining) {
     return;
   }
   log_.warn(uid, ": liveness timeout");
@@ -695,38 +613,32 @@ void ServiceManager::release_resources(Active& active) {
   active.pub_client.reset();
   active.hb_client.reset();
   if (active.slot_held && active.pilot != nullptr) {
-    scheduler_.release(active.pilot->uid(), active.service->slot());
+    scheduler_.release(active.pilot->uid(), active.service.slot());
     active.slot_held = false;
   }
 }
 
 void ServiceManager::fail_service(const std::string& uid,
                                   const std::string& error) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.service->state())) return;
+  Active& active = services_.at(uid);
+  if (is_terminal(active.service.state())) return;
   log_.error(uid, ": ", error);
-  active.service->set_error(error);
+  active.service.set_error(error);
   release_resources(active);
   active.program.reset();
   active.ctx.reset();
   set_state(active, ServiceState::failed);
 
-  const ServiceDescription& desc = active.service->description();
-  if (!active.service->remote() && desc.restart_on_failure &&
-      active.service->restarts() < desc.max_restarts) {
-    active.service->count_restart();
+  const ServiceDescription& desc = active.service.description();
+  if (!active.service.remote() && desc.restart_on_failure &&
+      active.service.restarts() < desc.max_restarts) {
+    active.service.count_restart();
     active.crashed = false;
-    log_.info(uid, ": restarting (attempt ", active.service->restarts(), ")");
+    log_.info(uid, ": restarting (attempt ", active.service.restarts(), ")");
     active.ready_timer = runtime_.loop().call_after(
         desc.ready_timeout, [this, uid] {
-          const auto found = services_.find(uid);
-          if (found == services_.end()) return;
-          if (found->second.service->state() == ServiceState::running) {
-            return;
-          }
-          if (is_terminal(found->second.service->state())) return;
+          const ServiceState state = services_.at(uid).state();
+          if (state == ServiceState::running || is_terminal(state)) return;
           fail_service(uid, "ready timeout exceeded (restart)");
         });
     begin_scheduling(uid);
@@ -734,8 +646,8 @@ void ServiceManager::fail_service(const std::string& uid,
 }
 
 void ServiceManager::kill(const std::string& uid) {
-  Active& active = active_for(uid);
-  ensure(active.service->state() == ServiceState::running, Errc::invalid_state,
+  Active& active = services_.at(uid);
+  ensure(active.service.state() == ServiceState::running, Errc::invalid_state,
          "kill: service ", uid, " is not running");
   active.crashed = true;
   active.server.reset();  // endpoint disappears from the router
@@ -748,15 +660,15 @@ void ServiceManager::kill(const std::string& uid) {
 
 void ServiceManager::stop(const std::string& uid,
                           std::function<void()> on_stopped) {
-  Active& active = active_for(uid);
-  const ServiceState state = active.service->state();
+  Active& active = services_.at(uid);
+  const ServiceState state = active.service.state();
   if (is_terminal(state)) {
     if (on_stopped) runtime_.loop().post(std::move(on_stopped));
     return;
   }
   if (state != ServiceState::running && state != ServiceState::draining) {
     // Still bootstrapping: cancel.
-    scheduler_.cancel(active.service->pilot_uid(), uid);
+    scheduler_.cancel(active.service.pilot_uid(), uid);
     release_resources(active);
     active.program.reset();
     set_state(active, ServiceState::canceled);
@@ -771,10 +683,8 @@ void ServiceManager::stop(const std::string& uid,
 
 void ServiceManager::finalize_stop(const std::string& uid,
                                    std::function<void()> on_stopped) {
-  const auto it = services_.find(uid);
-  if (it == services_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.service->state())) {
+  Active& active = services_.at(uid);
+  if (is_terminal(active.service.state())) {
     if (on_stopped) runtime_.loop().post(std::move(on_stopped));
     return;
   }
@@ -795,8 +705,9 @@ void ServiceManager::finalize_stop(const std::string& uid,
 
 void ServiceManager::stop_all(std::function<void()> on_all_stopped) {
   std::vector<std::string> to_stop;
-  for (const auto& [uid, active] : services_) {
-    if (!is_terminal(active.service->state())) to_stop.push_back(uid);
+  for (const EntityId id : services_.in_uid_order()) {
+    const Service& service = services_[id].service;
+    if (!is_terminal(service.state())) to_stop.push_back(service.uid());
   }
   if (to_stop.empty()) {
     if (on_all_stopped) runtime_.loop().post(std::move(on_all_stopped));

@@ -31,6 +31,7 @@
 
 #include "ripple/core/descriptions.hpp"
 #include "ripple/core/entities.hpp"
+#include "ripple/core/entity_table.hpp"
 #include "ripple/core/executor.hpp"
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/scheduler.hpp"
@@ -59,10 +60,15 @@ class ServiceManager {
                               ServiceDescription desc,
                               std::size_t node_index = 0);
 
-  [[nodiscard]] const Service& get(const std::string& uid) const;
-  [[nodiscard]] Service& get_mutable(const std::string& uid);
-  [[nodiscard]] bool exists(const std::string& uid) const;
-  [[nodiscard]] std::vector<std::string> uids() const;
+  [[nodiscard]] const Service& get(const std::string& uid) const {
+    return services_.at(uid).service;
+  }
+  [[nodiscard]] bool exists(const std::string& uid) const {
+    return services_.exists(uid);
+  }
+  [[nodiscard]] std::vector<std::string> uids() const {
+    return services_.uids();
+  }
 
   /// RPC endpoints of RUNNING services, optionally filtered by
   /// description name.
@@ -73,7 +79,9 @@ class ServiceManager {
   [[nodiscard]] std::vector<std::string> running(
       const std::string& name_filter = "") const;
 
-  [[nodiscard]] std::size_t count_in_state(ServiceState state) const;
+  [[nodiscard]] std::size_t count_in_state(ServiceState state) const {
+    return services_.count_in_state(state);
+  }
 
   /// Services (optionally name-filtered) that are not yet terminal —
   /// the replica count an autoscaler must reason about, since
@@ -123,9 +131,21 @@ class ServiceManager {
   /// Per-service stats: state, endpoint, bootstrap timing, program stats.
   [[nodiscard]] json::Value stats(const std::string& uid) const;
 
+  /// Installs the callback run at every service transition, before the
+  /// transition is reported: the TaskManager's re-check trigger.
+  void set_transition_listener(std::function<void()> listener) {
+    transition_listener_ = std::move(listener);
+  }
+
  private:
   struct Active {
-    std::unique_ptr<Service> service;
+    Active(std::string uid, ServiceDescription desc)
+        : service(std::move(uid), std::move(desc)) {}
+    [[nodiscard]] const std::string& uid() const { return service.uid(); }
+    [[nodiscard]] ServiceState state() const { return service.state(); }
+
+    Service service;
+    metrics::Timeline::EntityId timeline = 0;
     Pilot* pilot = nullptr;  ///< null for remote services
     platform::Cluster* cluster = nullptr;
     std::unique_ptr<ExecutionContext> ctx;
@@ -154,6 +174,9 @@ class ServiceManager {
                                              Active& active);
 
   // Bootstrap pipeline.
+  /// Moves a service that fits its pilot to SCHEDULING (failing one that
+  /// cannot fit); true when its request should go to the scheduler.
+  bool enter_scheduling(const std::string& uid, Active& active);
   void begin_scheduling(const std::string& uid);
   void begin_scheduling_batch(Pilot& pilot,
                               const std::vector<std::string>& uids);
@@ -183,10 +206,10 @@ class ServiceManager {
 
   /// Creates (once per cluster) the registry RPC endpoint on the
   /// cluster's head node.
-  const std::string& ensure_registry(platform::Cluster& cluster);
+  void ensure_registry(platform::Cluster& cluster);
 
-  [[nodiscard]] Active& active_for(const std::string& uid);
-  [[nodiscard]] const Active& active_for(const std::string& uid) const;
+  /// Registers a new record with the Timeline; returns it.
+  Active& add(std::string uid, ServiceDescription desc);
   [[nodiscard]] std::size_t count_bootstrapping(
       const std::string& pilot_uid) const;
   [[nodiscard]] json::Value contention_config(const Active& active) const;
@@ -196,9 +219,10 @@ class ServiceManager {
   Executor& executor_;
   common::Rng rng_;
   common::Logger log_;
-  std::map<std::string, Active> services_;
+  EntityTable<Active> services_{"service"};
   std::map<std::string, std::unique_ptr<msg::RpcServer>> registries_;
   std::vector<ReadyWatcher> watchers_;
+  std::function<void()> transition_listener_;
 };
 
 }  // namespace ripple::core

@@ -124,26 +124,29 @@ Pilot& Session::submit_pilot(const PilotDescription& desc) {
   auto pilot = std::make_unique<Pilot>(uid, desc, &target);
   pilot->nodes() = target.reserve_nodes(desc.nodes);
   Pilot& ref = *pilot;
-  pilots_.emplace(uid, std::move(pilot));
-  runtime_.publish_state("pilot", uid, to_string(PilotState::created));
+  const metrics::Timeline::EntityId entity =
+      runtime_.add_entity("pilot", uid, to_string(PilotState::created));
+  pilots_.emplace(uid, PilotEntry{std::move(pilot), entity});
 
   scheduler_->add_pilot(ref);
   // The pilot agent becomes active asynchronously (queue wait and agent
   // boot are not measured by the paper's experiments; submissions are
   // accepted immediately and scheduled once slots exist).
-  runtime_.loop().post([this, uid] {
-    const auto it = pilots_.find(uid);
-    if (it == pilots_.end()) return;
-    it->second->set_state(PilotState::active, runtime_.loop().now());
-    runtime_.publish_state("pilot", uid, to_string(PilotState::active));
+  runtime_.loop().post([this, &ref, entity] {
+    ref.set_state(PilotState::active, runtime_.loop().now());
+    runtime_.publish_state(entity, to_string(PilotState::active));
   });
   return ref;
 }
 
-Pilot& Session::pilot(const std::string& uid) {
+Session::PilotEntry& Session::pilot_entry(const std::string& uid) {
   const auto it = pilots_.find(uid);
   ensure(it != pilots_.end(), Errc::not_found, "unknown pilot '", uid, "'");
-  return *it->second;
+  return it->second;
+}
+
+Pilot& Session::pilot(const std::string& uid) {
+  return *pilot_entry(uid).pilot;
 }
 
 std::vector<std::string> Session::pilot_uids() const {
@@ -154,30 +157,32 @@ std::vector<std::string> Session::pilot_uids() const {
 }
 
 void Session::close_pilot(const std::string& uid) {
-  Pilot& p = pilot(uid);
+  const PilotEntry& entry = pilot_entry(uid);
+  Pilot& p = *entry.pilot;
   ensure(!is_terminal(p.state()), Errc::invalid_state, "pilot ", uid,
          " already terminal");
   scheduler_->remove_pilot(uid);
   p.cluster().release_nodes(p.nodes());
   p.set_state(PilotState::done, runtime_.loop().now());
-  runtime_.publish_state("pilot", uid, to_string(PilotState::done));
+  runtime_.publish_state(entry.timeline, to_string(PilotState::done));
 }
 
 void Session::fail_pilot(const std::string& uid) {
-  Pilot& p = pilot(uid);
+  const PilotEntry& entry = pilot_entry(uid);
+  Pilot& p = *entry.pilot;
   if (is_terminal(p.state())) return;  // lost a race with close/failure
   // Survivors, in deterministic map order: the candidates every
   // interrupted task may be re-bound to.
   std::vector<Pilot*> survivors;
   for (auto& [other_uid, other] : pilots_) {
-    if (other_uid != uid && !is_terminal(other->state())) {
-      survivors.push_back(other.get());
+    if (other_uid != uid && !is_terminal(other.pilot->state())) {
+      survivors.push_back(other.pilot.get());
     }
   }
   scheduler_->remove_pilot(uid);
   p.cluster().release_nodes(p.nodes());
   p.set_state(PilotState::failed, runtime_.loop().now());
-  runtime_.publish_state("pilot", uid, to_string(PilotState::failed));
+  runtime_.publish_state(entry.timeline, to_string(PilotState::failed));
   tasks_->handle_pilot_loss(uid, survivors);
 }
 

@@ -152,6 +152,13 @@ class Session {
   [[nodiscard]] json::Value summary() const;
 
  private:
+  struct PilotEntry {
+    std::unique_ptr<Pilot> pilot;
+    metrics::Timeline::EntityId timeline = 0;  ///< Runtime::add_entity's id
+  };
+
+  [[nodiscard]] PilotEntry& pilot_entry(const std::string& uid);
+
   SessionConfig config_;
   Runtime runtime_;
   std::map<std::string, std::unique_ptr<platform::Cluster>> clusters_;
@@ -161,7 +168,7 @@ class Session {
   std::unique_ptr<ServiceManager> services_;
   std::unique_ptr<TaskManager> tasks_;
   std::unique_ptr<FailureCoordinator> failures_;
-  std::map<std::string, std::unique_ptr<Pilot>> pilots_;
+  std::map<std::string, PilotEntry> pilots_;
   common::Logger log_;
 };
 

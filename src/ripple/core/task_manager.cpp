@@ -37,53 +37,9 @@ TaskManager::TaskManager(Runtime& runtime, Scheduler& scheduler,
       services_(services),
       log_(runtime.make_logger("task_manager")),
       restart_rng_(runtime.rng().fork("task_restart")) {
-  // Re-evaluate waiting tasks whenever a task or service changes state:
-  // a dependency may have completed or a required service become RUNNING.
-  runtime_.set_transition_hook([this] { recheck_waiting(); });
-}
-
-// ---------------------------------------------------------------------------
-// Lookup
-// ---------------------------------------------------------------------------
-
-TaskManager::Active& TaskManager::active_for(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  ensure(it != tasks_.end(), Errc::not_found, "unknown task '", uid, "'");
-  return it->second;
-}
-
-const TaskManager::Active& TaskManager::active_for(
-    const std::string& uid) const {
-  const auto it = tasks_.find(uid);
-  ensure(it != tasks_.end(), Errc::not_found, "unknown task '", uid, "'");
-  return it->second;
-}
-
-const Task& TaskManager::get(const std::string& uid) const {
-  return *active_for(uid).task;
-}
-
-Task& TaskManager::get_mutable(const std::string& uid) {
-  return *active_for(uid).task;
-}
-
-bool TaskManager::exists(const std::string& uid) const {
-  return tasks_.count(uid) != 0;
-}
-
-std::vector<std::string> TaskManager::uids() const {
-  std::vector<std::string> out;
-  out.reserve(tasks_.size());
-  for (const auto& [uid, active] : tasks_) out.push_back(uid);
-  return out;
-}
-
-std::size_t TaskManager::count_in_state(TaskState state) const {
-  std::size_t n = 0;
-  for (const auto& [uid, active] : tasks_) {
-    if (active.task->state() == state) ++n;
-  }
-  return n;
+  // A required service may become RUNNING (or fail) at any of its
+  // transitions.
+  services_.set_transition_listener([this] { post_recheck(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -91,13 +47,19 @@ std::size_t TaskManager::count_in_state(TaskState state) const {
 // ---------------------------------------------------------------------------
 
 void TaskManager::set_state(Active& active, TaskState state) {
-  active.task->set_state(state, runtime_.loop().now());
-  runtime_.publish_state("task", active.task->uid(), to_string(state));
+  active.task.set_state(state, runtime_.loop().now());
+  post_recheck();
+  runtime_.publish_state(active.timeline, to_string(state));
   if (is_terminal(state)) settle_watchers(active);
 }
 
+void TaskManager::post_recheck() {
+  if (waiting_.empty() && queued_evaluations_ == 0) return;
+  runtime_.loop().post([this] { recheck_waiting(); });
+}
+
 void TaskManager::settle_watchers(Active& active) {
-  const bool done = active.task->state() == TaskState::done;
+  const bool done = active.state() == TaskState::done;
   for (const auto& watcher : std::exchange(active.watchers, {})) {
     watcher->all_done = watcher->all_done && done;
     if (--watcher->remaining == 0) post_watcher(*watcher);
@@ -121,8 +83,8 @@ void TaskManager::when_done(std::vector<std::string> uids,
   auto watcher = std::make_shared<DoneWatcher>();
   watcher->on_done = std::move(on_done);
   for (const auto& uid : uids) {
-    Active& active = active_for(uid);
-    const TaskState state = active.task->state();
+    Active& active = tasks_.at(uid);
+    const TaskState state = active.state();
     if (is_terminal(state)) {
       watcher->all_done = watcher->all_done && state == TaskState::done;
     } else if (active.watchers.empty() || active.watchers.back() != watcher) {
@@ -138,7 +100,7 @@ void TaskManager::when_done(std::vector<std::string> uids,
 // Submission & readiness
 // ---------------------------------------------------------------------------
 
-std::string TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
+EntityId TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
   desc.validate();
   ensure(executor_.payloads().has(desc.kind), Errc::not_found,
          "no payload factory for kind '", desc.kind, "'");
@@ -151,28 +113,32 @@ std::string TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
            "' does not exist");
   }
 
-  const std::string uid = runtime_.make_uid("task");
-  Active active;
-  active.task = std::make_unique<Task>(uid, std::move(desc));
-  active.task->set_pilot_uid(pilot.uid());
+  const EntityId id = tasks_.emplace(runtime_.make_uid("task"), std::move(desc));
+  Active& active = tasks_[id];
+  active.task.set_pilot_uid(pilot.uid());
   active.pilot = &pilot;
   // The root span covers the task's whole lifetime; the phase spans
   // (queue-wait, stage-in/out, run, recovery) nest under it.
   if (runtime_.tracer().enabled()) {
     active.trace_task =
-        runtime_.tracer().begin(active.task->description().name, "task",
-                                uid, runtime_.loop().now());
+        runtime_.tracer().begin(active.task.description().name, "task",
+                                active.uid(), runtime_.loop().now());
   }
   runtime_.counters().add("task.submitted");
-  tasks_.emplace(uid, std::move(active));
-  runtime_.publish_state("task", uid, to_string(TaskState::created));
-  return uid;
+  post_recheck();
+  active.timeline = runtime_.add_entity("task", active.uid(),
+                                        to_string(TaskState::created));
+  return id;
 }
 
 std::string TaskManager::submit(Pilot& pilot, TaskDescription desc) {
-  const std::string uid = create_task(pilot, std::move(desc));
-  runtime_.loop().post([this, uid] { evaluate(uid); });
-  return uid;
+  const EntityId id = create_task(pilot, std::move(desc));
+  ++queued_evaluations_;
+  runtime_.loop().post([this, id] {
+    --queued_evaluations_;
+    evaluate(id);
+  });
+  return tasks_[id].uid();
 }
 
 std::string TaskManager::submit_any(const std::vector<Pilot*>& candidates,
@@ -191,33 +157,40 @@ std::vector<std::string> TaskManager::submit_all(
     Pilot& pilot, std::vector<TaskDescription> descs) {
   std::vector<std::string> out;
   out.reserve(descs.size());
+  std::vector<EntityId> ids;
+  ids.reserve(descs.size());
   // One deferred pass: evaluate everything, then enter the scheduler as
   // a single batch so the waiting queue is scanned once, not N times.
   // Posted even when a later description throws — already-created tasks
   // must still be evaluated, as they were under per-task submission.
-  const auto post_batch = [this, &pilot](std::vector<std::string> uids) {
-    if (uids.empty()) return;
-    runtime_.loop().post([this, &pilot, uids = std::move(uids)] {
-      std::vector<std::string> ready;
-      for (const auto& uid : uids) evaluate(uid, &ready);
+  const auto post_batch = [this, &pilot](std::vector<EntityId> ids) {
+    if (ids.empty()) return;
+    queued_evaluations_ += ids.size();
+    runtime_.loop().post([this, &pilot, ids = std::move(ids)] {
+      std::vector<EntityId> ready;
+      for (const EntityId id : ids) {
+        --queued_evaluations_;
+        evaluate(id, &ready);
+      }
       schedule_batch(pilot, ready);
     });
   };
   try {
     for (auto& desc : descs) {
-      out.push_back(create_task(pilot, std::move(desc)));
+      ids.push_back(create_task(pilot, std::move(desc)));
+      out.push_back(tasks_[ids.back()].uid());
     }
   } catch (...) {
-    post_batch(out);
+    post_batch(std::move(ids));
     throw;
   }
-  post_batch(out);
+  post_batch(std::move(ids));
   return out;
 }
 
 TaskManager::Readiness TaskManager::readiness(const Active& active,
                                               std::string* blocker) const {
-  const TaskDescription& desc = active.task->description();
+  const TaskDescription& desc = active.task.description();
   for (const auto& dep : desc.depends_on) {
     const TaskState state = get(dep).state();
     if (state == TaskState::failed || state == TaskState::canceled) {
@@ -237,37 +210,35 @@ TaskManager::Readiness TaskManager::readiness(const Active& active,
   return Readiness::ready;
 }
 
-void TaskManager::evaluate(const std::string& uid,
-                           std::vector<std::string>* batch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  const TaskState state = active.task->state();
+void TaskManager::evaluate(EntityId id, std::vector<EntityId>* batch) {
+  Active& active = tasks_[id];
+  const TaskState state = active.state();
   if (state != TaskState::created && state != TaskState::waiting) return;
 
   std::string blocker;
   switch (readiness(active, &blocker)) {
     case Readiness::broken:
-      waiting_.erase(uid);
-      fail_task(uid, strutil::cat("dependency ", blocker, " failed"));
+      waiting_.erase(active.uid());
+      fail_task(id, strutil::cat("dependency ", blocker, " failed"));
       return;
     case Readiness::pending:
+      // Waiting before the transition, so that its re-check is posted.
+      waiting_.emplace(active.uid(), id);
       if (state == TaskState::created) {
         set_state(active, TaskState::waiting);
       }
-      waiting_.insert(uid);
       return;
     case Readiness::ready: {
-      waiting_.erase(uid);
-      const auto& staging = active.task->description().staging;
+      waiting_.erase(active.uid());
+      const auto& staging = active.task.description().staging;
       const bool stages_in = std::any_of(
           staging.begin(), staging.end(), [](const StagingDirective& d) {
             return d.action == StagingDirective::Action::stage_in;
           });
       if (batch != nullptr && !stages_in) {
-        batch->push_back(uid);  // scheduled by schedule_batch
+        batch->push_back(id);  // scheduled by schedule_batch
       } else {
-        to_staging_in(uid);
+        to_staging_in(id);
       }
       return;
     }
@@ -276,61 +247,61 @@ void TaskManager::evaluate(const std::string& uid,
 
 void TaskManager::recheck_waiting() {
   // Copy: evaluate() mutates waiting_.
-  const std::vector<std::string> snapshot(waiting_.begin(), waiting_.end());
-  for (const auto& uid : snapshot) evaluate(uid);
+  std::vector<EntityId> snapshot;
+  snapshot.reserve(waiting_.size());
+  for (const auto& [uid, id] : waiting_) snapshot.push_back(id);
+  for (const EntityId id : snapshot) evaluate(id);
 }
 
 // ---------------------------------------------------------------------------
 // Staging in
 // ---------------------------------------------------------------------------
 
-void TaskManager::to_staging_in(const std::string& uid) {
-  Active& active = active_for(uid);
+void TaskManager::to_staging_in(EntityId id) {
+  Active& active = tasks_[id];
   const std::vector<std::string> inputs =
-      stage_in_datasets(active.task->description());
+      stage_in_datasets(active.task.description());
   if (inputs.empty()) {
-    to_scheduling(uid);
+    to_scheduling(id);
     return;
   }
   set_state(active, TaskState::staging_input);
-  begin_stage_in(uid, active);
+  begin_stage_in(id, active);
   // Staging overlaps the queue wait: enter the scheduler immediately;
   // launch is gated on both the grant and the staged inputs.
-  to_scheduling(uid);
+  to_scheduling(id);
 }
 
-void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
+void TaskManager::begin_stage_in(EntityId id, Active& active) {
   const std::vector<std::string> inputs =
-      stage_in_datasets(active.task->description());
+      stage_in_datasets(active.task.description());
   if (inputs.empty()) return;
   active.stage_in_pending = true;
   if (runtime_.tracer().enabled() && active.trace_stage == 0) {
     active.trace_stage =
-        runtime_.tracer().begin("stage-in", "data", uid,
+        runtime_.tracer().begin("stage-in", "data", active.uid(),
                                 runtime_.loop().now(), active.trace_task);
   }
   const std::string zone = active.pilot->cluster().name();
   const std::uint64_t epoch = active.epoch;
-  const std::string tenant = active.task->description().tenant;
+  const std::string tenant = active.task.description().tenant;
   std::vector<DataManager::StageTarget> targets;
   targets.reserve(inputs.size());
   for (const auto& name : inputs) targets.push_back({name, zone});
   active.stage_ticket = data_.stage(
       std::move(targets),
-      [this, uid, inputs, zone, epoch](bool ok,
-                                       const std::string& failed_dataset) {
-        const auto it = tasks_.find(uid);
-        if (it == tasks_.end()) return;
-        Active& active = it->second;
+      [this, id, inputs, zone, epoch](bool ok,
+                                      const std::string& failed_dataset) {
+        Active& active = tasks_[id];
         if (active.epoch != epoch) return;  // attempt was interrupted
         active.stage_in_pending = false;
         active.stage_ticket = 0;
         runtime_.tracer().end(active.trace_stage, runtime_.loop().now());
         active.trace_stage = 0;
-        if (is_terminal(active.task->state())) return;
+        if (is_terminal(active.state())) return;
         if (!ok) {
-          fail_task(uid, strutil::cat("stage-in of '", failed_dataset,
-                                      "' failed"));
+          fail_task(id, strutil::cat("stage-in of '", failed_dataset,
+                                     "' failed"));
           return;
         }
         // Pin the landed inputs until the task is terminal: while it
@@ -340,18 +311,16 @@ void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
         active.input_pin_zone = zone;
         for (const auto& name : inputs) {
           if (!data_.available_in(name, zone)) {
-            fail_task(uid, strutil::cat("stage-in of '", name,
-                                        "' was evicted before launch"));
+            fail_task(id, strutil::cat("stage-in of '", name,
+                                       "' was evicted before launch"));
             return;
           }
-          data_.catalog().pin(name, zone,
-                              active.task->description().tenant);
+          data_.catalog().pin(name, zone, active.task.description().tenant);
           active.input_pins.push_back(name);
         }
         // The grant may have arrived while the data was in flight.
-        if (active.slot_held &&
-            active.task->state() == TaskState::scheduled) {
-          begin_launch(uid);
+        if (active.slot_held && active.state() == TaskState::scheduled) {
+          begin_launch(id);
         }
       },
       tenant);
@@ -361,11 +330,10 @@ void TaskManager::begin_stage_in(const std::string& uid, Active& active) {
 // Scheduling & execution
 // ---------------------------------------------------------------------------
 
-ScheduleRequest TaskManager::make_request(const std::string& uid,
-                                          Active& active) {
-  const TaskDescription& desc = active.task->description();
+ScheduleRequest TaskManager::make_request(EntityId id, Active& active) {
+  const TaskDescription& desc = active.task.description();
   ScheduleRequest request;
-  request.uid = uid;
+  request.uid = active.uid();
   request.cores = desc.cores;
   request.gpus = desc.gpus;
   request.mem_gb = desc.mem_gb;
@@ -376,176 +344,153 @@ ScheduleRequest TaskManager::make_request(const std::string& uid,
       request.input_datasets, active.pilot->cluster().name());
   const std::uint64_t epoch = active.epoch;
   const std::string pilot_uid = active.pilot->uid();
-  request.granted = [this, uid, epoch, pilot_uid](platform::Slot slot,
-                                                  platform::Node* node) {
-    on_granted(uid, epoch, pilot_uid, std::move(slot), node);
+  request.granted = [this, id, epoch, pilot_uid](platform::Slot slot,
+                                                 platform::Node* node) {
+    on_granted(id, epoch, pilot_uid, std::move(slot), node);
   };
   return request;
 }
 
-void TaskManager::to_scheduling(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
-  // Oversized tasks fail individually; this runs inside an event-loop
-  // callback, where a Scheduler::submit throw would abort the run.
-  const TaskDescription& desc = active.task->description();
-  if (!scheduler_.fits_pilot(active.pilot->uid(), desc.cores, desc.gpus,
+bool TaskManager::enter_scheduling(EntityId id, Pilot& pilot) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state())) return false;
+  // Oversized tasks fail individually: this runs inside an event-loop
+  // callback, where a Scheduler::submit throw would abort the run, and
+  // Scheduler::submit_all validates a whole batch up front, where one
+  // impossible request must not strand its siblings in SCHEDULING.
+  const TaskDescription& desc = active.task.description();
+  if (!scheduler_.fits_pilot(pilot.uid(), desc.cores, desc.gpus,
                              desc.mem_gb)) {
-    fail_task(uid, strutil::cat("request (", desc.cores, "c/", desc.gpus,
-                                "g) cannot fit any node of pilot ",
-                                active.pilot->uid()));
-    return;
+    fail_task(id, strutil::cat("request (", desc.cores, "c/", desc.gpus,
+                               "g) cannot fit any node of pilot ",
+                               pilot.uid()));
+    return false;
   }
   set_state(active, TaskState::scheduling);
+  open_queue_span(active);
+  return true;
+}
+
+void TaskManager::open_queue_span(Active& active) {
   if (runtime_.tracer().enabled() && active.trace_queue == 0) {
     active.trace_queue =
-        runtime_.tracer().begin("queue-wait", "queue", uid,
+        runtime_.tracer().begin("queue-wait", "queue", active.uid(),
                                 runtime_.loop().now(), active.trace_task);
   }
-  scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+}
+
+void TaskManager::to_scheduling(EntityId id) {
+  Active& active = tasks_[id];
+  if (enter_scheduling(id, *active.pilot)) {
+    scheduler_.submit(active.pilot->uid(), make_request(id, active));
+  }
 }
 
 void TaskManager::schedule_batch(Pilot& pilot,
-                                 const std::vector<std::string>& uids) {
+                                 const std::vector<EntityId>& ids) {
   std::vector<ScheduleRequest> requests;
-  requests.reserve(uids.size());
-  for (const auto& uid : uids) {
-    const auto it = tasks_.find(uid);
-    if (it == tasks_.end() || is_terminal(it->second.task->state())) {
-      continue;
+  requests.reserve(ids.size());
+  for (const EntityId id : ids) {
+    if (enter_scheduling(id, pilot)) {
+      requests.push_back(make_request(id, tasks_[id]));
     }
-    // Fail oversized tasks individually; Scheduler::submit_all
-    // validates the whole batch up front, and one impossible request
-    // must not strand its siblings in SCHEDULING.
-    const TaskDescription& desc = it->second.task->description();
-    if (!scheduler_.fits_pilot(pilot.uid(), desc.cores, desc.gpus,
-                               desc.mem_gb)) {
-      fail_task(uid, strutil::cat("request (", desc.cores, "c/", desc.gpus,
-                                  "g) cannot fit any node of pilot ",
-                                  pilot.uid()));
-      continue;
-    }
-    set_state(it->second, TaskState::scheduling);
-    if (runtime_.tracer().enabled() && it->second.trace_queue == 0) {
-      it->second.trace_queue = runtime_.tracer().begin(
-          "queue-wait", "queue", uid, runtime_.loop().now(),
-          it->second.trace_task);
-    }
-    requests.push_back(make_request(uid, it->second));
   }
   if (!requests.empty()) {
     scheduler_.submit_all(pilot.uid(), std::move(requests));
   }
 }
 
-void TaskManager::on_granted(const std::string& uid, std::uint64_t epoch,
+void TaskManager::on_granted(EntityId id, std::uint64_t epoch,
                              const std::string& pilot_uid,
                              platform::Slot slot, platform::Node* node) {
-  const auto it = tasks_.find(uid);
-  const auto give_back = [this, &pilot_uid](const platform::Slot& s) {
-    if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, s);
-  };
-  if (it == tasks_.end()) {
-    give_back(slot);
-    return;
-  }
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) {
-    give_back(slot);
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch) {
+    if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, slot);
     return;
   }
   if (!node->alive() || slot.incarnation != node->incarnation()) {
     // The node died between placement and this (posted) delivery; the
     // slot died with it. Requeue — the capacity index now excludes the
     // dead node, so the replacement grant lands elsewhere.
-    scheduler_.submit(pilot_uid, make_request(uid, active));
+    scheduler_.submit(pilot_uid, make_request(id, active));
     return;
   }
-  active.task->set_slot(std::move(slot));
+  active.task.set_slot(std::move(slot));
   active.slot_held = true;
   active.node = node;
+  bound_[node].push_back(id);
   set_state(active, TaskState::scheduled);
   runtime_.tracer().end(active.trace_queue, runtime_.loop().now());
   active.trace_queue = 0;
   if (active.stage_in_pending) return;  // launch once the inputs land
-  begin_launch(uid);
+  begin_launch(id);
 }
 
-void TaskManager::begin_launch(const std::string& uid) {
-  Active& active = active_for(uid);
+void TaskManager::begin_launch(EntityId id) {
+  Active& active = tasks_[id];
   set_state(active, TaskState::launching);
   // The run span covers launch latency plus payload execution.
   if (runtime_.tracer().enabled() && active.trace_run == 0) {
     active.trace_run =
-        runtime_.tracer().begin("run", "compute", uid,
+        runtime_.tracer().begin("run", "compute", active.uid(),
                                 runtime_.loop().now(), active.trace_task);
   }
   active.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
-      uid, active.node->host(), active.task->description().payload));
+      active.uid(), active.node->host(), active.task.description().payload));
   active.ctx->data = &data_;
   active.ctx->speed_factor = active.node->speed_factor();
   const std::uint64_t epoch = active.epoch;
   executor_.launch(active.pilot->cluster(), 0,
-                   [this, uid, epoch](sim::Duration) {
-                     on_launched(uid, epoch);
+                   [this, id, epoch](sim::Duration) {
+                     on_launched(id, epoch);
                    });
 }
 
-void TaskManager::on_launched(const std::string& uid, std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+void TaskManager::on_launched(EntityId id, std::uint64_t epoch) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch) return;
   set_state(active, TaskState::running);
 
-  active.payload = executor_.payloads().create(active.task->description());
+  active.payload = executor_.payloads().create(active.task.description());
   active.payload->run(
       *active.ctx,
-      [this, uid, epoch](json::Value result) {
-        on_payload_done(uid, epoch, std::move(result), /*from_spec=*/false);
+      [this, id, epoch](json::Value result) {
+        on_payload_done(id, epoch, std::move(result), /*from_spec=*/false);
       },
-      [this, uid, epoch](const std::string& error) {
-        on_payload_failed(uid, epoch, error, /*from_spec=*/false);
+      [this, id, epoch](const std::string& error) {
+        on_payload_failed(id, epoch, error, /*from_spec=*/false);
       });
 
   if (speculation_.enabled) {
     const sim::Duration wait =
         std::max(speculation_.min_delay,
-                 active.task->description().duration.mean() *
+                 active.task.description().duration.mean() *
                      speculation_.latency_multiple);
     active.spec_timer = runtime_.loop().call_after(
-        wait, [this, uid, epoch] { maybe_speculate(uid, epoch); });
+        wait, [this, id, epoch] { maybe_speculate(id, epoch); });
   }
 }
 
-void TaskManager::on_payload_failed(const std::string& uid,
-                                    std::uint64_t epoch,
+void TaskManager::on_payload_failed(EntityId id, std::uint64_t epoch,
                                     const std::string& error,
                                     bool from_spec) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch) return;
   if (from_spec) {
     // A cancelled duplicate's payload cannot be stopped; drop its outcome.
     if (!active.spec_slot_held) return;
     // The duplicate failed; the primary attempt is still the task.
     cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
-    record_recovery(uid, "spec_failed");
+    record_recovery(active, "spec_failed");
     return;
   }
-  fail_task(uid, error);
+  fail_task(id, error);
 }
 
-void TaskManager::on_payload_done(const std::string& uid,
-                                  std::uint64_t epoch, json::Value result,
-                                  bool from_spec) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+void TaskManager::on_payload_done(EntityId id, std::uint64_t epoch,
+                                  json::Value result, bool from_spec) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch) return;
   // A cancelled duplicate's payload cannot be stopped; drop its outcome.
   if (from_spec && !active.spec_slot_held) return;
   // First finisher wins. Bump the epoch so the loser's uncancellable
@@ -553,14 +498,14 @@ void TaskManager::on_payload_done(const std::string& uid,
   ++active.epoch;
   if (from_spec) {
     ++speculation_wins_;
-    record_recovery(uid, "spec_win");
+    record_recovery(active, "spec_win");
     runtime_.counters().add("task.spec_wins");
-    runtime_.tracer().instant("spec-win", "task", uid,
+    runtime_.tracer().instant("spec-win", "task", active.uid(),
                               runtime_.loop().now(), active.trace_task);
     // Promote the duplicate: its slot becomes the task's slot, the
     // straggling primary's slot goes back to the scheduler.
     release_slot(active);
-    active.task->set_slot(active.spec_slot);
+    active.task.set_slot(active.spec_slot);
     active.node = active.spec_node;
     active.slot_held = active.spec_slot_held;
     // The straggler's payload goes before the context it runs in.
@@ -578,66 +523,53 @@ void TaskManager::on_payload_done(const std::string& uid,
   }
   runtime_.tracer().end(active.trace_run, runtime_.loop().now());
   active.trace_run = 0;
-  active.task->set_result(std::move(result));
+  active.task.set_result(std::move(result));
   // The payload has read its inputs: stop pinning them, so a finite
   // store can evict them to make room for this task's own outputs.
   release_input_pins(active);
-  to_staging_out(uid);
+  to_staging_out(id);
 }
 
 // ---------------------------------------------------------------------------
 // Speculation (straggler mitigation)
 // ---------------------------------------------------------------------------
 
-void TaskManager::maybe_speculate(const std::string& uid,
-                                  std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
+void TaskManager::maybe_speculate(EntityId id, std::uint64_t epoch) {
+  Active& active = tasks_[id];
   active.spec_timer = {};
   if (active.epoch != epoch) return;
-  if (active.task->state() != TaskState::running) return;
+  if (active.state() != TaskState::running) return;
   if (active.spec_queued || active.spec_slot_held) return;
   const std::string pilot_uid = active.pilot->uid();
   if (!scheduler_.has_pilot(pilot_uid)) return;
 
-  const TaskDescription& desc = active.task->description();
+  const TaskDescription& desc = active.task.description();
   ScheduleRequest request;
-  request.uid = uid + "#spec";
+  request.uid = active.uid() + "#spec";
   request.cores = desc.cores;
   request.gpus = desc.gpus;
   request.mem_gb = desc.mem_gb;
   request.priority = desc.priority;
   request.tenant = desc.tenant;
-  request.granted = [this, uid, epoch, pilot_uid](platform::Slot slot,
-                                                   platform::Node* node) {
-    on_spec_granted(uid, epoch, pilot_uid, std::move(slot), node);
+  request.granted = [this, id, epoch, pilot_uid](platform::Slot slot,
+                                                 platform::Node* node) {
+    on_spec_granted(id, epoch, pilot_uid, std::move(slot), node);
   };
   scheduler_.submit(pilot_uid, std::move(request));
   active.spec_queued = true;
-  record_recovery(uid, "speculate");
+  record_recovery(active, "speculate");
   runtime_.counters().add("task.speculations");
-  runtime_.tracer().instant("speculate", "task", uid,
+  runtime_.tracer().instant("speculate", "task", active.uid(),
                             runtime_.loop().now(), active.trace_task);
 }
 
-void TaskManager::on_spec_granted(const std::string& uid,
-                                  std::uint64_t epoch,
+void TaskManager::on_spec_granted(EntityId id, std::uint64_t epoch,
                                   const std::string& pilot_uid,
-                                  platform::Slot slot,
-                                  platform::Node* node) {
-  const auto it = tasks_.find(uid);
-  const auto give_back = [this, &pilot_uid](const platform::Slot& s) {
-    if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, s);
-  };
-  if (it == tasks_.end()) {
-    give_back(slot);
-    return;
-  }
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch ||
-      active.task->state() != TaskState::running) {
-    give_back(slot);
+                                  platform::Slot slot, platform::Node* node) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch ||
+      active.state() != TaskState::running) {
+    if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, slot);
     active.spec_queued = false;
     return;
   }
@@ -648,34 +580,32 @@ void TaskManager::on_spec_granted(const std::string& uid,
   active.spec_slot = std::move(slot);
   active.spec_node = node;
   active.spec_slot_held = true;
+  bound_[node].push_back(id);
   ++speculations_;
   active.spec_ctx = std::make_unique<ExecutionContext>(
-      executor_.make_context(uid + "#spec", node->host(),
-                             active.task->description().payload));
+      executor_.make_context(active.uid() + "#spec", node->host(),
+                             active.task.description().payload));
   active.spec_ctx->data = &data_;
   active.spec_ctx->speed_factor = node->speed_factor();
   executor_.launch(active.pilot->cluster(), 0,
-                   [this, uid, epoch](sim::Duration) {
-                     on_spec_launched(uid, epoch);
+                   [this, id, epoch](sim::Duration) {
+                     on_spec_launched(id, epoch);
                    });
 }
 
-void TaskManager::on_spec_launched(const std::string& uid,
-                                   std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+void TaskManager::on_spec_launched(EntityId id, std::uint64_t epoch) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch) return;
   if (!active.spec_slot_held || !active.spec_ctx) return;
   active.spec_payload =
-      executor_.payloads().create(active.task->description());
+      executor_.payloads().create(active.task.description());
   active.spec_payload->run(
       *active.spec_ctx,
-      [this, uid, epoch](json::Value result) {
-        on_payload_done(uid, epoch, std::move(result), /*from_spec=*/true);
+      [this, id, epoch](json::Value result) {
+        on_payload_done(id, epoch, std::move(result), /*from_spec=*/true);
       },
-      [this, uid, epoch](const std::string& error) {
-        on_payload_failed(uid, epoch, error, /*from_spec=*/true);
+      [this, id, epoch](const std::string& error) {
+        on_payload_failed(id, epoch, error, /*from_spec=*/true);
       });
 }
 
@@ -684,10 +614,9 @@ void TaskManager::cancel_speculation(Active& active, bool pilot_alive) {
     runtime_.loop().cancel(active.spec_timer);
     active.spec_timer = {};
   }
-  const std::string& uid = active.task->uid();
   if (active.spec_queued) {
     if (pilot_alive) {
-      scheduler_.cancel(active.pilot->uid(), uid + "#spec");
+      scheduler_.cancel(active.pilot->uid(), active.uid() + "#spec");
     }
     active.spec_queued = false;
   }
@@ -706,21 +635,19 @@ void TaskManager::cancel_speculation(Active& active, bool pilot_alive) {
 // Failure handling & re-placement
 // ---------------------------------------------------------------------------
 
-void TaskManager::record_recovery(const std::string& uid,
+void TaskManager::record_recovery(const Active& active,
                                   const std::string& event) {
-  const std::string line = strutil::cat(
-      strutil::format_fixed(runtime_.loop().now(), 6), " ", uid, " ", event);
+  const std::string line =
+      strutil::cat(strutil::format_fixed(runtime_.loop().now(), 6), " ",
+                   active.uid(), " ", event);
   recovery_log_.push_back(line);
   recovery_hash_ = common::fnv1a(recovery_hash_, line);
 }
 
-void TaskManager::interrupt_task(const std::string& uid,
-                                 const std::string& reason,
+void TaskManager::interrupt_task(EntityId id, const std::string& reason,
                                  Pilot* replacement, bool pilot_alive) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
+  Active& active = tasks_[id];
+  if (is_terminal(active.state())) return;
   // Invalidate every callback of the interrupted attempt (payload
   // completions cannot be cancelled, grants may be posted in flight).
   ++active.epoch;
@@ -730,9 +657,9 @@ void TaskManager::interrupt_task(const std::string& uid,
     active.restart_timer = {};
   }
   cancel_speculation(active, pilot_alive);
-  if (active.task->state() == TaskState::scheduling && pilot_alive &&
+  if (active.state() == TaskState::scheduling && pilot_alive &&
       scheduler_.has_pilot(active.pilot->uid())) {
-    scheduler_.cancel(active.pilot->uid(), uid);
+    scheduler_.cancel(active.pilot->uid(), active.uid());
   }
   data_.cancel_stage(std::exchange(active.stage_ticket, 0));
   active.stage_in_pending = false;
@@ -740,7 +667,7 @@ void TaskManager::interrupt_task(const std::string& uid,
   if (active.slot_held) {
     // Release before any re-bind: the slot belongs to the old pilot.
     if (pilot_alive && scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.task->slot());
+      scheduler_.release(active.pilot->uid(), active.task.slot());
     }
     active.slot_held = false;
   }
@@ -749,11 +676,11 @@ void TaskManager::interrupt_task(const std::string& uid,
   active.node = nullptr;
   if (replacement != nullptr) {
     active.pilot = replacement;
-    active.task->set_pilot_uid(replacement->uid());
+    active.task.set_pilot_uid(replacement->uid());
   }
   if (active.restarts >= restart_policy_.max_restarts) {
-    fail_task(uid, strutil::cat(reason, " (restart budget exhausted after ",
-                                active.restarts, " restarts)"));
+    fail_task(id, strutil::cat(reason, " (restart budget exhausted after ",
+                               active.restarts, " restarts)"));
     return;
   }
   ++active.restarts;
@@ -764,92 +691,87 @@ void TaskManager::interrupt_task(const std::string& uid,
   const double delay =
       restart_policy_.jitter ? step * restart_rng_.uniform(0.5, 1.5) : step;
   set_state(active, TaskState::scheduling);
-  record_recovery(uid,
+  record_recovery(active,
                   strutil::cat("restart", active.restarts, " ", reason));
   runtime_.counters().add("task.restarts");
   // The recovery span covers the backoff wait until re-submission.
   if (runtime_.tracer().enabled()) {
     active.trace_recover = runtime_.tracer().begin(
-        "recovery", "recovery", uid, runtime_.loop().now(),
+        "recovery", "recovery", active.uid(), runtime_.loop().now(),
         active.trace_task, {{"reason", reason}});
   }
   const std::uint64_t epoch = active.epoch;
   active.restart_timer = runtime_.loop().call_after(
-      delay, [this, uid, epoch] { resume_restart(uid, epoch); });
+      delay, [this, id, epoch] { resume_restart(id, epoch); });
 }
 
-void TaskManager::resume_restart(const std::string& uid,
-                                 std::uint64_t epoch) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state()) || active.epoch != epoch) return;
+void TaskManager::resume_restart(EntityId id, std::uint64_t epoch) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state()) || active.epoch != epoch) return;
   active.restart_timer = {};
-  const TaskDescription& desc = active.task->description();
+  const TaskDescription& desc = active.task.description();
   if (!scheduler_.has_pilot(active.pilot->uid()) ||
       !scheduler_.fits_pilot(active.pilot->uid(), desc.cores, desc.gpus,
                              desc.mem_gb)) {
-    fail_task(uid, strutil::cat("restart: pilot ", active.pilot->uid(),
-                                " cannot host the task any more"));
+    fail_task(id, strutil::cat("restart: pilot ", active.pilot->uid(),
+                               " cannot host the task any more"));
     return;
   }
   runtime_.tracer().end(active.trace_recover, runtime_.loop().now());
   active.trace_recover = 0;
-  if (runtime_.tracer().enabled() && active.trace_queue == 0) {
-    active.trace_queue =
-        runtime_.tracer().begin("queue-wait", "queue", uid,
-                                runtime_.loop().now(), active.trace_task);
-  }
+  open_queue_span(active);
   // Re-stage inputs: datasets still resident in the pilot's zone land
   // instantly, anything lost with a failed store is re-fetched.
-  begin_stage_in(uid, active);
-  scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+  begin_stage_in(id, active);
+  scheduler_.submit(active.pilot->uid(), make_request(id, active));
 }
 
 std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
   // Only tasks bound to the node, as primary or speculative twin, can be
-  // affected. Grants are posted, never synchronous, so none becomes
-  // bound to it while the loop below runs.
-  std::vector<std::string> bound;
-  for (const auto& [uid, active] : tasks_) {
-    if (active.node == &node || active.spec_node == &node) {
-      bound.push_back(uid);
-    }
-  }
+  // affected, and they are handled in uid order. Grants are posted,
+  // never synchronous, so none becomes bound to it while the loop below
+  // runs.
+  const auto entry = bound_.find(&node);
+  if (entry == bound_.end()) return 0;
+  std::vector<EntityId>& bound = entry->second;
+  const auto unbound = [this, &node](EntityId id) {
+    const Active& active = tasks_[id];
+    return is_terminal(active.state()) ||
+           (active.node != &node && active.spec_node != &node);
+  };
+  bound.erase(std::remove_if(bound.begin(), bound.end(), unbound),
+              bound.end());
+  tasks_.sort_by_uid(bound);
+  bound.erase(std::unique(bound.begin(), bound.end()), bound.end());
   std::size_t interrupted = 0;
-  for (const auto& uid : bound) {
-    const auto it = tasks_.find(uid);
-    if (it == tasks_.end()) continue;
-    Active& active = it->second;
-    if (is_terminal(active.task->state())) continue;
+  for (const EntityId id : bound) {
+    Active& active = tasks_[id];
+    if (is_terminal(active.state())) continue;
     if (active.spec_node == &node && active.spec_slot_held) {
       cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
-      record_recovery(uid, "spec_lost_node");
+      record_recovery(active, "spec_lost_node");
     }
     if (active.node != &node || !active.slot_held) continue;
     // STAGING_OUTPUT attempts keep their results: outputs are zone-level
     // transfers that survive the node; the stale slot release is a no-op.
-    if (active.task->state() == TaskState::staging_output) continue;
-    interrupt_task(uid, strutil::cat("node ", node.id(), " failed"),
+    if (active.state() == TaskState::staging_output) continue;
+    interrupt_task(id, strutil::cat("node ", node.id(), " failed"),
                    /*replacement=*/nullptr, /*pilot_alive=*/true);
     ++interrupted;
   }
+  bound.erase(std::remove_if(bound.begin(), bound.end(), unbound),
+              bound.end());
   return interrupted;
 }
 
 std::size_t TaskManager::handle_pilot_loss(
     const std::string& pilot_uid, const std::vector<Pilot*>& survivors) {
-  std::vector<std::string> snapshot;
-  snapshot.reserve(tasks_.size());
-  for (const auto& [uid, active] : tasks_) snapshot.push_back(uid);
   std::size_t moved = 0;
-  for (const auto& uid : snapshot) {
-    const auto it = tasks_.find(uid);
-    if (it == tasks_.end()) continue;
-    Active& active = it->second;
-    if (is_terminal(active.task->state())) continue;
+  for (const EntityId id : tasks_.in_uid_order()) {
+    Active& active = tasks_[id];
+    if (is_terminal(active.state())) continue;
     if (active.pilot->uid() != pilot_uid) continue;
-    const TaskDescription& desc = active.task->description();
+    const TaskDescription& desc = active.task.description();
     Pilot* replacement = nullptr;
     for (Pilot* candidate : survivors) {
       if (candidate == nullptr || candidate->uid() == pilot_uid) continue;
@@ -861,11 +783,11 @@ std::size_t TaskManager::handle_pilot_loss(
       }
     }
     if (replacement == nullptr) {
-      fail_task(uid, strutil::cat("pilot ", pilot_uid,
-                                  " preempted, no surviving pilot fits"));
+      fail_task(id, strutil::cat("pilot ", pilot_uid,
+                                 " preempted, no surviving pilot fits"));
       continue;
     }
-    const TaskState state = active.task->state();
+    const TaskState state = active.state();
     if (state == TaskState::created || state == TaskState::waiting ||
         state == TaskState::staging_output) {
       // Not holding pilot resources worth restarting for: just re-bind.
@@ -873,12 +795,12 @@ std::size_t TaskManager::handle_pilot_loss(
       // its slot died with the pilot, so only drop the local handle.)
       active.slot_held = false;
       active.pilot = replacement;
-      active.task->set_pilot_uid(replacement->uid());
-      record_recovery(uid, strutil::cat("rebind ", replacement->uid()));
+      active.task.set_pilot_uid(replacement->uid());
+      record_recovery(active, strutil::cat("rebind ", replacement->uid()));
       ++moved;
       continue;
     }
-    interrupt_task(uid, strutil::cat("pilot ", pilot_uid, " preempted"),
+    interrupt_task(id, strutil::cat("pilot ", pilot_uid, " preempted"),
                    replacement, /*pilot_alive=*/false);
     ++moved;
   }
@@ -889,22 +811,22 @@ std::size_t TaskManager::handle_pilot_loss(
 // Staging out & completion
 // ---------------------------------------------------------------------------
 
-void TaskManager::to_staging_out(const std::string& uid) {
-  Active& active = active_for(uid);
+void TaskManager::to_staging_out(EntityId id) {
+  Active& active = tasks_[id];
   std::vector<StagingDirective> outputs;
-  for (const auto& directive : active.task->description().staging) {
+  for (const auto& directive : active.task.description().staging) {
     if (directive.action == StagingDirective::Action::stage_out) {
       outputs.push_back(directive);
     }
   }
   if (outputs.empty()) {
-    finish(uid);
+    finish(id);
     return;
   }
   set_state(active, TaskState::staging_output);
   if (runtime_.tracer().enabled() && active.trace_stage == 0) {
     active.trace_stage =
-        runtime_.tracer().begin("stage-out", "data", uid,
+        runtime_.tracer().begin("stage-out", "data", active.uid(),
                                 runtime_.loop().now(), active.trace_task);
   }
   const std::string pilot_zone = active.pilot->cluster().name();
@@ -913,14 +835,14 @@ void TaskManager::to_staging_out(const std::string& uid) {
   // where a throw would abort the whole run).
   for (const auto& directive : outputs) {
     if (data_.has(directive.dataset)) continue;
-    const double bytes = active.task->description()
+    const double bytes = active.task.description()
                              .payload.get_or("output_bytes", 1e6)
                              .as_double();
     try {
       data_.register_dataset(directive.dataset, bytes, pilot_zone);
     } catch (const Error& error) {
-      fail_task(uid, strutil::cat("stage-out of '", directive.dataset,
-                                  "' failed: ", error.what()));
+      fail_task(id, strutil::cat("stage-out of '", directive.dataset,
+                                 "' failed: ", error.what()));
       return;
     }
   }
@@ -936,29 +858,25 @@ void TaskManager::to_staging_out(const std::string& uid) {
   }
   active.stage_ticket = data_.stage(
       std::move(targets),
-      [this, uid](bool ok, const std::string& failed_dataset) {
-        const auto it = tasks_.find(uid);
-        if (it == tasks_.end()) return;
-        it->second.stage_ticket = 0;
-        if (is_terminal(it->second.task->state())) return;
+      [this, id](bool ok, const std::string& failed_dataset) {
+        Active& active = tasks_[id];
+        active.stage_ticket = 0;
+        if (is_terminal(active.state())) return;
         if (!ok) {
-          fail_task(uid, strutil::cat("stage-out of '", failed_dataset,
-                                      "' failed"));
+          fail_task(id, strutil::cat("stage-out of '", failed_dataset,
+                                     "' failed"));
           return;
         }
-        runtime_.tracer().end(it->second.trace_stage,
-                              runtime_.loop().now());
-        it->second.trace_stage = 0;
-        finish(uid);
+        runtime_.tracer().end(active.trace_stage, runtime_.loop().now());
+        active.trace_stage = 0;
+        finish(id);
       },
-      active.task->description().tenant);
+      active.task.description().tenant);
 }
 
-void TaskManager::finish(const std::string& uid) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
+void TaskManager::finish(EntityId id) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state())) return;
   release_slot(active);
   release_input_pins(active);
   active.payload.reset();
@@ -992,7 +910,7 @@ void TaskManager::close_task_span(Active& active, const char* state) {
 void TaskManager::release_slot(Active& active) {
   if (active.slot_held) {
     if (scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.task->slot());
+      scheduler_.release(active.pilot->uid(), active.task.slot());
     }
     active.slot_held = false;
   }
@@ -1003,30 +921,27 @@ void TaskManager::release_input_pins(Active& active) {
     // Unpin under the same tenant that pinned — per-tenant pin counts
     // must pair exactly.
     data_.catalog().unpin(name, active.input_pin_zone,
-                          active.task->description().tenant);
+                          active.task.description().tenant);
   }
   active.input_pins.clear();
 }
 
-void TaskManager::fail_task(const std::string& uid,
-                            const std::string& error) {
-  const auto it = tasks_.find(uid);
-  if (it == tasks_.end()) return;
-  Active& active = it->second;
-  if (is_terminal(active.task->state())) return;
-  log_.error(uid, ": ", error);
-  active.task->set_error(error);
-  waiting_.erase(uid);
+void TaskManager::fail_task(EntityId id, const std::string& error) {
+  Active& active = tasks_[id];
+  if (is_terminal(active.state())) return;
+  log_.error(active.uid(), ": ", error);
+  active.task.set_error(error);
+  waiting_.erase(active.uid());
   if (active.restart_timer.valid()) {
     runtime_.loop().cancel(active.restart_timer);
     active.restart_timer = {};
   }
   cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
-  if (active.task->state() == TaskState::scheduling &&
+  if (active.state() == TaskState::scheduling &&
       scheduler_.has_pilot(active.pilot->uid())) {
     // Staging can fail while the request queues (overlapped stage-in);
     // drop the queue entry so the scheduler never grants a dead task.
-    scheduler_.cancel(active.pilot->uid(), uid);
+    scheduler_.cancel(active.pilot->uid(), active.uid());
   }
   data_.cancel_stage(std::exchange(active.stage_ticket, 0));
   active.stage_in_pending = false;
@@ -1041,42 +956,31 @@ void TaskManager::fail_task(const std::string& uid,
 }
 
 bool TaskManager::cancel(const std::string& uid) {
-  Active& active = active_for(uid);
-  const TaskState state = active.task->state();
-  const auto abandon_staging = [this, &active] {
-    data_.cancel_stage(std::exchange(active.stage_ticket, 0));
-    active.stage_in_pending = false;
-  };
+  Active& active = tasks_.at(uid);
+  const TaskState state = active.state();
   switch (state) {
     case TaskState::created:
     case TaskState::waiting:
-    case TaskState::staging_input:
-    case TaskState::scheduling: {
-      if (state == TaskState::scheduling) {
-        scheduler_.cancel(active.pilot->uid(), uid);
-      }
-      abandon_staging();
-      release_input_pins(active);
-      waiting_.erase(uid);
-      close_phase_spans(active);
-      close_task_span(active, "canceled");
-      set_state(active, TaskState::canceled);
-      return true;
-    }
-    case TaskState::scheduled: {
-      // Launch is imminent unless the task is parked on overlapped
-      // stage-in; in that window the slot is reclaimable.
+    case TaskState::staging_input: break;
+    case TaskState::scheduling:
+      scheduler_.cancel(active.pilot->uid(), uid);
+      break;
+    // Launch is imminent unless the task is parked on overlapped
+    // stage-in; in that window the slot is reclaimable.
+    case TaskState::scheduled:
       if (!active.stage_in_pending) return false;
-      abandon_staging();
-      release_input_pins(active);
-      release_slot(active);
-      close_phase_spans(active);
-      close_task_span(active, "canceled");
-      set_state(active, TaskState::canceled);
-      return true;
-    }
+      break;
     default: return false;
   }
+  data_.cancel_stage(std::exchange(active.stage_ticket, 0));
+  active.stage_in_pending = false;
+  release_input_pins(active);
+  release_slot(active);
+  waiting_.erase(active.uid());
+  close_phase_spans(active);
+  close_task_span(active, "canceled");
+  set_state(active, TaskState::canceled);
+  return true;
 }
 
 }  // namespace ripple::core

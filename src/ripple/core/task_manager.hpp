@@ -24,14 +24,16 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ripple/common/hash.hpp"
 #include "ripple/core/data_manager.hpp"
 #include "ripple/core/descriptions.hpp"
 #include "ripple/core/entities.hpp"
+#include "ripple/core/entity_table.hpp"
 #include "ripple/core/executor.hpp"
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/scheduler.hpp"
@@ -63,9 +65,6 @@ class TaskManager {
 
   void set_restart_policy(RestartPolicy policy) noexcept {
     restart_policy_ = policy;
-  }
-  [[nodiscard]] const RestartPolicy& restart_policy() const noexcept {
-    return restart_policy_;
   }
   void set_speculation(SpeculationPolicy policy) noexcept {
     speculation_ = policy;
@@ -123,11 +122,18 @@ class TaskManager {
   std::vector<std::string> submit_all(Pilot& pilot,
                                       std::vector<TaskDescription> descs);
 
-  [[nodiscard]] const Task& get(const std::string& uid) const;
-  [[nodiscard]] Task& get_mutable(const std::string& uid);
-  [[nodiscard]] bool exists(const std::string& uid) const;
-  [[nodiscard]] std::vector<std::string> uids() const;
-  [[nodiscard]] std::size_t count_in_state(TaskState state) const;
+  [[nodiscard]] const Task& get(const std::string& uid) const {
+    return tasks_.at(uid).task;
+  }
+  [[nodiscard]] bool exists(const std::string& uid) const {
+    return tasks_.exists(uid);
+  }
+  [[nodiscard]] std::vector<std::string> uids() const {
+    return tasks_.uids();
+  }
+  [[nodiscard]] std::size_t count_in_state(TaskState state) const {
+    return tasks_.count_in_state(state);
+  }
 
   /// Cancels a task that has not yet been placed (waiting/staging/
   /// queued). Returns false once the task holds resources.
@@ -148,7 +154,13 @@ class TaskManager {
   };
 
   struct Active {
-    std::unique_ptr<Task> task;
+    Active(std::string uid, TaskDescription desc)
+        : task(std::move(uid), std::move(desc)) {}
+    [[nodiscard]] const std::string& uid() const { return task.uid(); }
+    [[nodiscard]] TaskState state() const { return task.state(); }
+
+    Task task;
+    metrics::Timeline::EntityId timeline = 0;
     Pilot* pilot = nullptr;
     platform::Node* node = nullptr;  ///< placement, set on grant
     /// The current attempt's context and payload. Both live from launch
@@ -207,48 +219,50 @@ class TaskManager {
 
   /// Validates a description and registers the task; the caller decides
   /// when (and how) evaluation happens.
-  std::string create_task(Pilot& pilot, TaskDescription desc);
+  EntityId create_task(Pilot& pilot, TaskDescription desc);
 
   /// When `batch` is non-null, tasks that are ready to schedule with no
   /// stage-in are collected there instead of being submitted one by one.
-  void evaluate(const std::string& uid,
-                std::vector<std::string>* batch = nullptr);
-  void schedule_batch(Pilot& pilot, const std::vector<std::string>& uids);
-  [[nodiscard]] ScheduleRequest make_request(const std::string& uid,
-                                             Active& active);
-  void to_staging_in(const std::string& uid);
-  void to_scheduling(const std::string& uid);
-  /// Starts (or restarts) the overlapped stage-in batch for `uid`.
-  void begin_stage_in(const std::string& uid, Active& active);
-  void on_granted(const std::string& uid, std::uint64_t epoch,
+  void evaluate(EntityId id, std::vector<EntityId>* batch = nullptr);
+  void schedule_batch(Pilot& pilot, const std::vector<EntityId>& ids);
+  [[nodiscard]] ScheduleRequest make_request(EntityId id, Active& active);
+  void to_staging_in(EntityId id);
+  /// Moves a live task that fits `pilot` to SCHEDULING (failing one that
+  /// cannot fit); true when its request should go to the scheduler.
+  bool enter_scheduling(EntityId id, Pilot& pilot);
+  void open_queue_span(Active& active);
+  void to_scheduling(EntityId id);
+  /// Starts (or restarts) the overlapped stage-in batch for `id`.
+  void begin_stage_in(EntityId id, Active& active);
+  void on_granted(EntityId id, std::uint64_t epoch,
                   const std::string& pilot_uid, platform::Slot slot,
                   platform::Node* node);
   /// Slot held and inputs local: transition to LAUNCHING and start.
-  void begin_launch(const std::string& uid);
-  void on_launched(const std::string& uid, std::uint64_t epoch);
-  void on_payload_done(const std::string& uid, std::uint64_t epoch,
-                       json::Value result, bool from_spec);
-  void on_payload_failed(const std::string& uid, std::uint64_t epoch,
+  void begin_launch(EntityId id);
+  void on_launched(EntityId id, std::uint64_t epoch);
+  void on_payload_done(EntityId id, std::uint64_t epoch, json::Value result,
+                       bool from_spec);
+  void on_payload_failed(EntityId id, std::uint64_t epoch,
                          const std::string& error, bool from_spec);
-  void to_staging_out(const std::string& uid);
-  void finish(const std::string& uid);
-  void fail_task(const std::string& uid, const std::string& error);
+  void to_staging_out(EntityId id);
+  void finish(EntityId id);
+  void fail_task(EntityId id, const std::string& error);
   /// Tears down the current attempt (epoch bump, slot/pins/staging
   /// released) and either re-queues the task after backoff or fails it
   /// once the restart budget is spent. `pilot_alive` gates scheduler
   /// interactions (a preempted pilot is already deregistered);
   /// `replacement` re-binds the task first when non-null.
-  void interrupt_task(const std::string& uid, const std::string& reason,
+  void interrupt_task(EntityId id, const std::string& reason,
                       Pilot* replacement, bool pilot_alive);
-  void resume_restart(const std::string& uid, std::uint64_t epoch);
+  void resume_restart(EntityId id, std::uint64_t epoch);
   /// Arms / fires / settles the speculative duplicate.
-  void maybe_speculate(const std::string& uid, std::uint64_t epoch);
-  void on_spec_granted(const std::string& uid, std::uint64_t epoch,
+  void maybe_speculate(EntityId id, std::uint64_t epoch);
+  void on_spec_granted(EntityId id, std::uint64_t epoch,
                        const std::string& pilot_uid, platform::Slot slot,
                        platform::Node* node);
-  void on_spec_launched(const std::string& uid, std::uint64_t epoch);
+  void on_spec_launched(EntityId id, std::uint64_t epoch);
   void cancel_speculation(Active& active, bool pilot_alive);
-  void record_recovery(const std::string& uid, const std::string& event);
+  void record_recovery(const Active& active, const std::string& event);
   /// Closes every open phase span of the current attempt (teardown on
   /// interrupt/finish/fail); no-op while tracing is disabled.
   void close_phase_spans(Active& active);
@@ -257,14 +271,16 @@ class TaskManager {
   void release_slot(Active& active);
   void release_input_pins(Active& active);
   void set_state(Active& active, TaskState state);
+  /// Posts the dependency re-check when it can release or fail a task:
+  /// a task is waiting, or a queued evaluation event has tasks left to
+  /// evaluate. Only that evaluation makes a task wait, so otherwise no
+  /// task can be waiting when the re-check would run.
+  void post_recheck();
   void recheck_waiting();
   /// Counts `active`'s terminal transition against its watchers and
   /// posts each one that has no watched task left, in registration order.
   void settle_watchers(Active& active);
   void post_watcher(DoneWatcher& watcher);
-
-  [[nodiscard]] Active& active_for(const std::string& uid);
-  [[nodiscard]] const Active& active_for(const std::string& uid) const;
 
   Runtime& runtime_;
   Scheduler& scheduler_;
@@ -272,8 +288,14 @@ class TaskManager {
   DataManager& data_;
   ServiceManager& services_;
   common::Logger log_;
-  std::map<std::string, Active> tasks_;
-  std::set<std::string> waiting_;
+  EntityTable<Active> tasks_{"task"};
+  /// Tasks in WAITING, keyed (and re-checked) in uid order.
+  std::map<std::string_view, EntityId> waiting_;
+  /// Tasks that queued evaluation events have not reached yet.
+  std::size_t queued_evaluations_ = 0;
+  /// Node -> tasks granted a slot on it (primary or twin) that may still
+  /// hold it; a node crash walks only its own entry.
+  std::unordered_map<const platform::Node*, std::vector<EntityId>> bound_;
   RestartPolicy restart_policy_;
   SpeculationPolicy speculation_;
   /// Dedicated stream for backoff jitter: restart delays must not

@@ -17,35 +17,39 @@ std::uint32_t Timeline::Interner::find(std::string_view name) const {
   return it == ids_.end() ? kAbsent : it->second;
 }
 
-void Timeline::Interner::clear() {
-  ids_.clear();
-  names_.clear();
+Timeline::EntityId Timeline::add(std::string_view entity,
+                                 std::string_view kind) {
+  const auto id = static_cast<EntityId>(entities_.size());
+  entities_.push_back(Entity{std::string(entity), names_.intern(kind)});
+  return id;
 }
 
-void Timeline::record(std::string_view entity, std::string_view kind,
-                      std::string_view state, double time) {
-  const std::uint32_t kind_id = names_.intern(kind);
-  const std::uint32_t state_id = names_.intern(state);
-  ensure(names_.size() <= std::size_t{UINT16_MAX} + 1, Errc::capacity,
-         "timeline: too many distinct kind and state names");
-  log_.push_back(Entry{entities_.intern(entity),
-                       static_cast<std::uint16_t>(kind_id),
-                       static_cast<std::uint16_t>(state_id), time});
+void Timeline::record(EntityId entity, std::string_view state, double time) {
+  log_.push_back(Entry{entity, names_.intern(state), time});
 }
 
 std::vector<TransitionRecord> Timeline::records() const {
   std::vector<TransitionRecord> out;
   out.reserve(log_.size());
   for (const Entry& entry : log_) {
-    out.push_back({entities_.name(entry.entity), names_.name(entry.kind),
+    out.push_back({uid(entry.entity), kind(entry.entity),
                    names_.name(entry.state), entry.time});
   }
   return out;
 }
 
+Timeline::EntityId Timeline::find(const std::string& entity) const {
+  for (; ids_indexed_ < entities_.size(); ++ids_indexed_) {
+    ids_.emplace(entities_[ids_indexed_].uid,
+                 static_cast<EntityId>(ids_indexed_));
+  }
+  const auto it = ids_.find(entity);
+  return it == ids_.end() ? Interner::kAbsent : it->second;
+}
+
 const std::vector<double>* Timeline::entries(const std::string& entity,
                                              const std::string& state) const {
-  const std::uint32_t entity_id = entities_.find(entity);
+  const EntityId entity_id = find(entity);
   const std::uint32_t state_id = names_.find(state);
   if (entity_id == Interner::kAbsent || state_id == Interner::kAbsent) {
     return nullptr;
@@ -95,9 +99,9 @@ double Timeline::duration(const std::string& entity, const std::string& from,
   return t_to - t_from;
 }
 
-std::vector<std::uint32_t> Timeline::first_entries(
+std::vector<Timeline::EntityId> Timeline::first_entries(
     const std::string& kind, const std::string& state) const {
-  std::vector<std::uint32_t> out;
+  std::vector<EntityId> out;
   const std::uint32_t kind_id = names_.find(kind);
   const std::uint32_t state_id = names_.find(state);
   if (kind_id == Interner::kAbsent || state_id == Interner::kAbsent) {
@@ -105,7 +109,7 @@ std::vector<std::uint32_t> Timeline::first_entries(
   }
   std::vector<bool> seen(entities_.size(), false);
   for (const Entry& entry : log_) {
-    if (entry.kind == kind_id && entry.state == state_id &&
+    if (entry.state == state_id && entities_[entry.entity].kind == kind_id &&
         !seen[entry.entity]) {
       seen[entry.entity] = true;
       out.push_back(entry.entity);
@@ -122,15 +126,13 @@ std::size_t Timeline::count(const std::string& kind,
 std::vector<std::string> Timeline::entities_in(const std::string& kind,
                                                const std::string& state) const {
   std::vector<std::string> out;
-  for (const std::uint32_t id : first_entries(kind, state)) {
-    out.push_back(entities_.name(id));
+  for (const EntityId id : first_entries(kind, state)) {
+    out.push_back(uid(id));
   }
   return out;
 }
 
 void Timeline::clear() {
-  entities_.clear();
-  names_.clear();
   log_.clear();
   index_.clear();
   indexed_ = 0;

@@ -13,11 +13,12 @@
 /// state_times()/last_state_time()/entry_count() expose the full
 /// history.
 ///
-/// The record is a flat log of (entity, kind, state, time) with the
-/// names interned to small ids, so recording is an append. The
-/// (entity, state) -> entry-times index behind the per-entity queries
-/// is built on the first such query and extended by later ones. Like
-/// the rest of the runtime, a Timeline belongs to the loop thread.
+/// An entity is registered once, at creation, and gets a dense id; each
+/// transition is then recorded as (id, state, time), an append that
+/// hashes no uid. The per-entity queries take uids: the uid -> id index
+/// and the (entity, state) -> entry-times index behind them are built on
+/// the first such query and extended by later ones. Like the rest of the
+/// runtime, a Timeline belongs to the loop thread.
 
 #include <cstdint>
 #include <deque>
@@ -37,9 +38,23 @@ struct TransitionRecord {
 
 class Timeline {
  public:
-  /// Appends one transition.
-  void record(std::string_view entity, std::string_view kind,
-              std::string_view state, double time);
+  /// A registered entity, numbered in registration order.
+  using EntityId = std::uint32_t;
+
+  /// Registers `entity` (a uid, registered once) of `kind`; its
+  /// transitions are recorded under the returned id.
+  [[nodiscard]] EntityId add(std::string_view entity, std::string_view kind);
+
+  /// Appends one transition of a registered entity.
+  void record(EntityId entity, std::string_view state, double time);
+
+  /// The uid and the kind `entity` was registered with.
+  [[nodiscard]] const std::string& uid(EntityId entity) const {
+    return entities_[entity].uid;
+  }
+  [[nodiscard]] const std::string& kind(EntityId entity) const {
+    return names_.name(entities_[entity].kind);
+  }
 
   /// Every transition, in record order.
   [[nodiscard]] std::vector<TransitionRecord> records() const;
@@ -74,6 +89,7 @@ class Timeline {
   [[nodiscard]] std::vector<std::string> entities_in(
       const std::string& kind, const std::string& state) const;
 
+  /// Drops every recorded transition; registered entities keep their ids.
   void clear();
 
  private:
@@ -93,31 +109,38 @@ class Timeline {
     [[nodiscard]] const std::string& name(std::uint32_t id) const {
       return names_[id];
     }
-    [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
-    void clear();
 
    private:
     std::deque<std::string> names_;  ///< stable: ids_ views into it
     std::unordered_map<std::string_view, std::uint32_t> ids_;
   };
 
+  struct Entity {
+    std::string uid;
+    std::uint32_t kind;  ///< id in names_
+  };
+
   struct Entry {
-    std::uint32_t entity;
-    std::uint16_t kind;  ///< ids in names_, shared by kinds and states
-    std::uint16_t state;
+    EntityId entity;
+    std::uint32_t state;  ///< id in names_, shared by kinds and states
     double time;
   };
 
+  /// The id of `entity`, or Interner::kAbsent when it was never added.
+  [[nodiscard]] EntityId find(const std::string& entity) const;
   /// The entry times of (entity, state), or null when never entered.
   [[nodiscard]] const std::vector<double>* entries(
       const std::string& entity, const std::string& state) const;
   /// The entities of `kind` that entered `state`, in first-entry order.
-  [[nodiscard]] std::vector<std::uint32_t> first_entries(
+  [[nodiscard]] std::vector<EntityId> first_entries(
       const std::string& kind, const std::string& state) const;
 
-  Interner entities_;
+  std::deque<Entity> entities_;  ///< stable: ids_ views their uids
   Interner names_;
   std::vector<Entry> log_;
+  /// uid -> id, covering entities_[0, ids_indexed_).
+  mutable std::unordered_map<std::string_view, EntityId> ids_;
+  mutable std::size_t ids_indexed_ = 0;
   /// (entity id << 32 | state id) -> entry times, covering log_[0, indexed_).
   mutable std::unordered_map<std::uint64_t, std::vector<double>> index_;
   mutable std::size_t indexed_ = 0;

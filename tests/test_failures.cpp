@@ -291,6 +291,65 @@ TEST(FailureRecovery, CrashUnderTheTwinCancelsOnlyTheTwin) {
   EXPECT_GT(session.tasks().get(uid).state_time(TaskState::done), 40.0);
 }
 
+TEST(FailureRecovery, NodeCrashWalksOnlyItsTasksInUidOrder) {
+  Session session{SessionConfig{.seed = 23}};
+  session.add_platform(platform::delta_profile(3));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 3});
+  session.tasks().set_restart_policy({.max_restarts = 3});
+  session.tasks().set_speculation(
+      {.enabled = true, .latency_multiple = 2.0, .min_delay = 0.5});
+  auto& injector = session.failures().injector();
+  const auto node = [&session](std::size_t i) {
+    return session.cluster("delta").node(i).id();
+  };
+  // Priorities grant the batch out of uid order: the short task, then
+  // the three long ones in reverse, fill node 0; the straggler lands on
+  // node 1, which is 10x slow, and the full-node task on node 2. Once
+  // the short task frees 16 cores of node 0, the straggler's twin lands
+  // there, beside the three long tasks, and node 0 then crashes.
+  injector.inject_at(0.0, FailureKind::slow_node, node(1), 10.0);
+  injector.inject_at(12.0, FailureKind::node_crash, node(0));
+  auto straggler = modeled_task(4.0, 16);
+  std::vector<TaskDescription> batch{straggler};
+  for (int priority = 1; priority <= 3; ++priority) {
+    batch.push_back(modeled_task(30.0, 16));
+    batch.back().priority = priority;
+  }
+  batch.push_back(modeled_task(2.0, 16));
+  batch.back().priority = 4;
+  batch.push_back(modeled_task(20.0, 64));
+  const auto uids = session.tasks().submit_all(pilot, batch);
+  session.run();
+
+  // One line per task on the crashed node, in uid order: the twin's
+  // owner first, then the three long tasks, whatever order their grants
+  // came in.
+  const std::vector<std::string> expected{
+      "10.103877 task.000000 speculate",
+      "12.000000 task.000000 spec_lost_node",
+      "12.000000 task.000001 restart1 node delta:node0000 failed",
+      "12.000000 task.000002 restart1 node delta:node0000 failed",
+      "12.000000 task.000003 restart1 node delta:node0000 failed",
+      "73.955768 task.000003 speculate",
+      "74.111434 task.000001 speculate",
+      "75.191089 task.000002 speculate",
+      "106.298920 task.000001 spec_win",
+      "106.851009 task.000002 spec_win",
+  };
+  EXPECT_EQ(session.tasks().recovery_log(), expected);
+  EXPECT_EQ(session.tasks().restarts_total(), 3u);
+  for (const auto& uid : uids) {
+    EXPECT_EQ(session.tasks().get(uid).state(), TaskState::done) << uid;
+  }
+  // The straggler's primary (node 1) and the full-node task (node 2)
+  // ran once, untouched by the crash.
+  for (const auto& uid : {uids[0], uids[5]}) {
+    EXPECT_EQ(session.timeline().entry_count(uid, "SCHEDULING"), 1u) << uid;
+    EXPECT_EQ(session.timeline().entry_count(uid, "RUNNING"), 1u) << uid;
+  }
+  EXPECT_GT(session.tasks().get(uids[0]).state_time(TaskState::done), 40.0);
+}
+
 TEST(FailureRecovery, StoreCrashRepairsFromSurvivingReplica) {
   Session session{SessionConfig{.seed = 29}};
   auto& data = session.data();

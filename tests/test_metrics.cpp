@@ -84,9 +84,13 @@ TEST(Registry, JsonExportShape) {
 
 TEST(Timeline, RecordsAndQueries) {
   Timeline timeline;
-  timeline.record("task.0", "task", "RUNNING", 5.0);
-  timeline.record("task.0", "task", "DONE", 8.0);
-  timeline.record("task.1", "task", "RUNNING", 6.0);
+  const auto task0 = timeline.add("task.0", "task");
+  const auto task1 = timeline.add("task.1", "task");
+  timeline.record(task0, "RUNNING", 5.0);
+  timeline.record(task0, "DONE", 8.0);
+  timeline.record(task1, "RUNNING", 6.0);
+  EXPECT_EQ(timeline.uid(task1), "task.1");
+  EXPECT_EQ(timeline.kind(task1), "task");
   EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), 5.0);
   EXPECT_DOUBLE_EQ(timeline.duration("task.0", "RUNNING", "DONE"), 3.0);
   EXPECT_DOUBLE_EQ(timeline.state_time("task.9", "RUNNING"), -1.0);
@@ -96,22 +100,52 @@ TEST(Timeline, RecordsAndQueries) {
             (std::vector<std::string>{"task.0", "task.1"}));
   timeline.clear();
   EXPECT_TRUE(timeline.records().empty());
+  EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), -1.0);
+  // Registered entities keep their ids across a clear.
+  timeline.record(task1, "DONE", 9.0);
+  EXPECT_DOUBLE_EQ(timeline.state_time("task.1", "DONE"), 9.0);
+  EXPECT_EQ(timeline.entities_in("task", "DONE"),
+            (std::vector<std::string>{"task.1"}));
 }
 
 TEST(Timeline, FirstEntryWins) {
   Timeline timeline;
-  timeline.record("svc.0", "service", "SCHEDULING", 1.0);
-  timeline.record("svc.0", "service", "SCHEDULING", 9.0);  // restart
+  const auto svc = timeline.add("svc.0", "service");
+  timeline.record(svc, "SCHEDULING", 1.0);
+  timeline.record(svc, "SCHEDULING", 9.0);  // restart
   EXPECT_DOUBLE_EQ(timeline.state_time("svc.0", "SCHEDULING"), 1.0);
   EXPECT_EQ(timeline.records().size(), 2u);  // both kept in the log
+}
+
+TEST(Timeline, QueriesSeeEntitiesAddedAfterTheFirstQuery) {
+  // The uid and entry-time indexes are built by the first query and
+  // extended by later ones.
+  Timeline timeline;
+  const auto pilot = timeline.add("pilot.0", "pilot");
+  timeline.record(pilot, "ACTIVE", 1.0);
+  EXPECT_DOUBLE_EQ(timeline.state_time("pilot.0", "ACTIVE"), 1.0);
+  const auto task = timeline.add("task.0", "task");
+  EXPECT_EQ(timeline.entry_count("task.0", "RUNNING"), 0u);
+  timeline.record(task, "RUNNING", 2.0);
+  timeline.record(pilot, "DONE", 3.0);
+  EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), 2.0);
+  EXPECT_DOUBLE_EQ(timeline.duration("pilot.0", "ACTIVE", "DONE"), 2.0);
+  EXPECT_EQ(timeline.count("pilot", "RUNNING"), 0u);
+  EXPECT_EQ(timeline.count("task", "RUNNING"), 1u);
+  const auto records = timeline.records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].entity, "task.0");
+  EXPECT_EQ(records[1].kind, "task");
+  EXPECT_EQ(records[2].kind, "pilot");
 }
 
 TEST(Timeline, ReentryHistoryIsKept) {
   // Regression: restarted tasks enter RUNNING more than once; the
   // first-entry index used to be the only record queryable.
   Timeline timeline;
-  timeline.record("task.0", "task", "RUNNING", 5.0);
-  timeline.record("task.0", "task", "RUNNING", 9.0);  // after a crash
+  const auto task = timeline.add("task.0", "task");
+  timeline.record(task, "RUNNING", 5.0);
+  timeline.record(task, "RUNNING", 9.0);  // after a crash
   EXPECT_DOUBLE_EQ(timeline.state_time("task.0", "RUNNING"), 5.0);
   EXPECT_DOUBLE_EQ(timeline.last_state_time("task.0", "RUNNING"), 9.0);
   EXPECT_EQ(timeline.entry_count("task.0", "RUNNING"), 2u);

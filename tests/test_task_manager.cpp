@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ripple/common/error.hpp"
+#include "ripple/common/strutil.hpp"
 #include "ripple/core/failure_coordinator.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/ml/install.hpp"
@@ -419,6 +420,202 @@ TEST_F(TaskManagerTest, CrashedTaskFiresItsWatcherOnlyAfterTheRestart) {
   EXPECT_TRUE(all_ok);
   EXPECT_GE(fired_at, session.tasks().get(uid).state_time(TaskState::done));
   EXPECT_GT(fired_at, 12.0);  // 2 s lost to the crash, 10 s rerun
+}
+
+// ---------------------------------------------------------------------------
+// Dependency re-check timing
+// ---------------------------------------------------------------------------
+
+/// Two 64-core delta nodes whose launches take exactly one second, so the
+/// pinned times below are round numbers.
+Pilot& round_time_pilot(Session& session) {
+  ml::install(session);
+  auto profile = platform::delta_profile(2);
+  profile.launch.base = common::Distribution::constant(1.0);
+  session.add_platform(profile);
+  return session.submit_pilot({.platform = "delta", .nodes = 2});
+}
+
+/// The whole Timeline, one "time uid state" line per record.
+std::vector<std::string> timeline_lines(Session& session) {
+  std::vector<std::string> lines;
+  for (const auto& record : session.timeline().records()) {
+    lines.push_back(strutil::cat(strutil::format_fixed(record.time, 6), " ",
+                                 record.entity, " ", record.state));
+  }
+  return lines;
+}
+
+/// Each listed task's final state and the time it entered it.
+std::vector<std::string> completion_lines(
+    Session& session, const std::vector<std::string>& uids) {
+  std::vector<std::string> lines;
+  for (const auto& uid : uids) {
+    const Task& task = session.tasks().get(uid);
+    lines.push_back(strutil::cat(
+        uid, " ", to_string(task.state()), " ",
+        strutil::format_fixed(task.state_time(task.state()), 6)));
+  }
+  return lines;
+}
+
+// A waiting task is released by the re-check that the next task or
+// service transition posts, and where that re-check runs among the
+// events of the same instant decides the order of everything after it.
+// Each case pins the whole Timeline and every completion time.
+TEST(DependencyRecheck, ReleaseOrderIsPinned) {
+  {
+    // The dependent is submitted in the instant its dependency's payload
+    // finishes (t = 3), before the payload event runs: it evaluates
+    // while the dependency is still STAGING_OUTPUT and waits. The
+    // posted stage-out completes the dependency and hands its node to
+    // the queued task in that same instant; the dependent enters
+    // SCHEDULING before that grant is delivered.
+    Session session{SessionConfig{.seed = 9}};
+    Pilot& pilot = round_time_pilot(session);
+    auto producer = quick_task(2.0);
+    producer.cores = 64;
+    producer.staging.push_back(StagingDirective::out("produced"));
+    auto blocker = quick_task(5.0);
+    blocker.cores = 64;
+    auto queued = quick_task(1.0);
+    queued.cores = 64;
+    const auto uids =
+        session.tasks().submit_all(pilot, {producer, blocker, queued});
+    std::string dependent;
+    session.loop().call_at(3.0, [&] {
+      auto desc = quick_task(1.0);
+      desc.depends_on = {uids[0]};
+      dependent = session.tasks().submit(pilot, desc);
+    });
+    session.run();
+    const std::vector<std::string> timeline{
+        "0.000000 pilot.000000 CREATED",
+        "0.000000 task.000000 CREATED",
+        "0.000000 task.000001 CREATED",
+        "0.000000 task.000002 CREATED",
+        "0.000000 pilot.000000 ACTIVE",
+        "0.000000 task.000000 SCHEDULING",
+        "0.000000 task.000001 SCHEDULING",
+        "0.000000 task.000002 SCHEDULING",
+        "0.000000 task.000000 SCHEDULED",
+        "0.000000 task.000000 LAUNCHING",
+        "0.000000 task.000001 SCHEDULED",
+        "0.000000 task.000001 LAUNCHING",
+        "1.000000 task.000000 RUNNING",
+        "1.000000 task.000001 RUNNING",
+        "3.000000 task.000003 CREATED",
+        "3.000000 task.000000 STAGING_OUTPUT",
+        "3.000000 task.000003 WAITING",
+        "3.000000 task.000000 DONE",
+        "3.000000 task.000003 SCHEDULING",
+        "3.000000 task.000002 SCHEDULED",
+        "3.000000 task.000002 LAUNCHING",
+        "4.000000 task.000002 RUNNING",
+        "5.000000 task.000002 DONE",
+        "5.000000 task.000003 SCHEDULED",
+        "5.000000 task.000003 LAUNCHING",
+        "6.000000 task.000001 DONE",
+        "6.000000 task.000003 RUNNING",
+        "7.000000 task.000003 DONE",
+    };
+    EXPECT_EQ(timeline_lines(session), timeline);
+    const std::vector<std::string> completions{
+        "task.000000 DONE 3.000000",
+        "task.000001 DONE 6.000000",
+        "task.000002 DONE 5.000000",
+        "task.000003 DONE 7.000000",
+    };
+    EXPECT_EQ(
+        completion_lines(session, {uids[0], uids[1], uids[2], dependent}),
+        completions);
+  }
+  {
+    // One submit_all batch: a task staging in a resident input, an
+    // oversized task, and a sibling that depends on the oversized one
+    // (uids are minted per session in creation order, so the second
+    // member is task.000001). The sibling waits, the oversized task
+    // fails in the batch's schedule pass, and the sibling fails on the
+    // re-check, ahead of the stager's posted stage-in and grant.
+    Session session{SessionConfig{.seed = 9}};
+    Pilot& pilot = round_time_pilot(session);
+    session.data().register_dataset("resident", 1e6, "delta");
+    auto stager = quick_task(1.0);
+    stager.staging.push_back(StagingDirective::in("resident"));
+    auto oversized = quick_task(1.0);
+    oversized.cores = 1000;
+    auto sibling = quick_task(1.0);
+    sibling.depends_on = {"task.000001"};
+    const auto uids =
+        session.tasks().submit_all(pilot, {stager, oversized, sibling});
+    session.run();
+    const std::vector<std::string> timeline{
+        "0.000000 pilot.000000 CREATED",
+        "0.000000 task.000000 CREATED",
+        "0.000000 task.000001 CREATED",
+        "0.000000 task.000002 CREATED",
+        "0.000000 pilot.000000 ACTIVE",
+        "0.000000 task.000000 STAGING_INPUT",
+        "0.000000 task.000000 SCHEDULING",
+        "0.000000 task.000002 WAITING",
+        "0.000000 task.000001 FAILED",
+        "0.000000 task.000002 FAILED",
+        "0.000000 task.000000 SCHEDULED",
+        "0.000000 task.000000 LAUNCHING",
+        "1.000000 task.000000 RUNNING",
+        "2.000000 task.000000 DONE",
+    };
+    EXPECT_EQ(timeline_lines(session), timeline);
+    const std::vector<std::string> completions{
+        "task.000000 DONE 2.000000",
+        "task.000001 FAILED 0.000000",
+        "task.000002 FAILED 0.000000",
+    };
+    EXPECT_EQ(completion_lines(session, uids), completions);
+  }
+  {
+    // A task gated on a service waits through the service's bootstrap
+    // and enters SCHEDULING on the re-check its RUNNING transition posts.
+    Session session{SessionConfig{.seed = 9}};
+    Pilot& pilot = round_time_pilot(session);
+    ServiceDescription svc_desc;
+    svc_desc.name = "svc";
+    svc_desc.program = "inference";
+    svc_desc.config = json::Value::object({{"model", "noop"}});
+    svc_desc.gpus = 1;
+    const auto svc = session.services().submit(pilot, svc_desc);
+    auto gated = quick_task(1.0);
+    gated.requires_services = {svc};
+    const auto task = session.tasks().submit(pilot, gated);
+    session.tasks().when_done(
+        {task}, [&](bool) { session.services().stop_all(); });
+    session.run();
+    const std::vector<std::string> timeline{
+        "0.000000 pilot.000000 CREATED",
+        "0.000000 svc.000000 CREATED",
+        "0.000000 task.000000 CREATED",
+        "0.000000 pilot.000000 ACTIVE",
+        "0.000000 svc.000000 SCHEDULING",
+        "0.000000 task.000000 WAITING",
+        "0.000000 svc.000000 SCHEDULED",
+        "0.000000 svc.000000 LAUNCHING",
+        "1.000000 svc.000000 INITIALIZING",
+        "1.050000 svc.000000 PUBLISHING",
+        "1.153644 svc.000000 RUNNING",
+        "1.153644 task.000000 SCHEDULING",
+        "1.153644 task.000000 SCHEDULED",
+        "1.153644 task.000000 LAUNCHING",
+        "2.153644 task.000000 RUNNING",
+        "3.153644 task.000000 DONE",
+        "3.153644 svc.000000 DRAINING",
+        "3.153644 svc.000000 STOPPED",
+    };
+    EXPECT_EQ(timeline_lines(session), timeline);
+    const std::vector<std::string> completions{
+        "task.000000 DONE 3.153644",
+    };
+    EXPECT_EQ(completion_lines(session, {task}), completions);
+  }
 }
 
 }  // namespace
