@@ -3,9 +3,11 @@
 // These quantify the infrastructure costs underneath the paper's
 // metrics: event-loop throughput and timeout churn, uid minting, string
 // concatenation, JSON round-trips (the RPC payload format), router/RPC
-// hops, entity state transitions, scheduler grant/release cycles, the
-// data plane's staging call, transfers and bandwidth re-planning, and
-// the replica catalog's lookups and LRU eviction. They back the claim
+// hops, entity state transitions, a node crash's walk, the capacity
+// index's first fit, the wait queue, span tracing, scheduler
+// grant/release cycles, the data plane's staging call, transfers and
+// bandwidth re-planning, and the replica catalog's lookups and LRU
+// eviction. They back the claim
 // that architectural overheads are "minimal" relative to the modeled
 // network and model costs.
 
@@ -32,7 +34,10 @@
 #include "ripple/data/catalog.hpp"
 #include "ripple/data/transfer_engine.hpp"
 #include "ripple/ml/install.hpp"
+#include "ripple/core/wait_queue.hpp"
+#include "ripple/metrics/tracer.hpp"
 #include "ripple/msg/rpc.hpp"
+#include "ripple/platform/capacity_index.hpp"
 #include "ripple/platform/profiles.hpp"
 #include "ripple/sim/event_loop.hpp"
 
@@ -491,6 +496,139 @@ void BM_StateTransition(benchmark::State& state) {
                           static_cast<std::int64_t>(std::size(kLifecycle)));
 }
 BENCHMARK(BM_StateTransition)->Arg(0)->Arg(1);
+
+// A node crash as TaskManager::handle_node_failure takes it: M tasks
+// hold slots on M / k nodes, k on each (first-fit fills node 0 first),
+// restart budget 1. Building the session is untimed; each iteration
+// times the node's failure and the walk that interrupts its k tasks,
+// which visits only the tasks bound to that node.
+void BM_NodeCrashWalk(benchmark::State& state) {
+  const auto tasks = static_cast<std::size_t>(state.range(0));
+  const auto per_node = static_cast<std::size_t>(state.range(1));
+  const std::size_t nodes = tasks / per_node;
+  std::size_t interrupted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      core::Session session({.seed = 5});
+      session.add_platform(platform::delta_profile(nodes));
+      auto& pilot = session.submit_pilot({.platform = "delta", .nodes = nodes});
+      session.tasks().set_restart_policy({.max_restarts = 1});
+      core::TaskDescription desc;
+      desc.cores = 64 / per_node;
+      desc.duration = common::Distribution::constant(100.0);
+      session.tasks().submit_all(
+          pilot, std::vector<core::TaskDescription>(tasks, desc));
+      session.run_until(1.0);  // every task holds its slot
+      platform::Cluster& cluster = session.cluster("delta");
+      platform::Node& node = cluster.node(0);
+      state.ResumeTiming();
+      cluster.fail_node(node);
+      interrupted += session.tasks().handle_node_failure(node);
+      state.PauseTiming();
+    }
+    state.ResumeTiming();
+  }
+  if (interrupted != static_cast<std::size_t>(state.iterations()) * per_node) {
+    state.SkipWithError("the crash did not interrupt every task on the node");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeCrashWalk)->Args({512, 64})->Args({4096, 64})->Args({4096, 8});
+
+// CapacityIndex::first_fit, the scheduler's placement probe: the lowest
+// node whose free cores, GPUs and memory all cover a request. A seeded
+// fill leaves each 64-core, 4-GPU node partly used; each iteration
+// probes 64 seeded request shapes.
+void BM_CapacityIndexFirstFit(benchmark::State& state) {
+  const auto count = static_cast<std::size_t>(state.range(0));
+  std::vector<std::unique_ptr<platform::Node>> nodes;
+  std::vector<platform::Node*> view;
+  common::Rng rng(11);
+  for (std::size_t i = 0; i < count; ++i) {
+    nodes.push_back(std::make_unique<platform::Node>(
+        strutil::cat("n", i), platform::NodeSpec{64, 4, 256.0},
+        strutil::cat("h", i)));
+    view.push_back(nodes.back().get());
+    (void)view.back()->allocate(
+        static_cast<std::size_t>(rng.uniform_int(0, 64)),
+        static_cast<std::size_t>(rng.uniform_int(0, 4)), 0.0);
+  }
+  platform::CapacityIndex index;
+  index.attach(view);
+  struct Request {
+    std::size_t cores;
+    std::size_t gpus;
+  };
+  std::vector<Request> requests;
+  for (int i = 0; i < 64; ++i) {
+    requests.push_back({static_cast<std::size_t>(rng.uniform_int(1, 64)),
+                        static_cast<std::size_t>(rng.uniform_int(0, 4))});
+  }
+  std::size_t placed = 0;
+  for (auto _ : state) {
+    for (const Request& r : requests) {
+      placed += index.first_fit(r.cores, r.gpus, 0.0) != nullptr;
+    }
+  }
+  benchmark::DoNotOptimize(placed);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(requests.size()));
+}
+BENCHMARK(BM_CapacityIndexFirstFit)->Arg(256)->Arg(4096);
+
+// WaitQueue as the scheduler's backlog: 1,024 requests in four priority
+// classes and four shapes pushed in submission order, then popped in
+// grant order (higher priority first, then submission order).
+void BM_WaitQueuePushPop(benchmark::State& state) {
+  constexpr int kRequests = 1024;
+  std::vector<core::ScheduleRequest> requests(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    requests[i].uid = strutil::cat("task.", i);
+    requests[i].cores = std::size_t{1} << (i % 4);
+    requests[i].priority = i / 4 % 4;
+  }
+  std::size_t popped = 0;
+  for (auto _ : state) {
+    core::WaitQueue queue;
+    for (int i = 0; i < kRequests; ++i) {
+      queue.push({requests[i].priority, static_cast<std::uint64_t>(i)},
+                 {requests[i], 0.0});
+    }
+    for (; !queue.empty(); ++popped) queue.erase(queue.begin());
+  }
+  benchmark::DoNotOptimize(popped);
+  state.SetItemsProcessed(state.iterations() * kRequests);
+}
+BENCHMARK(BM_WaitQueuePushPop);
+
+// Tracer::begin/end as the TaskManager brackets a task: a root span and
+// a queue-wait and a run span under it, for 256 tasks per iteration;
+// the span log is cleared after each iteration.
+void BM_TracerBeginEnd(benchmark::State& state) {
+  metrics::Tracer tracer;
+  tracer.set_enabled(true);
+  std::vector<std::string> uids;
+  for (int i = 0; i < 256; ++i) uids.push_back(strutil::cat("task.", i));
+  for (auto _ : state) {
+    double t = 0.0;
+    for (const auto& uid : uids) {
+      const metrics::SpanId root = tracer.begin("t", "task", uid, t);
+      const metrics::SpanId queue =
+          tracer.begin("queue-wait", "queue", uid, t, root);
+      tracer.end(queue, t + 1.0);
+      const metrics::SpanId run =
+          tracer.begin("run", "compute", uid, t + 1.0, root);
+      tracer.end(run, t + 2.0);
+      tracer.end(root, t + 2.0);
+      t += 0.5;
+    }
+    tracer.clear();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(uids.size()) * 3);
+}
+BENCHMARK(BM_TracerBeginEnd);
 
 void BM_SchedulerCycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -163,10 +163,12 @@ TransferEngine::TransferId TransferEngine::transfer(
   // newcomer *right now* (newcomer_rate), so a congested replica
   // carries proportionally fewer bytes and the transfer is not gated on
   // its slowest link. Deterministic: link state is a pure function of
-  // the event schedule at this instant.
+  // the event schedule at this instant. A lone stripe takes every byte.
   double rate_sum = 0.0;
-  for (const auto& src : src_zones) {
-    rate_sum += newcomer_rate(src, dst_zone);
+  if (!one_stripe) {
+    for (const auto& src : src_zones) {
+      rate_sum += newcomer_rate(src, dst_zone);
+    }
   }
   // Bandwidth-proportional split; the last stripe takes the remainder
   // so the shares always sum to exactly `bytes`.
@@ -480,7 +482,8 @@ void TransferEngine::finish_stripe(std::map<TransferId, Stripe>::iterator it,
   const double stripe_bytes = it->second.total_bytes;
   close_span(it->second.trace, ok ? "ok" : "failed");
   stripes_.erase(it);
-  Transfer& t = transfers_.at(transfer_id);
+  const auto record = transfers_.find(transfer_id);
+  Transfer& t = record->second;
   t.stripes.erase(std::remove(t.stripes.begin(), t.stripes.end(), id),
                   t.stripes.end());
   const sim::Duration elapsed = loop_.now() - t.started_at;
@@ -506,7 +509,7 @@ void TransferEngine::finish_stripe(std::map<TransferId, Stripe>::iterator it,
     if (counters_ != nullptr) counters_->add("data.failed");
     close_span(t.trace, "failed");
     Callback on_done = std::move(t.on_done);
-    transfers_.erase(transfer_id);
+    transfers_.erase(record);
     on_done(false, elapsed);
     return;
   }
@@ -518,7 +521,7 @@ void TransferEngine::finish_stripe(std::map<TransferId, Stripe>::iterator it,
   transfer_times_.add(elapsed);
   completion_log_.push_back(t.dataset);
   Callback on_done = std::move(t.on_done);
-  transfers_.erase(transfer_id);
+  transfers_.erase(record);
   on_done(true, elapsed);
 }
 
