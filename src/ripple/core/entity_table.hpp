@@ -44,8 +44,10 @@ class EntityTable {
   EntityId emplace(Args&&... args) {
     const auto id = static_cast<EntityId>(records_.size());
     const Record& record = records_.emplace_back(std::forward<Args>(args)...);
-    const bool inserted = ids_.emplace(record.uid(), id).second;
-    ensure(inserted, Errc::internal, "duplicate ", kind_, " uid");
+    if (!ids_.emplace(record.uid(), id).second) {
+      records_.pop_back();
+      raise(Errc::internal, strutil::cat("duplicate ", kind_, " uid"));
+    }
     return id;
   }
 
@@ -56,12 +58,6 @@ class EntityTable {
 
   [[nodiscard]] bool exists(std::string_view uid) const {
     return ids_.count(uid) != 0;
-  }
-
-  /// The record of `uid`, or null when it names none.
-  [[nodiscard]] Record* find(std::string_view uid) {
-    const auto it = ids_.find(uid);
-    return it == ids_.end() ? nullptr : &records_[it->second];
   }
 
   /// The record of `uid`; throws not_found when it names none.

@@ -244,8 +244,8 @@ void ServiceManager::ensure_registry(platform::Cluster& cluster) {
           const std::string uid =
               responder->request().payload.get_or("uid", json::Value(""))
                   .as_string();
-          if (Active* found = services_.find(uid)) {
-            found->service.set_last_heartbeat(runtime_.loop().now());
+          if (services_.exists(uid)) {
+            services_.at(uid).service.set_last_heartbeat(runtime_.loop().now());
             arm_liveness_deadline(uid);
           }
           responder->reply(json::Value::object({{"ok", true}}));

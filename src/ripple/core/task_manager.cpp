@@ -113,7 +113,8 @@ EntityId TaskManager::create_task(Pilot& pilot, TaskDescription desc) {
            "' does not exist");
   }
 
-  const EntityId id = tasks_.emplace(runtime_.make_uid("task"), std::move(desc));
+  const EntityId id =
+      tasks_.emplace(runtime_.make_uid("task"), std::move(desc));
   Active& active = tasks_[id];
   active.task.set_pilot_uid(pilot.uid());
   active.pilot = &pilot;

@@ -13,6 +13,7 @@
 #include "ripple/core/data_manager.hpp"
 #include "ripple/core/descriptions.hpp"
 #include "ripple/core/entities.hpp"
+#include "ripple/core/entity_table.hpp"
 #include "ripple/core/failure_coordinator.hpp"
 #include "ripple/core/runtime.hpp"
 #include "ripple/core/scheduler.hpp"
@@ -399,6 +400,40 @@ TEST(SessionEntities, DuplicatePlatformRejected) {
   Session session({.seed = 2});
   session.add_platform(platform::delta_profile(2));
   EXPECT_THROW(session.add_platform(platform::delta_profile(2)), Error);
+}
+
+// ---------------------------------------------------------------------------
+// EntityTable: dense ids in creation order, walks in uid order
+// ---------------------------------------------------------------------------
+
+TEST(EntityTable, UidOrderIsNotCreationOrderPastThePad) {
+  // Past the six-digit pad a later uid sorts first ("task.1000000" <
+  // "task.999999"), so walks that must follow uid order sort by uid.
+  struct Record {
+    std::string name;
+    TaskState current = TaskState::created;
+    [[nodiscard]] const std::string& uid() const { return name; }
+    [[nodiscard]] TaskState state() const { return current; }
+  };
+  EntityTable<Record> table("task");
+  const EntityId padded = table.emplace(Record{"task.999999"});
+  const EntityId past = table.emplace(Record{"task.1000000"});
+  const EntityId done = table.emplace(Record{"task.000000", TaskState::done});
+  EXPECT_EQ(padded, 0u);
+  EXPECT_EQ(done, 2u);
+  EXPECT_EQ(table.in_uid_order(), (std::vector<EntityId>{done, past, padded}));
+  EXPECT_EQ(table.uids(), (std::vector<std::string>{
+                              "task.000000", "task.1000000", "task.999999"}));
+  std::vector<EntityId> subset{padded, past};
+  table.sort_by_uid(subset);
+  EXPECT_EQ(subset, (std::vector<EntityId>{past, padded}));
+  EXPECT_EQ(&table.at("task.1000000"), &table[past]);
+  EXPECT_EQ(table.count_in_state(TaskState::done), 1u);
+  EXPECT_TRUE(table.exists("task.999999"));
+  EXPECT_FALSE(table.exists("task.5"));
+  EXPECT_THROW((void)table.at("task.5"), Error);
+  EXPECT_THROW((void)table.emplace(Record{"task.999999"}), Error);
+  EXPECT_EQ(table.uids().size(), 3u);  // the duplicate left no record
 }
 
 // ---------------------------------------------------------------------------
