@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "ripple/common/error.hpp"
+#include "ripple/common/hash.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/ml/autoscaler.hpp"
 #include "ripple/ml/inference_server.hpp"
@@ -512,6 +514,14 @@ TEST(ModelBatching, BatchDurationMatchesSingleAtSizeOne) {
 struct ServingTrace {
   std::uint64_t events = 0;
   std::size_t requests = 0;
+  /// The message path: Router sends, network deliveries and the bytes
+  /// they carried (the sum pins every message's wire size).
+  std::uint64_t messages_sent = 0;
+  std::uint64_t messages_delivered = 0;
+  std::uint64_t bytes_delivered = 0;
+  /// FNV-1a over every "det" RT sample: total, then communication,
+  /// service and inference, each in arrival order.
+  std::uint64_t det_hash = common::kFnvOffsetBasis;
   double makespan = 0.0;
   std::uint64_t scale_ups = 0;
   std::uint64_t scale_downs = 0;
@@ -525,11 +535,30 @@ struct ServingTrace {
   bool operator==(const ServingTrace&) const = default;
 };
 
-ServingTrace run_serving(std::uint64_t seed, bool continuous = false) {
+/// Six watching clients on an autoscaled pool. With `remote`, two
+/// preloaded services also run on an R3 node and every odd client calls
+/// them instead, so messages take the loopback, intra-zone and
+/// delta<->r3 links.
+ServingTrace run_serving(std::uint64_t seed, bool continuous = false,
+                         bool remote = false) {
   core::Session session({.seed = seed});
   ml::install(session);
   session.add_platform(platform::delta_profile(2));
   auto& pilot = session.submit_pilot({.platform = "delta", .nodes = 2});
+  std::vector<std::string> remote_uids;
+  if (remote) {
+    auto& r3 = session.add_platform(platform::r3_profile(1));
+    core::ServiceDescription far;
+    far.name = "far";
+    far.program = "inference";
+    far.config = json::Value::object(
+        {{"model", "llama-8b"}, {"max_batch", 4}, {"preloaded", true}});
+    if (continuous) far.config.set("continuous", true);
+    far.gpus = 1;
+    for (int i = 0; i < 2; ++i) {
+      remote_uids.push_back(session.services().register_remote(r3, far, 0));
+    }
+  }
 
   core::ServiceDescription replica;
   replica.name = "pool";
@@ -561,10 +590,11 @@ ServingTrace run_serving(std::uint64_t seed, bool continuous = false) {
     start = session.now();
     std::vector<std::string> task_uids;
     for (int c = 0; c < 6; ++c) {
+      const bool far = remote && c % 2 == 1;
       core::TaskDescription task;
       task.kind = "inference_client";
       json::Value endpoints = json::Value::array();
-      for (const auto& endpoint : scaler.endpoints()) {
+      for (const auto& endpoint : far ? remote_uids : scaler.endpoints()) {
         endpoints.push_back(endpoint);
       }
       task.payload = json::Value::object({{"endpoints", endpoints},
@@ -572,16 +602,16 @@ ServingTrace run_serving(std::uint64_t seed, bool continuous = false) {
                                           {"concurrency", 3},
                                           {"series", "det"},
                                           {"balancer", "least_outstanding"},
-                                          {"watch", "pool"},
                                           {"max_retries", 12},
                                           {"retry_backoff", 0.2}});
+      if (!far) task.payload.set("watch", "pool");
       task_uids.push_back(session.tasks().submit(pilot, task));
     }
     session.tasks().when_done(task_uids, [&](bool) {
       trace.makespan = session.now() - start;
-      // All services in this session belong to the pool; replicas()
-      // holds only live uids (terminal ones are pruned each poll), so
-      // the drained replicas' counters come from the ServiceManager.
+      // replicas() holds only live uids (terminal ones are pruned each
+      // poll), so the drained replicas' counters, and the remote
+      // services', come from the ServiceManager.
       for (const auto& uid : session.services().uids()) {
         auto* program = dynamic_cast<InferenceProgram*>(
             session.services().program(uid));
@@ -595,13 +625,26 @@ ServingTrace run_serving(std::uint64_t seed, bool continuous = false) {
             program->server()->completion_hash());
       }
       scaler.stop();
+      for (const auto& uid : remote_uids) session.services().stop(uid);
     });
   });
   session.run();
 
   trace.events = session.loop().events_processed();
+  trace.messages_sent = session.runtime().router().sent();
+  trace.messages_delivered = session.runtime().network().messages_delivered();
+  trace.bytes_delivered = session.runtime().network().bytes_delivered();
   if (session.metrics().has_series("det")) {
-    trace.requests = session.metrics().series("det").count();
+    const metrics::RequestSeries& det = session.metrics().series("det");
+    trace.requests = det.count();
+    for (const common::Summary* part :
+         {&det.total, &det.communication, &det.service, &det.inference}) {
+      for (const double sample : part->samples()) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &sample, sizeof bits);
+        trace.det_hash = common::fnv1a(trace.det_hash, bits);
+      }
+    }
   }
   trace.scale_ups = scaler.scale_ups();
   trace.scale_downs = scaler.scale_downs();
@@ -641,6 +684,41 @@ TEST(ServingDeterminism, ContinuousSameSeedBitIdenticalTraces) {
     if (size > 1) interleaved = true;
   }
   EXPECT_TRUE(interleaved);
+}
+
+// The message path, pinned: Router sends, network deliveries, the bytes
+// they carried (every message's wire size) and every RT sample. A change
+// to routing, message numbering, wire sizes or the order of delay draws
+// moves at least one of these.
+TEST(ServingDeterminism, MessagePathIsPinned) {
+  struct Pin {
+    std::uint64_t seed;
+    bool continuous;
+    bool remote;
+    std::uint64_t events;
+    std::uint64_t sent;
+    std::uint64_t bytes;
+    std::uint64_t det_hash;
+  };
+  const Pin pins[] = {
+      {21, false, false, 843, 254, 47300, 0xc587f8c8bc57672eull},
+      {27, true, false, 865, 246, 46176, 0x0183bbe030a19a6dull},
+      {21, false, true, 514, 150, 29880, 0x569cb31278b04c8eull},
+      {27, true, true, 622, 150, 30096, 0xb6c4a047b49feff9ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << pin.seed << " continuous "
+                                    << pin.continuous << " remote "
+                                    << pin.remote);
+    const ServingTrace trace =
+        run_serving(pin.seed, pin.continuous, pin.remote);
+    EXPECT_EQ(trace.requests, 6u * 12u);
+    EXPECT_EQ(trace.events, pin.events);
+    EXPECT_EQ(trace.messages_sent, pin.sent);
+    EXPECT_EQ(trace.messages_delivered, pin.sent);
+    EXPECT_EQ(trace.bytes_delivered, pin.bytes);
+    EXPECT_EQ(trace.det_hash, pin.det_hash) << std::hex << trace.det_hash;
+  }
 }
 
 TEST(ServingDeterminism, DifferentSeedsDiverge) {
