@@ -87,10 +87,11 @@ void BM_EventLoopTimeoutChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopTimeoutChurn);
 
-// One message uid, as msg::Message::request and reply_to mint them.
+// One entity uid, as a session's Runtime::make_uid mints them.
 void BM_MakeUid(benchmark::State& state) {
+  common::IdGenerator ids;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(common::make_uid("msg"));
+    benchmark::DoNotOptimize(ids.next("task"));
   }
 }
 BENCHMARK(BM_MakeUid);
@@ -431,30 +432,52 @@ void BM_JsonParseDump(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonParseDump);
 
-void BM_RpcRoundTrip(benchmark::State& state) {
+// One call and its reply through RpcClient, Router, Network and
+// RpcServer. `echo`: short addresses, empty arguments, a latency-only
+// link. `serving`: an inference client's shape, with uid-length
+// addresses, the client's arguments and the server's reply body, over a
+// link with bandwidth, so every message's wire size reaches its delay.
+void BM_RpcRoundTrip(benchmark::State& state, const char* server_address,
+                     const char* client_address, double bandwidth,
+                     bool serving) {
   sim::EventLoop loop;
   common::Rng rng(1);
   sim::Network network(loop, rng.fork("net"));
   network.register_host("a", "z");
   network.register_host("b", "z");
-  network.set_link("z", "z",
-                   sim::LinkModel{common::Distribution::constant(1e-6), 0});
+  network.set_link(
+      "z", "z",
+      sim::LinkModel{common::Distribution::constant(1e-6), bandwidth});
   msg::Router router(loop, network);
-  msg::RpcServer server(router, "server", "a");
-  server.bind_method("echo", [](std::shared_ptr<msg::Responder> responder) {
-    responder->reply(json::Value::object({{"ok", true}}));
+  msg::RpcServer server(router, server_address, "a");
+  server.bind_method("infer", [&](std::shared_ptr<msg::Responder> responder) {
+    json::Value body = json::Value::object();
+    if (serving) {
+      body.set("model", "llama-8b");
+      body.set("inference_s", 0.5);
+      body.set("sequence", static_cast<std::int64_t>(17));
+    }
+    body.set("ok", true);
+    responder->reply(std::move(body));
   });
-  msg::RpcClient client(router, "client", "b");
+  msg::RpcClient client(router, client_address, "b");
   for (auto _ : state) {
     bool completed = false;
-    client.call("server", "echo", json::Value::object(),
+    json::Value args = json::Value::object();
+    if (serving) {
+      args.set("prompt_tokens", 128);
+      args.set("client", "task.000017");
+    }
+    client.call(server_address, "infer", std::move(args),
                 [&](msg::CallResult) { completed = true; });
     loop.run();
     benchmark::DoNotOptimize(completed);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RpcRoundTrip);
+BENCHMARK_CAPTURE(BM_RpcRoundTrip, echo, "server", "client", 0.0, false);
+BENCHMARK_CAPTURE(BM_RpcRoundTrip, serving, "svc.000003", "task.000017.cli",
+                  3.125e9, true);
 
 // One entity state transition as the managers report it through
 // Runtime::publish_state: an append of (id, state, time) to the Timeline.
@@ -664,8 +687,8 @@ void BM_NetworkDeliver(benchmark::State& state) {
   sim::EventLoop loop;
   common::Rng rng(5);
   sim::Network network(loop, rng.fork("net"));
-  network.register_host("a", "x");
-  network.register_host("b", "y");
+  const sim::HostIndex a = network.register_host("a", "x");
+  const sim::HostIndex b = network.register_host("b", "y");
   network.set_link("x", "y",
                    sim::LinkModel{
                        common::Distribution::normal(0.47e-3, 0.04e-3, 1e-6),
@@ -673,7 +696,7 @@ void BM_NetworkDeliver(benchmark::State& state) {
   for (auto _ : state) {
     int arrived = 0;
     for (int i = 0; i < 100; ++i) {
-      network.deliver("a", "b", 512, [&] { ++arrived; });
+      network.deliver(a, b, 512, [&] { ++arrived; });
     }
     loop.run();
     benchmark::DoNotOptimize(arrived);

@@ -38,13 +38,4 @@ void IdGenerator::reset() {
   counters_.clear();
 }
 
-IdGenerator& IdGenerator::global() {
-  static IdGenerator instance;
-  return instance;
-}
-
-std::string make_uid(const std::string& prefix) {
-  return IdGenerator::global().next(prefix);
-}
-
 }  // namespace ripple::common

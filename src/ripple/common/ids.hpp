@@ -4,13 +4,13 @@
 /// Entity UID generation, mirroring RADICAL-Pilot's `prefix.000042` scheme.
 ///
 /// UIDs are strings so that logs, metrics and JSON payloads stay readable.
-/// A process-wide generator hands out monotonically increasing counters per
-/// prefix; tests can reset it for reproducible fixtures.
+/// Each session owns a generator (core::Runtime::make_uid) that hands out
+/// monotonically increasing counters per prefix, so a session's uids do
+/// not depend on what other sessions in the process minted.
 ///
-/// Minting sits on the per-message path: every RPC mints a request and a
-/// reply uid. So next() builds "prefix.NNNNNN" in one reserved string and
-/// renders the counter with std::to_chars (strutil::zero_pad), never
-/// through a stream; the bytes are those the stream rendering produced.
+/// next() builds "prefix.NNNNNN" in one reserved string and renders the
+/// counter with std::to_chars (strutil::zero_pad), never through a
+/// stream; the bytes are those the stream rendering produced.
 
 #include <cstdint>
 #include <mutex>
@@ -31,15 +31,9 @@ class IdGenerator {
   /// Resets all counters. Intended for test fixtures only.
   void reset();
 
-  /// The process-wide generator used by `make_uid`.
-  static IdGenerator& global();
-
  private:
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::uint64_t> counters_;
 };
-
-/// Convenience wrapper over IdGenerator::global().
-[[nodiscard]] std::string make_uid(const std::string& prefix);
 
 }  // namespace ripple::common

@@ -1,18 +1,8 @@
 #include "ripple/msg/message.hpp"
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/ids.hpp"
 
 namespace ripple::msg {
-
-const char* to_string(MessageKind kind) noexcept {
-  switch (kind) {
-    case MessageKind::request: return "request";
-    case MessageKind::reply: return "reply";
-    case MessageKind::event: return "event";
-  }
-  return "?";
-}
 
 json::Value Timestamps::to_json() const {
   json::Value out = json::Value::object();
@@ -50,45 +40,6 @@ RequestTiming RequestTiming::from(const Timestamps& ts) {
   t.inference = ts.compute_end - ts.compute_start;
   t.total = ts.reply_received - ts.sent;
   return t;
-}
-
-std::size_t Message::wire_size() const noexcept {
-  // Envelope overhead approximates the framing ZeroMQ + JSON would add.
-  constexpr std::size_t kEnvelope = 96;
-  return kEnvelope + method.size() + sender.size() + target.size() +
-         corr_id.size() + error.size() + payload.estimate_size();
-}
-
-Message Message::request(std::string method, Address sender, Address target,
-                         json::Value payload) {
-  Message m;
-  m.uid = common::make_uid("msg");
-  m.kind = MessageKind::request;
-  m.method = std::move(method);
-  m.sender = std::move(sender);
-  m.target = std::move(target);
-  m.payload = std::move(payload);
-  return m;
-}
-
-Message Message::reply_to(const Message& req, json::Value payload) {
-  Message m;
-  m.uid = common::make_uid("msg");
-  m.kind = MessageKind::reply;
-  m.method = req.method;
-  m.sender = req.target;
-  m.target = req.sender;
-  m.corr_id = req.uid;
-  m.payload = std::move(payload);
-  m.ts = req.ts;  // carry accumulated stamps back to the client
-  return m;
-}
-
-Message Message::fail_reply_to(const Message& req, std::string error) {
-  Message m = reply_to(req, json::Value::object());
-  m.ok = false;
-  m.error = std::move(error);
-  return m;
 }
 
 }  // namespace ripple::msg

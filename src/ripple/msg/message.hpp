@@ -9,7 +9,7 @@
 /// service / inference — Figs. 4-6) is computed from exactly these
 /// stamps, so their meaning is documented precisely here.
 
-#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "ripple/common/json.hpp"
@@ -19,9 +19,12 @@ namespace ripple::msg {
 /// Network-wide endpoint address, e.g. "svc.000002" or "client.000017".
 using Address = std::string;
 
-enum class MessageKind { request, reply, event };
+/// Dense id the Router gives an address the first time it is bound or
+/// called. Messages name their ends by id; the address string is looked
+/// up only at bind and call time and for errors.
+using EndpointId = std::uint32_t;
 
-[[nodiscard]] const char* to_string(MessageKind kind) noexcept;
+enum class MessageKind { request, reply };
 
 /// Wall-clock (simulation-time) stamps along a request's life cycle.
 /// Unset stamps are -1.
@@ -50,32 +53,20 @@ struct RequestTiming {
   [[nodiscard]] static RequestTiming from(const Timestamps& ts);
 };
 
+/// A request or reply. The Router builds both (Router::request, reply
+/// and fail_reply), numbers them and computes their wire size.
 struct Message {
-  std::string uid;            ///< unique message id ("msg.000042")
   MessageKind kind = MessageKind::request;
-  std::string method;         ///< RPC method (request) or topic (event)
-  Address sender;             ///< reply-to address
-  Address target;             ///< destination address
-  std::string corr_id;        ///< request uid this reply answers
   bool ok = true;             ///< reply status
+  EndpointId sender = 0;      ///< reply-to endpoint
+  EndpointId target = 0;      ///< destination endpoint
+  /// The request's number, minted by the Router; a reply carries the
+  /// number of the request it answers.
+  std::uint64_t number = 0;
+  std::string method;         ///< RPC method
   std::string error;          ///< reply error text when !ok
   json::Value payload;        ///< method arguments or reply body
   Timestamps ts;
-
-  /// Estimated serialized size, used by the network bandwidth model.
-  [[nodiscard]] std::size_t wire_size() const noexcept;
-
-  [[nodiscard]] static Message request(std::string method, Address sender,
-                                       Address target, json::Value payload);
-
-  /// Builds the reply skeleton for `req`: swapped addresses, copied
-  /// correlation id and accumulated timestamps.
-  [[nodiscard]] static Message reply_to(const Message& req,
-                                        json::Value payload);
-
-  /// Builds an error reply for `req`.
-  [[nodiscard]] static Message fail_reply_to(const Message& req,
-                                             std::string error);
 };
 
 }  // namespace ripple::msg

@@ -7,32 +7,88 @@ namespace ripple::msg {
 Router::Router(sim::EventLoop& loop, sim::Network& network)
     : loop_(loop), network_(network) {}
 
-void Router::bind(const Address& address, const sim::HostId& host,
-                  Handler handler) {
+EndpointId Router::endpoint(const Address& address) {
+  const auto [it, fresh] =
+      ids_.try_emplace(address, static_cast<EndpointId>(endpoints_.size()));
+  if (fresh) endpoints_.push_back(Endpoint{address, 0, nullptr});
+  return it->second;
+}
+
+EndpointId Router::bind(const Address& address, const sim::HostId& host,
+                        Handler handler) {
   ensure(!address.empty(), Errc::invalid_argument, "bind: empty address");
   ensure(static_cast<bool>(handler), Errc::invalid_argument,
          "bind: empty handler");
   ensure(network_.has_host(host), Errc::not_found, "bind: unknown host '", host,
          "'");
-  bindings_[address] = Binding{host, std::move(handler)};
+  const EndpointId id = endpoint(address);
+  endpoints_[id].host = network_.host_index(host);
+  endpoints_[id].handler = std::move(handler);
+  return id;
 }
 
-void Router::unbind(const Address& address) { bindings_.erase(address); }
-
-bool Router::bound(const Address& address) const {
-  return bindings_.count(address) != 0;
-}
+void Router::unbind(EndpointId endpoint) { endpoints_[endpoint].handler = {}; }
 
 const sim::HostId& Router::host_of(const Address& address) const {
-  const auto it = bindings_.find(address);
-  ensure(it != bindings_.end(), Errc::not_found, "address '", address,
-         "' is not bound");
-  return it->second.host;
+  const auto it = ids_.find(address);
+  ensure(it != ids_.end() && endpoints_[it->second].handler, Errc::not_found,
+         "address '", address, "' is not bound");
+  return network_.host_name(endpoints_[it->second].host);
 }
 
-bool Router::send(const sim::HostId& from_host, Message message) {
-  const auto it = bindings_.find(message.target);
-  if (it == bindings_.end()) {
+Message Router::request(EndpointId sender, EndpointId target,
+                        std::string method, json::Value payload) {
+  Message m;
+  m.kind = MessageKind::request;
+  m.sender = sender;
+  m.target = target;
+  m.number = next_number_++;
+  m.method = std::move(method);
+  m.payload = std::move(payload);
+  return m;
+}
+
+Message Router::reply(const Message& request, json::Value payload) {
+  ++next_number_;
+  Message m;
+  m.kind = MessageKind::reply;
+  m.sender = request.target;
+  m.target = request.sender;
+  m.number = request.number;
+  m.method = request.method;
+  m.payload = std::move(payload);
+  m.ts = request.ts;  // carry accumulated stamps back to the client
+  return m;
+}
+
+Message Router::fail_reply(const Message& request, std::string error) {
+  Message m = reply(request, json::Value::object());
+  m.ok = false;
+  m.error = std::move(error);
+  return m;
+}
+
+std::size_t Router::wire_size(const Message& message) const noexcept {
+  // Envelope overhead approximates the framing ZeroMQ + JSON would add.
+  constexpr std::size_t kEnvelope = 96;
+  std::size_t size = kEnvelope + message.method.size() +
+                     endpoints_[message.sender].address.size() +
+                     endpoints_[message.target].address.size() +
+                     message.error.size() + message.payload.estimate_size();
+  if (message.kind == MessageKind::reply) {
+    // The correlation id "msg.NNNNNN": six digits, more past 999,999.
+    std::size_t digits = 6;
+    for (std::uint64_t n = message.number / 1'000'000; n > 0; n /= 10) {
+      ++digits;
+    }
+    size += 4 + digits;
+  }
+  return size;
+}
+
+bool Router::send(sim::HostIndex from, Message&& message) {
+  const Endpoint& to = endpoints_[message.target];
+  if (!to.handler) {
     ++dropped_;
     return false;
   }
@@ -43,25 +99,35 @@ bool Router::send(const sim::HostId& from_host, Message message) {
     message.ts.sent = now;
   }
   ++sent_;
-  const sim::HostId& to_host = it->second.host;
-  const std::size_t bytes = message.wire_size();
-  network_.deliver(
-      from_host, to_host, bytes,
-      [this, message = std::move(message)]() mutable {
-        // Re-resolve: the endpoint may have unbound while in flight.
-        const auto target = bindings_.find(message.target);
-        if (target == bindings_.end()) {
-          ++dropped_;
-          return;
-        }
-        if (message.kind == MessageKind::reply) {
-          message.ts.reply_received = loop_.now();
-        } else {
-          message.ts.received = loop_.now();
-        }
-        target->second.handler(std::move(message));
-      });
+  const std::size_t bytes = wire_size(message);
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(std::move(message));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = std::move(message);
+  }
+  network_.deliver(from, to.host, bytes, [this, slot] { arrive(slot); });
   return true;
+}
+
+void Router::arrive(std::uint32_t slot) {
+  Message message = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  // The target may have unbound, or rebound elsewhere, while in flight.
+  const Endpoint& to = endpoints_[message.target];
+  if (!to.handler) {
+    ++dropped_;
+    return;
+  }
+  if (message.kind == MessageKind::reply) {
+    message.ts.reply_received = loop_.now();
+  } else {
+    message.ts.received = loop_.now();
+  }
+  to.handler(std::move(message));
 }
 
 }  // namespace ripple::msg

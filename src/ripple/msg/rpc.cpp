@@ -9,8 +9,8 @@ namespace ripple::msg {
 // Responder
 // ---------------------------------------------------------------------------
 
-Responder::Responder(Router& router, sim::HostId host, Message request)
-    : router_(&router), host_(std::move(host)), request_(std::move(request)) {}
+Responder::Responder(Router& router, sim::HostIndex host, Message&& request)
+    : router_(&router), host_(host), request_(std::move(request)) {}
 
 void Responder::begin_compute() {
   request_.ts.compute_start = router_->loop().now();
@@ -32,29 +32,29 @@ void Responder::reply(json::Value payload) {
   ensure(!replied_, Errc::invalid_state, "responder already replied");
   replied_ = true;
   finalize_stamps();
-  Message m = Message::reply_to(request_, std::move(payload));
-  router_->send(host_, std::move(m));
+  router_->send(host_, router_->reply(request_, std::move(payload)));
 }
 
 void Responder::fail(std::string error) {
   ensure(!replied_, Errc::invalid_state, "responder already replied");
   replied_ = true;
   finalize_stamps();
-  Message m = Message::fail_reply_to(request_, std::move(error));
-  router_->send(host_, std::move(m));
+  router_->send(host_, router_->fail_reply(request_, std::move(error)));
 }
 
 // ---------------------------------------------------------------------------
 // RpcServer
 // ---------------------------------------------------------------------------
 
-RpcServer::RpcServer(Router& router, Address address, sim::HostId host)
-    : router_(router), address_(std::move(address)), host_(std::move(host)) {
-  router_.bind(address_, host_,
-               [this](Message message) { dispatch(std::move(message)); });
-}
+RpcServer::RpcServer(Router& router, const Address& address,
+                     const sim::HostId& host)
+    : router_(router),
+      endpoint_(router_.bind(
+          address, host,
+          [this](Message&& message) { dispatch(std::move(message)); })),
+      host_(router_.network().host_index(host)) {}
 
-RpcServer::~RpcServer() { router_.unbind(address_); }
+RpcServer::~RpcServer() { router_.unbind(endpoint_); }
 
 void RpcServer::bind_method(const std::string& name, Method handler) {
   ensure(static_cast<bool>(handler), Errc::invalid_argument,
@@ -62,7 +62,7 @@ void RpcServer::bind_method(const std::string& name, Method handler) {
   methods_[name] = std::move(handler);
 }
 
-void RpcServer::dispatch(Message message) {
+void RpcServer::dispatch(Message&& message) {
   if (message.kind != MessageKind::request) return;  // ignore stray replies
   ++received_;
   auto responder =
@@ -80,15 +80,17 @@ void RpcServer::dispatch(Message message) {
 // RpcClient
 // ---------------------------------------------------------------------------
 
-RpcClient::RpcClient(Router& router, Address address, sim::HostId host)
-    : router_(router), address_(std::move(address)), host_(std::move(host)) {
-  router_.bind(address_, host_,
-               [this](Message message) { on_message(std::move(message)); });
-}
+RpcClient::RpcClient(Router& router, const Address& address,
+                     const sim::HostId& host)
+    : router_(router),
+      endpoint_(router_.bind(
+          address, host,
+          [this](Message&& message) { on_message(std::move(message)); })),
+      host_(router_.network().host_index(host)) {}
 
 RpcClient::~RpcClient() {
-  router_.unbind(address_);
-  for (const auto& [corr_id, pending] : pending_) {
+  router_.unbind(endpoint_);
+  for (const auto& [number, pending] : pending_) {
     if (pending.timer.valid()) router_.loop().cancel(pending.timer);
   }
 }
@@ -98,15 +100,15 @@ void RpcClient::call(const Address& target, const std::string& method,
                      sim::Duration timeout) {
   ensure(static_cast<bool>(on_done), Errc::invalid_argument,
          "call: empty callback");
-  Message request =
-      Message::request(method, address_, target, std::move(args));
-  const std::string corr_id = request.uid;
+  Message request = router_.request(endpoint_, router_.endpoint(target),
+                                    method, std::move(args));
+  const std::uint64_t number = request.number;
 
   Pending pending;
   pending.on_done = std::move(on_done);
   if (timeout > 0.0) {
-    pending.timer = router_.loop().call_after(timeout, [this, corr_id] {
-      const auto it = pending_.find(corr_id);
+    pending.timer = router_.loop().call_after(timeout, [this, number] {
+      const auto it = pending_.find(number);
       if (it == pending_.end()) return;
       Pending expired = std::move(it->second);
       pending_.erase(it);
@@ -117,13 +119,13 @@ void RpcClient::call(const Address& target, const std::string& method,
       expired.on_done(std::move(result));
     });
   }
-  pending_.emplace(corr_id, std::move(pending));
+  pending_.emplace(number, std::move(pending));
 
   if (!router_.send(host_, std::move(request))) {
     // Target unbound: fail asynchronously for uniform callback ordering.
-    router_.loop().post([this, corr_id, alive = std::weak_ptr<char>(alive_)] {
+    router_.loop().post([this, number, alive = std::weak_ptr<char>(alive_)] {
       if (alive.expired()) return;
-      const auto it = pending_.find(corr_id);
+      const auto it = pending_.find(number);
       if (it == pending_.end()) return;
       Pending failed = std::move(it->second);
       pending_.erase(it);
@@ -136,9 +138,9 @@ void RpcClient::call(const Address& target, const std::string& method,
   }
 }
 
-void RpcClient::on_message(Message message) {
+void RpcClient::on_message(Message&& message) {
   if (message.kind != MessageKind::reply) return;
-  const auto it = pending_.find(message.corr_id);
+  const auto it = pending_.find(message.number);
   if (it == pending_.end()) {
     ++late_;  // reply after timeout: drop
     return;
@@ -149,7 +151,7 @@ void RpcClient::on_message(Message message) {
 
   CallResult result;
   result.ok = message.ok;
-  result.error = message.error;
+  result.error = std::move(message.error);
   result.payload = std::move(message.payload);
   result.ts = message.ts;
   pending.on_done(std::move(result));

@@ -34,7 +34,7 @@ struct CallResult {
 /// Handed to server method handlers; reply exactly once.
 class Responder {
  public:
-  Responder(Router& router, sim::HostId host, Message request);
+  Responder(Router& router, sim::HostIndex host, Message&& request);
 
   /// Marks the start of payload computation (stamps ts.compute_start).
   void begin_compute();
@@ -56,7 +56,7 @@ class Responder {
   void finalize_stamps();
 
   Router* router_;
-  sim::HostId host_;
+  sim::HostIndex host_;
   Message request_;
   bool replied_ = false;
 };
@@ -68,7 +68,7 @@ class RpcServer {
   /// possibly after asynchronous work.
   using Method = std::function<void(std::shared_ptr<Responder>)>;
 
-  RpcServer(Router& router, Address address, sim::HostId host);
+  RpcServer(Router& router, const Address& address, const sim::HostId& host);
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
@@ -76,30 +76,28 @@ class RpcServer {
 
   void bind_method(const std::string& name, Method handler);
 
-  [[nodiscard]] const Address& address() const noexcept { return address_; }
-  [[nodiscard]] const sim::HostId& host() const noexcept { return host_; }
   [[nodiscard]] std::uint64_t requests_received() const noexcept {
     return received_;
   }
 
  private:
-  void dispatch(Message message);
+  void dispatch(Message&& message);
 
   Router& router_;
-  Address address_;
-  sim::HostId host_;
+  EndpointId endpoint_;
+  sim::HostIndex host_;
   std::unordered_map<std::string, Method> methods_;
   std::uint64_t received_ = 0;
 };
 
-/// Client side: issues calls and matches replies by correlation id.
+/// Client side: issues calls and matches replies by request number.
 /// Destroying a client unbinds its address, cancels its timeout timers
 /// and drops every pending callback without running it.
 class RpcClient {
  public:
   using DoneCallback = std::function<void(CallResult)>;
 
-  RpcClient(Router& router, Address address, sim::HostId host);
+  RpcClient(Router& router, const Address& address, const sim::HostId& host);
   ~RpcClient();
 
   RpcClient(const RpcClient&) = delete;
@@ -116,7 +114,6 @@ class RpcClient {
   [[nodiscard]] std::size_t outstanding() const noexcept {
     return pending_.size();
   }
-  [[nodiscard]] const Address& address() const noexcept { return address_; }
   [[nodiscard]] std::uint64_t timed_out() const noexcept { return timeouts_; }
   [[nodiscard]] std::uint64_t late_replies() const noexcept { return late_; }
 
@@ -126,12 +123,12 @@ class RpcClient {
     sim::EventLoop::TimerHandle timer;
   };
 
-  void on_message(Message message);
+  void on_message(Message&& message);
 
   Router& router_;
-  Address address_;
-  sim::HostId host_;
-  std::unordered_map<std::string, Pending> pending_;  // corr_id -> pending
+  EndpointId endpoint_;
+  sim::HostIndex host_;
+  std::unordered_map<std::uint64_t, Pending> pending_;  // by request number
   std::uint64_t timeouts_ = 0;
   std::uint64_t late_ = 0;
   /// Liveness token captured (weakly) by posted "target unreachable"

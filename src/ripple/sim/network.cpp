@@ -1,7 +1,5 @@
 #include "ripple/sim/network.hpp"
 
-#include <algorithm>
-
 #include "ripple/common/error.hpp"
 
 namespace ripple::sim {
@@ -17,77 +15,86 @@ Duration LinkModel::sample_delay(common::Rng& rng, std::size_t bytes) const {
 Network::Network(EventLoop& loop, common::Rng rng)
     : loop_(loop), rng_(rng) {}
 
-void Network::add_zone(const std::string& zone) {
+Network::ZoneIndex Network::zone_index(const std::string& zone) {
   ensure(!zone.empty(), Errc::invalid_argument, "zone name must not be empty");
-  // Zones materialize lazily through links and hosts; nothing to store.
-  (void)zone;
+  const auto [it, fresh] =
+      zone_index_.try_emplace(zone, static_cast<ZoneIndex>(zones_.size()));
+  if (fresh) zones_.push_back(Zone{zone, std::nullopt, {}});
+  return it->second;
 }
 
-void Network::register_host(const HostId& host, const std::string& zone) {
+HostIndex Network::register_host(const HostId& host, const std::string& zone) {
   ensure(!host.empty(), Errc::invalid_argument, "host id must not be empty");
-  ensure(!zone.empty(), Errc::invalid_argument, "zone name must not be empty");
-  host_zone_[host] = zone;
+  const ZoneIndex zone_id = zone_index(zone);
+  const auto [it, fresh] =
+      host_index_.try_emplace(host, static_cast<HostIndex>(hosts_.size()));
+  if (fresh) {
+    hosts_.push_back(Host{host, zone_id});
+  } else {
+    hosts_[it->second].zone = zone_id;
+  }
+  return it->second;
 }
 
 bool Network::has_host(const HostId& host) const {
-  return host_zone_.count(host) != 0;
+  return host_index_.count(host) != 0;
+}
+
+HostIndex Network::host_index(const HostId& host) const {
+  const auto it = host_index_.find(host);
+  ensure(it != host_index_.end(), Errc::not_found, "unknown host '", host, "'");
+  return it->second;
 }
 
 const std::string& Network::zone_of(const HostId& host) const {
-  const auto it = host_zone_.find(host);
-  ensure(it != host_zone_.end(), Errc::not_found, "unknown host '", host, "'");
-  return it->second;
+  return zones_[hosts_[host_index(host)].zone].name;
 }
 
 void Network::set_link(const std::string& zone_a, const std::string& zone_b,
                        LinkModel link) {
-  auto key = std::minmax(zone_a, zone_b);
-  links_[{key.first, key.second}] = link;
+  const ZoneIndex a = zone_index(zone_a);
+  const ZoneIndex b = zone_index(zone_b);
+  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    auto& row = zones_[from].links;
+    if (row.size() <= to) row.resize(to + 1);
+    row[to] = link;
+  }
 }
 
-const LinkModel& Network::link_between(const std::string& zone_a,
-                                       const std::string& zone_b) const {
-  auto key = std::minmax(zone_a, zone_b);
-  const auto it = links_.find({key.first, key.second});
-  ensure(it != links_.end(), Errc::not_found, "no link model between zones '",
-         zone_a, "' and '", zone_b, "'");
-  return it->second;
+void Network::set_zone_loopback(const std::string& zone, LinkModel link) {
+  zones_[zone_index(zone)].loopback = link;
+}
+
+const LinkModel* Network::find_link(ZoneIndex a, ZoneIndex b) const noexcept {
+  const auto& row = zones_[a].links;
+  return b < row.size() && row[b] ? &*row[b] : nullptr;
 }
 
 double Network::link_bandwidth(const std::string& zone_a,
                                const std::string& zone_b) const noexcept {
-  const auto key = std::minmax(zone_a, zone_b);
-  const auto it = links_.find({key.first, key.second});
-  return it == links_.end() ? 0.0 : it->second.bandwidth_bytes_per_s;
+  const auto a = zone_index_.find(zone_a);
+  const auto b = zone_index_.find(zone_b);
+  if (a == zone_index_.end() || b == zone_index_.end()) return 0.0;
+  const LinkModel* link = find_link(a->second, b->second);
+  return link == nullptr ? 0.0 : link->bandwidth_bytes_per_s;
 }
 
-Duration Network::sample_delay(const HostId& from, const HostId& to,
+Duration Network::sample_delay(HostIndex from, HostIndex to,
                                std::size_t bytes) {
-  Duration delay = 0.0;
-  std::string label;
+  const ZoneIndex zone_from = hosts_[from].zone;
   if (from == to) {
-    const auto zone = host_zone_.find(from);
-    const auto zone_model =
-        zone != host_zone_.end() ? zone_loopback_.find(zone->second)
-                                 : zone_loopback_.end();
-    if (zone_model != zone_loopback_.end()) {
-      delay = zone_model->second.sample_delay(rng_, bytes);
-    } else {
-      static const LinkModel kLoopback{common::Distribution::constant(1e-6)};
-      delay = kLoopback.sample_delay(rng_, bytes);
-    }
-    label = "loopback";
-  } else {
-    const std::string& zone_from = zone_of(from);
-    const std::string& zone_to = zone_of(to);
-    delay = link_between(zone_from, zone_to).sample_delay(rng_, bytes);
-    label = zone_from + "->" + zone_to;
+    static const LinkModel kLoopback{common::Distribution::constant(1e-6)};
+    const auto& loopback = zones_[zone_from].loopback;
+    return (loopback ? *loopback : kLoopback).sample_delay(rng_, bytes);
   }
-  delay_stats_[label].add(delay);
-  return delay;
+  const ZoneIndex zone_to = hosts_[to].zone;
+  const LinkModel* link = find_link(zone_from, zone_to);
+  ensure(link != nullptr, Errc::not_found, "no link model between zones '",
+         zones_[zone_from].name, "' and '", zones_[zone_to].name, "'");
+  return link->sample_delay(rng_, bytes);
 }
 
-void Network::deliver(const HostId& from, const HostId& to, std::size_t bytes,
+void Network::deliver(HostIndex from, HostIndex to, std::size_t bytes,
                       EventLoop::Callback on_arrival) {
   const Duration delay = sample_delay(from, to, bytes);
   ++messages_;

@@ -8,21 +8,29 @@
 /// per zone pair; intra-zone, loopback and inter-zone (WAN) links differ.
 /// The paper's calibration lives here: Delta inter-node latency
 /// 0.063 ms +/- 0.014 ms, Delta<->R3 0.47 ms +/- 0.04 ms (section IV-C).
+///
+/// A host resolves to a dense index and zone when it registers, and the
+/// link models sit in a zone x zone table, so sampling a message's delay
+/// hashes no string.
 
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "ripple/common/random.hpp"
-#include "ripple/common/statistics.hpp"
 #include "ripple/sim/event_loop.hpp"
 
 namespace ripple::sim {
 
 /// Opaque host identifier ("delta:node03", "r3:server").
 using HostId = std::string;
+
+/// Dense index of a registered host, in registration order. The message
+/// path names hosts by index; HostId strings stay at registration and in
+/// errors.
+using HostIndex = std::uint32_t;
 
 /// Latency + bandwidth parameters of one link class.
 struct LinkModel {
@@ -38,13 +46,20 @@ class Network {
  public:
   Network(EventLoop& loop, common::Rng rng);
 
-  /// Declares a zone; idempotent.
-  void add_zone(const std::string& zone);
-
-  /// Registers `host` as a member of `zone` (zone auto-created).
-  void register_host(const HostId& host, const std::string& zone);
+  /// Registers `host` as a member of `zone` (zone auto-created) and
+  /// returns its index. Re-registering a host keeps its index and moves
+  /// it to `zone`.
+  HostIndex register_host(const HostId& host, const std::string& zone);
 
   [[nodiscard]] bool has_host(const HostId& host) const;
+
+  /// Index of a registered host; throws not_found otherwise.
+  [[nodiscard]] HostIndex host_index(const HostId& host) const;
+
+  /// Name of a registered host.
+  [[nodiscard]] const HostId& host_name(HostIndex host) const {
+    return hosts_[host].name;
+  }
 
   /// Zone of a registered host; throws not_found otherwise.
   [[nodiscard]] const std::string& zone_of(const HostId& host) const;
@@ -58,9 +73,7 @@ class Network {
   /// zones pay a 1 us constant loopback). HPC platforms use
   /// this to charge the local TCP/ZeroMQ stack cost even for node-local
   /// messaging (comparable to, slightly below, inter-node latency).
-  void set_zone_loopback(const std::string& zone, LinkModel link) {
-    zone_loopback_[zone] = link;
-  }
+  void set_zone_loopback(const std::string& zone, LinkModel link);
 
   /// Bulk bandwidth of the zone-pair link model, bytes/s; 0 when the
   /// pair has no link or the link is latency-only. The data plane's
@@ -70,12 +83,14 @@ class Network {
                                       const std::string& zone_b) const
       noexcept;
 
-  /// Samples the delivery delay for a message of `bytes` from -> to.
-  [[nodiscard]] Duration sample_delay(const HostId& from, const HostId& to,
+  /// Samples the delivery delay for a message of `bytes` from -> to:
+  /// the zone's loopback model when both are the same host, else the
+  /// link between their zones (throws not_found when there is none).
+  [[nodiscard]] Duration sample_delay(HostIndex from, HostIndex to,
                                       std::size_t bytes);
 
   /// Schedules `on_arrival` after the sampled delivery delay.
-  void deliver(const HostId& from, const HostId& to, std::size_t bytes,
+  void deliver(HostIndex from, HostIndex to, std::size_t bytes,
                EventLoop::Callback on_arrival);
 
   [[nodiscard]] std::uint64_t messages_delivered() const noexcept {
@@ -85,24 +100,36 @@ class Network {
     return bytes_;
   }
 
-  /// Observed one-way delays per zone pair ("delta->r3").
-  [[nodiscard]] const std::map<std::string, common::Summary>& delay_stats()
-      const noexcept {
-    return delay_stats_;
-  }
-
  private:
-  [[nodiscard]] const LinkModel& link_between(const std::string& zone_a,
-                                              const std::string& zone_b) const;
+  using ZoneIndex = std::uint32_t;
+
+  struct Host {
+    HostId name;
+    ZoneIndex zone = 0;
+  };
+
+  /// One row of the zone x zone link table.
+  struct Zone {
+    std::string name;
+    std::optional<LinkModel> loopback;
+    /// Link model to each zone, by that zone's index; a row is as long
+    /// as the highest index linked from it.
+    std::vector<std::optional<LinkModel>> links;
+  };
+
+  /// Index of `zone`, added to the table when new.
+  ZoneIndex zone_index(const std::string& zone);
+  [[nodiscard]] const LinkModel* find_link(ZoneIndex a, ZoneIndex b) const
+      noexcept;
 
   EventLoop& loop_;
   common::Rng rng_;
-  std::unordered_map<HostId, std::string> host_zone_;
-  std::map<std::pair<std::string, std::string>, LinkModel> links_;
-  std::unordered_map<std::string, LinkModel> zone_loopback_;
+  std::vector<Host> hosts_;
+  std::unordered_map<HostId, HostIndex> host_index_;
+  std::vector<Zone> zones_;
+  std::unordered_map<std::string, ZoneIndex> zone_index_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
-  std::map<std::string, common::Summary> delay_stats_;
 };
 
 }  // namespace ripple::sim

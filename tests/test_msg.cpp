@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ripple/common/error.hpp"
 #include "ripple/msg/message.hpp"
 #include "ripple/msg/pubsub.hpp"
@@ -12,31 +15,6 @@
 namespace {
 
 using namespace ripple;
-
-TEST(Message, RequestFactorySetsFields) {
-  const auto m = msg::Message::request("infer", "client.0", "svc.0",
-                                       json::Value::object({{"x", 1}}));
-  EXPECT_EQ(m.kind, msg::MessageKind::request);
-  EXPECT_EQ(m.method, "infer");
-  EXPECT_EQ(m.sender, "client.0");
-  EXPECT_EQ(m.target, "svc.0");
-  EXPECT_FALSE(m.uid.empty());
-  EXPECT_GT(m.wire_size(), 96u);
-}
-
-TEST(Message, ReplySwapsAddressesAndCorrelates) {
-  const auto request = msg::Message::request("m", "a", "b", json::Value());
-  const auto reply = msg::Message::reply_to(request, json::Value(1));
-  EXPECT_EQ(reply.kind, msg::MessageKind::reply);
-  EXPECT_EQ(reply.sender, "b");
-  EXPECT_EQ(reply.target, "a");
-  EXPECT_EQ(reply.corr_id, request.uid);
-  EXPECT_TRUE(reply.ok);
-
-  const auto failure = msg::Message::fail_reply_to(request, "broken");
-  EXPECT_FALSE(failure.ok);
-  EXPECT_EQ(failure.error, "broken");
-}
 
 TEST(RequestTiming, DecomposesStamps) {
   msg::Timestamps ts;
@@ -82,20 +60,99 @@ class RouterTest : public ::testing::Test {
   common::Rng rng{3};
   sim::Network net{loop, rng};
   msg::Router router{loop, net};
+  sim::HostIndex h0 = 0;
+  sim::HostIndex h1 = 0;
 
   void SetUp() override {
-    net.register_host("h0", "z");
-    net.register_host("h1", "z");
+    h0 = net.register_host("h0", "z");
+    h1 = net.register_host("h1", "z");
     net.set_link("z", "z",
                  sim::LinkModel{common::Distribution::constant(1e-3), 0});
   }
+
+  msg::Message request_to(msg::EndpointId target, std::string method = "x") {
+    const msg::EndpointId src = router.endpoint("src");
+    return router.request(src, target, std::move(method), json::Value());
+  }
 };
+
+TEST_F(RouterTest, RequestFactorySetsFields) {
+  const msg::EndpointId client = router.endpoint("client.0");
+  const msg::EndpointId svc = router.endpoint("svc.0");
+  const auto m = router.request(client, svc, "infer",
+                                json::Value::object({{"x", 1}}));
+  EXPECT_EQ(m.kind, msg::MessageKind::request);
+  EXPECT_EQ(m.method, "infer");
+  EXPECT_EQ(router.address(m.sender), "client.0");
+  EXPECT_EQ(router.address(m.target), "svc.0");
+  EXPECT_GT(router.wire_size(m), 96u);
+}
+
+TEST_F(RouterTest, ReplySwapsEndsAndCarriesTheRequestNumber) {
+  const msg::EndpointId a = router.endpoint("a");
+  const msg::EndpointId b = router.endpoint("b");
+  const auto request = router.request(a, b, "m", json::Value());
+  const auto reply = router.reply(request, json::Value(1));
+  EXPECT_EQ(reply.kind, msg::MessageKind::reply);
+  EXPECT_EQ(router.address(reply.sender), "b");
+  EXPECT_EQ(router.address(reply.target), "a");
+  EXPECT_EQ(reply.number, request.number);
+  EXPECT_TRUE(reply.ok);
+
+  const auto failure = router.fail_reply(request, "broken");
+  EXPECT_FALSE(failure.ok);
+  EXPECT_EQ(failure.error, "broken");
+  EXPECT_EQ(failure.number, request.number);
+}
+
+TEST_F(RouterTest, EveryRequestAndReplyAdvancesTheNumbering) {
+  const msg::EndpointId dest = router.endpoint("dest");
+  const auto first = request_to(dest);
+  (void)router.reply(first, json::Value());
+  (void)router.fail_reply(first, "x");
+  const auto next = request_to(dest);
+  EXPECT_EQ(first.number, 0u);
+  EXPECT_EQ(next.number, 3u);
+}
+
+TEST(MessageNumbers, ASecondRouterNumbersItsFirstMessageAsTheFirstDid) {
+  // Each session's Router numbers its own messages: what an earlier
+  // session in the same process sent moves neither the numbers nor the
+  // wire sizes (and so the delays) of a later one.
+  sim::EventLoop loop;
+  sim::Network net{loop, common::Rng(3)};
+  msg::Router first{loop, net};
+  const msg::EndpointId a1 = first.endpoint("a");
+  const auto one = first.request(a1, first.endpoint("b"), "m", json::Value());
+  for (int i = 0; i < 3; ++i) (void)first.reply(one, json::Value());
+  msg::Router second{loop, net};
+  const msg::EndpointId a2 = second.endpoint("a");
+  const auto two = second.request(a2, second.endpoint("b"), "m", {});
+  EXPECT_EQ(two.number, one.number);
+  EXPECT_EQ(second.wire_size(second.reply(two, json::Value())),
+            first.wire_size(first.reply(one, json::Value())));
+}
+
+TEST_F(RouterTest, ReplyCorrelationIdWidensPastSixDigits) {
+  // A reply counts its correlation id "msg." + the number padded to six
+  // digits: 10 bytes below 1,000,000 and 11 from there on. A request
+  // counts none.
+  auto request = request_to(router.endpoint("dest"));
+  const std::size_t request_size = router.wire_size(request);
+  request.number = 999'999;
+  const std::size_t below = router.wire_size(router.reply(request, {}));
+  request.number = 1'000'000;
+  const std::size_t above = router.wire_size(router.reply(request, {}));
+  EXPECT_EQ(router.wire_size(request), request_size);
+  EXPECT_EQ(below, request_size + 10);
+  EXPECT_EQ(above, below + 1);
+}
 
 TEST_F(RouterTest, DeliversWithLinkLatencyAndStamps) {
   msg::Message received;
-  router.bind("dest", "h1", [&](msg::Message m) { received = std::move(m); });
-  auto m = msg::Message::request("ping", "src", "dest", json::Value());
-  EXPECT_TRUE(router.send("h0", std::move(m)));
+  const msg::EndpointId dest = router.bind(
+      "dest", "h1", [&](msg::Message&& m) { received = std::move(m); });
+  EXPECT_TRUE(router.send(h0, request_to(dest, "ping")));
   loop.run();
   EXPECT_EQ(received.method, "ping");
   EXPECT_DOUBLE_EQ(received.ts.sent, 0.0);
@@ -103,18 +160,32 @@ TEST_F(RouterTest, DeliversWithLinkLatencyAndStamps) {
   EXPECT_EQ(router.sent(), 1u);
 }
 
+TEST_F(RouterTest, SameHostTakesTheZoneLoopback) {
+  net.set_zone_loopback(
+      "z", sim::LinkModel{common::Distribution::constant(5e-5), 0});
+  std::vector<double> arrivals;
+  const auto on_arrival = [&](msg::Message&& m) {
+    arrivals.push_back(m.ts.received);
+  };
+  const msg::EndpointId dest = router.bind("dest", "h1", on_arrival);
+  router.send(h1, request_to(dest));
+  router.send(h0, request_to(dest));
+  loop.run();
+  EXPECT_EQ(arrivals, (std::vector<double>{5e-5, 1e-3}));
+}
+
 TEST_F(RouterTest, UnknownTargetDropsAndReturnsFalse) {
-  auto m = msg::Message::request("x", "src", "nowhere", json::Value());
-  EXPECT_FALSE(router.send("h0", std::move(m)));
+  EXPECT_FALSE(router.send(h0, request_to(router.endpoint("nowhere"))));
   EXPECT_EQ(router.dropped(), 1u);
+  EXPECT_EQ(router.sent(), 0u);
 }
 
 TEST_F(RouterTest, UnbindWhileInFlightDropsAtArrival) {
   int handled = 0;
-  router.bind("dest", "h1", [&](msg::Message) { ++handled; });
-  router.send("h0",
-              msg::Message::request("x", "src", "dest", json::Value()));
-  router.unbind("dest");
+  const msg::EndpointId dest =
+      router.bind("dest", "h1", [&](msg::Message&&) { ++handled; });
+  router.send(h0, request_to(dest));
+  router.unbind(dest);
   loop.run();
   EXPECT_EQ(handled, 0);
   EXPECT_EQ(router.dropped(), 1u);
@@ -123,19 +194,62 @@ TEST_F(RouterTest, UnbindWhileInFlightDropsAtArrival) {
 TEST_F(RouterTest, RebindReplacesHandler) {
   int first = 0;
   int second = 0;
-  router.bind("dest", "h1", [&](msg::Message) { ++first; });
-  router.bind("dest", "h1", [&](msg::Message) { ++second; });
-  router.send("h0", msg::Message::request("x", "s", "dest", json::Value()));
+  const msg::EndpointId dest =
+      router.bind("dest", "h1", [&](msg::Message&&) { ++first; });
+  EXPECT_EQ(router.bind("dest", "h1", [&](msg::Message&&) { ++second; }),
+            dest);
+  router.send(h0, request_to(dest));
   loop.run();
   EXPECT_EQ(first, 0);
   EXPECT_EQ(second, 1);
   EXPECT_EQ(router.host_of("dest"), "h1");
   EXPECT_THROW((void)router.host_of("gone"), Error);
+  router.unbind(dest);
+  EXPECT_THROW((void)router.host_of("dest"), Error);
+}
+
+TEST_F(RouterTest, RebindWhileInFlightReachesTheNewHandler) {
+  // A service restart: the address unbinds and binds again, on another
+  // host, while a message to it is in flight. The address keeps its id,
+  // so the message reaches the new handler.
+  std::string got;
+  const msg::EndpointId dest =
+      router.bind("dest", "h1", [&](msg::Message&&) { got = "old"; });
+  router.send(h0, request_to(dest));
+  router.unbind(dest);
+  EXPECT_EQ(router.bind("dest", "h0", [&](msg::Message&&) { got = "new"; }),
+            dest);
+  loop.run();
+  EXPECT_EQ(got, "new");
+  EXPECT_EQ(router.host_of("dest"), "h0");
+  EXPECT_EQ(router.dropped(), 0u);
+}
+
+TEST_F(RouterTest, HandlerMaySendAndBindWhileItRuns) {
+  // The handler grows the in-flight slab and the endpoint table while
+  // it holds the message it was given.
+  std::vector<std::string> seen;
+  const msg::EndpointId sink = router.bind(
+      "sink", "h0", [&](msg::Message&& m) { seen.push_back(m.method); });
+  const msg::EndpointId fan = router.bind(
+      "fan", "h1", [&](msg::Message&& m) {
+        for (int i = 0; i < 16; ++i) {
+          router.bind("extra." + std::to_string(i), "h1",
+                      [](msg::Message&&) {});
+          router.send(h1, request_to(sink, "copy"));
+        }
+        seen.push_back(m.method);
+      });
+  router.send(h0, request_to(fan, "original"));
+  loop.run();
+  ASSERT_EQ(seen.size(), 17u);
+  EXPECT_EQ(seen.front(), "original");
+  EXPECT_EQ(router.sent(), 17u);
 }
 
 TEST_F(RouterTest, BindValidation) {
-  EXPECT_THROW(router.bind("", "h0", [](msg::Message) {}), Error);
-  EXPECT_THROW(router.bind("a", "unknown-host", [](msg::Message) {}),
+  EXPECT_THROW(router.bind("", "h0", [](msg::Message&&) {}), Error);
+  EXPECT_THROW(router.bind("a", "unknown-host", [](msg::Message&&) {}),
                Error);
   EXPECT_THROW(router.bind("a", "h0", nullptr), Error);
 }

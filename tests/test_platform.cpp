@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "ripple/common/error.hpp"
+#include "ripple/common/statistics.hpp"
 #include "ripple/platform/cluster.hpp"
 #include "ripple/platform/launcher.hpp"
 #include "ripple/platform/node.hpp"
@@ -136,15 +137,16 @@ TEST_F(ClusterTest, RegistersHostsAndLinks) {
   EXPECT_TRUE(net.has_host("delta:node0000"));
   EXPECT_TRUE(net.has_host(cluster.head_host()));
   // Intra-zone link works.
-  const double delay = net.sample_delay("delta:node0000", "delta:node0001", 0);
+  const double delay = net.sample_delay(net.host_index("delta:node0000"),
+                                        net.host_index("delta:node0001"), 0);
   EXPECT_GT(delay, 0.0);
   EXPECT_LT(delay, 1e-3);
 }
 
 TEST_F(ClusterTest, NodeLocalMessagingIsNotFree) {
   // Zone loopback: node-local messages still pay the TCP stack.
-  const double loopback =
-      net.sample_delay("delta:node0000", "delta:node0000", 0);
+  const sim::HostIndex node = net.host_index("delta:node0000");
+  const double loopback = net.sample_delay(node, node, 0);
   EXPECT_GT(loopback, 10e-6);
 }
 
@@ -235,9 +237,11 @@ TEST(ConnectClusters, WanLinksUseConservativeModel) {
                           common::Rng(1));
   platform::Cluster r3(loop, net, platform::r3_profile(1), common::Rng(2));
   platform::connect_clusters(net, {&delta, &r3});
+  const sim::HostIndex from = net.host_index("delta:node0000");
+  const sim::HostIndex to = net.host_index("r3:node0000");
   common::OnlineStats stats;
   for (int i = 0; i < 2000; ++i) {
-    stats.add(net.sample_delay("delta:node0000", "r3:node0000", 0));
+    stats.add(net.sample_delay(from, to, 0));
   }
   EXPECT_NEAR(stats.mean(), 0.47e-3, 2e-5);  // paper: Delta<->R3 0.47 ms
 }

@@ -13,6 +13,7 @@
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/random.hpp"
+#include "ripple/common/statistics.hpp"
 #include "ripple/sim/event_loop.hpp"
 #include "ripple/sim/network.hpp"
 
@@ -404,11 +405,14 @@ class NetworkTest : public ::testing::Test {
   EventLoop loop;
   common::Rng rng{17};
   sim::Network net{loop, rng};
+  sim::HostIndex d0 = 0;
+  sim::HostIndex d1 = 0;
+  sim::HostIndex r0 = 0;
 
   void SetUp() override {
-    net.register_host("d0", "delta");
-    net.register_host("d1", "delta");
-    net.register_host("r0", "r3");
+    d0 = net.register_host("d0", "delta");
+    d1 = net.register_host("d1", "delta");
+    r0 = net.register_host("r0", "r3");
     net.set_link("delta", "delta",
                  sim::LinkModel{
                      common::Distribution::normal(63e-6, 14e-6, 5e-6), 0});
@@ -424,12 +428,26 @@ TEST_F(NetworkTest, ZoneRegistration) {
   EXPECT_FALSE(net.has_host("x9"));
   EXPECT_EQ(net.zone_of("r0"), "r3");
   EXPECT_THROW((void)net.zone_of("x9"), Error);
+  EXPECT_EQ(net.host_index("d1"), d1);
+  EXPECT_EQ(net.host_name(r0), "r0");
+  EXPECT_THROW((void)net.host_index("x9"), Error);
+}
+
+TEST_F(NetworkTest, ReregisteringKeepsTheIndexAndMovesTheZone) {
+  EXPECT_EQ(net.register_host("d1", "r3"), d1);
+  EXPECT_EQ(net.zone_of("d1"), "r3");
+  // d1 now crosses the WAN link to d0 and shares r0's zone.
+  EXPECT_GT(net.sample_delay(d0, d1, 0), 0.3e-3);
+  EXPECT_EQ(net.link_bandwidth("delta", "r3"), 1.25e9);
+  EXPECT_EQ(net.link_bandwidth("r3", "delta"), 1.25e9);
+  EXPECT_EQ(net.link_bandwidth("delta", "delta"), 0.0);
+  EXPECT_EQ(net.link_bandwidth("delta", "frontier"), 0.0);
 }
 
 TEST_F(NetworkTest, IntraZoneDelayMatchesCalibration) {
   common::OnlineStats stats;
   for (int i = 0; i < 5000; ++i) {
-    stats.add(net.sample_delay("d0", "d1", 64));
+    stats.add(net.sample_delay(d0, d1, 64));
   }
   EXPECT_NEAR(stats.mean(), 63e-6, 2e-6);     // 0.063 ms (paper IV-C)
   EXPECT_NEAR(stats.stddev(), 14e-6, 2e-6);   // +/- 0.014 ms
@@ -438,32 +456,32 @@ TEST_F(NetworkTest, IntraZoneDelayMatchesCalibration) {
 TEST_F(NetworkTest, WanDelayMatchesCalibration) {
   common::OnlineStats stats;
   for (int i = 0; i < 5000; ++i) {
-    stats.add(net.sample_delay("d0", "r0", 0));
+    stats.add(net.sample_delay(d0, r0, 0));
   }
   EXPECT_NEAR(stats.mean(), 0.47e-3, 1e-5);   // 0.47 ms (paper IV-C)
 }
 
 TEST_F(NetworkTest, BandwidthTermAddsTransferTime) {
   // 1.25 GB at 1.25 GB/s across the WAN link: ~1 s on top of latency.
-  const double delay = net.sample_delay("d0", "r0", 1'250'000'000);
+  const double delay = net.sample_delay(d0, r0, 1'250'000'000);
   EXPECT_GT(delay, 0.9);
   EXPECT_LT(delay, 1.2);
 }
 
 TEST_F(NetworkTest, LoopbackDefaultAndZoneOverride) {
-  const double default_loopback = net.sample_delay("d0", "d0", 0);
+  const double default_loopback = net.sample_delay(d0, d0, 0);
   EXPECT_DOUBLE_EQ(default_loopback, 1e-6);
   net.set_zone_loopback("delta",
                         sim::LinkModel{
                             common::Distribution::constant(50e-6), 0});
-  EXPECT_DOUBLE_EQ(net.sample_delay("d0", "d0", 0), 50e-6);
+  EXPECT_DOUBLE_EQ(net.sample_delay(d0, d0, 0), 50e-6);
   // Other zones keep the global default.
-  EXPECT_DOUBLE_EQ(net.sample_delay("r0", "r0", 0), 1e-6);
+  EXPECT_DOUBLE_EQ(net.sample_delay(r0, r0, 0), 1e-6);
 }
 
 TEST_F(NetworkTest, DeliverSchedulesArrival) {
   double arrived_at = -1;
-  net.deliver("d0", "r0", 128, [&] { arrived_at = loop.now(); });
+  net.deliver(d0, r0, 128, [&] { arrived_at = loop.now(); });
   loop.run();
   EXPECT_GT(arrived_at, 0.3e-3);
   EXPECT_LT(arrived_at, 0.7e-3);
@@ -472,17 +490,8 @@ TEST_F(NetworkTest, DeliverSchedulesArrival) {
 }
 
 TEST_F(NetworkTest, MissingLinkThrows) {
-  net.register_host("f0", "frontier");
-  EXPECT_THROW((void)net.sample_delay("d0", "f0", 0), Error);
-}
-
-TEST_F(NetworkTest, DelayStatsPerZonePair) {
-  (void)net.sample_delay("d0", "d1", 0);
-  (void)net.sample_delay("d0", "r0", 0);
-  (void)net.sample_delay("d0", "r0", 0);
-  const auto& stats = net.delay_stats();
-  EXPECT_EQ(stats.at("delta->delta").count(), 1u);
-  EXPECT_EQ(stats.at("delta->r3").count(), 2u);
+  const sim::HostIndex f0 = net.register_host("f0", "frontier");
+  EXPECT_THROW((void)net.sample_delay(d0, f0, 0), Error);
 }
 
 }  // namespace
