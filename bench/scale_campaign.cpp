@@ -12,13 +12,19 @@
 // every scale is the same load per node. At x1 the inputs are the
 // benchmark's campaign exactly.
 //
-// Each scale runs in a process of its own (the bench re-executes
-// itself with --scale N), so its peak RSS is its alone. Per scale the
-// bench prints the task count, host microseconds of Session::run per
-// task and peak-RSS KB per task, and writes bench_out/scale_campaign.json.
-// Full run: x1, x4 and x16; --smoke: x1 and x2.
+// Each run is a fresh process (the bench re-executes itself with
+// --scale N), so its peak RSS is its alone. Full run: x1 and x4 five
+// times each and x16 three times, in rounds (x1, x4, x16, x1, ...), so
+// host-speed drift reaches every scale alike; one x1 run lasts only
+// ~50 ms of Session::run, too short to read alone. The bench prints
+// every run, then per scale the task count and the medians of host
+// microseconds of Session::run per task and peak-RSS KB per task, and
+// the ratio of the largest scale's per-task time to x1's, from the
+// medians. It writes the medians to bench_out/scale_campaign.json and
+// every run to bench_out/scale_campaign_runs.json. --smoke: x1 twice
+// and x2 once.
 //
-// Gate: every task ends DONE at every scale, and a second x1 process
+// Gate: every task ends DONE in every run, and every x1 process
 // reproduces the first one's completion hash.
 
 #include <spawn.h>
@@ -37,6 +43,7 @@
 
 #include "bench_util.hpp"
 #include "ripple/common/hash.hpp"
+#include "ripple/common/statistics.hpp"
 #include "ripple/core/failure_coordinator.hpp"
 
 extern char** environ;
@@ -189,6 +196,17 @@ ScaleResult from_json(const json::Value& v) {
   return r;
 }
 
+/// How many fresh processes run one scale.
+struct Plan {
+  std::size_t scale = 1;
+  std::size_t runs = 1;
+};
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return common::quantile_sorted(values, 0.5);
+}
+
 /// Runs `self --scale N` and parses the JSON line it prints; throws
 /// when the child cannot start or does not exit cleanly.
 ScaleResult run_child(const char* self, std::size_t scale) {
@@ -240,44 +258,85 @@ int main(int argc, char** argv) {
   }
 
   const bool smoke = smoke_mode(argc, argv);
-  std::vector<std::size_t> scales = {1, 4, 16};
-  if (smoke) scales = {1, 2};
-  std::cout << "Scaling: campaign batch at x" << scales.front() << " to x"
-            << scales.back() << " (7200 tasks on " << kNodes
+  std::vector<Plan> plan = {{1, 5}, {4, 5}, {16, 3}};
+  if (smoke) plan = {{1, 2}, {2, 1}};
+  std::cout << "Scaling: campaign batch at x" << plan.front().scale
+            << " to x" << plan.back().scale << " (7200 tasks on " << kNodes
             << " delta nodes at x1, faults scaled alike), seed " << kSeed
-            << ", one process per scale\n";
+            << ", a fresh process per run, in rounds over the scales\n";
 
-  metrics::Table table({"scale", "tasks", "nodes", "done", "run_s",
-                        "run_us_per_task", "peak_rss_mb", "rss_kb_per_task"});
-  bool pass = true;
-  std::uint64_t x1_hash = 0;
-  for (const std::size_t scale : scales) {
-    const ScaleResult r = run_child(argv[0], scale);
-    const double tasks = static_cast<double>(r.tasks);
-    table.add_row({std::to_string(r.scale), std::to_string(r.tasks),
-                   std::to_string(kNodes * r.scale), std::to_string(r.done),
-                   strutil::format_fixed(r.run_s, 3),
-                   strutil::format_fixed(r.run_s * 1e6 / tasks, 2),
-                   strutil::format_fixed(r.peak_rss_kb / 1024.0, 1),
-                   strutil::format_fixed(r.peak_rss_kb / tasks, 2)});
-    if (r.done != r.tasks) {
-      std::cout << "GATE: x" << r.scale << " finished " << r.done << " of "
-                << r.tasks << " tasks DONE\n";
-      pass = false;
+  std::vector<std::vector<ScaleResult>> runs(plan.size());
+  for (std::size_t round = 0;; ++round) {
+    bool ran = false;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      if (round >= plan[i].runs) continue;
+      runs[i].push_back(run_child(argv[0], plan[i].scale));
+      ran = true;
     }
-    if (scale == 1) x1_hash = r.completion_hash;
+    if (!ran) break;
   }
-  const bool reproduced = run_child(argv[0], 1).completion_hash == x1_hash;
+
+  metrics::Table every({"scale", "run", "done", "run_s", "run_us_per_task",
+                        "peak_rss_mb", "rss_kb_per_task"});
+  metrics::Table medians({"scale", "tasks", "nodes", "runs", "run_s",
+                          "run_us_per_task", "peak_rss_mb",
+                          "rss_kb_per_task"});
+  bool pass = true;
+  bool reproduced = true;
+  std::vector<double> us_per_task;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const std::size_t scale = plan[i].scale;
+    std::vector<double> run_s, rss_kb;
+    for (std::size_t k = 0; k < runs[i].size(); ++k) {
+      const ScaleResult& r = runs[i][k];
+      const double tasks = static_cast<double>(r.tasks);
+      every.add_row({std::to_string(scale), std::to_string(k + 1),
+                     std::to_string(r.done),
+                     strutil::format_fixed(r.run_s, 3),
+                     strutil::format_fixed(r.run_s * 1e6 / tasks, 2),
+                     strutil::format_fixed(r.peak_rss_kb / 1024.0, 1),
+                     strutil::format_fixed(r.peak_rss_kb / tasks, 2)});
+      if (r.done != r.tasks) {
+        std::cout << "GATE: x" << scale << " run " << k + 1 << " finished "
+                  << r.done << " of " << r.tasks << " tasks DONE\n";
+        pass = false;
+      }
+      if (scale == 1 && r.completion_hash != runs[i].front().completion_hash) {
+        reproduced = false;
+      }
+      run_s.push_back(r.run_s);
+      rss_kb.push_back(r.peak_rss_kb);
+    }
+    const std::size_t task_count = runs[i].front().tasks;
+    const double tasks = static_cast<double>(task_count);
+    us_per_task.push_back(median(run_s) * 1e6 / tasks);
+    medians.add_row({std::to_string(scale), std::to_string(task_count),
+                     std::to_string(kNodes * scale),
+                     std::to_string(runs[i].size()),
+                     strutil::format_fixed(median(run_s), 3),
+                     strutil::format_fixed(us_per_task.back(), 2),
+                     strutil::format_fixed(median(rss_kb) / 1024.0, 1),
+                     strutil::format_fixed(median(rss_kb) / tasks, 2)});
+  }
   if (!reproduced) {
-    std::cout << "GATE: a second x1 process changed the completion hash\n";
+    std::cout << "GATE: a later x1 process changed the completion hash\n";
   }
   pass = pass && reproduced;
+  const std::uint64_t x1_hash = runs.front().front().completion_hash;
 
-  std::cout << metrics::banner("Campaign scaling");
-  std::cout << table.to_string();
-  table.write_json(output_dir() + "/scale_campaign.json");
+  std::cout << metrics::banner("Campaign scaling: every run");
+  std::cout << every.to_string();
+  std::cout << metrics::banner("Campaign scaling: medians");
+  std::cout << medians.to_string();
+  medians.write_json(output_dir() + "/scale_campaign.json");
+  every.write_json(output_dir() + "/scale_campaign_runs.json");
+  std::cout << "x" << plan.back().scale
+            << "/x1 run_us_per_task, from the medians: "
+            << strutil::format_fixed(us_per_task.back() / us_per_task.front(),
+                                     2)
+            << "\n";
   std::cout << "x1 completion hash " << std::hex << x1_hash << std::dec
-            << (reproduced ? " (reproduced by a second process)" : "")
+            << (reproduced ? " (reproduced by every x1 process)" : "")
             << "\n";
   std::cout << (pass ? "PASS" : "FAIL")
             << ": every task DONE at every scale, x1 reproducible\n";
