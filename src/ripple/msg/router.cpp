@@ -19,10 +19,9 @@ EndpointId Router::bind(const Address& address, const sim::HostId& host,
   ensure(!address.empty(), Errc::invalid_argument, "bind: empty address");
   ensure(static_cast<bool>(handler), Errc::invalid_argument,
          "bind: empty handler");
-  ensure(network_.has_host(host), Errc::not_found, "bind: unknown host '", host,
-         "'");
+  const sim::HostIndex host_index = network_.host_index(host);
   const EndpointId id = endpoint(address);
-  endpoints_[id].host = network_.host_index(host);
+  endpoints_[id].host = host_index;
   endpoints_[id].handler = std::move(handler);
   return id;
 }

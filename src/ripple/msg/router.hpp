@@ -49,10 +49,6 @@ class Router {
   /// Id of `address`; an address never bound gets an unbound id.
   [[nodiscard]] EndpointId endpoint(const Address& address);
 
-  [[nodiscard]] const Address& address(EndpointId endpoint) const {
-    return endpoints_[endpoint].address;
-  }
-
   /// Host on which `address` is bound; throws not_found when unbound.
   [[nodiscard]] const sim::HostId& host_of(const Address& address) const;
 

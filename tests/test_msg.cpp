@@ -83,8 +83,9 @@ TEST_F(RouterTest, RequestFactorySetsFields) {
                                 json::Value::object({{"x", 1}}));
   EXPECT_EQ(m.kind, msg::MessageKind::request);
   EXPECT_EQ(m.method, "infer");
-  EXPECT_EQ(router.address(m.sender), "client.0");
-  EXPECT_EQ(router.address(m.target), "svc.0");
+  EXPECT_EQ(m.sender, client);
+  EXPECT_EQ(m.target, svc);
+  EXPECT_EQ(router.endpoint("svc.0"), svc);
   EXPECT_GT(router.wire_size(m), 96u);
 }
 
@@ -94,8 +95,8 @@ TEST_F(RouterTest, ReplySwapsEndsAndCarriesTheRequestNumber) {
   const auto request = router.request(a, b, "m", json::Value());
   const auto reply = router.reply(request, json::Value(1));
   EXPECT_EQ(reply.kind, msg::MessageKind::reply);
-  EXPECT_EQ(router.address(reply.sender), "b");
-  EXPECT_EQ(router.address(reply.target), "a");
+  EXPECT_EQ(reply.sender, b);
+  EXPECT_EQ(reply.target, a);
   EXPECT_EQ(reply.number, request.number);
   EXPECT_TRUE(reply.ok);
 
