@@ -99,16 +99,18 @@ bool Router::send(sim::HostIndex from, Message&& message) {
   }
   ++sent_;
   const std::size_t bytes = wire_size(message);
-  std::uint32_t slot = 0;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
+  // The slot is taken only once delivery is scheduled: a missing link
+  // throws from deliver() and leaves nothing in flight.
+  const auto slot = free_slots_.empty()
+                        ? static_cast<std::uint32_t>(in_flight_.size())
+                        : free_slots_.back();
+  network_.deliver(from, to.host, bytes, [this, slot] { arrive(slot); });
+  if (slot == in_flight_.size()) {
     in_flight_.push_back(std::move(message));
   } else {
-    slot = free_slots_.back();
     free_slots_.pop_back();
     in_flight_[slot] = std::move(message);
   }
-  network_.deliver(from, to.host, bytes, [this, slot] { arrive(slot); });
   return true;
 }
 

@@ -248,6 +248,17 @@ TEST_F(RouterTest, HandlerMaySendAndBindWhileItRuns) {
   EXPECT_EQ(router.sent(), 17u);
 }
 
+TEST_F(RouterTest, SendOverAMissingLinkThrowsAndDeliversNothing) {
+  const sim::HostIndex far = net.register_host("far", "other");
+  std::vector<std::string> seen;
+  const msg::EndpointId dest = router.bind(
+      "dest", "h1", [&](msg::Message&& m) { seen.push_back(m.method); });
+  EXPECT_THROW(router.send(far, request_to(dest, "lost")), Error);
+  router.send(h0, request_to(dest, "kept"));
+  loop.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"kept"}));
+}
+
 TEST_F(RouterTest, BindValidation) {
   EXPECT_THROW(router.bind("", "h0", [](msg::Message&&) {}), Error);
   EXPECT_THROW(router.bind("a", "unknown-host", [](msg::Message&&) {}),
