@@ -38,7 +38,6 @@ const sim::HostId& Router::host_of(const Address& address) const {
 Message Router::request(EndpointId sender, EndpointId target,
                         std::string method, json::Value payload) {
   Message m;
-  m.kind = MessageKind::request;
   m.sender = sender;
   m.target = target;
   m.number = next_number_++;

@@ -54,7 +54,7 @@ void Network::set_link(const std::string& zone_a, const std::string& zone_b,
                        LinkModel link) {
   const ZoneIndex a = zone_index(zone_a);
   const ZoneIndex b = zone_index(zone_b);
-  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     auto& row = zones_[from].links;
     if (row.size() <= to) row.resize(to + 1);
     row[to] = link;

@@ -30,6 +30,7 @@ MODES = (("--trace", "0"), ("--trace", "1", "--replay", "1"))
 
 def build(tree, name):
     """Builds the tree's ripple_perf through its own run.py."""
+    sys.dont_write_bytecode = True  # leave no cache beside run.py
     spec = importlib.util.spec_from_file_location(
         name, tree / "perfbench" / "run.py")
     run_py = importlib.util.module_from_spec(spec)
