@@ -350,6 +350,84 @@ TEST(FailureRecovery, NodeCrashWalksOnlyItsTasksInUidOrder) {
   EXPECT_GT(session.tasks().get(uids[0]).state_time(TaskState::done), 40.0);
 }
 
+/// What a run with a twin stuck in the scheduler queue leaves behind.
+struct QueuedTwinRun {
+  std::vector<std::string> recovery_log;
+  std::uint64_t grant_log_hash = 0;
+  std::uint64_t speculations = 0;
+  std::size_t queued_at_probe = 0;
+  std::size_t waiting_after = 0;
+  std::vector<double> done_at;
+};
+
+/// The straggler (4 s, full-node) runs 10x slow on node 0 while a
+/// 100 s full-node task holds node 1, so its twin's request, submitted
+/// at 8 s of RUNNING, has no node to go to and stays queued. The probe
+/// at 11 s counts the queue. `crash_at` > 0 crashes node 0 then (for
+/// good), interrupting the primary; otherwise the primary finishes.
+QueuedTwinRun run_queued_twin(double crash_at) {
+  Session session{SessionConfig{.seed = 23}};
+  session.add_platform(platform::delta_profile(2));
+  Pilot& pilot = session.submit_pilot({.platform = "delta", .nodes = 2});
+  session.tasks().set_restart_policy({.max_restarts = 2});
+  session.tasks().set_speculation(
+      {.enabled = true, .latency_multiple = 2.0, .min_delay = 0.5});
+  auto& injector = session.failures().injector();
+  const std::string node0 = session.cluster("delta").node(0).id();
+  injector.inject_at(0.0, FailureKind::slow_node, node0, 10.0);
+  if (crash_at > 0.0) {
+    injector.inject_at(crash_at, FailureKind::node_crash, node0);
+  }
+  const auto uids = session.tasks().submit_all(
+      pilot, {modeled_task(4.0, 64), modeled_task(100.0, 64)});
+  QueuedTwinRun out;
+  session.loop().call_at(11.0, [&] {
+    out.queued_at_probe = session.scheduler().waiting_total();
+  });
+  session.run();
+  out.recovery_log = session.tasks().recovery_log();
+  out.grant_log_hash = session.scheduler().grant_log_hash();
+  out.speculations = session.tasks().speculations();
+  out.waiting_after = session.scheduler().waiting_total();
+  for (const auto& uid : uids) {
+    EXPECT_EQ(session.tasks().get(uid).state(), TaskState::done) << uid;
+    out.done_at.push_back(
+        session.tasks().get(uid).state_time(TaskState::done));
+  }
+  return out;
+}
+
+TEST(FailureRecovery, PrimaryFinishingDropsItsQueuedTwin) {
+  // The primary finishes at ~41.6 s with its twin still queued: the
+  // twin's request leaves the queue and is never granted.
+  const QueuedTwinRun run = run_queued_twin(/*crash_at=*/0.0);
+  EXPECT_EQ(run.queued_at_probe, 1u);
+  EXPECT_EQ(run.waiting_after, 0u);
+  const std::vector<std::string> expected{"9.564452 task.000000 speculate"};
+  EXPECT_EQ(run.recovery_log, expected);
+  EXPECT_EQ(run.grant_log_hash, 8789677042408782147u);
+  EXPECT_EQ(run.speculations, 0u);
+  EXPECT_EQ(run.done_at,
+            (std::vector<double>{41.564452169426389, 101.35331385156067}));
+}
+
+TEST(FailureRecovery, CrashedPrimaryDropsItsQueuedTwin) {
+  // Node 0 crashes at 20 s under the primary, whose twin is still
+  // queued: the twin's request leaves the queue, and the restarted
+  // primary waits for node 1 and reruns there once the long task ends.
+  const QueuedTwinRun run = run_queued_twin(/*crash_at=*/20.0);
+  EXPECT_EQ(run.queued_at_probe, 1u);
+  EXPECT_EQ(run.waiting_after, 0u);
+  const std::vector<std::string> expected{
+      "9.564452 task.000000 speculate",
+      "20.000000 task.000000 restart1 node delta:node0000 failed"};
+  EXPECT_EQ(run.recovery_log, expected);
+  EXPECT_EQ(run.grant_log_hash, 7441435271221949015u);
+  EXPECT_EQ(run.speculations, 0u);
+  EXPECT_EQ(run.done_at,
+            (std::vector<double>{106.7767717881637, 101.35331385156067}));
+}
+
 TEST(FailureRecovery, StoreCrashRepairsFromSurvivingReplica) {
   Session session{SessionConfig{.seed = 29}};
   auto& data = session.data();
