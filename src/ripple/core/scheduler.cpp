@@ -110,47 +110,43 @@ void Scheduler::validate_fits_pilot(const PilotEntry& entry,
          entry.pilot->uid());
 }
 
-void Scheduler::enqueue(PilotEntry& entry, ScheduleRequest request) {
-  const WaitQueue::Key key{request.priority, next_sequence_++};
+Scheduler::Ticket Scheduler::enqueue(PilotEntry& entry,
+                                     ScheduleRequest request) {
+  const Ticket ticket{request.priority, next_sequence_++};
   entry.waiting.push(
-      key, WaitQueue::Entry{std::move(request), runtime_.loop().now()});
+      ticket, WaitQueue::Entry{std::move(request), runtime_.loop().now()});
+  return ticket;
 }
 
-void Scheduler::submit(const std::string& pilot_uid,
-                       ScheduleRequest request) {
+Scheduler::Ticket Scheduler::submit(const std::string& pilot_uid,
+                                    ScheduleRequest request) {
   PilotEntry& entry = entry_for(pilot_uid);
   validate_fits_pilot(entry, request);
-  enqueue(entry, std::move(request));
+  const Ticket ticket = enqueue(entry, std::move(request));
   try_schedule(entry);
+  return ticket;
 }
 
-std::size_t Scheduler::submit_all(const std::string& pilot_uid,
-                                  std::vector<ScheduleRequest> requests) {
+std::vector<Scheduler::Ticket> Scheduler::submit_all(
+    const std::string& pilot_uid, std::vector<ScheduleRequest> requests) {
   PilotEntry& entry = entry_for(pilot_uid);
   for (const ScheduleRequest& request : requests) {
     validate_fits_pilot(entry, request);
   }
-  try {
-    for (ScheduleRequest& request : requests) {
-      enqueue(entry, std::move(request));
-    }
-  } catch (...) {
-    // A duplicate uid mid-batch must not leave the already-enqueued
-    // requests waiting for the next placement pass.
-    try_schedule(entry);
-    throw;
+  std::vector<Ticket> tickets;
+  tickets.reserve(requests.size());
+  for (ScheduleRequest& request : requests) {
+    tickets.push_back(enqueue(entry, std::move(request)));
   }
-  const std::size_t grants = try_schedule(entry);
-  trace_pass(entry, grants);
-  return grants;
+  trace_pass(entry, try_schedule(entry));
+  return tickets;
 }
 
-bool Scheduler::cancel(const std::string& pilot_uid,
-                       const std::string& request_uid) {
+bool Scheduler::cancel(const std::string& pilot_uid, const Ticket& ticket) {
   // Matching the legacy scheduler, cancel does not re-run placement,
   // even when it removes a blocking fifo head: the next submit or
   // release places whatever the removal unblocked.
-  return entry_for(pilot_uid).waiting.erase_uid(request_uid);
+  return entry_for(pilot_uid).waiting.erase(ticket);
 }
 
 void Scheduler::release(const std::string& pilot_uid,

@@ -15,9 +15,16 @@
 /// platform::CapacityIndex (segment tree over its nodes' free capacity,
 /// updated incrementally on allocate/release) answering first-fit
 /// queries in O(log nodes), and a WaitQueue (balanced-tree priority
-/// queue with a uid index and per-shape buckets) making submit/cancel
-/// O(log waiting). Grant order is identical to a linear first-fit
-/// rescan of the old deque-based scheduler; only the cost changes.
+/// queue with per-shape buckets) making submit/cancel O(log waiting).
+/// Grant order is identical to a linear first-fit rescan of the old
+/// deque-based scheduler; only the cost changes.
+///
+/// A queued request is named by its ticket: the wait-queue key (its
+/// priority and a scheduler-global sequence number) that submit and
+/// submit_all return. cancel takes the ticket; a ticket is never
+/// reissued, so cancelling one whose request was already granted or
+/// cancelled is a no-op that returns false. The request's uid only
+/// feeds the grant fingerprint and error messages.
 ///
 /// One backfill pass, one composite key. A backfill pass grants in
 /// (priority desc, tenant share asc, non-residency asc, sequence asc)
@@ -80,6 +87,9 @@ namespace ripple::core {
 
 class Scheduler {
  public:
+  /// Names a queued request (see file comment).
+  using Ticket = WaitQueue::Key;
+
   explicit Scheduler(Runtime& runtime,
                      SchedulerPolicy policy = SchedulerPolicy::backfill);
 
@@ -129,17 +139,18 @@ class Scheduler {
   std::size_t reschedule(const std::string& pilot_uid);
 
   /// Enqueues a request against a pilot's resources and runs one
-  /// placement pass: a batch of one. Throws capacity when the request
-  /// can never fit on any node of the pilot.
-  void submit(const std::string& pilot_uid, ScheduleRequest request);
+  /// placement pass: a batch of one. Returns the request's ticket.
+  /// Throws capacity when the request can never fit on any node of the
+  /// pilot.
+  Ticket submit(const std::string& pilot_uid, ScheduleRequest request);
 
   /// Enqueues a batch, then runs one placement pass over the whole
   /// queue. Unlike N submit() calls, priorities are enacted across the
   /// entire batch before any placement, and the pilot's queue is
-  /// passed over once instead of N times. Returns the number granted
-  /// during the pass.
-  std::size_t submit_all(const std::string& pilot_uid,
-                         std::vector<ScheduleRequest> requests);
+  /// passed over once instead of N times. Returns the requests'
+  /// tickets, in request order.
+  std::vector<Ticket> submit_all(const std::string& pilot_uid,
+                                 std::vector<ScheduleRequest> requests);
 
   /// Rolling FNV-1a fingerprint of the committed grant order (request
   /// uid, node id, slot shape — in commit order). Same seed, same
@@ -156,8 +167,9 @@ class Scheduler {
                                 double mem_gb) const;
 
   /// Removes a queued (not yet granted) request. Returns false if the
-  /// request was already granted or is unknown.
-  bool cancel(const std::string& pilot_uid, const std::string& request_uid);
+  /// request was already granted or cancelled, or the ticket is not
+  /// one of this pilot's.
+  bool cancel(const std::string& pilot_uid, const Ticket& ticket);
 
   /// Returns a granted slot; wakes the queue.
   void release(const std::string& pilot_uid, const platform::Slot& slot);
@@ -193,7 +205,7 @@ class Scheduler {
 
   void validate_fits_pilot(const PilotEntry& entry,
                            const ScheduleRequest& request) const;
-  void enqueue(PilotEntry& entry, ScheduleRequest request);
+  Ticket enqueue(PilotEntry& entry, ScheduleRequest request);
 
   /// Allocates on `node`, removes the entry and commits the grant:
   /// wait-time stats, grant counter, tenant share, rolling FNV

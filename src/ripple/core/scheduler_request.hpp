@@ -16,7 +16,9 @@ enum class SchedulerPolicy { fifo, backfill };
 
 /// A slot request from either manager.
 struct ScheduleRequest {
-  std::string uid;  ///< task/service uid (used for cancel)
+  /// Task/service uid: folded into the grant fingerprint and named in
+  /// errors. Cancel goes by the ticket submit returns, not by uid.
+  std::string uid;
   std::size_t cores = 1;
   std::size_t gpus = 0;
   double mem_gb = 0.0;

@@ -354,23 +354,30 @@ bool ServiceManager::enter_scheduling(const std::string& uid,
 void ServiceManager::begin_scheduling(const std::string& uid) {
   Active& active = services_.at(uid);
   if (enter_scheduling(uid, active)) {
-    scheduler_.submit(active.pilot->uid(), make_request(uid, active));
+    active.ticket =
+        scheduler_.submit(active.pilot->uid(), make_request(uid, active));
   }
 }
 
 void ServiceManager::begin_scheduling_batch(
     Pilot& pilot, const std::vector<std::string>& uids) {
+  std::vector<Active*> queued;
   std::vector<ScheduleRequest> requests;
+  queued.reserve(uids.size());
   requests.reserve(uids.size());
   for (const auto& uid : uids) {
     Active& active = services_.at(uid);
     if (active.state() != ServiceState::created) continue;
     if (enter_scheduling(uid, active)) {
+      queued.push_back(&active);
       requests.push_back(make_request(uid, active));
     }
   }
-  if (!requests.empty()) {
-    scheduler_.submit_all(pilot.uid(), std::move(requests));
+  if (requests.empty()) return;
+  const std::vector<Scheduler::Ticket> tickets =
+      scheduler_.submit_all(pilot.uid(), std::move(requests));
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    queued[i]->ticket = tickets[i];
   }
 }
 
@@ -382,6 +389,7 @@ void ServiceManager::on_granted(const std::string& uid, platform::Slot slot,
     scheduler_.release(active.pilot->uid(), slot);
     return;
   }
+  active.ticket.reset();
   active.service.set_slot(std::move(slot));
   active.slot_held = true;
   active.host = node->host();
@@ -520,10 +528,13 @@ std::string ServiceManager::register_remote(platform::Cluster& cluster,
       executor_.programs().create(stored.service.description());
   stored.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
       uid, stored.host, stored.service.description().config));
+  // Like on_launched and on_initialized, the init callbacks do nothing
+  // once the service is terminal (stopped or failed while loading).
   stored.program->init(
       *stored.ctx,
       [this, uid] {
         Active& active = services_.at(uid);
+        if (is_terminal(active.service.state())) return;
         active.server = std::make_unique<msg::RpcServer>(
             runtime_.router(), uid, active.host);
         active.program->bind(*active.server);
@@ -618,6 +629,14 @@ void ServiceManager::release_resources(Active& active) {
   }
 }
 
+void ServiceManager::drop_request(Active& active) {
+  // Only a local service waiting for its grant has a request queued.
+  if (active.ticket && scheduler_.has_pilot(active.pilot->uid())) {
+    scheduler_.cancel(active.pilot->uid(), *active.ticket);
+  }
+  active.ticket.reset();
+}
+
 void ServiceManager::fail_service(const std::string& uid,
                                   const std::string& error) {
   Active& active = services_.at(uid);
@@ -635,6 +654,8 @@ void ServiceManager::fail_service(const std::string& uid,
     active.service.count_restart();
     active.crashed = false;
     log_.info(uid, ": restarting (attempt ", active.service.restarts(), ")");
+    // The failed attempt's request must not be granted to the restart.
+    drop_request(active);
     active.ready_timer = runtime_.loop().call_after(
         desc.ready_timeout, [this, uid] {
           const ServiceState state = services_.at(uid).state();
@@ -668,7 +689,7 @@ void ServiceManager::stop(const std::string& uid,
   }
   if (state != ServiceState::running && state != ServiceState::draining) {
     // Still bootstrapping: cancel.
-    scheduler_.cancel(active.service.pilot_uid(), uid);
+    drop_request(active);
     release_resources(active);
     active.program.reset();
     set_state(active, ServiceState::canceled);

@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,8 @@ class ServiceManager {
     metrics::Timeline::EntityId timeline = 0;
     Pilot* pilot = nullptr;  ///< null for remote services
     platform::Cluster* cluster = nullptr;
+    /// The request queued for a slot, until its grant arrives.
+    std::optional<Scheduler::Ticket> ticket;
     std::unique_ptr<ExecutionContext> ctx;
     std::unique_ptr<ServiceProgram> program;
     std::unique_ptr<msg::RpcServer> server;
@@ -188,6 +191,8 @@ class ServiceManager {
   void on_published(const std::string& uid);
 
   void fail_service(const std::string& uid, const std::string& error);
+  /// Cancels the service's queued request, if it has one.
+  void drop_request(Active& active);
   void release_resources(Active& active);
   void set_state(Active& active, ServiceState state);
   void recheck_watchers();

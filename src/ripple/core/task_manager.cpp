@@ -320,7 +320,8 @@ void TaskManager::begin_stage_in(EntityId id, Active& active) {
           active.input_pins.push_back(name);
         }
         // The grant may have arrived while the data was in flight.
-        if (active.slot_held && active.state() == TaskState::scheduled) {
+        if (active.primary.slot_held &&
+            active.state() == TaskState::scheduled) {
           begin_launch(id);
         }
       },
@@ -383,21 +384,28 @@ void TaskManager::open_queue_span(Active& active) {
 void TaskManager::to_scheduling(EntityId id) {
   Active& active = tasks_[id];
   if (enter_scheduling(id, *active.pilot)) {
-    scheduler_.submit(active.pilot->uid(), make_request(id, active));
+    active.primary.ticket =
+        scheduler_.submit(active.pilot->uid(), make_request(id, active));
   }
 }
 
 void TaskManager::schedule_batch(Pilot& pilot,
                                  const std::vector<EntityId>& ids) {
+  std::vector<EntityId> queued;
   std::vector<ScheduleRequest> requests;
+  queued.reserve(ids.size());
   requests.reserve(ids.size());
   for (const EntityId id : ids) {
     if (enter_scheduling(id, pilot)) {
+      queued.push_back(id);
       requests.push_back(make_request(id, tasks_[id]));
     }
   }
-  if (!requests.empty()) {
-    scheduler_.submit_all(pilot.uid(), std::move(requests));
+  if (requests.empty()) return;
+  const std::vector<Scheduler::Ticket> tickets =
+      scheduler_.submit_all(pilot.uid(), std::move(requests));
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    tasks_[queued[i]].primary.ticket = tickets[i];
   }
 }
 
@@ -409,16 +417,19 @@ void TaskManager::on_granted(EntityId id, std::uint64_t epoch,
     if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, slot);
     return;
   }
+  Attempt& attempt = active.primary;
   if (!node->alive() || slot.incarnation != node->incarnation()) {
     // The node died between placement and this (posted) delivery; the
     // slot died with it. Requeue — the capacity index now excludes the
     // dead node, so the replacement grant lands elsewhere.
-    scheduler_.submit(pilot_uid, make_request(id, active));
+    attempt.ticket = scheduler_.submit(pilot_uid, make_request(id, active));
     return;
   }
-  active.task.set_slot(std::move(slot));
-  active.slot_held = true;
-  active.node = node;
+  attempt.ticket.reset();
+  active.task.set_slot(slot);
+  attempt.slot = std::move(slot);
+  attempt.slot_held = true;
+  attempt.node = node;
   bound_[node].push_back(id);
   set_state(active, TaskState::scheduled);
   runtime_.tracer().end(active.trace_queue, runtime_.loop().now());
@@ -436,33 +447,43 @@ void TaskManager::begin_launch(EntityId id) {
         runtime_.tracer().begin("run", "compute", active.uid(),
                                 runtime_.loop().now(), active.trace_task);
   }
-  active.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
-      active.uid(), active.node->host(), active.task.description().payload));
-  active.ctx->data = &data_;
-  active.ctx->speed_factor = active.node->speed_factor();
+  launch_attempt(id, active, /*twin=*/false);
+}
+
+void TaskManager::launch_attempt(EntityId id, Active& active, bool twin) {
+  Attempt& attempt = twin ? *active.twin : active.primary;
+  // The twin's context uid gives it an RNG stream of its own.
+  attempt.ctx = std::make_unique<ExecutionContext>(executor_.make_context(
+      twin ? active.uid() + "#spec" : active.uid(), attempt.node->host(),
+      active.task.description().payload));
+  attempt.ctx->data = &data_;
+  attempt.ctx->speed_factor = attempt.node->speed_factor();
   const std::uint64_t epoch = active.epoch;
   executor_.launch(active.pilot->cluster(), 0,
-                   [this, id, epoch](sim::Duration) {
-                     on_launched(id, epoch);
+                   [this, id, epoch, twin](sim::Duration) {
+                     on_launched(id, epoch, twin);
                    });
 }
 
-void TaskManager::on_launched(EntityId id, std::uint64_t epoch) {
+void TaskManager::on_launched(EntityId id, std::uint64_t epoch, bool twin) {
   Active& active = tasks_[id];
   if (is_terminal(active.state()) || active.epoch != epoch) return;
-  set_state(active, TaskState::running);
+  Attempt* attempt = twin ? active.twin.get() : &active.primary;
+  // A twin whose node crashed while it launched was cancelled.
+  if (attempt == nullptr || !attempt->ctx) return;
+  if (!twin) set_state(active, TaskState::running);
 
-  active.payload = executor_.payloads().create(active.task.description());
-  active.payload->run(
-      *active.ctx,
-      [this, id, epoch](json::Value result) {
-        on_payload_done(id, epoch, std::move(result), /*from_spec=*/false);
+  attempt->payload = executor_.payloads().create(active.task.description());
+  attempt->payload->run(
+      *attempt->ctx,
+      [this, id, epoch, twin](json::Value result) {
+        on_payload_done(id, epoch, std::move(result), twin);
       },
-      [this, id, epoch](const std::string& error) {
-        on_payload_failed(id, epoch, error, /*from_spec=*/false);
+      [this, id, epoch, twin](const std::string& error) {
+        on_payload_failed(id, epoch, error, twin);
       });
 
-  if (speculation_.enabled) {
+  if (!twin && speculation_.enabled) {
     const sim::Duration wait =
         std::max(speculation_.min_delay,
                  active.task.description().duration.mean() *
@@ -479,9 +500,9 @@ void TaskManager::on_payload_failed(EntityId id, std::uint64_t epoch,
   if (is_terminal(active.state()) || active.epoch != epoch) return;
   if (from_spec) {
     // A cancelled duplicate's payload cannot be stopped; drop its outcome.
-    if (!active.spec_slot_held) return;
+    if (!active.twin) return;
     // The duplicate failed; the primary attempt is still the task.
-    cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
+    cancel_speculation(active);
     record_recovery(active, "spec_failed");
     return;
   }
@@ -493,7 +514,7 @@ void TaskManager::on_payload_done(EntityId id, std::uint64_t epoch,
   Active& active = tasks_[id];
   if (is_terminal(active.state()) || active.epoch != epoch) return;
   // A cancelled duplicate's payload cannot be stopped; drop its outcome.
-  if (from_spec && !active.spec_slot_held) return;
+  if (from_spec && !active.twin) return;
   // First finisher wins. Bump the epoch so the loser's uncancellable
   // completion timer drops itself at the guard above.
   ++active.epoch;
@@ -503,24 +524,19 @@ void TaskManager::on_payload_done(EntityId id, std::uint64_t epoch,
     runtime_.counters().add("task.spec_wins");
     runtime_.tracer().instant("spec-win", "task", active.uid(),
                               runtime_.loop().now(), active.trace_task);
-    // Promote the duplicate: its slot becomes the task's slot, the
-    // straggling primary's slot goes back to the scheduler.
-    release_slot(active);
-    active.task.set_slot(active.spec_slot);
-    active.node = active.spec_node;
-    active.slot_held = active.spec_slot_held;
-    // The straggler's payload goes before the context it runs in.
-    active.payload = std::move(active.spec_payload);
-    active.ctx = std::move(active.spec_ctx);
-    active.spec_slot_held = false;
-    active.spec_node = nullptr;
+    // Promote the duplicate: the straggling primary ends (its slot goes
+    // back to the scheduler, its payload before its context) and the
+    // twin's record, slot included, becomes the primary.
+    end_attempt(active, active.primary);
+    active.primary = std::move(*active.twin);
+    active.twin.reset();
+    active.task.set_slot(active.primary.slot);
     if (active.spec_timer.valid()) {
       runtime_.loop().cancel(active.spec_timer);
       active.spec_timer = {};
     }
-    active.spec_queued = false;
   } else {
-    cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
+    cancel_speculation(active);
   }
   runtime_.tracer().end(active.trace_run, runtime_.loop().now());
   active.trace_run = 0;
@@ -540,7 +556,7 @@ void TaskManager::maybe_speculate(EntityId id, std::uint64_t epoch) {
   active.spec_timer = {};
   if (active.epoch != epoch) return;
   if (active.state() != TaskState::running) return;
-  if (active.spec_queued || active.spec_slot_held) return;
+  if (active.twin) return;
   const std::string pilot_uid = active.pilot->uid();
   if (!scheduler_.has_pilot(pilot_uid)) return;
 
@@ -556,8 +572,8 @@ void TaskManager::maybe_speculate(EntityId id, std::uint64_t epoch) {
                                                  platform::Node* node) {
     on_spec_granted(id, epoch, pilot_uid, std::move(slot), node);
   };
-  scheduler_.submit(pilot_uid, std::move(request));
-  active.spec_queued = true;
+  active.twin = std::make_unique<Attempt>();
+  active.twin->ticket = scheduler_.submit(pilot_uid, std::move(request));
   record_recovery(active, "speculate");
   runtime_.counters().add("task.speculations");
   runtime_.tracer().instant("speculate", "task", active.uid(),
@@ -568,68 +584,52 @@ void TaskManager::on_spec_granted(EntityId id, std::uint64_t epoch,
                                   const std::string& pilot_uid,
                                   platform::Slot slot, platform::Node* node) {
   Active& active = tasks_[id];
+  // Each epoch queues at most one twin, and it ends only with its
+  // epoch or the task, so a grant that is not stale finds it queued.
   if (is_terminal(active.state()) || active.epoch != epoch ||
-      active.state() != TaskState::running) {
+      active.state() != TaskState::running || !active.twin) {
     if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, slot);
-    active.spec_queued = false;
     return;
   }
-  active.spec_queued = false;
+  Attempt& twin = *active.twin;
+  twin.ticket.reset();
   if (!node->alive() || slot.incarnation != node->incarnation()) {
-    return;  // the duplicate's node died in flight; drop the attempt
+    active.twin.reset();  // the duplicate's node died in flight; drop it
+    return;
   }
-  active.spec_slot = std::move(slot);
-  active.spec_node = node;
-  active.spec_slot_held = true;
+  twin.slot = std::move(slot);
+  twin.node = node;
+  twin.slot_held = true;
   bound_[node].push_back(id);
   ++speculations_;
-  active.spec_ctx = std::make_unique<ExecutionContext>(
-      executor_.make_context(active.uid() + "#spec", node->host(),
-                             active.task.description().payload));
-  active.spec_ctx->data = &data_;
-  active.spec_ctx->speed_factor = node->speed_factor();
-  executor_.launch(active.pilot->cluster(), 0,
-                   [this, id, epoch](sim::Duration) {
-                     on_spec_launched(id, epoch);
-                   });
+  launch_attempt(id, active, /*twin=*/true);
 }
 
-void TaskManager::on_spec_launched(EntityId id, std::uint64_t epoch) {
-  Active& active = tasks_[id];
-  if (is_terminal(active.state()) || active.epoch != epoch) return;
-  if (!active.spec_slot_held || !active.spec_ctx) return;
-  active.spec_payload =
-      executor_.payloads().create(active.task.description());
-  active.spec_payload->run(
-      *active.spec_ctx,
-      [this, id, epoch](json::Value result) {
-        on_payload_done(id, epoch, std::move(result), /*from_spec=*/true);
-      },
-      [this, id, epoch](const std::string& error) {
-        on_payload_failed(id, epoch, error, /*from_spec=*/true);
-      });
-}
-
-void TaskManager::cancel_speculation(Active& active, bool pilot_alive) {
+void TaskManager::cancel_speculation(Active& active) {
   if (active.spec_timer.valid()) {
     runtime_.loop().cancel(active.spec_timer);
     active.spec_timer = {};
   }
-  if (active.spec_queued) {
-    if (pilot_alive) {
-      scheduler_.cancel(active.pilot->uid(), active.uid() + "#spec");
+  if (!active.twin) return;
+  end_attempt(active, *active.twin);
+  active.twin.reset();
+}
+
+void TaskManager::end_attempt(Active& active, Attempt& attempt) {
+  if (attempt.ticket || attempt.slot_held) {
+    // A preempted pilot is already deregistered, its queue and slots
+    // gone with it.
+    const std::string& pilot_uid = active.pilot->uid();
+    if (scheduler_.has_pilot(pilot_uid)) {
+      if (attempt.ticket) scheduler_.cancel(pilot_uid, *attempt.ticket);
+      if (attempt.slot_held) scheduler_.release(pilot_uid, attempt.slot);
     }
-    active.spec_queued = false;
+    attempt.ticket.reset();
+    attempt.slot_held = false;
   }
-  if (active.spec_slot_held) {
-    if (pilot_alive && scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.spec_slot);
-    }
-    active.spec_slot_held = false;
-  }
-  active.spec_payload.reset();
-  active.spec_ctx.reset();
-  active.spec_node = nullptr;
+  attempt.payload.reset();
+  attempt.ctx.reset();
+  attempt.node = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -646,7 +646,7 @@ void TaskManager::record_recovery(const Active& active,
 }
 
 void TaskManager::interrupt_task(EntityId id, const std::string& reason,
-                                 Pilot* replacement, bool pilot_alive) {
+                                 Pilot* replacement) {
   Active& active = tasks_[id];
   if (is_terminal(active.state())) return;
   // Invalidate every callback of the interrupted attempt (payload
@@ -657,24 +657,12 @@ void TaskManager::interrupt_task(EntityId id, const std::string& reason,
     runtime_.loop().cancel(active.restart_timer);
     active.restart_timer = {};
   }
-  cancel_speculation(active, pilot_alive);
-  if (active.state() == TaskState::scheduling && pilot_alive &&
-      scheduler_.has_pilot(active.pilot->uid())) {
-    scheduler_.cancel(active.pilot->uid(), active.uid());
-  }
+  cancel_speculation(active);
   data_.cancel_stage(std::exchange(active.stage_ticket, 0));
   active.stage_in_pending = false;
   release_input_pins(active);
-  if (active.slot_held) {
-    // Release before any re-bind: the slot belongs to the old pilot.
-    if (pilot_alive && scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.task.slot());
-    }
-    active.slot_held = false;
-  }
-  active.payload.reset();
-  active.ctx.reset();
-  active.node = nullptr;
+  // End before any re-bind: the request and slot belong to the old pilot.
+  end_attempt(active, active.primary);
   if (replacement != nullptr) {
     active.pilot = replacement;
     active.task.set_pilot_uid(replacement->uid());
@@ -724,7 +712,8 @@ void TaskManager::resume_restart(EntityId id, std::uint64_t epoch) {
   // Re-stage inputs: datasets still resident in the pilot's zone land
   // instantly, anything lost with a failed store is re-fetched.
   begin_stage_in(id, active);
-  scheduler_.submit(active.pilot->uid(), make_request(id, active));
+  active.primary.ticket =
+      scheduler_.submit(active.pilot->uid(), make_request(id, active));
 }
 
 std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
@@ -738,7 +727,8 @@ std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
   const auto unbound = [this, &node](EntityId id) {
     const Active& active = tasks_[id];
     return is_terminal(active.state()) ||
-           (active.node != &node && active.spec_node != &node);
+           (active.primary.node != &node &&
+            (!active.twin || active.twin->node != &node));
   };
   bound.erase(std::remove_if(bound.begin(), bound.end(), unbound),
               bound.end());
@@ -748,16 +738,16 @@ std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
   for (const EntityId id : bound) {
     Active& active = tasks_[id];
     if (is_terminal(active.state())) continue;
-    if (active.spec_node == &node && active.spec_slot_held) {
-      cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
+    if (active.twin && active.twin->node == &node) {
+      cancel_speculation(active);
       record_recovery(active, "spec_lost_node");
     }
-    if (active.node != &node || !active.slot_held) continue;
+    if (active.primary.node != &node || !active.primary.slot_held) continue;
     // STAGING_OUTPUT attempts keep their results: outputs are zone-level
     // transfers that survive the node; the stale slot release is a no-op.
     if (active.state() == TaskState::staging_output) continue;
     interrupt_task(id, strutil::cat("node ", node.id(), " failed"),
-                   /*replacement=*/nullptr, /*pilot_alive=*/true);
+                   /*replacement=*/nullptr);
     ++interrupted;
   }
   bound.erase(std::remove_if(bound.begin(), bound.end(), unbound),
@@ -794,7 +784,7 @@ std::size_t TaskManager::handle_pilot_loss(
       // Not holding pilot resources worth restarting for: just re-bind.
       // (A staging-out attempt's outputs are zone-level and keep going;
       // its slot died with the pilot, so only drop the local handle.)
-      active.slot_held = false;
+      active.primary.slot_held = false;
       active.pilot = replacement;
       active.task.set_pilot_uid(replacement->uid());
       record_recovery(active, strutil::cat("rebind ", replacement->uid()));
@@ -802,7 +792,7 @@ std::size_t TaskManager::handle_pilot_loss(
       continue;
     }
     interrupt_task(id, strutil::cat("pilot ", pilot_uid, " preempted"),
-                   replacement, /*pilot_alive=*/false);
+                   replacement);
     ++moved;
   }
   return moved;
@@ -878,10 +868,8 @@ void TaskManager::to_staging_out(EntityId id) {
 void TaskManager::finish(EntityId id) {
   Active& active = tasks_[id];
   if (is_terminal(active.state())) return;
-  release_slot(active);
   release_input_pins(active);
-  active.payload.reset();
-  active.ctx.reset();
+  end_attempt(active, active.primary);
   close_phase_spans(active);
   close_task_span(active, "done");
   runtime_.counters().add("task.done");
@@ -908,15 +896,6 @@ void TaskManager::close_task_span(Active& active, const char* state) {
   active.trace_task = 0;
 }
 
-void TaskManager::release_slot(Active& active) {
-  if (active.slot_held) {
-    if (scheduler_.has_pilot(active.pilot->uid())) {
-      scheduler_.release(active.pilot->uid(), active.task.slot());
-    }
-    active.slot_held = false;
-  }
-}
-
 void TaskManager::release_input_pins(Active& active) {
   for (const auto& name : active.input_pins) {
     // Unpin under the same tenant that pinned — per-tenant pin counts
@@ -937,19 +916,14 @@ void TaskManager::fail_task(EntityId id, const std::string& error) {
     runtime_.loop().cancel(active.restart_timer);
     active.restart_timer = {};
   }
-  cancel_speculation(active, scheduler_.has_pilot(active.pilot->uid()));
-  if (active.state() == TaskState::scheduling &&
-      scheduler_.has_pilot(active.pilot->uid())) {
-    // Staging can fail while the request queues (overlapped stage-in);
-    // drop the queue entry so the scheduler never grants a dead task.
-    scheduler_.cancel(active.pilot->uid(), active.uid());
-  }
+  cancel_speculation(active);
   data_.cancel_stage(std::exchange(active.stage_ticket, 0));
   active.stage_in_pending = false;
-  release_slot(active);
   release_input_pins(active);
-  active.payload.reset();
-  active.ctx.reset();
+  // Staging can fail while the request queues (overlapped stage-in):
+  // ending the attempt drops the queue entry, so the scheduler never
+  // grants a dead task.
+  end_attempt(active, active.primary);
   close_phase_spans(active);
   close_task_span(active, "failed");
   runtime_.counters().add("task.failed");
@@ -962,10 +936,8 @@ bool TaskManager::cancel(const std::string& uid) {
   switch (state) {
     case TaskState::created:
     case TaskState::waiting:
-    case TaskState::staging_input: break;
-    case TaskState::scheduling:
-      scheduler_.cancel(active.pilot->uid(), uid);
-      break;
+    case TaskState::staging_input:
+    case TaskState::scheduling: break;
     // Launch is imminent unless the task is parked on overlapped
     // stage-in; in that window the slot is reclaimable.
     case TaskState::scheduled:
@@ -976,7 +948,7 @@ bool TaskManager::cancel(const std::string& uid) {
   data_.cancel_stage(std::exchange(active.stage_ticket, 0));
   active.stage_in_pending = false;
   release_input_pins(active);
-  release_slot(active);
+  end_attempt(active, active.primary);
   waiting_.erase(active.uid());
   close_phase_spans(active);
   close_task_span(active, "canceled");

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -153,6 +154,21 @@ class TaskManager {
     std::function<void(bool)> on_done;
   };
 
+  /// One attempt at the task's work: the primary, or its speculative
+  /// duplicate (the twin). It holds a ticket while its request queues,
+  /// then a slot on `node`. Its context and payload live from launch to
+  /// the end of the attempt (end_attempt); the payload is destroyed
+  /// first, so it never outlives its context (declaration order keeps
+  /// that true when the record is destroyed).
+  struct Attempt {
+    std::optional<Scheduler::Ticket> ticket;  ///< request still queued
+    platform::Node* node = nullptr;           ///< placement, set on grant
+    platform::Slot slot;
+    bool slot_held = false;
+    std::unique_ptr<ExecutionContext> ctx;
+    std::unique_ptr<TaskPayload> payload;
+  };
+
   struct Active {
     Active(std::string uid, TaskDescription desc)
         : task(std::move(uid), std::move(desc)) {}
@@ -162,14 +178,8 @@ class TaskManager {
     Task task;
     metrics::Timeline::EntityId timeline = 0;
     Pilot* pilot = nullptr;
-    platform::Node* node = nullptr;  ///< placement, set on grant
-    /// The current attempt's context and payload. Both live from launch
-    /// to the end of the attempt (finish, fail_task, interrupt_task);
-    /// the payload is destroyed first, so it never outlives its context
-    /// (declaration order keeps that true when the record is destroyed).
-    std::unique_ptr<ExecutionContext> ctx;
-    std::unique_ptr<TaskPayload> payload;
-    bool slot_held = false;
+    /// The current attempt; Task::slot() mirrors its slot from grant on.
+    Attempt primary;
     /// Stage-in still in flight. Staging overlaps the scheduler queue
     /// wait: the task enters SCHEDULING immediately and launch is gated
     /// on both the grant and this flag clearing.
@@ -190,14 +200,11 @@ class TaskManager {
     std::uint64_t epoch = 0;
     int restarts = 0;
     sim::EventLoop::TimerHandle restart_timer{};
-    /// Speculative duplicate attempt (straggler mitigation).
+    /// Speculative duplicate (straggler mitigation): the timer that
+    /// arms it, then the twin attempt from its request until it ends or
+    /// wins and becomes the primary.
     sim::EventLoop::TimerHandle spec_timer{};
-    bool spec_queued = false;  ///< duplicate request waiting at scheduler
-    bool spec_slot_held = false;
-    platform::Slot spec_slot;
-    platform::Node* spec_node = nullptr;
-    std::unique_ptr<ExecutionContext> spec_ctx;
-    std::unique_ptr<TaskPayload> spec_payload;
+    std::unique_ptr<Attempt> twin;
     /// Tracer handles (0 while closed or tracing disabled): the task's
     /// root span plus the open phase span of the current attempt —
     /// queue wait, stage-in/out, run, recovery backoff. Restarts close
@@ -239,36 +246,41 @@ class TaskManager {
                   platform::Node* node);
   /// Slot held and inputs local: transition to LAUNCHING and start.
   void begin_launch(EntityId id);
-  void on_launched(EntityId id, std::uint64_t epoch);
+  /// Creates the primary's (or the twin's) context on its node and
+  /// launches it; on_launched starts its payload.
+  void launch_attempt(EntityId id, Active& active, bool twin);
+  void on_launched(EntityId id, std::uint64_t epoch, bool twin);
   void on_payload_done(EntityId id, std::uint64_t epoch, json::Value result,
                        bool from_spec);
   void on_payload_failed(EntityId id, std::uint64_t epoch,
                          const std::string& error, bool from_spec);
+  /// Ends an attempt: drops its queued request and returns its slot
+  /// (while its pilot is registered), then destroys its payload and
+  /// its context.
+  void end_attempt(Active& active, Attempt& attempt);
   void to_staging_out(EntityId id);
   void finish(EntityId id);
   void fail_task(EntityId id, const std::string& error);
   /// Tears down the current attempt (epoch bump, slot/pins/staging
   /// released) and either re-queues the task after backoff or fails it
-  /// once the restart budget is spent. `pilot_alive` gates scheduler
-  /// interactions (a preempted pilot is already deregistered);
-  /// `replacement` re-binds the task first when non-null.
+  /// once the restart budget is spent. `replacement` re-binds the task
+  /// first when non-null (a preempted pilot is already deregistered,
+  /// so nothing goes back to it).
   void interrupt_task(EntityId id, const std::string& reason,
-                      Pilot* replacement, bool pilot_alive);
+                      Pilot* replacement);
   void resume_restart(EntityId id, std::uint64_t epoch);
   /// Arms / fires / settles the speculative duplicate.
   void maybe_speculate(EntityId id, std::uint64_t epoch);
   void on_spec_granted(EntityId id, std::uint64_t epoch,
                        const std::string& pilot_uid, platform::Slot slot,
                        platform::Node* node);
-  void on_spec_launched(EntityId id, std::uint64_t epoch);
-  void cancel_speculation(Active& active, bool pilot_alive);
+  void cancel_speculation(Active& active);
   void record_recovery(const Active& active, const std::string& event);
   /// Closes every open phase span of the current attempt (teardown on
   /// interrupt/finish/fail); no-op while tracing is disabled.
   void close_phase_spans(Active& active);
   /// Closes the task's root span with a terminal-state annotation.
   void close_task_span(Active& active, const char* state);
-  void release_slot(Active& active);
   void release_input_pins(Active& active);
   void set_state(Active& active, TaskState state);
   /// Posts the dependency re-check when it can release or fail a task:

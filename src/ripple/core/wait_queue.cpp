@@ -4,36 +4,33 @@
 
 namespace ripple::core {
 
-void WaitQueue::push(Key key, Entry entry) {
-  const auto [located, fresh] = by_uid_.try_emplace(entry.request.uid);
-  ensure(fresh, Errc::invalid_state, "wait queue: uid '", entry.request.uid,
-         "' already queued");
-  const auto [position, inserted] = queue_.emplace(key, std::move(entry));
-  if (!inserted) {
-    by_uid_.erase(located);
-    raise(Errc::internal, "wait queue: duplicate sequence");
-  }
-  const ScheduleRequest& request = position->second.request;
-  Shape shape{request.cores, request.gpus, request.mem_gb, request.tenant,
-              !request.input_datasets.empty()};
-  const auto bucket = buckets_.try_emplace(std::move(shape)).first;
-  bucket->second.insert(position);
-  located->second = Location{key, bucket};
+namespace {
+
+WaitQueue::Shape shape_of(const ScheduleRequest& request) {
+  return {request.cores, request.gpus, request.mem_gb, request.tenant,
+          !request.input_datasets.empty()};
 }
 
-bool WaitQueue::erase_uid(const std::string& uid) {
-  const auto it = by_uid_.find(uid);
-  if (it == by_uid_.end()) return false;
-  erase(queue_.find(it->second.key));
+}  // namespace
+
+void WaitQueue::push(Key key, Entry entry) {
+  const auto [position, inserted] = queue_.emplace(key, std::move(entry));
+  ensure(inserted, Errc::internal, "wait queue: duplicate sequence");
+  buckets_.try_emplace(shape_of(position->second.request))
+      .first->second.insert(position);
+}
+
+bool WaitQueue::erase(const Key& key) {
+  const auto position = queue_.find(key);
+  if (position == queue_.end()) return false;
+  erase(position);
   return true;
 }
 
 void WaitQueue::erase(iterator position) {
-  const auto located = by_uid_.find(position->second.request.uid);
-  const Buckets::iterator bucket = located->second.bucket;
+  const auto bucket = buckets_.find(shape_of(position->second.request));
   bucket->second.erase(position);
   if (bucket->second.empty()) buckets_.erase(bucket);
-  by_uid_.erase(located);
   queue_.erase(position);
 }
 

@@ -4,11 +4,13 @@
 /// Priority-ordered waiting queue for the scheduler, indexed by shape.
 ///
 /// A balanced-tree indexed priority queue keyed by (priority desc,
-/// sequence asc) — the scheduler's native grant order — with a uid side
-/// index so cancel() finds its entry without scanning. Every entry also
-/// sits in one *bucket*: the queued requests of one shape (cores, gpus,
-/// mem_gb, tenant, declares-inputs), kept in the same grant order.
-/// push and erase are O(log N).
+/// sequence asc) — the scheduler's native grant order. The key is also
+/// the request's name: the scheduler hands it out as the request's
+/// ticket, and cancel() erases by it. Every entry also sits in one
+/// *bucket*: the queued requests of one shape (cores, gpus, mem_gb,
+/// tenant, declares-inputs), kept in the same grant order; an erase
+/// finds the bucket from the request's shape. push and erase are
+/// O(log N).
 ///
 /// The buckets are what make a backfill pass cheap. Within one pass
 /// capacity only shrinks, so once a request of some shape fails to fit,
@@ -39,7 +41,6 @@
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 
 #include "ripple/core/scheduler_request.hpp"
 
@@ -94,19 +95,16 @@ class WaitQueue {
   using Bucket = std::set<iterator, ByKey>;
   using Buckets = std::map<Shape, Bucket>;
 
-  /// Inserts in grant order. Throws invalid_state when the uid is
-  /// already queued (sequences are unique by construction).
+  /// Inserts in grant order. Keys are unique by construction (the
+  /// sequence never repeats); a key already queued throws internal.
   void push(Key key, Entry entry);
 
-  /// Removes the entry for `uid`; false when not queued.
-  bool erase_uid(const std::string& uid);
+  /// Removes the entry queued under `key`; false when none is (granted,
+  /// cancelled or never issued).
+  bool erase(const Key& key);
 
   /// Removes the entry an iterator points at.
   void erase(iterator position);
-
-  [[nodiscard]] bool contains_uid(const std::string& uid) const {
-    return by_uid_.count(uid) != 0;
-  }
 
   [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
@@ -122,15 +120,8 @@ class WaitQueue {
   [[nodiscard]] const Buckets& buckets() const noexcept { return buckets_; }
 
  private:
-  /// Where a queued uid lives: its queue key and its bucket.
-  struct Location {
-    Key key;
-    Buckets::iterator bucket;
-  };
-
   Map queue_;
   Buckets buckets_;
-  std::unordered_map<std::string, Location> by_uid_;
 };
 
 }  // namespace ripple::core

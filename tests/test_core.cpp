@@ -246,13 +246,14 @@ TEST_F(SchedulerTest, FifoPolicyBlocksQueueBehindHead) {
 TEST_F(SchedulerTest, CancelQueuedRequest) {
   std::vector<std::string> order;
   auto& sched = session.scheduler();
-  sched.submit(pilot->uid(), request("hog", 64, 0, 0, order));
+  const auto hog = sched.submit(pilot->uid(), request("hog", 64, 0, 0, order));
   sched.submit(pilot->uid(), request("hog2", 64, 0, 0, order));
-  sched.submit(pilot->uid(), request("victim", 64, 0, 0, order));
+  const auto victim =
+      sched.submit(pilot->uid(), request("victim", 64, 0, 0, order));
   session.run();
-  EXPECT_TRUE(sched.cancel(pilot->uid(), "victim"));
-  EXPECT_FALSE(sched.cancel(pilot->uid(), "victim"));
-  EXPECT_FALSE(sched.cancel(pilot->uid(), "hog"));  // already granted
+  EXPECT_TRUE(sched.cancel(pilot->uid(), victim));
+  EXPECT_FALSE(sched.cancel(pilot->uid(), victim));
+  EXPECT_FALSE(sched.cancel(pilot->uid(), hog));  // already granted
   EXPECT_EQ(sched.queue_length(pilot->uid()), 0u);
 }
 

@@ -159,14 +159,27 @@ TEST(WaitQueue, OrdersByPriorityThenSequence) {
   EXPECT_EQ(order, (std::vector<std::string>{"b", "c", "a", "d"}));
 }
 
-TEST(WaitQueue, EraseByUidAndDuplicateRejected) {
+TEST(WaitQueue, EraseByKey) {
   WaitQueue queue;
+  // Requests are named by key, so two may share a uid.
   queue.push({0, 0}, {dummy_request("x"), 0.0});
-  EXPECT_THROW(queue.push({1, 1}, {dummy_request("x"), 0.0}), Error);
-  EXPECT_TRUE(queue.contains_uid("x"));
-  EXPECT_TRUE(queue.erase_uid("x"));
-  EXPECT_FALSE(queue.erase_uid("x"));
+  queue.push({1, 1}, {dummy_request("x"), 0.0});
+  queue.push({0, 2}, {dummy_request("y"), 0.0});
+  ASSERT_EQ(queue.buckets().size(), 1u);
+  // The head leaves as a grant does, by iterator.
+  ASSERT_EQ(queue.begin()->first.sequence, 1u);
+  queue.erase(queue.begin());
+  EXPECT_FALSE(queue.erase(WaitQueue::Key{1, 1}));  // already granted
+  EXPECT_FALSE(queue.erase(WaitQueue::Key{0, 7}));  // never issued
+  EXPECT_FALSE(queue.erase(WaitQueue::Key{1, 0}));  // 0 queues at priority 0
+  EXPECT_TRUE(queue.erase(WaitQueue::Key{0, 2}));   // queued
+  EXPECT_FALSE(queue.erase(WaitQueue::Key{0, 2}));  // gone
+  ASSERT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.begin()->first.sequence, 0u);
+  EXPECT_EQ(queue.buckets().begin()->second.size(), 1u);
+  EXPECT_TRUE(queue.erase(WaitQueue::Key{0, 0}));
   EXPECT_TRUE(queue.empty());
+  EXPECT_TRUE(queue.buckets().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -219,14 +232,18 @@ TEST_F(IndexedSchedulerTest, BackfillOvertakesBlockedHeadOnRelease) {
 TEST_F(IndexedSchedulerTest, CancelQueuedVersusGranted) {
   std::vector<std::string> order;
   auto& sched = session.scheduler();
-  sched.submit(pilot->uid(), request("granted", 64, 0, 0, order));
+  const auto granted =
+      sched.submit(pilot->uid(), request("granted", 64, 0, 0, order));
   sched.submit(pilot->uid(), request("hog", 64, 0, 0, order));
-  sched.submit(pilot->uid(), request("queued", 64, 0, 0, order));
+  const auto queued =
+      sched.submit(pilot->uid(), request("queued", 64, 0, 0, order));
   session.run();
-  EXPECT_TRUE(sched.cancel(pilot->uid(), "queued"));
-  EXPECT_FALSE(sched.cancel(pilot->uid(), "queued"));   // gone
-  EXPECT_FALSE(sched.cancel(pilot->uid(), "granted"));  // holds a slot
-  EXPECT_FALSE(sched.cancel(pilot->uid(), "ghost"));    // never existed
+  EXPECT_TRUE(sched.cancel(pilot->uid(), queued));
+  EXPECT_FALSE(sched.cancel(pilot->uid(), queued));   // gone
+  EXPECT_FALSE(sched.cancel(pilot->uid(), granted));  // holds a slot
+  // Never issued: the next sequence number.
+  const Scheduler::Ticket ghost{0, queued.sequence + 1};
+  EXPECT_FALSE(sched.cancel(pilot->uid(), ghost));
   EXPECT_EQ(sched.queue_length(pilot->uid()), 0u);
 }
 
@@ -236,7 +253,8 @@ TEST_F(IndexedSchedulerTest, FifoHeadCancelUnblocksQueueOnNextSubmit) {
   auto& sched = session.scheduler();
   sched.submit(pilot->uid(), request("hog1", 64, 0, 0, order));
   sched.submit(pilot->uid(), request("hog2", 64, 0, 0, order));
-  sched.submit(pilot->uid(), request("blocker", 64, 0, 0, order));
+  const auto blocker =
+      sched.submit(pilot->uid(), request("blocker", 64, 0, 0, order));
   sched.submit(pilot->uid(), request("small", 1, 0, 0, order));
   session.run();
   EXPECT_EQ(order.size(), 2u);
@@ -246,7 +264,7 @@ TEST_F(IndexedSchedulerTest, FifoHeadCancelUnblocksQueueOnNextSubmit) {
   EXPECT_EQ(order.size(), 2u);
   // Cancelling the head does not itself re-run placement; the next
   // submit's pass must grant `small` the freed cores.
-  EXPECT_TRUE(sched.cancel(pilot->uid(), "blocker"));
+  EXPECT_TRUE(sched.cancel(pilot->uid(), blocker));
   sched.submit(pilot->uid(), request("late", 64, 0, 0, order));
   session.run();
   ASSERT_EQ(order.size(), 3u);
@@ -346,10 +364,10 @@ TEST_F(IndexedSchedulerTest, SubmitAllEnactsPrioritiesAcrossBatch) {
   // Two nodes: only two grants possible. Unlike sequential submits
   // (where `low` would grab a node first), the batch is placed in
   // priority order.
-  const std::size_t granted = sched.submit_all(pilot->uid(),
-                                               std::move(batch));
+  const auto tickets = sched.submit_all(pilot->uid(), std::move(batch));
   session.run();
-  EXPECT_EQ(granted, 2u);
+  EXPECT_EQ(tickets.size(), 3u);
+  EXPECT_EQ(sched.granted_total(), 2u);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "high");
   EXPECT_EQ(order[1], "mid");

@@ -275,6 +275,26 @@ TEST_F(ServiceManagerTest, RemoteServiceSkipsBootstrap) {
   session.run();
 }
 
+TEST_F(ServiceManagerTest, RemoteServiceStoppedBeforeInitIsCanceled) {
+  // Two remote services still loading their model: neither has a
+  // scheduler request, so stop and stop_all cancel them outright, and
+  // the loads that complete later are dropped.
+  auto& r3 = session.add_platform(platform::r3_profile(2));
+  const auto first = session.services().register_remote(r3, svc_desc(), 0);
+  const auto second = session.services().register_remote(r3, svc_desc(), 1);
+  int stopped = 0;
+  ASSERT_NO_THROW(session.services().stop(first, [&] { ++stopped; }));
+  ASSERT_NO_THROW(session.services().stop_all([&] { ++stopped; }));
+  ASSERT_NO_THROW(session.run());
+  EXPECT_EQ(stopped, 2);
+  for (const auto& uid : {first, second}) {
+    EXPECT_EQ(session.services().get(uid).state(), ServiceState::canceled)
+        << uid;
+    EXPECT_EQ(session.services().program(uid), nullptr) << uid;
+  }
+  EXPECT_TRUE(session.services().endpoints().empty());
+}
+
 TEST_F(ServiceManagerTest, StatsExposeProgramCounters) {
   const auto uid = session.services().submit(*pilot, svc_desc());
   session.services().when_ready({uid}, [&](bool) {});
