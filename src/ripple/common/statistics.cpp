@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "ripple/common/error.hpp"
-#include "ripple/common/strutil.hpp"
 
 namespace ripple::common {
 
@@ -47,10 +46,6 @@ void Summary::add(double x) {
   stats_.add(x);
 }
 
-void Summary::add_all(const std::vector<double>& xs) {
-  for (const double x : xs) add(x);
-}
-
 void Summary::ensure_sorted() const {
   if (sorted_valid_) return;
   sorted_ = samples_;
@@ -86,60 +81,6 @@ json::Value Summary::to_json() const {
     out.set("p50", median());
     out.set("p95", p95());
     out.set("max", max());
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bin_width_((hi - lo) / static_cast<double>(bins)) {
-  ensure(hi > lo, Errc::invalid_argument, "histogram range must be non-empty");
-  ensure(bins > 0, Errc::invalid_argument, "histogram needs at least one bin");
-  counts_.resize(bins, 0);
-}
-
-void Histogram::add(double x) {
-  std::size_t bin = 0;
-  if (x <= lo_) {
-    bin = 0;
-  } else if (x >= hi_) {
-    bin = counts_.size() - 1;
-  } else {
-    bin = static_cast<std::size_t>((x - lo_) / bin_width_);
-    bin = std::min(bin, counts_.size() - 1);
-  }
-  ++counts_[bin];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  ensure(bin < counts_.size(), Errc::invalid_argument,
-         "histogram bin out of range");
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  ensure(bin < counts_.size(), Errc::invalid_argument,
-         "histogram bin out of range");
-  return lo_ + bin_width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin) + bin_width_; }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 0;
-  for (const std::size_t c : counts_) peak = std::max(peak, c);
-  if (peak == 0) return "(empty histogram)\n";
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar_length = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    out += strutil::cat(
-        strutil::pad_left(strutil::format_fixed(bin_lo(i), 4), 12), " .. ",
-        strutil::pad_left(strutil::format_fixed(bin_hi(i), 4), 12), " | ",
-        std::string(std::max<std::size_t>(bar_length, 1), '#'), " ",
-        counts_[i], "\n");
   }
   return out;
 }

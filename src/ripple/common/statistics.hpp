@@ -51,7 +51,6 @@ class OnlineStats {
 class Summary {
  public:
   void add(double x);
-  void add_all(const std::vector<double>& xs);
 
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
   [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
@@ -81,31 +80,6 @@ class Summary {
   OnlineStats stats_;
 
   void ensure_sorted() const;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples land in
-/// saturating edge bins so no observation is lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  /// Text rendering (one line per non-empty bin), handy in reports.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  double bin_width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace ripple::common

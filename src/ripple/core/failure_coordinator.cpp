@@ -89,28 +89,6 @@ void FailureCoordinator::arm_slow_nodes(
   injector_.arm(FailureKind::slow_node, std::move(nodes), schedule);
 }
 
-void FailureCoordinator::arm_pilot_preemptions(
-    sim::FailureInjector::Schedule schedule) {
-  injector_.arm(FailureKind::pilot_preempt, session_.pilot_uids(), schedule);
-}
-
-void FailureCoordinator::arm_link_flaps(
-    sim::FailureInjector::Schedule schedule) {
-  const std::vector<std::string> names = session_.cluster_names();
-  std::vector<std::string> pairs;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    for (std::size_t j = i + 1; j < names.size(); ++j) {
-      pairs.push_back(strutil::cat(names[i], "|", names[j]));
-    }
-  }
-  injector_.arm(FailureKind::link_down, std::move(pairs), schedule);
-}
-
-void FailureCoordinator::arm_store_crashes(
-    std::vector<std::string> zones, sim::FailureInjector::Schedule schedule) {
-  injector_.arm(FailureKind::store_crash, std::move(zones), schedule);
-}
-
 // ---------------------------------------------------------------------------
 // Lookup
 // ---------------------------------------------------------------------------

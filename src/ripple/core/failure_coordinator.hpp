@@ -26,8 +26,9 @@
 ///                     re-declares the store at its old capacity
 ///
 /// Targets are plain strings: node ids, pilot uids, "zoneA|zoneB" link
-/// pairs, store zone names. The arm_* helpers enumerate them from the
-/// session in deterministic (sorted) order.
+/// pairs, store zone names. The arm_* helpers enumerate a cluster's
+/// nodes in order; the other kinds are armed with
+/// `injector().arm(kind, targets, schedule)`.
 
 #include <map>
 #include <string>
@@ -68,17 +69,6 @@ class FailureCoordinator {
   /// repair interval.
   void arm_slow_nodes(const std::string& cluster,
                       sim::FailureInjector::Schedule schedule);
-
-  /// Spot-style pilot preemption across the session's current pilots.
-  void arm_pilot_preemptions(sim::FailureInjector::Schedule schedule);
-
-  /// Link flaps across every cluster pair of the session.
-  void arm_link_flaps(sim::FailureInjector::Schedule schedule);
-
-  /// Store crashes across `zones` (each must name a declared store for
-  /// store_restore to know the capacity to re-declare).
-  void arm_store_crashes(std::vector<std::string> zones,
-                         sim::FailureInjector::Schedule schedule);
 
  private:
   void on_node_crash(const std::string& node_id);

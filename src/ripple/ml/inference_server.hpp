@@ -124,12 +124,6 @@ class InferenceServer {
   }
   /// Requests currently admitted (parsing, decoding or serializing).
   [[nodiscard]] std::size_t busy() const noexcept { return busy_requests_; }
-  /// Worker slots currently processing a batch (fixed mode); in
-  /// continuous mode, 1 while the decode loop has sequences.
-  [[nodiscard]] std::size_t busy_workers() const noexcept {
-    if (config_.continuous) return running_.empty() ? 0 : 1;
-    return busy_workers_;
-  }
   /// Sequences currently inside the running continuous batch.
   [[nodiscard]] std::size_t running_sequences() const noexcept {
     return running_.size();

@@ -64,7 +64,6 @@ void RpcServer::bind_method(const std::string& name, Method handler) {
 
 void RpcServer::dispatch(Message&& message) {
   if (message.kind != MessageKind::request) return;  // ignore stray replies
-  ++received_;
   auto responder =
       std::make_shared<Responder>(router_, host_, std::move(message));
   const auto it = methods_.find(responder->request().method);

@@ -76,10 +76,6 @@ class RpcServer {
 
   void bind_method(const std::string& name, Method handler);
 
-  [[nodiscard]] std::uint64_t requests_received() const noexcept {
-    return received_;
-  }
-
  private:
   void dispatch(Message&& message);
 
@@ -87,7 +83,6 @@ class RpcServer {
   EndpointId endpoint_;
   sim::HostIndex host_;
   std::unordered_map<std::string, Method> methods_;
-  std::uint64_t received_ = 0;
 };
 
 /// Client side: issues calls and matches replies by request number.

@@ -61,19 +61,9 @@ void FailureInjector::arm(FailureKind kind, std::vector<std::string> targets,
 
 void FailureInjector::inject_at(SimTime when, FailureKind kind,
                                 std::string target, double magnitude) {
-  side_timers_.push_back(loop_.call_at(
-      when, [this, kind, target = std::move(target), magnitude] {
-        dispatch(kind, target, magnitude);
-      }));
-}
-
-void FailureInjector::disarm() {
-  for (auto& [kind, stream] : streams_) {
-    if (stream.next.valid()) loop_.cancel(stream.next);
-    stream.next = {};
-  }
-  for (const auto& handle : side_timers_) loop_.cancel(handle);
-  side_timers_.clear();
+  loop_.call_at(when, [this, kind, target = std::move(target), magnitude] {
+    dispatch(kind, target, magnitude);
+  });
 }
 
 void FailureInjector::schedule_next(FailureKind kind) {
@@ -105,11 +95,11 @@ void FailureInjector::fire(FailureKind kind) {
       const SimTime back =
           loop_.now() +
           stream.rng.exponential(stream.schedule.mean_time_to_repair);
-      side_timers_.push_back(loop_.call_at(back, [this, kind, index] {
+      loop_.call_at(back, [this, kind, index] {
         auto& s = streams_.at(kind);
         s.up.insert(index);
         dispatch(*recovery_of(kind), s.targets[index], 0.0);
-      }));
+      });
     }
   }
   schedule_next(kind);

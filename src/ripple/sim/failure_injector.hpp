@@ -105,9 +105,6 @@ class FailureInjector {
   void inject_at(SimTime when, FailureKind kind, std::string target,
                  double magnitude = 0.0);
 
-  /// Cancels every pending stream and recovery timer.
-  void disarm();
-
   /// Ordered "t kind target magnitude" lines — the determinism oracle.
   [[nodiscard]] const std::vector<std::string>& event_log() const noexcept {
     return log_;
@@ -136,7 +133,6 @@ class FailureInjector {
   common::Rng rng_;
   std::map<FailureKind, Stream> streams_;
   std::map<FailureKind, Handler> handlers_;
-  std::vector<EventLoop::TimerHandle> side_timers_;
   std::vector<std::string> log_;
   std::uint64_t log_hash_ = common::kFnvOffsetBasis;
   std::size_t injected_ = 0;

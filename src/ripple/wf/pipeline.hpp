@@ -83,10 +83,6 @@ struct Stage {
   /// Stop this stage's services once the stage completes (dynamic
   /// resource release, paper section II-A).
   bool stop_services_after = false;
-
-  [[nodiscard]] std::size_t unblock_threshold() const noexcept {
-    return std::min(unblock_next_after, tasks.size());
-  }
 };
 
 /// How a multi-pilot run picks the pilot of each stage.

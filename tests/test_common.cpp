@@ -424,22 +424,6 @@ TEST(Summary, JsonExport) {
   EXPECT_DOUBLE_EQ(j.at("mean").as_double(), 2.0);
 }
 
-TEST(Histogram, BinsAndSaturation) {
-  common::Histogram hist(0.0, 10.0, 5);
-  hist.add(-1.0);   // clamps to bin 0
-  hist.add(0.5);
-  hist.add(5.0);
-  hist.add(99.0);   // clamps to last bin
-  EXPECT_EQ(hist.total(), 4u);
-  EXPECT_EQ(hist.count(0), 2u);
-  EXPECT_EQ(hist.count(2), 1u);
-  EXPECT_EQ(hist.count(4), 1u);
-  EXPECT_DOUBLE_EQ(hist.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(hist.bin_hi(1), 4.0);
-  EXPECT_THROW((void)hist.count(9), Error);
-  EXPECT_THROW(common::Histogram(1.0, 1.0, 4), Error);
-}
-
 // ---------------------------------------------------------------------------
 // random
 // ---------------------------------------------------------------------------
