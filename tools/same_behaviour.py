@@ -112,10 +112,11 @@ def compare_programs(parent, change):
             for stream in differ:
                 print(f"{label}: {stream} differs")
                 diff = difflib.unified_diff(
-                    old[stream].decode(errors="replace").splitlines(True),
-                    new[stream].decode(errors="replace").splitlines(True),
-                    "parent", "change", n=0)
-                sys.stdout.writelines(itertools.islice(diff, DIFF_LINES))
+                    old[stream].decode(errors="replace").splitlines(),
+                    new[stream].decode(errors="replace").splitlines(),
+                    "parent", "change", n=0, lineterm="")
+                for line in itertools.islice(diff, DIFF_LINES):
+                    print(line)
             print(f"{label}: {len(old)} outputs, {len(differ)} differ",
                   file=sys.stderr)
             differences += len(differ)
