@@ -295,6 +295,37 @@ TEST_F(ServiceManagerTest, RemoteServiceStoppedBeforeInitIsCanceled) {
   EXPECT_TRUE(session.services().endpoints().empty());
 }
 
+TEST_F(ServiceManagerTest, RestartDropsTheRequestOfTheFailedAttempt) {
+  // Every GPU is held, so the service's request queues until its ready
+  // timeout fails it at 5 s. The restart queues a fresh request and
+  // drops the old one, so the GPUs freed at 5.5 s go to the restart
+  // alone, and it boots.
+  auto& sched = session.scheduler();
+  std::vector<platform::Slot> hogs;
+  for (int i = 0; i < 4; ++i) {
+    ScheduleRequest hog;
+    hog.uid = "hog" + std::to_string(i);
+    hog.gpus = 4;
+    hog.granted = [&hogs](platform::Slot slot, platform::Node*) {
+      hogs.push_back(std::move(slot));
+    };
+    sched.submit(pilot->uid(), std::move(hog));
+  }
+  auto desc = svc_desc();
+  desc.ready_timeout = 5.0;
+  desc.restart_on_failure = true;
+  const auto uid = session.services().submit(*pilot, desc);
+  session.loop().call_at(5.5, [&] { sched.release(pilot->uid(), hogs[0]); });
+  ASSERT_NO_THROW(session.run());
+  const auto& svc = session.services().get(uid);
+  EXPECT_EQ(svc.state(), ServiceState::running);
+  EXPECT_EQ(svc.restarts(), 1);
+  EXPECT_EQ(sched.granted_total(), 5u);
+  EXPECT_EQ(sched.waiting_total(), 0u);
+  session.services().stop_all();
+  session.run();
+}
+
 TEST_F(ServiceManagerTest, StatsExposeProgramCounters) {
   const auto uid = session.services().submit(*pilot, svc_desc());
   session.services().when_ready({uid}, [&](bool) {});
