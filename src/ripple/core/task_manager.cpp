@@ -630,6 +630,7 @@ void TaskManager::end_attempt(Active& active, Attempt& attempt) {
   attempt.payload.reset();
   attempt.ctx.reset();
   attempt.node = nullptr;
+  attempt.slot = {};  // Task::slot() keeps the primary's for reporting
 }
 
 // ---------------------------------------------------------------------------
