@@ -584,8 +584,8 @@ void TaskManager::on_spec_granted(EntityId id, std::uint64_t epoch,
                                   const std::string& pilot_uid,
                                   platform::Slot slot, platform::Node* node) {
   Active& active = tasks_[id];
-  // Each epoch queues at most one twin, and it ends only with its
-  // epoch or the task, so a grant that is not stale finds it queued.
+  // Each epoch queues at most one twin, and a queued twin ends only
+  // with its epoch or its task, so a grant that is not stale finds it.
   if (is_terminal(active.state()) || active.epoch != epoch ||
       active.state() != TaskState::running || !active.twin) {
     if (scheduler_.has_pilot(pilot_uid)) scheduler_.release(pilot_uid, slot);
