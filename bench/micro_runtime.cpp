@@ -6,8 +6,8 @@
 // hops, entity state transitions, a node crash's walk, the capacity
 // index's first fit, the wait queue, span tracing, scheduler
 // grant/release cycles, the data plane's staging call, transfers and
-// bandwidth re-planning, and the replica catalog's lookups and LRU
-// eviction. They back the claim
+// bandwidth re-planning, the replica catalog's lookups, LRU eviction
+// and one task's calls, and placement ranking. They back the claim
 // that architectural overheads are "minimal" relative to the modeled
 // network and model costs.
 
@@ -32,6 +32,7 @@
 #include "ripple/core/session.hpp"
 #include "ripple/core/states.hpp"
 #include "ripple/data/catalog.hpp"
+#include "ripple/data/placement_advisor.hpp"
 #include "ripple/data/transfer_engine.hpp"
 #include "ripple/ml/install.hpp"
 #include "ripple/core/wait_queue.hpp"
@@ -248,6 +249,133 @@ void BM_CatalogMakeRoom(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CatalogMakeRoom);
+
+// The catalog calls one dataflow branch task makes, over three tenants'
+// names for a shared corpus (tenants 1 and 2 read through aliases): the
+// graph takes a lineage reference on its input part and on its output,
+// staging finds the part and touches its resident replica, the task
+// pins it, registers its 1 GB output into the full store (make_room
+// evicts the oldest unprotected intermediate) and unpins it, and both
+// reads finish. The store holds 24 parts and 104 intermediates, 200 GB;
+// outputs reuse a ring of 1,024 names whose replicas are long evicted
+// when a name comes round again.
+void BM_CatalogTaskCycle(benchmark::State& state) {
+  constexpr int kParts = 24;
+  constexpr int kOutputs = 1024;
+  const std::string zone = "delta";
+  data::ReplicaCatalog catalog;
+  catalog.add_store(zone, 200e9);
+  std::vector<std::string> tenants;
+  std::vector<std::vector<std::string>> parts(3);
+  for (int t = 0; t < 3; ++t) {
+    tenants.push_back(strutil::cat("t", t));
+    for (int p = 0; p < kParts; ++p) {
+      parts[t].push_back(strutil::cat("t", t, "/part", p));
+      const std::string cid = strutil::cat("cid:part", p);
+      catalog.register_dataset(parts[t][p], 4e9, "archive", cid);
+      if (p % 2 == 0) catalog.register_dataset(parts[t][p], 4e9, "lab", cid);
+    }
+  }
+  for (int i = 0; i < 104; ++i) {
+    catalog.register_dataset(strutil::cat("warm/mid", i), 1e9, zone);
+  }
+  for (int p = 0; p < kParts; ++p) {
+    catalog.register_dataset(parts[0][p], 4e9, zone,
+                             strutil::cat("cid:part", p));
+  }
+  std::vector<std::string> outputs;
+  for (int i = 0; i < kOutputs; ++i) {
+    outputs.push_back(strutil::cat("t", i % 3, "/g", i, "/mid", i % 4));
+  }
+  std::size_t cycle = 0;
+  for (auto _ : state) {
+    const std::string& tenant = tenants[cycle % 3];
+    const std::string& part = parts[cycle % 3][cycle % kParts];
+    const std::string& output = outputs[cycle % kOutputs];
+    catalog.add_consumers(part, 1, tenant);
+    catalog.add_consumers(output, 1, tenant);
+    const data::Dataset* ds = catalog.find(part);
+    if (ds->zones.count(zone) != 0) catalog.touch(ds->name, zone);
+    catalog.pin(part, zone, tenant);
+    catalog.register_dataset(output, 1e9, zone);
+    catalog.unpin(part, zone, tenant);
+    catalog.consume_done(part, tenant);
+    const data::Dataset* out = catalog.find(output);
+    catalog.touch(out->name, zone);
+    catalog.consume_done(output, tenant);
+    ++cycle;
+  }
+  if (catalog.evictions() != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("an output did not evict exactly one replica");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CatalogTaskCycle);
+
+// PlacementAdvisor::rank as the workflow engine calls it for each node
+// it releases or predicts: two pilots (delta and frontier), the node's
+// inputs resolved against the catalog and priced at each link's live
+// newcomer rate. Corpus parts live in archive and (half of them) in lab,
+// so their stage-in stripes over two links; a few transfers sit on
+// those links so the rates are discounted. One iteration ranks the 48
+// nodes of eight diamonds: per graph the src and four branches each
+// read one part (tenants 1 and 2 through aliases) and the sink reads
+// four intermediates, half resident in each compute zone.
+void BM_PlacementRank(benchmark::State& state) {
+  core::Session session({.seed = 5});
+  session.add_platform(platform::delta_profile(1));
+  session.add_platform(platform::frontier_profile(1));
+  std::vector<core::Pilot*> pilots = {
+      &session.submit_pilot({.platform = "delta", .nodes = 1}),
+      &session.submit_pilot({.platform = "frontier", .nodes = 1})};
+  core::DataManager& data = session.data();
+  for (const char* zone : {"delta", "frontier"}) {
+    data.add_store(zone, 200e9);
+    data.set_bandwidth("archive", zone, 2.5e9);
+    data.set_bandwidth("lab", zone, 2.5e9);
+  }
+  for (int t = 0; t < 3; ++t) {
+    for (int p = 0; p < 24; ++p) {
+      const std::string name = strutil::cat("t", t, "/part", p);
+      const std::string cid = strutil::cat("cid:part", p);
+      data.register_dataset(name, 4e9, "archive", cid);
+      if (p % 2 == 0) data.register_dataset(name, 4e9, "lab", cid);
+    }
+  }
+  std::vector<std::vector<std::string>> nodes;
+  for (int g = 0; g < 8; ++g) {
+    const std::string tenant = strutil::cat("t", g % 3);
+    std::vector<std::string> mids;
+    for (int n = 0; n < 5; ++n) {
+      nodes.push_back({strutil::cat(tenant, "/part", (g * 5 + n * 7) % 24)});
+    }
+    for (int b = 0; b < 4; ++b) {
+      const std::string mid = strutil::cat(tenant, "/g", g, "/mid", b);
+      data.register_dataset(mid, 1e9, b % 2 == 0 ? "delta" : "frontier");
+      mids.push_back(mid);
+    }
+    nodes.push_back(std::move(mids));
+  }
+  for (int i = 0; i < 3; ++i) {  // live links, never run
+    data.engine().transfer(strutil::cat("noise", i), {"archive"},
+                           i == 0 ? "frontier" : "delta", 1e15,
+                           [](bool, sim::Duration) {});
+  }
+  data.engine().transfer("noise-lab", {"lab"}, "frontier", 1e15,
+                         [](bool, sim::Duration) {});
+  const data::PlacementAdvisor advisor(data.catalog(), &data.engine(),
+                                       &session.scheduler());
+  std::size_t on_delta = 0;
+  for (auto _ : state) {
+    for (const auto& consumes : nodes) {
+      on_delta += advisor.rank(pilots, consumes).front() == pilots[0];
+    }
+  }
+  benchmark::DoNotOptimize(on_delta);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(nodes.size()));
+}
+BENCHMARK(BM_PlacementRank);
 
 // Transfers as dataflow makes them: each from one source replica, from
 // the transfer call through setup, the fair-share replans of its link

@@ -373,6 +373,41 @@ TEST(TransferEngineTest, ReplanAllTicksReproduceAcrossReruns) {
   EXPECT_EQ(run_ticks(true).span_hash, traced.span_hash);
 }
 
+TEST(TransferEngineTest, ReplanAllSpansFollowLinkNameOrder) {
+  // Links are first used out of name order, one of them from the zone
+  // that sorts second, and one drains before the tick. A traced tick
+  // still emits one "replan" span per link that has carried a transfer,
+  // idle or not, in (zone, zone) name order; links only configured or
+  // failed, never used, get none.
+  sim::EventLoop loop;
+  data::TransferEngine engine(loop, common::Rng(3));
+  metrics::Tracer tracer;
+  metrics::Counters counters;
+  tracer.set_enabled(true);
+  engine.set_trace(&tracer, &counters);
+  engine.set_setup_latency(common::Distribution::constant(0.0));
+  engine.set_default_bandwidth(100.0);
+  engine.set_bandwidth("e", "f", 50.0);
+  engine.set_link_concurrency("g", "h", 2);
+  engine.fail_link("x", "y");
+  const auto ignore = [](bool, sim::Duration) {};
+  engine.transfer("late", {"z2"}, "z3", 1000.0, ignore);
+  engine.transfer("back", {"b"}, "a", 1000.0, ignore);
+  engine.transfer("short", {"k"}, "d", 10.0, ignore);  // lands at 0.1 s
+  engine.transfer("mid", {"m"}, "c", 1000.0, ignore);
+  engine.transfer("mid2", {"c"}, "m", 1000.0, ignore);
+  loop.run_until(1.0);
+  EXPECT_EQ(engine.replan_all(), 4u);
+  std::vector<std::string> order;
+  for (const metrics::Span& span : tracer.spans()) {
+    if (span.name != "replan") continue;
+    ASSERT_EQ(span.args.size(), 1u);
+    order.push_back(strutil::cat(span.entity, " ", span.args[0].second));
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"a~b 1", "c~m 2", "d~k 0",
+                                             "z2~z3 1"}));
+}
+
 TEST(Catalog, ExactFitReserveSurvivesFloatChurn) {
   // Accounting drift regression: make_room used exact comparisons while
   // release/commit tolerated ULP drift, so after a long commit/drop
@@ -1039,6 +1074,56 @@ TEST_F(DataPlaneFacadeTest, DemandStagingReclaimsPrefetchReservations) {
   // The reclaimed reservation and source pin were fully returned.
   EXPECT_DOUBLE_EQ(data.catalog().store("delta").reserved, 0.0);
   EXPECT_EQ(data.catalog().pins("spec", "lab"), 0u);
+}
+
+TEST_F(DataPlaneFacadeTest, DemandStageReclaimsTheFirstPrefetchByName) {
+  // Two waiterless prefetches hold 16 of the 20 GB; a 5 GB demand stage
+  // needs one of them back. The datasets were registered in reverse
+  // name order, yet the reclaim takes the one whose name sorts first.
+  data.add_store("delta", 20e9);
+  data.register_dataset("pz", 8e9, "lab");
+  data.register_dataset("pa", 8e9, "lab2");
+  data.register_dataset("needed", 5e9, "lab3");
+  for (const char* src : {"lab", "lab2", "lab3"}) {
+    data.set_bandwidth(src, "delta", 1e9);
+  }
+  ASSERT_EQ(data.prefetch({"pz", "pa"}, "delta"), 2u);
+  runtime.loop().run_until(2.0);  // both prefetches mid-flight
+
+  bool ok = false;
+  data.stage({{"needed", "delta"}},
+             [&](bool result, const std::string&) { ok = result; });
+  runtime.loop().run();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(data.cancelled_transfers(), 1u);
+  EXPECT_FALSE(data.available_in("pa", "delta"));
+  EXPECT_TRUE(data.available_in("pz", "delta"));
+  EXPECT_TRUE(data.available_in("needed", "delta"));
+  EXPECT_DOUBLE_EQ(data.catalog().store("delta").reserved, 0.0);
+}
+
+TEST_F(DataPlaneFacadeTest, StoreCrashFailsInboundWaitersInNameOrder) {
+  // Two demand flights into delta, staged (and registered) in reverse
+  // name order, are in flight when the store crashes: their waiters
+  // fail on the next loop turn in dataset-name order.
+  data.add_store("delta", 100e9);
+  data.register_dataset("d2", 10e9, "lab");
+  data.register_dataset("d1", 10e9, "lab");
+  data.set_bandwidth("lab", "delta", 1e9);
+  std::vector<std::string> failed;
+  for (const char* name : {"d2", "d1"}) {
+    data.stage({{name, "delta"}}, [&failed](bool ok, const std::string& ds) {
+      if (!ok) failed.push_back(ds);
+    });
+  }
+  runtime.loop().run_until(4.0);  // both mid-flight
+  ASSERT_TRUE(failed.empty());
+  EXPECT_EQ(data.handle_store_failure("delta"), 0u);
+  runtime.loop().run();
+  EXPECT_EQ(failed, (std::vector<std::string>{"d1", "d2"}));
+  EXPECT_EQ(data.cancelled_transfers(), 2u);
+  EXPECT_EQ(data.catalog().pins("d1", "lab"), 0u);
+  EXPECT_EQ(data.catalog().pins("d2", "lab"), 0u);
 }
 
 TEST_F(DataPlaneFacadeTest, DemandStagePiggybacksOnPrefetch) {
