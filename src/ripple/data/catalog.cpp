@@ -17,6 +17,22 @@ double slack(double bytes) {
   return bytes * 1e-9 > 1.0 ? bytes * 1e-9 : 1.0;
 }
 
+void ensure_consumers_left(bool left, const std::string& name) {
+  ensure(left, Errc::invalid_state, "consume_done: '", name,
+         "' has no consumers left");
+}
+
+/// One of `tenant`'s consumers of `name` finished: decrements the count
+/// `held` points at (null when the tenant holds none) and returns true
+/// when it reached 0.
+bool take_consumer(std::size_t* held, const std::string& name,
+                   const std::string& tenant) {
+  ensure(held != nullptr && *held > 0, Errc::invalid_state,
+         "consume_done: tenant '", tenant, "' holds no consumers of '", name,
+         "'");
+  return --*held == 0;
+}
+
 }  // namespace
 
 void ReplicaCatalog::add_store(const std::string& zone,
@@ -24,7 +40,7 @@ void ReplicaCatalog::add_store(const std::string& zone,
   ensure(!zone.empty(), Errc::invalid_argument, "store needs a zone name");
   ensure(capacity_bytes >= 0.0, Errc::invalid_argument,
          "store capacity must be >= 0");
-  Store& store = stores_[zone];
+  Store& store = stores_[zone_for(zone)];
   // Same ULP tolerance as every other capacity comparison: the in-use
   // pools carry rounding dust from long +=/-= chains, and a shrink to
   // the exact nominal footprint must not misfire over it.
@@ -32,6 +48,7 @@ void ReplicaCatalog::add_store(const std::string& zone,
   ensure(capacity_bytes >= in_use - slack(in_use), Errc::invalid_state,
          "store '", zone, "' cannot shrink below ", in_use, " bytes in use");
   store.info.capacity = capacity_bytes;
+  store.declared = true;
 }
 
 void ReplicaCatalog::register_dataset(const std::string& name, double bytes,
@@ -39,58 +56,62 @@ void ReplicaCatalog::register_dataset(const std::string& name, double bytes,
                                       const std::string& content_id) {
   ensure(!name.empty(), Errc::invalid_argument, "dataset needs a name");
   ensure(bytes >= 0.0, Errc::invalid_argument, "dataset bytes must be >= 0");
-  Entry* entry = lookup(name);
+  const DatasetId* known = lookup(name);
   if (!content_id.empty()) {
     const auto cit = content_index_.find(content_id);
-    if (cit != content_index_.end() && cit->second != entry) {
+    if (cit != content_index_.end() &&
+        (known == nullptr || *known != cit->second)) {
       // The content id already has a canonical dataset under another
       // name: `name` becomes an alias of it. A name that is already a
       // distinct dataset (or an alias of a different one) cannot be
       // re-bound — that would silently merge two different blobs.
-      Entry& canon = *cit->second;
-      ensure(entry == nullptr || entry->info.name != name, Errc::invalid_state,
+      const DatasetId canon = cit->second;
+      const std::string* bound =
+          known == nullptr ? nullptr : &records_[*known].info.name;
+      ensure(bound == nullptr || *bound != name, Errc::invalid_state,
              "dataset '", name,
              "' already registered; cannot re-bind it to content id '",
              content_id, "'");
-      ensure(entry == nullptr, Errc::invalid_state, "dataset '", name,
-             "' already aliases '", entry == nullptr ? name : entry->info.name,
-             "'; cannot re-bind to '", canon.info.name, "'");
-      aliases_.emplace(name, &canon);
+      ensure(bound == nullptr, Errc::invalid_state, "dataset '", name,
+             "' already aliases '", bound == nullptr ? name : *bound,
+             "'; cannot re-bind to '", records_[canon].info.name, "'");
+      names_.emplace(aliases_.emplace_back(name), canon);
       // Lineage recorded against the alias name before the alias
       // existed (consumers registered ahead of production) now
       // protects the canonical entry.
-      if (auto early = lineage_.extract(name)) {
-        auto& merged = lineage_[canon.info.name];
-        for (const auto& [tenant, count] : early.mapped()) {
-          merged[tenant] += count;
-        }
-      }
+      adopt_lineage(name, canon);
       add_replica(canon, zone);
       return;
     }
   }
-  if (entry == nullptr) {
-    entry = &datasets_[name];
-    entry->info.name = name;
-    entry->info.bytes = bytes;
+  DatasetId id = 0;
+  if (known == nullptr) {
+    id = static_cast<DatasetId>(records_.size());
+    Record& record = records_.emplace_back();
+    record.info.name = name;
+    record.info.bytes = bytes;
+    names_.emplace(record.info.name, id);
+    adopt_lineage(name, id);
+  } else {
+    id = *known;
   }
+  Dataset& info = records_[id].info;
   if (!content_id.empty()) {
-    if (entry->info.content_id.empty()) {
-      entry->info.content_id = content_id;
-      content_index_.emplace(content_id, entry);
+    if (info.content_id.empty()) {
+      info.content_id = content_id;
+      content_index_.emplace(content_id, id);
     } else {
-      ensure(entry->info.content_id == content_id, Errc::invalid_state,
-             "dataset '", entry->info.name, "' has content id '",
-             entry->info.content_id, "'; cannot re-register as '",
-             content_id, "'");
+      ensure(info.content_id == content_id, Errc::invalid_state,
+             "dataset '", info.name, "' has content id '", info.content_id,
+             "'; cannot re-register as '", content_id, "'");
     }
   }
-  add_replica(*entry, zone);
+  add_replica(id, zone);
 }
 
 const Dataset* ReplicaCatalog::find(const std::string& name) const {
-  const Entry* entry = lookup(name);
-  return entry == nullptr ? nullptr : &entry->info;
+  const DatasetId* id = lookup(name);
+  return id == nullptr ? nullptr : &records_[*id].info;
 }
 
 bool ReplicaCatalog::has(const std::string& name) const {
@@ -98,18 +119,18 @@ bool ReplicaCatalog::has(const std::string& name) const {
 }
 
 const Dataset& ReplicaCatalog::dataset(const std::string& name) const {
-  return entry_for(name).info;
+  return record_for(name).info;
 }
 
 bool ReplicaCatalog::available_in(const std::string& name,
                                   const std::string& zone) const {
-  const Entry* entry = lookup(name);
-  return entry != nullptr && entry->replicas.count(zone) != 0;
+  const DatasetId* id = lookup(name);
+  return id != nullptr && replica_in(records_[*id], zone) != nullptr;
 }
 
 const std::string& ReplicaCatalog::canonical(const std::string& name) const {
-  const Entry* entry = lookup(name);
-  return entry == nullptr ? name : entry->info.name;
+  const DatasetId* id = lookup(name);
+  return id == nullptr ? name : records_[*id].info.name;
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +141,8 @@ bool ReplicaCatalog::reserve(const std::string& zone, double bytes,
                              const std::string& tenant) {
   ensure(bytes >= 0.0, Errc::invalid_argument,
          "reservation must be >= 0 bytes");
-  Store& store = store_for(zone);
+  const ZoneId z = zone_for(zone);
+  Store& store = stores_[z];
   if (!tenant.empty()) {
     const auto q = store.quota.find(tenant);
     if (q != store.quota.end()) {
@@ -134,7 +156,7 @@ bool ReplicaCatalog::reserve(const std::string& zone, double bytes,
       if (held > q->second + slack(q->second)) return false;
     }
   }
-  if (!make_room(zone, bytes)) return false;
+  if (!make_room(z, bytes)) return false;
   store.info.reserved += bytes;
   ++store.reservations;
   if (!tenant.empty()) store.reserved_by_tenant[tenant] += bytes;
@@ -144,7 +166,7 @@ bool ReplicaCatalog::reserve(const std::string& zone, double bytes,
 void ReplicaCatalog::release_reservation(const std::string& zone,
                                          double bytes,
                                          const std::string& tenant) {
-  Store& store = store_for(zone);
+  Store& store = stores_[zone_for(zone)];
   ensure(store.info.reserved >= bytes - slack(bytes), Errc::invalid_state,
          "store '", zone, "' releasing more than reserved");
   unreserve(store, bytes, tenant);
@@ -153,49 +175,36 @@ void ReplicaCatalog::release_reservation(const std::string& zone,
 void ReplicaCatalog::commit_replica(const std::string& name,
                                     const std::string& zone,
                                     const std::string& tenant) {
-  Entry& entry = entry_for(name);
-  Store& store = store_for(zone);
-  ensure(store.info.reserved >= entry.info.bytes - slack(entry.info.bytes),
-         Errc::invalid_state, "committing '", name, "' in '", zone,
-         "' without a reservation");
-  unreserve(store, entry.info.bytes, tenant);
-  if (entry.replicas.count(zone) != 0) return;  // landed twice: keep one
-  entry.info.zones.insert(zone);
-  Replica replica;
-  replica.last_use = ++clock_;
-  replica.owner = tenant;
-  store.lru.insert({replica.last_use, entry.info.name});
-  store.info.used += entry.info.bytes;
-  if (!tenant.empty()) store.used_by_tenant[tenant] += entry.info.bytes;
-  entry.replicas.emplace(zone, replica);
+  const DatasetId* id = lookup(name);
+  ensure(id != nullptr, Errc::not_found, "unknown dataset '", name, "'");
+  Record& record = records_[*id];
+  const ZoneId z = zone_for(zone);
+  Store& store = stores_[z];
+  const double bytes = record.info.bytes;
+  ensure(store.info.reserved >= bytes - slack(bytes), Errc::invalid_state,
+         "committing '", name, "' in '", zone, "' without a reservation");
+  unreserve(store, bytes, tenant);
+  if (replica_in(record, zone) != nullptr) return;  // landed twice: keep one
+  insert_replica(*id, z, tenant);
+  if (!tenant.empty()) store.used_by_tenant[tenant] += bytes;
 }
 
 void ReplicaCatalog::touch(const std::string& name, const std::string& zone) {
-  Entry* entry = lookup(name);
-  if (entry == nullptr) return;
-  const auto rep = entry->replicas.find(zone);
-  if (rep == entry->replicas.end()) return;
-  Store& store = store_for(zone);
-  remove_from_lru(store, rep->second.last_use, entry->info.name);
-  rep->second.last_use = ++clock_;
-  store.lru.insert({rep->second.last_use, entry->info.name});
+  const DatasetId* id = lookup(name);
+  if (id == nullptr) return;
+  Replica* replica = replica_in(records_[*id], zone);
+  if (replica != nullptr) bump(*id, *replica);
 }
 
 bool ReplicaCatalog::drop_replica(const std::string& name,
                                   const std::string& zone) {
-  Entry* found = lookup(name);
-  if (found == nullptr) return false;
-  Entry& entry = *found;
-  const auto rep = entry.replicas.find(zone);
-  if (rep == entry.replicas.end()) return false;
-  if (protected_replica(entry, rep->second)) return false;
-  Store& store = store_for(zone);
-  remove_from_lru(store, rep->second.last_use, entry.info.name);
-  store.info.used -= entry.info.bytes;
-  if (store.info.used < 0.0) store.info.used = 0.0;
-  uncharge_owner(store, rep->second, entry.info.bytes);
-  entry.replicas.erase(rep);
-  entry.info.zones.erase(zone);
+  const DatasetId* id = lookup(name);
+  if (id == nullptr) return false;
+  Record& record = records_[*id];
+  const Replica* replica = replica_in(record, zone);
+  if (replica == nullptr || protected_replica(record, *replica)) return false;
+  stores_[replica->zone].lru.erase({replica->last_use, *id});
+  erase_replica(record, *replica);
   return true;
 }
 
@@ -205,76 +214,110 @@ bool ReplicaCatalog::drop_replica(const std::string& name,
 
 void ReplicaCatalog::pin(const std::string& name, const std::string& zone,
                          const std::string& tenant) {
-  Entry& entry = entry_for(name);
-  const auto rep = entry.replicas.find(zone);
-  ensure(rep != entry.replicas.end(), Errc::not_found, "pin: no replica of '",
-         name, "' in '", zone, "'");
-  ++rep->second.pins;
-  if (!tenant.empty()) ++rep->second.pins_by_tenant[tenant];
+  Replica* replica = replica_in(record_for(name), zone);
+  ensure(replica != nullptr, Errc::not_found, "pin: no replica of '", name,
+         "' in '", zone, "'");
+  ++replica->pins;
+  if (!tenant.empty()) ++replica->pins_by_tenant[tenant];
 }
 
 void ReplicaCatalog::unpin(const std::string& name, const std::string& zone,
                            const std::string& tenant) {
+  const DatasetId* id = lookup(name);
   // A pin taken before the zone's store failed: the replica was
   // force-dropped, and the interrupted reader's release is tolerated
   // (whichever tenant held it — lost pins are tracked by total).
-  if (!lost_pins_.empty()) {
-    const auto lost = lost_pins_.find({zone, canonical(name)});
+  if (id != nullptr && !lost_pins_.empty()) {
+    const auto lost = lost_pins_.find({find_zone(zone), *id});
     if (lost != lost_pins_.end()) {
       if (--lost->second == 0) lost_pins_.erase(lost);
       return;
     }
   }
-  Entry& entry = entry_for(name);
-  const auto rep = entry.replicas.find(zone);
-  ensure(rep != entry.replicas.end(), Errc::not_found, "unpin: no replica of '",
-         name, "' in '", zone, "'");
-  ensure(rep->second.pins > 0, Errc::invalid_state, "unpin: '", name, "' in '",
+  ensure(id != nullptr, Errc::not_found, "unknown dataset '", name, "'");
+  Replica* replica = replica_in(records_[*id], zone);
+  ensure(replica != nullptr, Errc::not_found, "unpin: no replica of '", name,
+         "' in '", zone, "'");
+  ensure(replica->pins > 0, Errc::invalid_state, "unpin: '", name, "' in '",
          zone, "' is not pinned");
   if (!tenant.empty()) {
-    const auto held = rep->second.pins_by_tenant.find(tenant);
-    ensure(held != rep->second.pins_by_tenant.end() && held->second > 0,
+    const auto held = replica->pins_by_tenant.find(tenant);
+    ensure(held != replica->pins_by_tenant.end() && held->second > 0,
            Errc::invalid_state, "unpin: tenant '", tenant,
            "' holds no pin on '", name, "' in '", zone, "'");
-    if (--held->second == 0) rep->second.pins_by_tenant.erase(held);
+    if (--held->second == 0) replica->pins_by_tenant.erase(held);
   }
-  --rep->second.pins;
+  --replica->pins;
 }
 
 std::size_t ReplicaCatalog::pins(const std::string& name,
                                  const std::string& zone) const {
-  const Entry* entry = lookup(name);
-  if (entry == nullptr) return 0;
-  const auto rep = entry->replicas.find(zone);
-  return rep == entry->replicas.end() ? 0 : rep->second.pins;
+  const DatasetId* id = lookup(name);
+  if (id == nullptr) return 0;
+  const Replica* replica = replica_in(records_[*id], zone);
+  return replica == nullptr ? 0 : replica->pins;
 }
 
 void ReplicaCatalog::add_consumers(const std::string& name,
                                    std::size_t count,
                                    const std::string& tenant) {
   if (count == 0) return;
-  lineage_[canonical(name)][tenant] += count;
+  const DatasetId* id = lookup(name);
+  if (id == nullptr) {
+    early_lineage_[name][tenant] += count;
+    return;
+  }
+  add_lineage(*id, tenant, count);
+}
+
+void ReplicaCatalog::add_lineage(DatasetId id, const std::string& tenant,
+                                 std::size_t count) {
+  records_[id].consumers += count;
+  consumers_by_tenant_[{id, tenant}] += count;
 }
 
 void ReplicaCatalog::consume_done(const std::string& name,
                                   const std::string& tenant) {
-  const auto it = lineage_.find(canonical(name));
-  ensure(it != lineage_.end(), Errc::invalid_state, "consume_done: '", name,
-         "' has no consumers left");
-  const auto held = it->second.find(tenant);
-  ensure(held != it->second.end() && held->second > 0, Errc::invalid_state,
-         "consume_done: tenant '", tenant, "' holds no consumers of '", name,
-         "'");
-  if (--held->second == 0) it->second.erase(held);
-  if (it->second.empty()) lineage_.erase(it);
+  const DatasetId* id = lookup(name);
+  if (id != nullptr) {
+    Record& record = records_[*id];
+    ensure_consumers_left(record.consumers > 0, name);
+    const auto held = consumers_by_tenant_.find({*id, tenant});
+    const bool found = held != consumers_by_tenant_.end();
+    if (take_consumer(found ? &held->second : nullptr, name, tenant)) {
+      consumers_by_tenant_.erase(held);
+    }
+    --record.consumers;
+    return;
+  }
+  const auto it = early_lineage_.find(name);
+  ensure_consumers_left(it != early_lineage_.end(), name);
+  auto& by_tenant = it->second;
+  const auto held = by_tenant.find(tenant);
+  const bool found = held != by_tenant.end();
+  if (take_consumer(found ? &held->second : nullptr, name, tenant)) {
+    by_tenant.erase(held);
+  }
+  if (by_tenant.empty()) early_lineage_.erase(it);
 }
 
 std::size_t ReplicaCatalog::consumers_left(const std::string& name) const {
-  const auto it = lineage_.find(canonical(name));
-  if (it == lineage_.end()) return 0;
+  const DatasetId* id = lookup(name);
+  if (id != nullptr) return records_[*id].consumers;
+  const auto it = early_lineage_.find(name);
+  if (it == early_lineage_.end()) return 0;
   std::size_t total = 0;
   for (const auto& [tenant, count] : it->second) total += count;
   return total;
+}
+
+void ReplicaCatalog::adopt_lineage(const std::string& name, DatasetId id) {
+  if (early_lineage_.empty()) return;
+  const auto early = early_lineage_.extract(name);
+  if (!early) return;
+  for (const auto& [tenant, count] : early.mapped()) {
+    add_lineage(id, tenant, count);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -286,18 +329,19 @@ void ReplicaCatalog::set_tenant_quota(const std::string& zone,
                                       double bytes) {
   ensure(!tenant.empty(), Errc::invalid_argument, "quota needs a tenant");
   ensure(bytes >= 0.0, Errc::invalid_argument, "quota must be >= 0 bytes");
-  store_for(zone).quota[tenant] = bytes;
+  stores_[zone_for(zone)].quota[tenant] = bytes;
 }
 
 double ReplicaCatalog::tenant_usage(const std::string& zone,
                                     const std::string& tenant) const {
-  const auto it = stores_.find(zone);
-  if (it == stores_.end()) return 0.0;
+  const ZoneId z = find_zone(zone);
+  if (z == kNoZone) return 0.0;
+  const Store& store = stores_[z];
   double held = 0.0;
-  const auto u = it->second.used_by_tenant.find(tenant);
-  if (u != it->second.used_by_tenant.end()) held += u->second;
-  const auto r = it->second.reserved_by_tenant.find(tenant);
-  if (r != it->second.reserved_by_tenant.end()) held += r->second;
+  const auto u = store.used_by_tenant.find(tenant);
+  if (u != store.used_by_tenant.end()) held += u->second;
+  const auto r = store.reserved_by_tenant.find(tenant);
+  if (r != store.reserved_by_tenant.end()) held += r->second;
   return held;
 }
 
@@ -306,48 +350,44 @@ double ReplicaCatalog::tenant_usage(const std::string& zone,
 // ---------------------------------------------------------------------------
 
 StoreInfo ReplicaCatalog::store(const std::string& zone) const {
-  const auto it = stores_.find(zone);
-  return it == stores_.end() ? StoreInfo{} : it->second.info;
+  const ZoneId z = find_zone(zone);
+  return z == kNoZone ? StoreInfo{} : stores_[z].info;
 }
 
 std::vector<std::string> ReplicaCatalog::store_zones() const {
   std::vector<std::string> zones;
-  zones.reserve(stores_.size());
-  for (const auto& [zone, store] : stores_) zones.push_back(zone);
+  for (const Store& store : stores_) {
+    if (store.declared) zones.push_back(store.zone);
+  }
+  std::sort(zones.begin(), zones.end());
   return zones;
 }
 
 std::vector<std::string> ReplicaCatalog::fail_store(const std::string& zone) {
+  const ZoneId z = find_zone(zone);
+  if (z == kNoZone) return {};
+  // Every replica in the zone, declared store or not, has an entry in
+  // its LRU index.
+  Store& store = stores_[z];
   std::vector<std::string> lost;
-  // Replicas may live in zones never declared via add_store (infinite
-  // store), so walk the datasets rather than the store's LRU index.
-  for (auto& [name, entry] : datasets_) {
-    const auto rep = entry.replicas.find(zone);
-    if (rep == entry.replicas.end()) continue;
-    if (rep->second.pins > 0) {
-      lost_pins_[{zone, name}] += rep->second.pins;
-    }
-    entry.replicas.erase(rep);
-    entry.info.zones.erase(zone);
-    lost.push_back(name);
+  lost.reserve(store.lru.size());
+  for (const auto& [last_use, id] : store.lru) {
+    Record& record = records_[id];
+    const Replica& replica = replica_at(record, z);
+    if (replica.pins > 0) lost_pins_[{z, id}] += replica.pins;
+    lost.push_back(record.info.name);
+    erase_replica(record, replica);
   }
-  // The walk is in hash order; callers repair in the returned order.
+  // The walk is in recency order; callers repair in the returned order.
   std::sort(lost.begin(), lost.end());
-  stores_.erase(zone);
+  Store forgotten;
+  forgotten.zone = zone;
+  store = std::move(forgotten);
   return lost;
 }
 
-bool ReplicaCatalog::protected_replica(const Entry& entry,
-                                       const Replica& replica) const {
-  // Protection is GLOBAL: pins and lineage consumers are summed across
-  // every tenant, so one tenant's store pressure can never evict a
-  // replica another tenant is still reading (or about to read). lineage_
-  // holds a name only while it has consumers left.
-  return replica.pins > 0 || lineage_.count(entry.info.name) != 0;
-}
-
-bool ReplicaCatalog::make_room(const std::string& zone, double bytes) {
-  Store& store = store_for(zone);
+bool ReplicaCatalog::make_room(ZoneId zone, double bytes) {
+  Store& store = stores_[zone];
   // The same ULP tolerance as release/commit: after long +=/-= chains
   // an exact-fit reservation must neither evict one extra replica nor
   // fail admission over rounding dust.
@@ -359,47 +399,74 @@ bool ReplicaCatalog::make_room(const std::string& zone, double bytes) {
   // so the walk survives its own evictions.
   auto it = store.lru.begin();
   while (store.info.free() < need && it != store.lru.end()) {
-    const std::string name = it->second;
-    Entry& entry = entry_for(name);
-    const Replica& replica = entry.replicas.at(zone);
-    if (protected_replica(entry, replica)) {
+    Record& record = records_[it->second];
+    const Replica& replica = replica_at(record, zone);
+    if (protected_replica(record, replica)) {
       ++it;
       continue;
     }
     it = store.lru.erase(it);
-    store.info.used -= entry.info.bytes;
-    if (store.info.used < 0.0) store.info.used = 0.0;
-    uncharge_owner(store, replica, entry.info.bytes);
-    entry.replicas.erase(zone);
-    entry.info.zones.erase(zone);
+    erase_replica(record, replica);
     ++total_evictions_;
     ++store.info.evictions;
-    eviction_log_.push_back(strutil::cat(zone, "/", name));
+    eviction_log_.push_back(strutil::cat(store.zone, "/", record.info.name));
   }
   return store.info.free() >= need;
 }
 
-void ReplicaCatalog::add_replica(Entry& entry, const std::string& zone) {
+void ReplicaCatalog::add_replica(DatasetId id, const std::string& zone) {
   ensure(!zone.empty(), Errc::invalid_argument, "replica needs a zone");
-  if (entry.replicas.count(zone) != 0) {
-    touch(entry.info.name, zone);
+  Record& record = records_[id];
+  if (Replica* replica = replica_in(record, zone)) {
+    bump(id, *replica);
     return;
   }
-  Store& store = store_for(zone);
-  ensure(make_room(zone, entry.info.bytes), Errc::capacity, "store '", zone,
-         "' cannot fit dataset '", entry.info.name, "' (", entry.info.bytes,
-         " bytes)");
-  entry.info.zones.insert(zone);
-  Replica replica;
-  replica.last_use = ++clock_;
-  store.lru.insert({replica.last_use, entry.info.name});
-  store.info.used += entry.info.bytes;
-  entry.replicas.emplace(zone, replica);
+  const ZoneId z = zone_for(zone);
+  ensure(make_room(z, record.info.bytes), Errc::capacity, "store '", zone,
+         "' cannot fit dataset '", record.info.name, "' (",
+         record.info.bytes, " bytes)");
+  insert_replica(id, z, "");
 }
 
-void ReplicaCatalog::remove_from_lru(Store& store, std::uint64_t last_use,
-                                     const std::string& name) {
-  store.lru.erase({last_use, name});
+void ReplicaCatalog::insert_replica(DatasetId id, ZoneId zone,
+                                    std::string owner) {
+  Record& record = records_[id];
+  Store& store = stores_[zone];
+  record.info.zones.insert(store.zone);
+  Replica& replica = record.replicas.emplace_back();
+  replica.zone = zone;
+  replica.last_use = ++clock_;
+  replica.owner = std::move(owner);
+  store.lru.emplace_hint(store.lru.end(), replica.last_use, id);
+  store.info.used += record.info.bytes;
+}
+
+void ReplicaCatalog::erase_replica(Record& record, const Replica& replica) {
+  Store& store = stores_[replica.zone];
+  store.info.used -= record.info.bytes;
+  if (store.info.used < 0.0) store.info.used = 0.0;
+  uncharge_owner(store, replica, record.info.bytes);
+  record.info.zones.erase(store.zone);
+  // The list is unordered: the last replica fills the hole.
+  auto& replicas = record.replicas;
+  const auto index = static_cast<std::size_t>(&replica - replicas.data());
+  if (index + 1 != replicas.size()) {
+    replicas[index] = std::move(replicas.back());
+  }
+  replicas.pop_back();
+  // Most datasets end up with no replica (evicted intermediates): free
+  // the list's buffer.
+  if (replicas.empty()) replicas.shrink_to_fit();
+}
+
+void ReplicaCatalog::bump(DatasetId id, Replica& replica) {
+  auto& lru = stores_[replica.zone].lru;
+  // The fresh stamp is the largest: the node moves to the tail without
+  // a new allocation.
+  auto node = lru.extract({replica.last_use, id});
+  replica.last_use = ++clock_;
+  node.value().first = replica.last_use;
+  lru.insert(lru.end(), std::move(node));
 }
 
 void ReplicaCatalog::unreserve(Store& store, double bytes,
@@ -427,31 +494,56 @@ void ReplicaCatalog::uncharge_owner(Store& store, const Replica& replica,
   if (it->second <= slack(bytes)) store.used_by_tenant.erase(it);
 }
 
-const ReplicaCatalog::Entry* ReplicaCatalog::lookup(
+const ReplicaCatalog::DatasetId* ReplicaCatalog::lookup(
     const std::string& name) const {
-  const auto it = datasets_.find(name);
-  if (it != datasets_.end()) return &it->second;
-  const auto alias = aliases_.find(name);
-  return alias == aliases_.end() ? nullptr : alias->second;
+  const auto it = names_.find(name);
+  return it == names_.end() ? nullptr : &it->second;
 }
 
-ReplicaCatalog::Entry* ReplicaCatalog::lookup(const std::string& name) {
-  return const_cast<Entry*>(std::as_const(*this).lookup(name));
-}
-
-const ReplicaCatalog::Entry& ReplicaCatalog::entry_for(
+const ReplicaCatalog::Record& ReplicaCatalog::record_for(
     const std::string& name) const {
-  const Entry* entry = lookup(name);
-  ensure(entry != nullptr, Errc::not_found, "unknown dataset '", name, "'");
-  return *entry;
+  const DatasetId* id = lookup(name);
+  ensure(id != nullptr, Errc::not_found, "unknown dataset '", name, "'");
+  return records_[*id];
 }
 
-ReplicaCatalog::Entry& ReplicaCatalog::entry_for(const std::string& name) {
-  return const_cast<Entry&>(std::as_const(*this).entry_for(name));
+ReplicaCatalog::Record& ReplicaCatalog::record_for(const std::string& name) {
+  return const_cast<Record&>(std::as_const(*this).record_for(name));
 }
 
-ReplicaCatalog::Store& ReplicaCatalog::store_for(const std::string& zone) {
-  return stores_[zone];
+const ReplicaCatalog::Replica* ReplicaCatalog::replica_in(
+    const Record& record, const std::string& zone) const {
+  for (const Replica& replica : record.replicas) {
+    if (stores_[replica.zone].zone == zone) return &replica;
+  }
+  return nullptr;
+}
+
+ReplicaCatalog::Replica* ReplicaCatalog::replica_in(Record& record,
+                                                    const std::string& zone) {
+  return const_cast<Replica*>(std::as_const(*this).replica_in(record, zone));
+}
+
+const ReplicaCatalog::Replica& ReplicaCatalog::replica_at(const Record& record,
+                                                          ZoneId zone) {
+  return *std::find_if(
+      record.replicas.begin(), record.replicas.end(),
+      [zone](const Replica& replica) { return replica.zone == zone; });
+}
+
+ReplicaCatalog::ZoneId ReplicaCatalog::find_zone(
+    const std::string& zone) const {
+  for (std::size_t z = 0; z < stores_.size(); ++z) {
+    if (stores_[z].zone == zone) return static_cast<ZoneId>(z);
+  }
+  return kNoZone;
+}
+
+ReplicaCatalog::ZoneId ReplicaCatalog::zone_for(const std::string& zone) {
+  const ZoneId found = find_zone(zone);
+  if (found != kNoZone) return found;
+  stores_.emplace_back().zone = zone;
+  return static_cast<ZoneId>(stores_.size() - 1);
 }
 
 }  // namespace ripple::data

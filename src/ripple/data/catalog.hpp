@@ -18,16 +18,20 @@
 /// (add_consumers()/consume_done(), driven by workflow lineage: an
 /// intermediate becomes evictable only when every stage that reads it
 /// has finished). Eviction order is deterministic: strictly ascending
-/// last-use stamps from a logical clock, name as the tie-break.
+/// last-use stamps from a logical clock, which never repeats a stamp.
 ///
-/// Every query resolves its name with one hash probe: datasets are kept
-/// in an unordered map by canonical name, and each alias maps straight
-/// to its canonical entry (entries never move: unordered_map nodes are
-/// stable and no dataset is ever erased), so an alias or an unknown
-/// name costs a second probe at most. find() hands callers the Dataset
-/// itself, so a caller that needs residency, size and zones resolves the
-/// name once. Nothing iterates the index except fail_store(), which
-/// sorts what it returns.
+/// Lookup. Each dataset lives in a record addressed by a 32-bit id in
+/// creation order; records never move and no dataset is ever erased.
+/// One name index maps canonical names and aliases alike to that id,
+/// so every query resolves its name with a single hash probe, and
+/// find() hands callers the Dataset itself, so a caller that needs
+/// residency, size and zones resolves the name once. Zones are
+/// interned: stores sit in a zone-indexed table, and a record keeps
+/// its replicas in a short flat list. Each store's LRU index orders
+/// (last-use stamp, id) pairs and holds no names, and a registered
+/// dataset's lineage count sits on its record, so eviction reads no
+/// name until it logs one. Walks whose order shows sort by name:
+/// fail_store() and store_zones().
 ///
 /// Multi-tenant sharing. The catalog is one namespace shared by every
 /// tenant (concurrent workflow session). Two mechanisms make sharing
@@ -55,10 +59,12 @@
 /// per-tenant maps are touched.
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -93,7 +99,8 @@ class ReplicaCatalog {
  public:
   /// Declares (or resizes) the store of `zone` to a finite capacity in
   /// bytes. Zones never declared have infinite capacity. Shrinking
-  /// below the currently used+reserved bytes throws.
+  /// below the currently used+reserved bytes throws (and declares
+  /// nothing).
   void add_store(const std::string& zone, double capacity_bytes);
 
   /// Registers a dataset resident in `zone`; re-registering adds a
@@ -198,14 +205,17 @@ class ReplicaCatalog {
   /// pins and lineage notwithstanding — reservations are wiped and the
   /// store itself is forgotten (a later add_store re-declares it; until
   /// then the zone is back to infinite capacity). Returns the canonical
-  /// names of datasets that lost a replica, sorted (the index itself is
-  /// unordered, so the list is sorted explicitly). Pins held on
+  /// names of datasets that lost a replica, sorted by name (not by
+  /// id or recency). Pins held on
   /// force-dropped replicas are remembered so the interrupted readers'
   /// later unpin() calls are tolerated no-ops; pin() on a lost replica
   /// still throws.
   std::vector<std::string> fail_store(const std::string& zone);
 
-  /// Zones with a declared store, sorted.
+  /// Zones whose store add_store() declared and fail_store() has not
+  /// failed since, sorted by name. A zone that only holds replicas,
+  /// reservations or a tenant quota is not listed: it has no finite
+  /// store.
   [[nodiscard]] std::vector<std::string> store_zones() const;
   [[nodiscard]] std::uint64_t evictions() const noexcept {
     return total_evictions_;
@@ -219,24 +229,36 @@ class ReplicaCatalog {
   }
 
  private:
+  using DatasetId = std::uint32_t;
+  using ZoneId = std::uint32_t;
+  static constexpr ZoneId kNoZone = std::numeric_limits<ZoneId>::max();
+
   struct Replica {
+    ZoneId zone = 0;
     std::uint64_t last_use = 0;
     std::size_t pins = 0;  ///< total across tenants (protection uses this)
     std::map<std::string, std::size_t> pins_by_tenant;
     std::string owner;  ///< tenant whose commit landed it ("" = shared)
   };
 
-  struct Entry {
+  /// One dataset, addressed by its creation-order id.
+  struct Record {
     Dataset info;
-    std::map<std::string, Replica> replicas;  ///< zone -> state
+    /// One per zone, unordered; holds no memory once the last is gone.
+    std::vector<Replica> replicas;
+    /// Lineage consumers left, summed across tenants (protection reads
+    /// this; consumers_by_tenant_ has the split).
+    std::size_t consumers = 0;
   };
 
+  /// One zone's store, declared or not.
   struct Store {
+    std::string zone;
+    bool declared = false;  ///< by add_store, until fail_store
     StoreInfo info;
-    /// LRU index: (last_use, dataset) ascending. last_use stamps are
-    /// unique per touch, dataset tie-break keeps determinism if a
-    /// future refactor reuses stamps.
-    std::set<std::pair<std::uint64_t, std::string>> lru;
+    /// LRU index: (last_use, dataset id) ascending. Stamps are unique
+    /// per touch, so the id only completes the key.
+    std::set<std::pair<std::uint64_t, DatasetId>> lru;
     /// Reservations not yet released or committed. When it returns to
     /// 0, info.reserved (a running sum that gathers rounding dust from
     /// fractional sizes) is reset to exactly 0.
@@ -246,45 +268,78 @@ class ReplicaCatalog {
     std::map<std::string, double> quota;  ///< tenant -> byte cap
   };
 
-  /// True when the replica of `entry` may not be evicted.
-  [[nodiscard]] bool protected_replica(const Entry& entry,
-                                       const Replica& replica) const;
+  /// True when `replica` of `record` may not be evicted.
+  [[nodiscard]] static bool protected_replica(const Record& record,
+                                              const Replica& replica) {
+    // Protection is GLOBAL: pins and lineage consumers are summed across
+    // every tenant, so one tenant's store pressure can never evict a
+    // replica another tenant is still reading (or about to read).
+    return replica.pins > 0 || record.consumers > 0;
+  }
 
   /// Evicts LRU unprotected replicas of `zone` until `bytes` fit.
   /// Returns false (leaving a partial eviction trail) when impossible.
-  bool make_room(const std::string& zone, double bytes);
+  bool make_room(ZoneId zone, double bytes);
 
-  void add_replica(Entry& entry, const std::string& zone);
-  void remove_from_lru(Store& store, std::uint64_t last_use,
-                       const std::string& name);
+  void add_replica(DatasetId id, const std::string& zone);
+  /// Takes a new replica of `id` into the store of `zone`, stamped now.
+  void insert_replica(DatasetId id, ZoneId zone, std::string owner);
+  /// Erases `replica` of `record` from the record, its zone set and its
+  /// store's bytes (the LRU entry is the caller's).
+  void erase_replica(Record& record, const Replica& replica);
   void uncharge_owner(Store& store, const Replica& replica, double bytes);
   /// Returns one reservation of `bytes` made by `tenant` (released or
   /// committed) to the store's pools.
   void unreserve(Store& store, double bytes, const std::string& tenant);
+  /// Records `count` consumers of registered dataset `id` for `tenant`.
+  void add_lineage(DatasetId id, const std::string& tenant,
+                   std::size_t count);
+  /// Moves lineage recorded against `name` before it was registered
+  /// onto the record `id`.
+  void adopt_lineage(const std::string& name, DatasetId id);
 
-  /// The entry `name` resolves to, or null: one probe of datasets_ for a
-  /// canonical name, a second of aliases_ for an alias or unknown name.
-  [[nodiscard]] const Entry* lookup(const std::string& name) const;
-  [[nodiscard]] Entry* lookup(const std::string& name);
-  /// lookup() that throws not_found for an unknown name.
-  [[nodiscard]] Entry& entry_for(const std::string& name);
-  [[nodiscard]] const Entry& entry_for(const std::string& name) const;
-  [[nodiscard]] Store& store_for(const std::string& zone);
+  /// The id `name` (canonical or alias) resolves to, or null: one probe
+  /// of the name index.
+  [[nodiscard]] const DatasetId* lookup(const std::string& name) const;
+  /// The record `name` resolves to; throws not_found when unknown.
+  [[nodiscard]] Record& record_for(const std::string& name);
+  [[nodiscard]] const Record& record_for(const std::string& name) const;
+  /// The replica of `record` in the zone named `zone`, or null (a scan
+  /// of the record's few replicas).
+  [[nodiscard]] const Replica* replica_in(const Record& record,
+                                          const std::string& zone) const;
+  [[nodiscard]] Replica* replica_in(Record& record, const std::string& zone);
+  /// The replica of `record` in zone `zone`, which must exist.
+  [[nodiscard]] static const Replica& replica_at(const Record& record,
+                                                 ZoneId zone);
+  /// Stamps `replica` of `id` as used now and moves it to the LRU tail.
+  void bump(DatasetId id, Replica& replica);
+  /// The interned id of `zone`, or kNoZone. Zones are few (one per
+  /// platform and data site), so this scans the store table.
+  [[nodiscard]] ZoneId find_zone(const std::string& zone) const;
+  /// find_zone() that interns an unknown zone as an undeclared store.
+  [[nodiscard]] ZoneId zone_for(const std::string& zone);
 
-  std::unordered_map<std::string, Entry> datasets_;  ///< canonical -> entry
-  /// Alias -> its canonical entry. No name is both an alias and a key of
-  /// datasets_.
-  std::unordered_map<std::string, Entry*> aliases_;
-  std::unordered_map<std::string, Entry*> content_index_;  ///< cid -> entry
-  std::map<std::string, Store> stores_;
+  std::deque<Record> records_;  ///< by id; a deque, so records never move
+  std::deque<std::string> aliases_;  ///< alias names, in registration order
+  /// Canonical names (each viewing its record's name) and aliases
+  /// (viewing aliases_) -> id.
+  std::unordered_map<std::string_view, DatasetId> names_;
+  std::unordered_map<std::string, DatasetId> content_index_;  ///< cid -> id
+  std::vector<Store> stores_;  ///< by zone id
   /// (zone, dataset) -> pins force-dropped by fail_store, kept so late
   /// unpin() calls from interrupted readers do not throw (unpin()
   /// searches it only while it is non-empty).
-  std::map<std::pair<std::string, std::string>, std::size_t> lost_pins_;
-  /// canonical name (or a name not registered yet) -> tenant -> consumers
-  /// left; a name is present only while it has consumers left.
+  std::map<std::pair<ZoneId, DatasetId>, std::size_t> lost_pins_;
+  /// (dataset, tenant) -> lineage consumers the tenant holds on a
+  /// registered dataset; present only while nonzero.
+  std::map<std::pair<DatasetId, std::string>, std::size_t>
+      consumers_by_tenant_;
+  /// Name not registered yet -> tenant -> consumers left; moved onto the
+  /// record when the name is registered. A name is present only while
+  /// it has consumers left.
   std::unordered_map<std::string, std::map<std::string, std::size_t>>
-      lineage_;
+      early_lineage_;
   std::uint64_t clock_ = 0;
   std::uint64_t total_evictions_ = 0;
   std::vector<std::string> eviction_log_;

@@ -28,47 +28,65 @@ double PlacementAdvisor::bytes_to_move(
 double PlacementAdvisor::stage_in_time(
     const std::vector<std::string>& datasets,
     const std::string& zone) const {
-  if (engine_ == nullptr) return bytes_to_move(datasets, zone);
   double seconds = 0.0;
   for (const auto& name : datasets) {
-    const Dataset* ds = catalog_.find(name);
-    if (ds == nullptr || ds->zones.count(zone) != 0) continue;
-    // Achievable rate if the transfer joined now: the sum over the
-    // dataset's replica links of TransferEngine::newcomer_rate — the
-    // exact quantity the striped split hands each stripe at admission,
-    // so the estimate and the actual schedule share one formula.
-    double rate = 0.0;
-    for (const auto& src : ds->zones) {
-      rate += engine_->newcomer_rate(src, zone);
+    if (const Dataset* ds = catalog_.find(name)) {
+      seconds += stage_in_seconds(*ds, zone);
     }
-    if (rate <= 0.0) continue;  // no usable replica: produced in place
-    seconds += ds->bytes / rate;
   }
   return seconds;
+}
+
+double PlacementAdvisor::stage_in_seconds(const Dataset& ds,
+                                          const std::string& zone) const {
+  if (ds.zones.count(zone) != 0) return 0.0;
+  if (engine_ == nullptr) return ds.bytes;
+  // Achievable rate if the transfer joined now: the sum over the
+  // dataset's replica links of TransferEngine::newcomer_rate — the
+  // exact quantity the striped split hands each stripe at admission,
+  // so the estimate and the actual schedule share one formula.
+  double rate = 0.0;
+  for (const auto& src : ds.zones) {
+    rate += engine_->newcomer_rate(src, zone);
+  }
+  if (rate <= 0.0) return 0.0;  // no usable replica: produced in place
+  return ds.bytes / rate;
 }
 
 double PlacementAdvisor::score(const std::vector<std::string>& datasets,
                                const std::string& zone,
                                const std::string& pilot_uid) const {
-  double total = stage_in_time(datasets, zone);
+  return with_queue_penalty(stage_in_time(datasets, zone), pilot_uid);
+}
+
+double PlacementAdvisor::with_queue_penalty(
+    double seconds, const std::string& pilot_uid) const {
   // The queue penalty is in seconds; without an engine stage_in_time
   // degrades to raw bytes, and adding seconds to bytes would drown the
   // penalty — skip it so the bytes-only mode stays purely data-driven.
   if (engine_ != nullptr && scheduler_ != nullptr) {
-    total += kQueuePenalty *
-             static_cast<double>(scheduler_->queue_length(pilot_uid));
+    seconds += kQueuePenalty *
+               static_cast<double>(scheduler_->queue_length(pilot_uid));
   }
-  return total;
+  return seconds;
 }
 
 std::vector<core::Pilot*> PlacementAdvisor::rank(
     std::vector<core::Pilot*> candidates,
     const std::vector<std::string>& datasets) const {
+  // Resolve every name once; each candidate prices the same datasets.
+  std::vector<const Dataset*> resolved;
+  resolved.reserve(datasets.size());
+  for (const auto& name : datasets) {
+    if (const Dataset* ds = catalog_.find(name)) resolved.push_back(ds);
+  }
   std::vector<std::pair<double, core::Pilot*>> scored;
   scored.reserve(candidates.size());
   for (core::Pilot* pilot : candidates) {
-    scored.emplace_back(
-        score(datasets, pilot->cluster().name(), pilot->uid()), pilot);
+    const std::string& zone = pilot->cluster().name();
+    double seconds = 0.0;
+    for (const Dataset* ds : resolved) seconds += stage_in_seconds(*ds, zone);
+    scored.emplace_back(with_queue_penalty(seconds, pilot->uid()), pilot);
   }
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& a, const auto& b) {

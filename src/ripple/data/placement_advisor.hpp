@@ -71,7 +71,8 @@ class PlacementAdvisor {
                              const std::string& pilot_uid) const;
 
   /// Candidates sorted by ascending score into their cluster's zone;
-  /// stable (ties keep caller order).
+  /// stable (ties keep caller order). Each dataset is resolved once per
+  /// call, not once per candidate.
   [[nodiscard]] std::vector<core::Pilot*> rank(
       std::vector<core::Pilot*> candidates,
       const std::vector<std::string>& datasets) const;
@@ -82,6 +83,13 @@ class PlacementAdvisor {
       const std::vector<std::string>& datasets) const;
 
  private:
+  /// One dataset's share of stage_in_time(): 0 when resident in `zone`.
+  [[nodiscard]] double stage_in_seconds(const Dataset& ds,
+                                        const std::string& zone) const;
+  /// `seconds` plus the queue penalty of `pilot_uid` (see score()).
+  [[nodiscard]] double with_queue_penalty(double seconds,
+                                          const std::string& pilot_uid) const;
+
   const ReplicaCatalog& catalog_;
   const TransferEngine* engine_ = nullptr;
   const core::Scheduler* scheduler_ = nullptr;

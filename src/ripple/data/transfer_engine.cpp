@@ -1,6 +1,7 @@
 #include "ripple/data/transfer_engine.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "ripple/common/error.hpp"
 #include "ripple/common/strutil.hpp"
@@ -10,10 +11,61 @@ namespace ripple::data {
 TransferEngine::TransferEngine(sim::EventLoop& loop, common::Rng rng)
     : loop_(loop), rng_(rng) {}
 
-TransferEngine::LinkKey TransferEngine::key_for(const std::string& zone_a,
-                                                const std::string& zone_b) {
-  const auto ordered = std::minmax(zone_a, zone_b);
-  return {ordered.first, ordered.second};
+TransferEngine::ZoneId TransferEngine::find_zone(
+    const std::string& name) const {
+  for (std::size_t z = 0; z < zones_.size(); ++z) {
+    if (zones_[z].name == name) return static_cast<ZoneId>(z);
+  }
+  return kNone;
+}
+
+TransferEngine::ZoneId TransferEngine::zone_for(const std::string& name) {
+  const ZoneId found = find_zone(name);
+  if (found != kNone) return found;
+  zones_.emplace_back().name = name;
+  return static_cast<ZoneId>(zones_.size() - 1);
+}
+
+TransferEngine::LinkId TransferEngine::find_link(
+    const std::string& zone_a, const std::string& zone_b) const {
+  const ZoneId a = find_zone(zone_a);
+  const ZoneId b = find_zone(zone_b);
+  if (a == kNone || b == kNone) return kNone;
+  const std::vector<LinkId>& row = zones_[a].links;
+  return b < row.size() ? row[b] : kNone;
+}
+
+TransferEngine::LinkId TransferEngine::link_for(ZoneId a, ZoneId b) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+    std::vector<LinkId>& row = zones_[from].links;
+    if (to >= row.size()) row.resize(to + 1, kNone);
+  }
+  LinkId& id = zones_[a].links[b];
+  if (id != kNone) return id;
+  id = static_cast<LinkId>(links_.size());
+  zones_[b].links[a] = id;
+  Link& link = links_.emplace_back();
+  // The pair is unordered; its name order is the order replan_all
+  // walks and labels it by.
+  const bool a_first = !(zones_[b].name < zones_[a].name);
+  link.first = a_first ? a : b;
+  link.second = a_first ? b : a;
+  return id;
+}
+
+void TransferEngine::mark_used(LinkId id) {
+  if (links_[id].used) return;
+  links_[id].used = true;
+  const auto names = [this](LinkId link) {
+    return std::tie(zones_[links_[link].first].name,
+                    zones_[links_[link].second].name);
+  };
+  used_links_.insert(
+      std::upper_bound(used_links_.begin(), used_links_.end(), id,
+                       [&names](LinkId x, LinkId y) {
+                         return names(x) < names(y);
+                       }),
+      id);
 }
 
 void TransferEngine::set_bandwidth(const std::string& zone_a,
@@ -21,7 +73,8 @@ void TransferEngine::set_bandwidth(const std::string& zone_a,
                                    double bytes_per_s) {
   ensure(bytes_per_s > 0.0, Errc::invalid_argument,
          "bandwidth must be positive");
-  bandwidth_override_[key_for(zone_a, zone_b)] = bytes_per_s;
+  links_[link_for(zone_for(zone_a), zone_for(zone_b))].bandwidth =
+      bytes_per_s;
 }
 
 void TransferEngine::set_default_bandwidth(double bytes_per_s) {
@@ -34,7 +87,7 @@ void TransferEngine::set_link_concurrency(const std::string& zone_a,
                                           const std::string& zone_b,
                                           std::size_t cap) {
   ensure(cap >= 1, Errc::invalid_argument, "concurrency cap must be >= 1");
-  concurrency_[key_for(zone_a, zone_b)] = cap;
+  links_[link_for(zone_for(zone_a), zone_for(zone_b))].cap = cap;
 }
 
 void TransferEngine::set_default_concurrency(std::size_t cap) {
@@ -76,8 +129,12 @@ double TransferEngine::weight_for(const std::string& tenant) const {
 
 double TransferEngine::bandwidth_between(const std::string& zone_a,
                                          const std::string& zone_b) const {
-  const auto it = bandwidth_override_.find(key_for(zone_a, zone_b));
-  if (it != bandwidth_override_.end()) return it->second;
+  return bandwidth_of(find_link(zone_a, zone_b), zone_a, zone_b);
+}
+
+double TransferEngine::bandwidth_of(LinkId id, const std::string& zone_a,
+                                    const std::string& zone_b) const {
+  if (id != kNone && links_[id].bandwidth > 0.0) return links_[id].bandwidth;
   if (network_ != nullptr) {
     const double bw = network_->link_bandwidth(zone_a, zone_b);
     if (bw > 0.0) return bw;
@@ -87,30 +144,39 @@ double TransferEngine::bandwidth_between(const std::string& zone_a,
 
 double TransferEngine::newcomer_rate(const std::string& src_zone,
                                      const std::string& dst_zone) const {
-  const auto it = links_.find(key_for(src_zone, dst_zone));
+  const LinkId id = find_link(src_zone, dst_zone);
   const double load =
-      it == links_.end() ? 1.0
-                         : static_cast<double>(it->second.active.size()) +
-                               static_cast<double>(it->second.queued.size()) +
-                               1.0;
-  return bandwidth_between(src_zone, dst_zone) / load;
+      id == kNone ? 1.0
+                  : static_cast<double>(links_[id].active.size()) +
+                        static_cast<double>(links_[id].queued.size()) + 1.0;
+  return bandwidth_of(id, src_zone, dst_zone) / load;
 }
 
-std::size_t TransferEngine::cap_for(const LinkKey& key) const {
-  const auto it = concurrency_.find(key);
-  return it == concurrency_.end() ? default_concurrency_ : it->second;
+double TransferEngine::newcomer_rate(LinkId id) const {
+  const Link& link = links_[id];
+  const double load = static_cast<double>(link.active.size()) +
+                      static_cast<double>(link.queued.size()) + 1.0;
+  return bandwidth_of(id, zones_[link.first].name,
+                      zones_[link.second].name) /
+         load;
 }
 
 std::size_t TransferEngine::active_on(const std::string& zone_a,
                                       const std::string& zone_b) const {
-  const auto it = links_.find(key_for(zone_a, zone_b));
-  return it == links_.end() ? 0 : it->second.active.size();
+  const LinkId id = find_link(zone_a, zone_b);
+  return id == kNone ? 0 : links_[id].active.size();
 }
 
 std::size_t TransferEngine::queued_on(const std::string& zone_a,
                                       const std::string& zone_b) const {
-  const auto it = links_.find(key_for(zone_a, zone_b));
-  return it == links_.end() ? 0 : it->second.queued.size();
+  const LinkId id = find_link(zone_a, zone_b);
+  return id == kNone ? 0 : links_[id].queued.size();
+}
+
+bool TransferEngine::link_down(const std::string& zone_a,
+                               const std::string& zone_b) const {
+  const LinkId id = find_link(zone_a, zone_b);
+  return id != kNone && links_[id].down;
 }
 
 TransferEngine::TransferId TransferEngine::transfer(
@@ -164,28 +230,32 @@ TransferEngine::TransferId TransferEngine::transfer(
   // carries proportionally fewer bytes and the transfer is not gated on
   // its slowest link. Deterministic: link state is a pure function of
   // the event schedule at this instant. A lone stripe takes every byte.
+  // Naming a link for the first time leaves its rate unchanged.
+  const ZoneId dst = zone_for(dst_zone);
+  std::vector<LinkId> stripe_links;
+  std::vector<double> rates;
   double rate_sum = 0.0;
-  if (!one_stripe) {
-    for (const auto& src : src_zones) {
-      rate_sum += newcomer_rate(src, dst_zone);
-    }
+  for (const auto& src : src_zones) {
+    stripe_links.push_back(link_for(zone_for(src), dst));
+    if (one_stripe) break;
+    rates.push_back(newcomer_rate(stripe_links.back()));
+    rate_sum += rates.back();
   }
   // Bandwidth-proportional split; the last stripe takes the remainder
   // so the shares always sum to exactly `bytes`.
   double assigned = 0.0;
   for (std::size_t i = 0; i < src_zones.size(); ++i) {
     const std::string& src = src_zones[i];
-    const double share =
-        i + 1 == src_zones.size()
-            ? bytes - assigned
-            : bytes * (newcomer_rate(src, dst_zone) / rate_sum);
+    const double share = i + 1 == src_zones.size()
+                             ? bytes - assigned
+                             : bytes * (rates[i] / rate_sum);
     assigned += share;
 
     const TransferId stripe_id = next_id_++;
     Stripe& stripe = stripes_[stripe_id];
     stripe.id = stripe_id;
     stripe.transfer = id;
-    stripe.link = key_for(src, dst_zone);
+    stripe.link = stripe_links[i];
     stripe.tenant = tenant;
     stripe.total_bytes = share;
     stripe.remaining = share;
@@ -203,24 +273,22 @@ TransferEngine::TransferId TransferEngine::transfer(
 
 void TransferEngine::enter_link(TransferId id) {
   Stripe& stripe = stripes_.at(id);
-  const LinkKey& key = stripe.link;
-  Link& link = links_[key];
-  if (link.active.size() < cap_for(key) && !over_quota(key, stripe)) {
+  mark_used(stripe.link);
+  Link& link = links_[stripe.link];
+  if (link.active.size() < cap_for(link) && !over_quota(link, stripe)) {
     admit(stripe);
   } else {
     link.queued.push_back(id);
   }
 }
 
-bool TransferEngine::over_quota(const LinkKey& key, const Stripe& s) const {
+bool TransferEngine::over_quota(const Link& link, const Stripe& s) const {
   if (s.tenant.empty()) return false;
   const auto quota = link_quota_.find(s.tenant);
   if (quota == link_quota_.end()) return false;
-  const auto link_it = links_.find(key);
-  if (link_it == links_.end()) return false;
   double in_flight = 0.0;
   std::size_t own = 0;
-  for (const TransferId active_id : link_it->second.active) {
+  for (const TransferId active_id : link.active) {
     const Stripe& other = stripes_.at(active_id);
     if (other.tenant != s.tenant) continue;
     ++own;
@@ -233,16 +301,16 @@ bool TransferEngine::over_quota(const LinkKey& key, const Stripe& s) const {
   return in_flight + s.total_bytes > quota->second;
 }
 
-void TransferEngine::drain_queue(const LinkKey& key, Link& link) {
+void TransferEngine::drain_queue(Link& link) {
   // A failed link keeps its queue parked: restore_link drains it.
-  if (down_.count(key) != 0) return;
+  if (link.down) return;
   // Skip-scan: quota-parked entries stay queued (in order) while later
   // entries of other tenants are admitted past them. deque::erase
   // returns the successor, so the scan survives its own admissions.
   auto it = link.queued.begin();
-  while (it != link.queued.end() && link.active.size() < cap_for(key)) {
+  while (it != link.queued.end() && link.active.size() < cap_for(link)) {
     Stripe& stripe = stripes_.at(*it);
-    if (over_quota(key, stripe)) {
+    if (over_quota(link, stripe)) {
       ++it;
       continue;
     }
@@ -252,8 +320,7 @@ void TransferEngine::drain_queue(const LinkKey& key, Link& link) {
 }
 
 void TransferEngine::admit(Stripe& stripe) {
-  const LinkKey& key = stripe.link;
-  Link& link = links_[key];
+  Link& link = links_[stripe.link];
   link.active.push_back(stripe.id);
   stripe.phase = Phase::setup;
   ++stripe.attempts;
@@ -263,7 +330,7 @@ void TransferEngine::admit(Stripe& stripe) {
   // An attempt admitted onto a failed link dies after its setup
   // latency (the handshake times out); on_attempt_end treats it as
   // terminal while the link stays down.
-  if (down_.count(key) != 0) stripe.attempt_fails = true;
+  if (link.down) stripe.attempt_fails = true;
   const sim::Duration setup = setup_.sample(rng_);
   const TransferId id = stripe.id;
   stripe.timer = loop_.call_after(setup, [this, id] { begin_flow(id); });
@@ -278,13 +345,13 @@ void TransferEngine::begin_flow(TransferId id) {
   replan(it->second.link);
 }
 
-void TransferEngine::plan_link(const LinkKey& key, Link& link,
-                               std::vector<PlannedTimer>& sink) {
+void TransferEngine::plan_link(LinkId id, std::vector<PlannedTimer>& sink) {
   const sim::SimTime now = loop_.now();
+  Link& link = links_[id];
 
   std::size_t flowing = 0;
-  for (const TransferId id : link.active) {
-    Stripe& s = stripes_.at(id);
+  for (const TransferId stripe : link.active) {
+    Stripe& s = stripes_.at(stripe);
     if (s.phase != Phase::flowing) continue;
     ++flowing;
     s.remaining -= s.rate * (now - s.last_update);
@@ -293,15 +360,16 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
   }
   if (flowing == 0) return;
 
-  const double bandwidth = bandwidth_between(key.first, key.second);
+  const double bandwidth = bandwidth_of(id, zones_[link.first].name,
+                                        zones_[link.second].name);
   if (tenant_weights_.empty()) {
     // The historical equal split, kept as its own arithmetic path: the
     // weighted formula below reduces to it mathematically, but only
     // this exact expression is *bit*-identical to the pre-tenant
     // engine.
     const double share = bandwidth / static_cast<double>(flowing);
-    for (const TransferId id : link.active) {
-      Stripe& s = stripes_.at(id);
+    for (const TransferId stripe : link.active) {
+      Stripe& s = stripes_.at(stripe);
       if (s.phase != Phase::flowing) continue;
       s.rate = share;
       const sim::Duration eta = s.remaining / share;
@@ -314,8 +382,8 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
   // flowing tenant gets weight/weight == 1.0 exactly, i.e. the equal
   // split.
   std::map<std::string, std::size_t> flows_by_tenant;
-  for (const TransferId id : link.active) {
-    const Stripe& s = stripes_.at(id);
+  for (const TransferId stripe : link.active) {
+    const Stripe& s = stripes_.at(stripe);
     if (s.phase != Phase::flowing) continue;
     ++flows_by_tenant[s.tenant];
   }
@@ -323,8 +391,8 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
   for (const auto& [tenant, count] : flows_by_tenant) {
     weight_sum += weight_for(tenant);
   }
-  for (const TransferId id : link.active) {
-    Stripe& s = stripes_.at(id);
+  for (const TransferId stripe : link.active) {
+    Stripe& s = stripes_.at(stripe);
     if (s.phase != Phase::flowing) continue;
     const double share =
         bandwidth * (weight_for(s.tenant) / weight_sum) /
@@ -335,14 +403,12 @@ void TransferEngine::plan_link(const LinkKey& key, Link& link,
   }
 }
 
-void TransferEngine::replan(const LinkKey& key) {
-  const auto link_it = links_.find(key);
-  if (link_it == links_.end()) return;
+void TransferEngine::replan(LinkId id) {
   // Commit in the link's admission order — cancel() consumes no event
   // sequence, so the call_after sequence here is byte-identical to the
   // pre-plan_link implementation.
   std::vector<PlannedTimer> planned;
-  plan_link(key, link_it->second, planned);
+  plan_link(id, planned);
   for (const PlannedTimer& plan : planned) {
     Stripe& s = stripes_.at(plan.id);
     if (s.timer.valid()) loop_.cancel(s.timer);
@@ -355,14 +421,17 @@ std::size_t TransferEngine::replan_all() {
   const bool traced = tracer_ != nullptr && tracer_->enabled();
   const sim::SimTime now = loop_.now();
   std::vector<PlannedTimer> planned;
-  for (auto& [key, link] : links_) {
+  for (const LinkId id : used_links_) {
     const std::size_t before = planned.size();
-    plan_link(key, link, planned);
+    plan_link(id, planned);
     if (traced) {
       // One zero-length span per planned link, in link order.
-      tracer_->complete(
-          "replan", "xfer", strutil::cat(key.first, "~", key.second), now,
-          now, 0, {{"flows", std::to_string(planned.size() - before)}});
+      const Link& link = links_[id];
+      tracer_->complete("replan", "xfer",
+                        strutil::cat(zones_[link.first].name, "~",
+                                     zones_[link.second].name),
+                        now, now, 0,
+                        {{"flows", std::to_string(planned.size() - before)}});
     }
   }
   // Commit the timer reschedules in (completion time, stripe id)
@@ -391,8 +460,7 @@ std::uint64_t TransferEngine::completion_hash() const noexcept {
 }
 
 void TransferEngine::leave_link(Stripe& stripe) {
-  const LinkKey& key = stripe.link;
-  Link& link = links_[key];
+  Link& link = links_[stripe.link];
   link.active.erase(
       std::remove(link.active.begin(), link.active.end(), stripe.id),
       link.active.end());
@@ -404,8 +472,8 @@ void TransferEngine::leave_link(Stripe& stripe) {
   stripe.rate = 0.0;
   // A freed slot admits queued work before the survivors re-plan, so
   // the link never idles below its cap while admissible work waits.
-  drain_queue(key, link);
-  replan(key);
+  drain_queue(link);
+  replan(stripe.link);
 }
 
 void TransferEngine::withdraw(Stripe& stripe) {
@@ -421,29 +489,24 @@ void TransferEngine::withdraw(Stripe& stripe) {
 
 void TransferEngine::fail_link(const std::string& zone_a,
                                const std::string& zone_b) {
-  const LinkKey key = key_for(zone_a, zone_b);
-  if (!down_.insert(key).second) return;  // already down
-  const auto it = links_.find(key);
-  if (it == links_.end()) return;
+  Link& link = links_[link_for(zone_for(zone_a), zone_for(zone_b))];
+  if (link.down) return;
+  link.down = true;
   // Snapshot ids: failing an attempt mutates active/queued, and a
   // victim's callback may re-enter the engine (cancel, new transfers).
-  std::vector<TransferId> victims(it->second.active.begin(),
-                                  it->second.active.end());
-  victims.insert(victims.end(), it->second.queued.begin(),
-                 it->second.queued.end());
+  std::vector<TransferId> victims(link.active.begin(), link.active.end());
+  victims.insert(victims.end(), link.queued.begin(), link.queued.end());
   for (const TransferId victim : victims) fail_attempt_terminal(victim);
 }
 
 void TransferEngine::restore_link(const std::string& zone_a,
                                   const std::string& zone_b) {
-  const LinkKey key = key_for(zone_a, zone_b);
-  if (down_.erase(key) == 0) return;  // was not down
-  const auto it = links_.find(key);
-  if (it == links_.end()) return;
-  Link& link = it->second;
+  const LinkId id = find_link(zone_a, zone_b);
+  if (id == kNone || !links_[id].down) return;  // was not down
+  links_[id].down = false;
   // Drain whatever queued while the link was down.
-  drain_queue(key, link);
-  replan(key);
+  drain_queue(links_[id]);
+  replan(id);
 }
 
 void TransferEngine::fail_attempt_terminal(TransferId id) {
@@ -463,7 +526,7 @@ void TransferEngine::on_attempt_end(TransferId id) {
   if (s.attempt_fails) {
     // Retrying a dead link is pointless: while it is down, every
     // failure is terminal regardless of the budget.
-    const bool terminal = down_.count(s.link) != 0;
+    const bool terminal = links_[s.link].down;
     if (!terminal && s.attempts <= max_retries_) {
       ++retries_;
       if (counters_ != nullptr) counters_->add("data.retries");

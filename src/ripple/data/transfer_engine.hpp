@@ -46,17 +46,23 @@
 /// queue drains strictly FIFO as before.
 ///
 /// replan_all() — the "telemetry tick", run after mid-simulation
-/// bandwidth changes — plans every link in turn, then commits the timer
-/// reschedules in (completion time, stripe id) order. Stripe ids are
-/// unique, so the committed timer sequence is a pure function of the
-/// plan (completion_hash fingerprints the outcome). The per-link
-/// replan run by join/leave events commits in admission order.
+/// bandwidth changes — plans every link that has carried a stripe, in
+/// (zone, zone) name order, then commits the timer reschedules in
+/// (completion time, stripe id) order. Stripe ids are unique, so the
+/// committed timer sequence is a pure function of the plan
+/// (completion_hash fingerprints the outcome). The per-link replan run
+/// by join/leave events commits in admission order.
+///
+/// Links are dense. Zone names are interned, and each unordered zone
+/// pair gets a link id the first time a call names it; the link record
+/// holds the pair's bandwidth override, concurrency cap, down flag,
+/// active set and queue, and a stripe carries its link's id. Only the
+/// public calls, which take zone names, resolve names to ids.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -122,9 +128,7 @@ class TransferEngine {
   void restore_link(const std::string& zone_a, const std::string& zone_b);
 
   [[nodiscard]] bool link_down(const std::string& zone_a,
-                               const std::string& zone_b) const {
-    return down_.count(key_for(zone_a, zone_b)) != 0;
-  }
+                               const std::string& zone_b) const;
 
   /// Wires the runtime's tracer/counters in (either may be null). When
   /// tracing is enabled each transfer gets a span — one "transfer" span
@@ -228,7 +232,10 @@ class TransferEngine {
   [[nodiscard]] std::uint64_t completion_hash() const noexcept;
 
  private:
-  using LinkKey = std::pair<std::string, std::string>;
+  using ZoneId = std::uint32_t;
+  /// Dense id of an unordered zone pair, assigned on first mention.
+  using LinkId = std::uint32_t;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
 
   enum class Phase { queued, setup, flowing };
 
@@ -236,7 +243,7 @@ class TransferEngine {
   struct Stripe {
     TransferId id = 0;
     TransferId transfer = 0;  ///< the owning transfer
-    LinkKey link;             ///< key_for(src, dst)
+    LinkId link = 0;          ///< the (src, dst) link
     std::string tenant;       ///< weighted share / quota bucket
     double total_bytes = 0.0;
     double remaining = 0.0;
@@ -259,14 +266,41 @@ class TransferEngine {
     Callback on_done;
   };
 
+  struct Zone {
+    std::string name;
+    std::vector<LinkId> links;  ///< by the other zone's id; kNone if unset
+  };
+
+  /// One unordered zone pair: its configuration, state and traffic.
   struct Link {
+    ZoneId first = 0;   ///< the zone whose name sorts first
+    ZoneId second = 0;  ///< the other zone (first == second for a loop)
+    double bandwidth = 0.0;  ///< explicit override, 0 when none
+    std::size_t cap = 0;     ///< concurrency cap, 0 for the default
+    bool down = false;
+    bool used = false;  ///< has carried a stripe: replan_all plans it
     std::vector<TransferId> active;  ///< setup + flowing, admission order
     std::deque<TransferId> queued;
   };
 
-  [[nodiscard]] static LinkKey key_for(const std::string& zone_a,
-                                       const std::string& zone_b);
-  [[nodiscard]] std::size_t cap_for(const LinkKey& key) const;
+  /// The id of zone `name`, or kNone. Zones are few (one per platform
+  /// and data site), so this scans the zone table.
+  [[nodiscard]] ZoneId find_zone(const std::string& name) const;
+  [[nodiscard]] ZoneId zone_for(const std::string& name);  ///< interns
+  /// The link between two zones, or kNone.
+  [[nodiscard]] LinkId find_link(const std::string& zone_a,
+                                 const std::string& zone_b) const;
+  [[nodiscard]] LinkId link_for(ZoneId a, ZoneId b);  ///< interns
+  /// First use of a link: replan_all plans it from now on.
+  void mark_used(LinkId id);
+  /// Resolved bandwidth of link `id` (kNone: no link yet) between the
+  /// zones named `zone_a` and `zone_b`.
+  [[nodiscard]] double bandwidth_of(LinkId id, const std::string& zone_a,
+                                    const std::string& zone_b) const;
+  [[nodiscard]] double newcomer_rate(LinkId id) const;
+  [[nodiscard]] std::size_t cap_for(const Link& link) const {
+    return link.cap == 0 ? default_concurrency_ : link.cap;
+  }
 
   void admit(Stripe& stripe);
   void begin_flow(TransferId id);
@@ -285,13 +319,13 @@ class TransferEngine {
   /// per-link in-flight byte quota. Always false for tenants without a
   /// quota, and for a tenant with nothing active on the link (the
   /// starvation guard).
-  [[nodiscard]] bool over_quota(const LinkKey& key, const Stripe& s) const;
+  [[nodiscard]] bool over_quota(const Link& link, const Stripe& s) const;
 
   /// Admits queued stripes while capacity (and quota) allow,
   /// skip-scanning past quota-parked entries so they cannot block other
   /// tenants. With no quotas registered this is a strict-FIFO drain.
   /// No-op while the link is down.
-  void drain_queue(const LinkKey& key, Link& link);
+  void drain_queue(Link& link);
 
   [[nodiscard]] double weight_for(const std::string& tenant) const;
 
@@ -315,7 +349,7 @@ class TransferEngine {
 
   /// Advances progress of every flowing stripe on the link to `now`,
   /// reassigns fair-share rates and reschedules completion timers.
-  void replan(const LinkKey& key);
+  void replan(LinkId id);
 
   /// One completion-timer reschedule produced by a planning pass.
   struct PlannedTimer {
@@ -327,20 +361,19 @@ class TransferEngine {
   /// The loop-free half of replan(): advances progress and assigns the
   /// new fair-share rate of every flowing stripe on the link, buffering
   /// a timer record per stripe instead of touching the event loop.
-  void plan_link(const LinkKey& key, Link& link,
-                 std::vector<PlannedTimer>& sink);
+  void plan_link(LinkId id, std::vector<PlannedTimer>& sink);
 
   sim::EventLoop& loop_;
   common::Rng rng_;
   metrics::Tracer* tracer_ = nullptr;
   metrics::Counters* counters_ = nullptr;
   const sim::Network* network_ = nullptr;
-  std::map<LinkKey, double> bandwidth_override_;
-  std::map<LinkKey, std::size_t> concurrency_;
+  std::vector<Zone> zones_;  ///< by zone id
+  std::vector<Link> links_;  ///< by link id
+  /// Links that have carried a stripe, in (zone, zone) name order.
+  std::vector<LinkId> used_links_;
   std::map<std::string, double> tenant_weights_;  ///< tenant -> bw weight
   std::map<std::string, double> link_quota_;  ///< tenant -> bytes per link
-  std::map<LinkKey, Link> links_;
-  std::set<LinkKey> down_;  ///< links currently failed
   std::map<TransferId, Transfer> transfers_;
   std::map<TransferId, Stripe> stripes_;
   double default_bandwidth_ = 1.25e9;  ///< 10 Gb/s

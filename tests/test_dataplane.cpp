@@ -1933,4 +1933,55 @@ TEST(Catalog, StoreZonesSortedAndShrinksWithFailures) {
   EXPECT_EQ(catalog.store_zones(), (std::vector<std::string>{"a", "c"}));
 }
 
+TEST(Catalog, StoreZonesListsOnlyDeclaredStores) {
+  // A replica, a reservation or a quota in a zone gives it no finite
+  // store; only add_store declares one, and fail_store undeclares it.
+  data::ReplicaCatalog catalog;
+  catalog.add_store("b", 1e9);
+  catalog.register_dataset("d", 10.0, "archive");
+  ASSERT_TRUE(catalog.reserve("scratch", 5.0));
+  catalog.set_tenant_quota("lab", "t1", 1e9);
+  EXPECT_EQ(catalog.store_zones(), (std::vector<std::string>{"b"}));
+  EXPECT_DOUBLE_EQ(catalog.store("archive").used, 10.0);
+  EXPECT_DOUBLE_EQ(catalog.store("scratch").reserved, 5.0);
+  // A shrink below the bytes in use fails and declares nothing.
+  EXPECT_THROW(catalog.add_store("archive", 1.0), Error);
+  EXPECT_EQ(catalog.store_zones(), (std::vector<std::string>{"b"}));
+  // Declaring a zone that already holds replicas keeps their bytes.
+  catalog.add_store("archive", 100.0);
+  EXPECT_EQ(catalog.store_zones(),
+            (std::vector<std::string>{"archive", "b"}));
+  EXPECT_DOUBLE_EQ(catalog.store("archive").free(), 90.0);
+  EXPECT_EQ(catalog.fail_store("archive"), (std::vector<std::string>{"d"}));
+  EXPECT_EQ(catalog.store_zones(), (std::vector<std::string>{"b"}));
+}
+
+TEST_F(DataPlaneFacadeTest, RepairGoesToADeclaredStore) {
+  // Stores a, b and c are declared; `other` lives in the undeclared
+  // (infinite) archive. After `d` is staged from a to b, a crashes: the
+  // repair of d goes to c, the declared store with the most free bytes
+  // that lacks it, never to the archive.
+  data.add_store("a", 1e9);
+  data.add_store("b", 1e9);
+  data.add_store("c", 2e9);
+  data.register_dataset("other", 1e8, "archive");
+  data.register_dataset("d", 5e8, "a");
+  data.set_bandwidth("a", "b", 1e9);
+  data.set_bandwidth("b", "c", 1e9);
+  bool staged = false;
+  data.stage({{"d", "b"}}, [&](bool ok, const std::string&) { staged = ok; });
+  runtime.loop().call_at(30.0, [this] { data.handle_store_failure("a"); });
+  runtime.loop().run();
+  ASSERT_TRUE(staged);
+  EXPECT_EQ(data.catalog().store_zones(),
+            (std::vector<std::string>{"b", "c"}));
+  const auto& log = data.repair_log();
+  ASSERT_GE(log.size(), 3u);
+  EXPECT_EQ(log[0], "30.000000 store_failed a lost=1");
+  EXPECT_EQ(log[1], "30.000000 repair d -> c");
+  EXPECT_EQ(data.repairs_completed(), 1u);
+  EXPECT_TRUE(data.available_in("d", "c"));
+  EXPECT_FALSE(data.available_in("d", "archive"));
+}
+
 }  // namespace

@@ -13,7 +13,10 @@ simulated metrics, per-layer counts) must be identical.
 
 Then builds the examples and benches in each tree's CMake build/
 (configured with the defaults first if it is not), runs the seven
-examples and the --smoke runs of the benches below, each in the same
+examples and the --smoke runs of the fifteen benches below (the serving
+side: fig4-6, load balancing, continuous batching, concurrency, table2;
+the data plane, workflows and scheduling: datasched, dataplane,
+tenants, dag, failures, scheduler, fig3, table1), each in the same
 empty scratch working directory, and compares their exit status,
 stdout and stderr byte for byte: none of them prints a host time.
 
@@ -43,7 +46,11 @@ EXAMPLES = ("cell_painting", "data_pipeline", "elastic_serving",
             "uncertainty_quantification")
 SMOKE_BENCHES = ("fig4_rt_local", "fig5_rt_remote", "fig6_it_llama",
                  "ablation_loadbalance", "ablation_continuous",
-                 "ablation_concurrency", "table2_matrix")
+                 "ablation_concurrency", "table2_matrix",
+                 "ablation_datasched", "ablation_dataplane",
+                 "ablation_tenants", "ablation_dag", "ablation_failures",
+                 "ablation_scheduler", "fig3_bootstrap_scaling",
+                 "table1_usecases")
 PROGRAMS = tuple([(f"example_{name}", ()) for name in EXAMPLES] +
                  [(f"bench_{name}", ("--smoke",)) for name in SMOKE_BENCHES])
 DIFF_LINES = 20
