@@ -205,11 +205,10 @@ class ReplicaCatalog {
   /// pins and lineage notwithstanding — reservations are wiped and the
   /// store itself is forgotten (a later add_store re-declares it; until
   /// then the zone is back to infinite capacity). Returns the canonical
-  /// names of datasets that lost a replica, sorted by name (not by
-  /// id or recency). Pins held on
-  /// force-dropped replicas are remembered so the interrupted readers'
-  /// later unpin() calls are tolerated no-ops; pin() on a lost replica
-  /// still throws.
+  /// names of datasets that lost a replica, sorted by name (not by id
+  /// or recency). Pins held on force-dropped replicas are remembered so
+  /// the interrupted readers' later unpin() calls are tolerated no-ops;
+  /// pin() on a lost replica still throws.
   std::vector<std::string> fail_store(const std::string& zone);
 
   /// Zones whose store add_store() declared and fail_store() has not

@@ -145,11 +145,9 @@ double TransferEngine::bandwidth_of(LinkId id, const std::string& zone_a,
 double TransferEngine::newcomer_rate(const std::string& src_zone,
                                      const std::string& dst_zone) const {
   const LinkId id = find_link(src_zone, dst_zone);
-  const double load =
-      id == kNone ? 1.0
-                  : static_cast<double>(links_[id].active.size()) +
-                        static_cast<double>(links_[id].queued.size()) + 1.0;
-  return bandwidth_of(id, src_zone, dst_zone) / load;
+  // A link never named yet carries nothing: the newcomer gets it all.
+  return id == kNone ? bandwidth_of(kNone, src_zone, dst_zone)
+                     : newcomer_rate(id);
 }
 
 double TransferEngine::newcomer_rate(LinkId id) const {
