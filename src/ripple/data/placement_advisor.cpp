@@ -71,8 +71,8 @@ double PlacementAdvisor::with_queue_penalty(
   return seconds;
 }
 
-std::vector<core::Pilot*> PlacementAdvisor::rank(
-    std::vector<core::Pilot*> candidates,
+std::vector<double> PlacementAdvisor::scores(
+    const std::vector<core::Pilot*>& candidates,
     const std::vector<std::string>& datasets) const {
   // Resolve every name once; each candidate prices the same datasets.
   std::vector<const Dataset*> resolved;
@@ -80,13 +80,25 @@ std::vector<core::Pilot*> PlacementAdvisor::rank(
   for (const auto& name : datasets) {
     if (const Dataset* ds = catalog_.find(name)) resolved.push_back(ds);
   }
-  std::vector<std::pair<double, core::Pilot*>> scored;
-  scored.reserve(candidates.size());
+  std::vector<double> out;
+  out.reserve(candidates.size());
   for (core::Pilot* pilot : candidates) {
     const std::string& zone = pilot->cluster().name();
     double seconds = 0.0;
     for (const Dataset* ds : resolved) seconds += stage_in_seconds(*ds, zone);
-    scored.emplace_back(with_queue_penalty(seconds, pilot->uid()), pilot);
+    out.push_back(with_queue_penalty(seconds, pilot->uid()));
+  }
+  return out;
+}
+
+std::vector<core::Pilot*> PlacementAdvisor::rank(
+    std::vector<core::Pilot*> candidates,
+    const std::vector<std::string>& datasets) const {
+  const std::vector<double> score = scores(candidates, datasets);
+  std::vector<std::pair<double, core::Pilot*>> scored;
+  scored.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    scored.emplace_back(score[i], candidates[i]);
   }
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& a, const auto& b) {
@@ -102,7 +114,11 @@ core::Pilot* PlacementAdvisor::best(
     const std::vector<core::Pilot*>& candidates,
     const std::vector<std::string>& datasets) const {
   if (candidates.empty()) return nullptr;
-  return rank(candidates, datasets).front();
+  // rank(...).front() without the copy and the sort: the first of the
+  // cheapest.
+  const std::vector<double> score = scores(candidates, datasets);
+  const auto cheapest = std::min_element(score.begin(), score.end());
+  return candidates[static_cast<std::size_t>(cheapest - score.begin())];
 }
 
 }  // namespace ripple::data

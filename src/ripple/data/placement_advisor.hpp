@@ -77,7 +77,8 @@ class PlacementAdvisor {
       std::vector<core::Pilot*> candidates,
       const std::vector<std::string>& datasets) const;
 
-  /// The cheapest candidate; null when `candidates` is empty.
+  /// The cheapest candidate, the first one on ties (rank()'s front);
+  /// null when `candidates` is empty.
   [[nodiscard]] core::Pilot* best(
       const std::vector<core::Pilot*>& candidates,
       const std::vector<std::string>& datasets) const;
@@ -86,6 +87,11 @@ class PlacementAdvisor {
   /// One dataset's share of stage_in_time(): 0 when resident in `zone`.
   [[nodiscard]] double stage_in_seconds(const Dataset& ds,
                                         const std::string& zone) const;
+  /// score() of every candidate, in caller order, resolving each
+  /// dataset once.
+  [[nodiscard]] std::vector<double> scores(
+      const std::vector<core::Pilot*>& candidates,
+      const std::vector<std::string>& datasets) const;
   /// `seconds` plus the queue penalty of `pilot_uid` (see score()).
   [[nodiscard]] double with_queue_penalty(double seconds,
                                           const std::string& pilot_uid) const;
