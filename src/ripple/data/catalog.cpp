@@ -17,22 +17,6 @@ double slack(double bytes) {
   return bytes * 1e-9 > 1.0 ? bytes * 1e-9 : 1.0;
 }
 
-void ensure_consumers_left(bool left, const std::string& name) {
-  ensure(left, Errc::invalid_state, "consume_done: '", name,
-         "' has no consumers left");
-}
-
-/// One of `tenant`'s consumers of `name` finished: decrements the count
-/// `held` points at (null when the tenant holds none) and returns true
-/// when it reached 0.
-bool take_consumer(std::size_t* held, const std::string& name,
-                   const std::string& tenant) {
-  ensure(held != nullptr && *held > 0, Errc::invalid_state,
-         "consume_done: tenant '", tenant, "' holds no consumers of '", name,
-         "'");
-  return --*held == 0;
-}
-
 }  // namespace
 
 void ReplicaCatalog::add_store(const std::string& zone,
@@ -278,27 +262,28 @@ void ReplicaCatalog::add_lineage(DatasetId id, const std::string& tenant,
 
 void ReplicaCatalog::consume_done(const std::string& name,
                                   const std::string& tenant) {
-  const DatasetId* id = lookup(name);
-  if (id != nullptr) {
+  // Both lineage maps hold a tenant's count only while it is nonzero.
+  if (const DatasetId* id = lookup(name)) {
     Record& record = records_[*id];
-    ensure_consumers_left(record.consumers > 0, name);
+    ensure(record.consumers > 0, Errc::invalid_state, "consume_done: '",
+           name, "' has no consumers left");
     const auto held = consumers_by_tenant_.find({*id, tenant});
-    const bool found = held != consumers_by_tenant_.end();
-    if (take_consumer(found ? &held->second : nullptr, name, tenant)) {
-      consumers_by_tenant_.erase(held);
-    }
+    ensure(held != consumers_by_tenant_.end(), Errc::invalid_state,
+           "consume_done: tenant '", tenant, "' holds no consumers of '",
+           name, "'");
     --record.consumers;
+    if (--held->second == 0) consumers_by_tenant_.erase(held);
     return;
   }
-  const auto it = early_lineage_.find(name);
-  ensure_consumers_left(it != early_lineage_.end(), name);
-  auto& by_tenant = it->second;
-  const auto held = by_tenant.find(tenant);
-  const bool found = held != by_tenant.end();
-  if (take_consumer(found ? &held->second : nullptr, name, tenant)) {
-    by_tenant.erase(held);
-  }
-  if (by_tenant.empty()) early_lineage_.erase(it);
+  const auto early = early_lineage_.find(name);
+  ensure(early != early_lineage_.end(), Errc::invalid_state,
+         "consume_done: '", name, "' has no consumers left");
+  const auto held = early->second.find(tenant);
+  ensure(held != early->second.end(), Errc::invalid_state,
+         "consume_done: tenant '", tenant, "' holds no consumers of '", name,
+         "'");
+  if (--held->second == 0) early->second.erase(held);
+  if (early->second.empty()) early_lineage_.erase(early);
 }
 
 std::size_t ReplicaCatalog::consumers_left(const std::string& name) const {

@@ -297,6 +297,7 @@ class TransferEngine {
   /// zones named `zone_a` and `zone_b`.
   [[nodiscard]] double bandwidth_of(LinkId id, const std::string& zone_a,
                                     const std::string& zone_b) const;
+  /// newcomer_rate() of a link already named.
   [[nodiscard]] double newcomer_rate(LinkId id) const;
   [[nodiscard]] std::size_t cap_for(const Link& link) const {
     return link.cap == 0 ? default_concurrency_ : link.cap;

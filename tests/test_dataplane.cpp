@@ -170,6 +170,30 @@ TEST(Catalog, ContentAddressingSharesReplicasAcrossNames) {
                Error);
 }
 
+TEST(Catalog, EarlyLineageOfAnAliasProtectsItsCanonicalDataset) {
+  data::ReplicaCatalog catalog;
+  catalog.add_store("z", 100.0);
+  catalog.register_dataset("t0/part", 60.0, "z", "cid:part");
+  // Two tenants' consumers of an alias not registered yet; one of them
+  // finishes before the alias exists.
+  catalog.add_consumers("t1/part", 1, "t1");
+  catalog.add_consumers("t1/part", 2, "t2");
+  catalog.consume_done("t1/part", "t2");
+  EXPECT_EQ(catalog.consumers_left("t1/part"), 2u);
+  EXPECT_EQ(catalog.consumers_left("t0/part"), 0u);
+  catalog.register_dataset("t1/part", 60.0, "w", "cid:part");
+  EXPECT_EQ(catalog.consumers_left("t0/part"), 2u);
+  EXPECT_FALSE(catalog.reserve("z", 80.0));  // protected: nothing to evict
+  EXPECT_THROW(catalog.consume_done("t0/part", "t3"), Error);
+  catalog.consume_done("t0/part", "t1");
+  catalog.consume_done("t1/part", "t2");
+  EXPECT_EQ(catalog.consumers_left("t1/part"), 0u);
+  EXPECT_THROW(catalog.consume_done("t0/part", "t1"), Error);
+  EXPECT_THROW(catalog.consume_done("ghost", "t1"), Error);
+  EXPECT_TRUE(catalog.reserve("z", 80.0));
+  EXPECT_EQ(catalog.eviction_log(), (std::vector<std::string>{"z/t0/part"}));
+}
+
 TEST(Catalog, ReservationsHoldSpaceUntilCommitOrRelease) {
   data::ReplicaCatalog catalog;
   catalog.add_store("z", 100.0);
