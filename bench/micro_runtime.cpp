@@ -312,16 +312,16 @@ void BM_CatalogTaskCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogTaskCycle);
 
-// PlacementAdvisor::rank as the workflow engine calls it for each node
+// PlacementAdvisor::best as the workflow engine calls it for each node
 // it releases or predicts: two pilots (delta and frontier), the node's
 // inputs resolved against the catalog and priced at each link's live
 // newcomer rate. Corpus parts live in archive and (half of them) in lab,
 // so their stage-in stripes over two links; a few transfers sit on
-// those links so the rates are discounted. One iteration ranks the 48
+// those links so the rates are discounted. One iteration places the 48
 // nodes of eight diamonds: per graph the src and four branches each
 // read one part (tenants 1 and 2 through aliases) and the sink reads
 // four intermediates, half resident in each compute zone.
-void BM_PlacementRank(benchmark::State& state) {
+void BM_PlacementBest(benchmark::State& state) {
   core::Session session({.seed = 5});
   session.add_platform(platform::delta_profile(1));
   session.add_platform(platform::frontier_profile(1));
@@ -368,14 +368,14 @@ void BM_PlacementRank(benchmark::State& state) {
   std::size_t on_delta = 0;
   for (auto _ : state) {
     for (const auto& consumes : nodes) {
-      on_delta += advisor.rank(pilots, consumes).front() == pilots[0];
+      on_delta += advisor.best(pilots, consumes) == pilots[0];
     }
   }
   benchmark::DoNotOptimize(on_delta);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(nodes.size()));
 }
-BENCHMARK(BM_PlacementRank);
+BENCHMARK(BM_PlacementBest);
 
 // Transfers as dataflow makes them: each from one source replica, from
 // the transfer call through setup, the fair-share replans of its link

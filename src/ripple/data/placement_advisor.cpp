@@ -1,7 +1,5 @@
 #include "ripple/data/placement_advisor.hpp"
 
-#include <algorithm>
-
 #include "ripple/core/entities.hpp"
 #include "ripple/core/scheduler.hpp"
 #include "ripple/platform/cluster.hpp"
@@ -53,25 +51,7 @@ double PlacementAdvisor::stage_in_seconds(const Dataset& ds,
   return ds.bytes / rate;
 }
 
-double PlacementAdvisor::score(const std::vector<std::string>& datasets,
-                               const std::string& zone,
-                               const std::string& pilot_uid) const {
-  return with_queue_penalty(stage_in_time(datasets, zone), pilot_uid);
-}
-
-double PlacementAdvisor::with_queue_penalty(
-    double seconds, const std::string& pilot_uid) const {
-  // The queue penalty is in seconds; without an engine stage_in_time
-  // degrades to raw bytes, and adding seconds to bytes would drown the
-  // penalty — skip it so the bytes-only mode stays purely data-driven.
-  if (engine_ != nullptr && scheduler_ != nullptr) {
-    seconds += kQueuePenalty *
-               static_cast<double>(scheduler_->queue_length(pilot_uid));
-  }
-  return seconds;
-}
-
-std::vector<double> PlacementAdvisor::scores(
+core::Pilot* PlacementAdvisor::best(
     const std::vector<core::Pilot*>& candidates,
     const std::vector<std::string>& datasets) const {
   // Resolve every name once; each candidate prices the same datasets.
@@ -80,45 +60,27 @@ std::vector<double> PlacementAdvisor::scores(
   for (const auto& name : datasets) {
     if (const Dataset* ds = catalog_.find(name)) resolved.push_back(ds);
   }
-  std::vector<double> out;
-  out.reserve(candidates.size());
+  core::Pilot* cheapest = nullptr;
+  double cheapest_score = 0.0;
   for (core::Pilot* pilot : candidates) {
     const std::string& zone = pilot->cluster().name();
-    double seconds = 0.0;
-    for (const Dataset* ds : resolved) seconds += stage_in_seconds(*ds, zone);
-    out.push_back(with_queue_penalty(seconds, pilot->uid()));
+    double score = 0.0;
+    for (const Dataset* ds : resolved) score += stage_in_seconds(*ds, zone);
+    // The queue penalty is in seconds; without an engine the stage-in
+    // estimate degrades to raw bytes, and adding seconds to bytes would
+    // drown the penalty — skip it so the bytes-only mode stays purely
+    // data-driven.
+    if (engine_ != nullptr && scheduler_ != nullptr) {
+      score += kQueuePenalty *
+               static_cast<double>(scheduler_->queue_length(pilot->uid()));
+    }
+    // Strictly cheaper only: ties keep the earlier candidate.
+    if (cheapest == nullptr || score < cheapest_score) {
+      cheapest = pilot;
+      cheapest_score = score;
+    }
   }
-  return out;
-}
-
-std::vector<core::Pilot*> PlacementAdvisor::rank(
-    std::vector<core::Pilot*> candidates,
-    const std::vector<std::string>& datasets) const {
-  const std::vector<double> score = scores(candidates, datasets);
-  std::vector<std::pair<double, core::Pilot*>> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored.emplace_back(score[i], candidates[i]);
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (std::size_t i = 0; i < scored.size(); ++i) {
-    candidates[i] = scored[i].second;
-  }
-  return candidates;
-}
-
-core::Pilot* PlacementAdvisor::best(
-    const std::vector<core::Pilot*>& candidates,
-    const std::vector<std::string>& datasets) const {
-  if (candidates.empty()) return nullptr;
-  // rank(...).front() without the copy and the sort: the first of the
-  // cheapest.
-  const std::vector<double> score = scores(candidates, datasets);
-  const auto cheapest = std::min_element(score.begin(), score.end());
-  return candidates[static_cast<std::size_t>(cheapest - score.begin())];
+  return cheapest;
 }
 
 }  // namespace ripple::data

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file placement_advisor.hpp
-/// Contention-aware placement: rank candidate zones/pilots by the
-/// estimated *time* it takes to start computing there — stage-in time
+/// Contention-aware placement: pick the candidate pilot whose zone has
+/// the lowest estimated *time* to start computing there — stage-in time
 /// at the currently achievable transfer rate plus a scheduler
 /// queue-depth penalty — so data movement trades off against compute
 /// wait explicitly.
@@ -14,9 +14,9 @@
 /// the score rate-aware — a dataset replicated in several zones stripes
 /// across its links, each contributing the fair share it would get if
 /// the transfer joined now — and wiring a Scheduler adds the queue
-/// penalty. Ties preserve caller order, so ranking is deterministic and
-/// data-blind callers (everything in one zone, idle queues) keep their
-/// existing placement.
+/// penalty. Ties go to the earlier candidate, so placement is
+/// deterministic and data-blind callers (everything in one zone, idle
+/// queues) keep their existing placement.
 
 #include <string>
 #include <vector>
@@ -33,11 +33,11 @@ namespace ripple::data {
 
 class PlacementAdvisor {
  public:
-  /// Bytes-only ranking (no live contention state).
+  /// Bytes-only scoring (no live contention state).
   explicit PlacementAdvisor(const ReplicaCatalog& catalog)
       : catalog_(catalog) {}
 
-  /// Contention-aware ranking: `engine` supplies live per-link rates
+  /// Contention-aware scoring: `engine` supplies live per-link rates
   /// (striped-source stage-in time), `scheduler` the queue-depth
   /// penalty. Either may be null; absent state contributes nothing.
   PlacementAdvisor(const ReplicaCatalog& catalog,
@@ -56,29 +56,18 @@ class PlacementAdvisor {
   /// replica links, each contributing
   /// TransferEngine::newcomer_rate(src, zone) — bandwidth discounted
   /// by the link's active and queued transfers. Falls back to bytes
-  /// when no engine is wired (so ranking still orders by footprint).
+  /// when no engine is wired (so placement still orders by footprint).
   [[nodiscard]] double stage_in_time(
       const std::vector<std::string>& datasets,
       const std::string& zone) const;
 
-  /// The full placement score of one candidate: stage-in time plus the
-  /// queue-depth penalty of `pilot_uid`, 0.5 s of estimated compute wait
-  /// per already-queued request. The penalty (seconds) applies
-  /// only when both engine and scheduler are wired — against the
-  /// bytes-based fallback it would be unit-nonsense noise.
-  [[nodiscard]] double score(const std::vector<std::string>& datasets,
-                             const std::string& zone,
-                             const std::string& pilot_uid) const;
-
-  /// Candidates sorted by ascending score into their cluster's zone;
-  /// stable (ties keep caller order). Each dataset is resolved once per
-  /// call, not once per candidate.
-  [[nodiscard]] std::vector<core::Pilot*> rank(
-      std::vector<core::Pilot*> candidates,
-      const std::vector<std::string>& datasets) const;
-
-  /// The cheapest candidate, the first one on ties (rank()'s front);
-  /// null when `candidates` is empty.
+  /// The candidate whose zone is cheapest to start computing in, the
+  /// first one on ties; null when `candidates` is empty. A candidate's
+  /// score is stage_in_time() into its cluster's zone, each dataset
+  /// resolved once per call, plus 0.5 s of estimated compute wait per
+  /// request already queued on the pilot. The queue penalty (seconds)
+  /// applies only when both engine and scheduler are wired — against
+  /// the bytes-based fallback it would be unit-nonsense noise.
   [[nodiscard]] core::Pilot* best(
       const std::vector<core::Pilot*>& candidates,
       const std::vector<std::string>& datasets) const;
@@ -87,14 +76,6 @@ class PlacementAdvisor {
   /// One dataset's share of stage_in_time(): 0 when resident in `zone`.
   [[nodiscard]] double stage_in_seconds(const Dataset& ds,
                                         const std::string& zone) const;
-  /// score() of every candidate, in caller order, resolving each
-  /// dataset once.
-  [[nodiscard]] std::vector<double> scores(
-      const std::vector<core::Pilot*>& candidates,
-      const std::vector<std::string>& datasets) const;
-  /// `seconds` plus the queue penalty of `pilot_uid` (see score()).
-  [[nodiscard]] double with_queue_penalty(double seconds,
-                                          const std::string& pilot_uid) const;
 
   const ReplicaCatalog& catalog_;
   const TransferEngine* engine_ = nullptr;
