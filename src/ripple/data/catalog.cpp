@@ -212,7 +212,7 @@ void ReplicaCatalog::unpin(const std::string& name, const std::string& zone,
   // force-dropped, and the interrupted reader's release is tolerated
   // (whichever tenant held it — lost pins are tracked by total).
   if (id != nullptr && !lost_pins_.empty()) {
-    const auto lost = lost_pins_.find({find_zone(zone), *id});
+    const auto lost = lost_pins_.find({zones_.find(zone), *id});
     if (lost != lost_pins_.end()) {
       if (--lost->second == 0) lost_pins_.erase(lost);
       return;
@@ -319,8 +319,8 @@ void ReplicaCatalog::set_tenant_quota(const std::string& zone,
 
 double ReplicaCatalog::tenant_usage(const std::string& zone,
                                     const std::string& tenant) const {
-  const ZoneId z = find_zone(zone);
-  if (z == kNoZone) return 0.0;
+  const ZoneId z = zones_.find(zone);
+  if (z == ZoneNames::kNone) return 0.0;
   const Store& store = stores_[z];
   double held = 0.0;
   const auto u = store.used_by_tenant.find(tenant);
@@ -335,22 +335,22 @@ double ReplicaCatalog::tenant_usage(const std::string& zone,
 // ---------------------------------------------------------------------------
 
 StoreInfo ReplicaCatalog::store(const std::string& zone) const {
-  const ZoneId z = find_zone(zone);
-  return z == kNoZone ? StoreInfo{} : stores_[z].info;
+  const ZoneId z = zones_.find(zone);
+  return z == ZoneNames::kNone ? StoreInfo{} : stores_[z].info;
 }
 
 std::vector<std::string> ReplicaCatalog::store_zones() const {
   std::vector<std::string> zones;
-  for (const Store& store : stores_) {
-    if (store.declared) zones.push_back(store.zone);
+  for (std::size_t z = 0; z < stores_.size(); ++z) {
+    if (stores_[z].declared) zones.push_back(zones_.name(z));
   }
   std::sort(zones.begin(), zones.end());
   return zones;
 }
 
 std::vector<std::string> ReplicaCatalog::fail_store(const std::string& zone) {
-  const ZoneId z = find_zone(zone);
-  if (z == kNoZone) return {};
+  const ZoneId z = zones_.find(zone);
+  if (z == ZoneNames::kNone) return {};
   // Every replica in the zone, declared store or not, has an entry in
   // its LRU index.
   Store& store = stores_[z];
@@ -365,9 +365,7 @@ std::vector<std::string> ReplicaCatalog::fail_store(const std::string& zone) {
   }
   // The walk is in recency order; callers repair in the returned order.
   std::sort(lost.begin(), lost.end());
-  Store forgotten;
-  forgotten.zone = zone;
-  store = std::move(forgotten);
+  store = Store{};
   return lost;
 }
 
@@ -394,7 +392,8 @@ bool ReplicaCatalog::make_room(ZoneId zone, double bytes) {
     erase_replica(record, replica);
     ++total_evictions_;
     ++store.info.evictions;
-    eviction_log_.push_back(strutil::cat(store.zone, "/", record.info.name));
+    eviction_log_.push_back(
+        strutil::cat(zones_.name(zone), "/", record.info.name));
   }
   return store.info.free() >= need;
 }
@@ -417,7 +416,7 @@ void ReplicaCatalog::insert_replica(DatasetId id, ZoneId zone,
                                     std::string owner) {
   Record& record = records_[id];
   Store& store = stores_[zone];
-  record.info.zones.insert(store.zone);
+  record.info.zones.insert(zones_.name(zone));
   Replica& replica = record.replicas.emplace_back();
   replica.zone = zone;
   replica.last_use = ++clock_;
@@ -431,7 +430,7 @@ void ReplicaCatalog::erase_replica(Record& record, const Replica& replica) {
   store.info.used -= record.info.bytes;
   if (store.info.used < 0.0) store.info.used = 0.0;
   uncharge_owner(store, replica, record.info.bytes);
-  record.info.zones.erase(store.zone);
+  record.info.zones.erase(zones_.name(replica.zone));
   // The list is unordered: the last replica fills the hole.
   auto& replicas = record.replicas;
   const auto index = static_cast<std::size_t>(&replica - replicas.data());
@@ -499,7 +498,7 @@ ReplicaCatalog::Record& ReplicaCatalog::record_for(const std::string& name) {
 const ReplicaCatalog::Replica* ReplicaCatalog::replica_in(
     const Record& record, const std::string& zone) const {
   for (const Replica& replica : record.replicas) {
-    if (stores_[replica.zone].zone == zone) return &replica;
+    if (zones_.name(replica.zone) == zone) return &replica;
   }
   return nullptr;
 }
@@ -516,19 +515,10 @@ const ReplicaCatalog::Replica& ReplicaCatalog::replica_at(const Record& record,
       [zone](const Replica& replica) { return replica.zone == zone; });
 }
 
-ReplicaCatalog::ZoneId ReplicaCatalog::find_zone(
-    const std::string& zone) const {
-  for (std::size_t z = 0; z < stores_.size(); ++z) {
-    if (stores_[z].zone == zone) return static_cast<ZoneId>(z);
-  }
-  return kNoZone;
-}
-
 ReplicaCatalog::ZoneId ReplicaCatalog::zone_for(const std::string& zone) {
-  const ZoneId found = find_zone(zone);
-  if (found != kNoZone) return found;
-  stores_.emplace_back().zone = zone;
-  return static_cast<ZoneId>(stores_.size() - 1);
+  const ZoneId z = zones_.intern(zone);
+  if (z == stores_.size()) stores_.emplace_back();
+  return z;
 }
 
 }  // namespace ripple::data

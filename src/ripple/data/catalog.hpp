@@ -69,6 +69,8 @@
 #include <utility>
 #include <vector>
 
+#include "ripple/data/zone_names.hpp"
+
 namespace ripple::data {
 
 struct Dataset {
@@ -97,6 +99,15 @@ struct StoreInfo {
 
 class ReplicaCatalog {
  public:
+  ReplicaCatalog() = default;
+  /// Not copyable: the name index views the names held in records_ and
+  /// aliases_. A move keeps them valid (a deque's move keeps its
+  /// elements in place).
+  ReplicaCatalog(const ReplicaCatalog&) = delete;
+  ReplicaCatalog& operator=(const ReplicaCatalog&) = delete;
+  ReplicaCatalog(ReplicaCatalog&&) = default;
+  ReplicaCatalog& operator=(ReplicaCatalog&&) = default;
+
   /// Declares (or resizes) the store of `zone` to a finite capacity in
   /// bytes. Zones never declared have infinite capacity. Shrinking
   /// below the currently used+reserved bytes throws (and declares
@@ -229,8 +240,7 @@ class ReplicaCatalog {
 
  private:
   using DatasetId = std::uint32_t;
-  using ZoneId = std::uint32_t;
-  static constexpr ZoneId kNoZone = std::numeric_limits<ZoneId>::max();
+  using ZoneId = ZoneNames::Id;
 
   struct Replica {
     ZoneId zone = 0;
@@ -252,7 +262,6 @@ class ReplicaCatalog {
 
   /// One zone's store, declared or not.
   struct Store {
-    std::string zone;
     bool declared = false;  ///< by add_store, until fail_store
     StoreInfo info;
     /// LRU index: (last_use, dataset id) ascending. Stamps are unique
@@ -313,10 +322,7 @@ class ReplicaCatalog {
                                                  ZoneId zone);
   /// Stamps `replica` of `id` as used now and moves it to the LRU tail.
   void bump(DatasetId id, Replica& replica);
-  /// The interned id of `zone`, or kNoZone. Zones are few (one per
-  /// platform and data site), so this scans the store table.
-  [[nodiscard]] ZoneId find_zone(const std::string& zone) const;
-  /// find_zone() that interns an unknown zone as an undeclared store.
+  /// The id of `zone`, interning an unknown zone as an undeclared store.
   [[nodiscard]] ZoneId zone_for(const std::string& zone);
 
   std::deque<Record> records_;  ///< by id; a deque, so records never move
@@ -325,7 +331,8 @@ class ReplicaCatalog {
   /// (viewing aliases_) -> id.
   std::unordered_map<std::string_view, DatasetId> names_;
   std::unordered_map<std::string, DatasetId> content_index_;  ///< cid -> id
-  std::vector<Store> stores_;  ///< by zone id
+  ZoneNames zones_;
+  std::vector<Store> stores_;  ///< by zone id, in parallel with zones_
   /// (zone, dataset) -> pins force-dropped by fail_store, kept so late
   /// unpin() calls from interrupted readers do not throw (unpin()
   /// searches it only while it is non-empty).

@@ -11,43 +11,34 @@ namespace ripple::data {
 TransferEngine::TransferEngine(sim::EventLoop& loop, common::Rng rng)
     : loop_(loop), rng_(rng) {}
 
-TransferEngine::ZoneId TransferEngine::find_zone(
-    const std::string& name) const {
-  for (std::size_t z = 0; z < zones_.size(); ++z) {
-    if (zones_[z].name == name) return static_cast<ZoneId>(z);
-  }
-  return kNone;
-}
-
 TransferEngine::ZoneId TransferEngine::zone_for(const std::string& name) {
-  const ZoneId found = find_zone(name);
-  if (found != kNone) return found;
-  zones_.emplace_back().name = name;
-  return static_cast<ZoneId>(zones_.size() - 1);
+  const ZoneId z = zones_.intern(name);
+  if (z == link_rows_.size()) link_rows_.emplace_back();
+  return z;
 }
 
 TransferEngine::LinkId TransferEngine::find_link(
     const std::string& zone_a, const std::string& zone_b) const {
-  const ZoneId a = find_zone(zone_a);
-  const ZoneId b = find_zone(zone_b);
+  const ZoneId a = zones_.find(zone_a);
+  const ZoneId b = zones_.find(zone_b);
   if (a == kNone || b == kNone) return kNone;
-  const std::vector<LinkId>& row = zones_[a].links;
+  const std::vector<LinkId>& row = link_rows_[a];
   return b < row.size() ? row[b] : kNone;
 }
 
 TransferEngine::LinkId TransferEngine::link_for(ZoneId a, ZoneId b) {
   for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
-    std::vector<LinkId>& row = zones_[from].links;
+    std::vector<LinkId>& row = link_rows_[from];
     if (to >= row.size()) row.resize(to + 1, kNone);
   }
-  LinkId& id = zones_[a].links[b];
+  LinkId& id = link_rows_[a][b];
   if (id != kNone) return id;
   id = static_cast<LinkId>(links_.size());
-  zones_[b].links[a] = id;
+  link_rows_[b][a] = id;
   Link& link = links_.emplace_back();
   // The pair is unordered; its name order is the order replan_all
   // walks and labels it by.
-  const bool a_first = !(zones_[b].name < zones_[a].name);
+  const bool a_first = !(zones_.name(b) < zones_.name(a));
   link.first = a_first ? a : b;
   link.second = a_first ? b : a;
   return id;
@@ -57,8 +48,8 @@ void TransferEngine::mark_used(LinkId id) {
   if (links_[id].used) return;
   links_[id].used = true;
   const auto names = [this](LinkId link) {
-    return std::tie(zones_[links_[link].first].name,
-                    zones_[links_[link].second].name);
+    return std::tie(zones_.name(links_[link].first),
+                    zones_.name(links_[link].second));
   };
   used_links_.insert(
       std::upper_bound(used_links_.begin(), used_links_.end(), id,
@@ -154,8 +145,8 @@ double TransferEngine::newcomer_rate(LinkId id) const {
   const Link& link = links_[id];
   const double load = static_cast<double>(link.active.size()) +
                       static_cast<double>(link.queued.size()) + 1.0;
-  return bandwidth_of(id, zones_[link.first].name,
-                      zones_[link.second].name) /
+  return bandwidth_of(id, zones_.name(link.first),
+                      zones_.name(link.second)) /
          load;
 }
 
@@ -358,8 +349,8 @@ void TransferEngine::plan_link(LinkId id, std::vector<PlannedTimer>& sink) {
   }
   if (flowing == 0) return;
 
-  const double bandwidth = bandwidth_of(id, zones_[link.first].name,
-                                        zones_[link.second].name);
+  const double bandwidth = bandwidth_of(id, zones_.name(link.first),
+                                        zones_.name(link.second));
   if (tenant_weights_.empty()) {
     // The historical equal split, kept as its own arithmetic path: the
     // weighted formula below reduces to it mathematically, but only
@@ -426,8 +417,8 @@ std::size_t TransferEngine::replan_all() {
       // One zero-length span per planned link, in link order.
       const Link& link = links_[id];
       tracer_->complete("replan", "xfer",
-                        strutil::cat(zones_[link.first].name, "~",
-                                     zones_[link.second].name),
+                        strutil::cat(zones_.name(link.first), "~",
+                                     zones_.name(link.second)),
                         now, now, 0,
                         {{"flows", std::to_string(planned.size() - before)}});
     }

@@ -69,6 +69,7 @@
 #include "ripple/common/hash.hpp"
 #include "ripple/common/random.hpp"
 #include "ripple/common/statistics.hpp"
+#include "ripple/data/zone_names.hpp"
 #include "ripple/metrics/counters.hpp"
 #include "ripple/metrics/tracer.hpp"
 #include "ripple/sim/event_loop.hpp"
@@ -232,10 +233,10 @@ class TransferEngine {
   [[nodiscard]] std::uint64_t completion_hash() const noexcept;
 
  private:
-  using ZoneId = std::uint32_t;
+  using ZoneId = ZoneNames::Id;
   /// Dense id of an unordered zone pair, assigned on first mention.
   using LinkId = std::uint32_t;
-  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kNone = ZoneNames::kNone;  ///< no zone/link
 
   enum class Phase { queued, setup, flowing };
 
@@ -266,11 +267,6 @@ class TransferEngine {
     Callback on_done;
   };
 
-  struct Zone {
-    std::string name;
-    std::vector<LinkId> links;  ///< by the other zone's id; kNone if unset
-  };
-
   /// One unordered zone pair: its configuration, state and traffic.
   struct Link {
     ZoneId first = 0;   ///< the zone whose name sorts first
@@ -283,10 +279,9 @@ class TransferEngine {
     std::deque<TransferId> queued;
   };
 
-  /// The id of zone `name`, or kNone. Zones are few (one per platform
-  /// and data site), so this scans the zone table.
-  [[nodiscard]] ZoneId find_zone(const std::string& name) const;
-  [[nodiscard]] ZoneId zone_for(const std::string& name);  ///< interns
+  /// The id of zone `name`, interning an unknown zone with an empty
+  /// link row.
+  [[nodiscard]] ZoneId zone_for(const std::string& name);
   /// The link between two zones, or kNone.
   [[nodiscard]] LinkId find_link(const std::string& zone_a,
                                  const std::string& zone_b) const;
@@ -369,7 +364,10 @@ class TransferEngine {
   metrics::Tracer* tracer_ = nullptr;
   metrics::Counters* counters_ = nullptr;
   const sim::Network* network_ = nullptr;
-  std::vector<Zone> zones_;  ///< by zone id
+  ZoneNames zones_;
+  /// By zone id, in parallel with zones_: each row holds the link to
+  /// every other zone by that zone's id, kNone where none is named yet.
+  std::vector<std::vector<LinkId>> link_rows_;
   std::vector<Link> links_;  ///< by link id
   /// Links that have carried a stripe, in (zone, zone) name order.
   std::vector<LinkId> used_links_;
