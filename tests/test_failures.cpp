@@ -225,6 +225,42 @@ TEST(FailureRecovery, PreemptionWithoutSurvivorFailsTasks) {
   EXPECT_EQ(session.tasks().get(uid).state(), TaskState::failed);
 }
 
+TEST(FailureRecovery, PreemptionDuringStageOutRebindsWithoutRelease) {
+  Session session{SessionConfig{.seed = 19}};
+  session.add_platform(platform::delta_profile(1));
+  session.add_platform(platform::r3_profile(1));
+  Pilot& a = session.submit_pilot({.platform = "delta", .nodes = 1});
+  Pilot& b = session.submit_pilot({.platform = "r3", .nodes = 1});
+  session.tasks().set_restart_policy({.max_restarts = 2});
+  session.data().set_bandwidth("delta", "archive", 1e9);  // ~5 s out
+
+  TaskDescription desc = modeled_task(1.0, 8);
+  desc.staging.push_back(StagingDirective::out("result", "archive"));
+  desc.payload.set("output_bytes", 5e9);
+  const auto uid = session.tasks().submit(a, desc);
+  // The output leaves delta at about t=3 and lands at about t=8, so the
+  // pilot dies under a task in STAGING_OUTPUT.
+  session.failures().injector().inject_at(5.0, FailureKind::pilot_preempt,
+                                          a.uid());
+  session.run();
+
+  const auto& task = session.tasks().get(uid);
+  EXPECT_LT(task.state_time(TaskState::staging_output), 5.0);
+  EXPECT_EQ(task.state(), TaskState::done);
+  EXPECT_GT(task.state_time(TaskState::done), 5.0);
+  EXPECT_EQ(task.pilot_uid(), b.uid());
+  EXPECT_TRUE(session.data().available_in("result", "archive"));
+  // Re-bound, not restarted: the outputs kept going.
+  EXPECT_EQ(session.tasks().restarts_total(), 0u);
+  ASSERT_EQ(session.tasks().recovery_log().size(), 1u);
+  EXPECT_NE(session.tasks().recovery_log().front().find("rebind " + b.uid()),
+            std::string::npos);
+  // The dead pilot's slot was never released on the survivor.
+  const platform::Node& survivor = session.cluster("r3").node(0);
+  EXPECT_EQ(survivor.free_cores(), survivor.spec().cores);
+  EXPECT_EQ(survivor.free_gpus(), survivor.spec().gpus);
+}
+
 TEST(FailureRecovery, SpeculationBeatsStraggler) {
   Session session{SessionConfig{.seed = 23}};
   session.add_platform(platform::delta_profile(2));
