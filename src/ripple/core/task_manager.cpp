@@ -320,7 +320,7 @@ void TaskManager::begin_stage_in(EntityId id, Active& active) {
           active.input_pins.push_back(name);
         }
         // The grant may have arrived while the data was in flight.
-        if (active.primary.slot_held &&
+        if (active.primary.node != nullptr &&
             active.state() == TaskState::scheduled) {
           begin_launch(id);
         }
@@ -428,7 +428,6 @@ void TaskManager::on_granted(EntityId id, std::uint64_t epoch,
   attempt.ticket.reset();
   active.task.set_slot(slot);
   attempt.slot = std::move(slot);
-  attempt.slot_held = true;
   attempt.node = node;
   bound_[node].push_back(id);
   set_state(active, TaskState::scheduled);
@@ -599,7 +598,6 @@ void TaskManager::on_spec_granted(EntityId id, std::uint64_t epoch,
   }
   twin.slot = std::move(slot);
   twin.node = node;
-  twin.slot_held = true;
   bound_[node].push_back(id);
   ++speculations_;
   launch_attempt(id, active, /*twin=*/true);
@@ -616,16 +614,15 @@ void TaskManager::cancel_speculation(Active& active) {
 }
 
 void TaskManager::end_attempt(Active& active, Attempt& attempt) {
-  if (attempt.ticket || attempt.slot_held) {
+  if (attempt.ticket || attempt.node != nullptr) {
     // A preempted pilot is already deregistered, its queue and slots
     // gone with it.
     const std::string& pilot_uid = active.pilot->uid();
     if (scheduler_.has_pilot(pilot_uid)) {
       if (attempt.ticket) scheduler_.cancel(pilot_uid, *attempt.ticket);
-      if (attempt.slot_held) scheduler_.release(pilot_uid, attempt.slot);
+      if (attempt.node != nullptr) scheduler_.release(pilot_uid, attempt.slot);
     }
     attempt.ticket.reset();
-    attempt.slot_held = false;
   }
   attempt.payload.reset();
   attempt.ctx.reset();
@@ -743,7 +740,7 @@ std::size_t TaskManager::handle_node_failure(const platform::Node& node) {
       cancel_speculation(active);
       record_recovery(active, "spec_lost_node");
     }
-    if (active.primary.node != &node || !active.primary.slot_held) continue;
+    if (active.primary.node != &node) continue;
     // STAGING_OUTPUT attempts keep their results: outputs are zone-level
     // transfers that survive the node; the stale slot release is a no-op.
     if (active.state() == TaskState::staging_output) continue;
@@ -784,8 +781,9 @@ std::size_t TaskManager::handle_pilot_loss(
         state == TaskState::staging_output) {
       // Not holding pilot resources worth restarting for: just re-bind.
       // (A staging-out attempt's outputs are zone-level and keep going;
-      // its slot died with the pilot, so only drop the local handle.)
-      active.primary.slot_held = false;
+      // its slot died with the pilot, so only drop the placement: a
+      // later release would land on the replacement pilot.)
+      active.primary.node = nullptr;
       active.pilot = replacement;
       active.task.set_pilot_uid(replacement->uid());
       record_recovery(active, strutil::cat("rebind ", replacement->uid()));

@@ -162,9 +162,9 @@ class TaskManager {
   /// that true when the record is destroyed).
   struct Attempt {
     std::optional<Scheduler::Ticket> ticket;  ///< request still queued
-    platform::Node* node = nullptr;           ///< placement, set on grant
+    /// Placement, set on grant; non-null exactly while `slot` is held.
+    platform::Node* node = nullptr;
     platform::Slot slot;
-    bool slot_held = false;
     std::unique_ptr<ExecutionContext> ctx;
     std::unique_ptr<TaskPayload> payload;
   };
