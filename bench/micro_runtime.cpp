@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -23,7 +22,6 @@
 
 #include "ripple/common/ids.hpp"
 #include "ripple/common/json.hpp"
-#include "ripple/common/thread_pool.hpp"
 #include "ripple/common/random.hpp"
 #include "ripple/common/statistics.hpp"
 #include "ripple/common/strutil.hpp"
@@ -455,7 +453,7 @@ void BM_TransferReplanAll(benchmark::State& state) {
 BENCHMARK(BM_TransferReplanAll);
 
 // The event-loop Callback is a small-buffer-optimized move-only type
-// (sim::UniqueCallback): captures up to 64 bytes live inline in the
+// (common::UniqueFunction): captures up to 64 bytes live inline in the
 // event, where std::function heap-allocates anything beyond its tiny
 // SBO. The pair below measures the delta on a ~40-byte capture — the
 // runtime's typical "this + uid string" closure — posted through the
@@ -499,55 +497,6 @@ void BM_EventLoopCallbackStdFunction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventLoopCallbackStdFunction);
-
-// ThreadPool::submit used to box every task as a
-// shared_ptr<packaged_task> inside a copyable std::function — two heap
-// allocations plus refcounting per task. It now moves the
-// packaged_task straight into the queue's move-only inline-storage
-// wrapper (common::UniqueFunction), so the only allocation left is the
-// future's shared state. The pair measures the delta on the runtime's
-// typical small-capture task; the second variant reconstructs the old
-// idiom in-bench.
-void BM_ThreadPoolSubmitInline(benchmark::State& state) {
-  common::ThreadPool pool(2);
-  for (auto _ : state) {
-    std::vector<std::future<double>> futures;
-    futures.reserve(256);
-    const FatCapture fat{nullptr, 1.0, 2.0, 3.0, 4.0};
-    for (int i = 0; i < 256; ++i) {
-      futures.push_back(
-          pool.submit([fat] { return fat.a + fat.b + fat.c + fat.d; }));
-    }
-    double sink = 0.0;
-    for (auto& future : futures) sink += future.get();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_ThreadPoolSubmitInline);
-
-void BM_ThreadPoolSubmitSharedPtrTask(benchmark::State& state) {
-  common::ThreadPool pool(2);
-  for (auto _ : state) {
-    std::vector<std::future<double>> futures;
-    futures.reserve(256);
-    const FatCapture fat{nullptr, 1.0, 2.0, 3.0, 4.0};
-    for (int i = 0; i < 256; ++i) {
-      // The old submit(): shared_ptr so the std::function stays
-      // copyable, then a second boxing into the queue's callable.
-      auto task = std::make_shared<std::packaged_task<double()>>(
-          [fat] { return fat.a + fat.b + fat.c + fat.d; });
-      futures.push_back(task->get_future());
-      std::function<void()> boxed = [task] { (*task)(); };
-      pool.submit(std::move(boxed));
-    }
-    double sink = 0.0;
-    for (auto& future : futures) sink += future.get();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_ThreadPoolSubmitSharedPtrTask);
 
 void BM_JsonParseDump(benchmark::State& state) {
   const std::string text = R"({"uid":"task.000001","cores":4,"gpus":1,

@@ -5,18 +5,20 @@
 //   1. CPU data processing & augmentation of a ~1.6 TB image dataset
 //      (Globus-managed staging through the DataManager); augmentation
 //      here is REAL compute on synthetic image tensors (rotation,
-//      flipping, contrast), parallelized with the thread pool.
+//      flipping, contrast), one seeded stream per image.
 //   2. GPU fine-tuning driven by hyperparameter optimization
 //      (successive halving over learning rate / batch size / weight
 //      decay / dropout) on a synthetic-but-structured response surface.
 // Training starts as soon as the first augmentation batches land
 // (unblock_next_after), exactly the async coupling the paper motivates.
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <vector>
 
-#include "ripple/common/thread_pool.hpp"
 #include "ripple/common/strutil.hpp"
 #include "ripple/core/session.hpp"
 #include "ripple/metrics/report.hpp"
@@ -30,16 +32,16 @@ namespace {
 
 /// Real augmentation work: builds a batch of synthetic 32x32 "images",
 /// applies flip + rotation + contrast, and returns a checksum so the
-/// compiler cannot elide the work. Runs on the shared thread pool.
+/// compiler cannot elide the work. Each image draws from its own
+/// seeded stream.
 json::Value augment_batch(core::ExecutionContext& ctx,
                           const json::Value& args) {
   const auto images = static_cast<std::size_t>(
       args.get_or("images", json::Value(64)).as_int());
   constexpr std::size_t kSide = 32;
-  common::ThreadPool workers(4);
-  std::vector<double> checksums(images, 0.0);
   const std::uint64_t seed = ctx.rng.uniform_int(1, 1 << 30);
-  workers.parallel_for(0, images, [&](std::size_t i) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < images; ++i) {
     common::Rng rng(seed + i);
     std::vector<float> img(kSide * kSide);
     for (auto& px : img) {
@@ -64,10 +66,8 @@ json::Value augment_batch(core::ExecutionContext& ctx,
       px = std::clamp((px - 0.5f) * 1.3f + 0.5f, 0.0f, 1.0f);
       sum += px;
     }
-    checksums[i] = sum;
-  });
-  double total = 0.0;
-  for (const double c : checksums) total += c;
+    total += sum;
+  }
 
   json::Value out = json::Value::object();
   out.set("images", images);

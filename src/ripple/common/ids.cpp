@@ -12,11 +12,7 @@ constexpr int kDigits = 6;
 }  // namespace
 
 std::string IdGenerator::next(const std::string& prefix) {
-  std::uint64_t n = 0;
-  {
-    std::lock_guard lock(mutex_);
-    n = counters_[prefix]++;
-  }
+  const std::uint64_t n = counters_[prefix]++;
   // One buffer sized for the usual six digits; a short uid such as
   // "msg.000042" fits the small-string buffer and allocates nothing.
   std::string uid;
@@ -28,14 +24,10 @@ std::string IdGenerator::next(const std::string& prefix) {
 }
 
 std::uint64_t IdGenerator::count(const std::string& prefix) const {
-  std::lock_guard lock(mutex_);
   const auto it = counters_.find(prefix);
   return it == counters_.end() ? 0 : it->second;
 }
 
-void IdGenerator::reset() {
-  std::lock_guard lock(mutex_);
-  counters_.clear();
-}
+void IdGenerator::reset() { counters_.clear(); }
 
 }  // namespace ripple::common

@@ -13,13 +13,13 @@
 /// stream; the bytes are those the stream rendering produced.
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 
 namespace ripple::common {
 
-/// Thread-safe per-prefix counter, producing uids like "task.000007".
+/// Per-prefix counter, producing uids like "task.000007". Unlocked:
+/// it belongs to its session, which runs on one thread.
 class IdGenerator {
  public:
   /// Returns the next uid for `prefix` (e.g. "task" -> "task.000000").
@@ -32,7 +32,6 @@ class IdGenerator {
   void reset();
 
  private:
-  mutable std::mutex mutex_;
   std::unordered_map<std::string, std::uint64_t> counters_;
 };
 

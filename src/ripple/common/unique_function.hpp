@@ -5,18 +5,15 @@
 ///
 /// A `std::function<void()>`'s copyability forces a heap allocation for
 /// any capture larger than the implementation's tiny inline buffer
-/// (typically 16-24 bytes — less than `this` plus one uid string). Two
-/// hot paths pay that cost at scale: event-loop events (millions of
-/// grant callbacks, pub/sub deliveries and reply dispatches per run)
-/// and thread-pool work items (which additionally used to wrap every
-/// task in a `shared_ptr<packaged_task>` just to make it copyable).
+/// (typically 16-24 bytes — less than `this` plus one uid string). The
+/// event loop pays that cost at scale: millions of grant callbacks,
+/// pub/sub deliveries and reply dispatches per run.
 ///
 /// UniqueFunction is move-only, so a capture only needs to be movable,
 /// and it reserves enough inline storage for the common "component
 /// pointer + a couple of uids" closure shape. Larger captures fall back
-/// to the heap transparently. `sim::UniqueCallback` (the event-loop
-/// callback type) and the thread pool's queue slot are both aliases of
-/// this type.
+/// to the heap transparently. Its one user is `sim::EventLoop`, whose
+/// `Callback` is this type.
 
 #include <cstddef>
 #include <memory>

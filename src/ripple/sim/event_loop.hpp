@@ -37,7 +37,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "ripple/sim/callback.hpp"
+#include "ripple/common/unique_function.hpp"
 
 namespace ripple::sim {
 
@@ -50,8 +50,8 @@ using Duration = double;
 class EventLoop {
  public:
   /// Move-only with inline storage for typical closure sizes — no
-  /// per-event heap allocation (see callback.hpp).
-  using Callback = UniqueCallback;
+  /// per-event heap allocation (see unique_function.hpp).
+  using Callback = common::UniqueFunction;
 
   /// Identifies a scheduled event so it can be cancelled: the slot
   /// index in the low 32 bits, the slot's generation (never 0) in the
