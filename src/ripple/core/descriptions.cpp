@@ -9,8 +9,6 @@ void PilotDescription::validate() const {
          "pilot description needs a platform name");
   ensure(nodes > 0, Errc::invalid_argument,
          "pilot description needs at least one node");
-  ensure(walltime > 0.0, Errc::invalid_argument,
-         "pilot walltime must be positive");
 }
 
 void TaskDescription::validate() const {

@@ -41,7 +41,6 @@ struct StagingDirective {
 struct PilotDescription {
   std::string platform;        ///< profile/cluster name ("delta")
   std::size_t nodes = 1;
-  sim::Duration walltime = 24.0 * 3600.0;
 
   /// Throws invalid_argument when malformed.
   void validate() const;

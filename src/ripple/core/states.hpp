@@ -45,7 +45,7 @@ enum class ServiceState {
 enum class PilotState {
   created,   ///< description accepted
   active,    ///< resources acquired, agent running
-  done,      ///< terminal: walltime ended or session closed
+  done,      ///< terminal: closed by Session::close_pilot
   failed,    ///< terminal
   canceled,  ///< terminal
 };

@@ -14,6 +14,10 @@ namespace ripple::core {
 
 namespace {
 
+/// Restart backoff growth per restart and its cap (RestartPolicy).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr sim::Duration kMaxBackoff = 60.0;
+
 /// Datasets a description stages in — the task's input footprint.
 std::vector<std::string> stage_in_datasets(const TaskDescription& desc) {
   std::vector<std::string> inputs;
@@ -672,11 +676,11 @@ void TaskManager::interrupt_task(EntityId id, const std::string& reason,
   }
   ++active.restarts;
   ++restarts_total_;
-  double step = restart_policy_.backoff *
-                std::pow(restart_policy_.multiplier, active.restarts - 1);
-  step = std::min(step, restart_policy_.max_backoff);
-  const double delay =
-      restart_policy_.jitter ? step * restart_rng_.uniform(0.5, 1.5) : step;
+  const double step =
+      std::min(restart_policy_.backoff *
+                   std::pow(kBackoffMultiplier, active.restarts - 1),
+               kMaxBackoff);
+  const double delay = step * restart_rng_.uniform(0.5, 1.5);
   set_state(active, TaskState::scheduling);
   record_recovery(active,
                   strutil::cat("restart", active.restarts, " ", reason));

@@ -45,12 +45,11 @@ namespace ripple::core {
 class TaskManager {
  public:
   /// Re-placement policy for tasks interrupted by failures.
+  /// Restart n waits backoff x 2^(n-1), capped at 60 s, times a
+  /// seeded jitter drawn from uniform[0.5, 1.5).
   struct RestartPolicy {
-    int max_restarts = 0;             ///< 0 = fail-stop (legacy behavior)
-    sim::Duration backoff = 1.0;      ///< first restart delay
-    double multiplier = 2.0;          ///< exponential growth per restart
-    sim::Duration max_backoff = 60.0;
-    bool jitter = true;               ///< x uniform[0.5, 1.5), seeded
+    int max_restarts = 0;         ///< 0 = fail-stop (legacy behavior)
+    sim::Duration backoff = 1.0;  ///< first restart delay
   };
 
   /// Speculative-duplicate policy for stragglers.
