@@ -64,7 +64,6 @@ class Summary {
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
   [[nodiscard]] double p95() const { return quantile(0.95); }
-  [[nodiscard]] double p99() const { return quantile(0.99); }
 
   [[nodiscard]] const std::vector<double>& samples() const noexcept {
     return samples_;

@@ -56,14 +56,6 @@ bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-
 std::string pad_left(std::string_view text, std::size_t width) {
   if (text.size() >= width) return std::string(text);
   return std::string(width - text.size(), ' ') + std::string(text);

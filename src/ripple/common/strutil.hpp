@@ -73,9 +73,6 @@ template <typename... Args>
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 [[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix);
 
-/// Lowercases ASCII characters only.
-[[nodiscard]] std::string to_lower(std::string_view text);
-
 /// Left-pads `text` with spaces to at least `width` characters.
 [[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);
 

@@ -118,11 +118,6 @@ double TransferEngine::weight_for(const std::string& tenant) const {
   return it == tenant_weights_.end() ? 1.0 : it->second;
 }
 
-double TransferEngine::bandwidth_between(const std::string& zone_a,
-                                         const std::string& zone_b) const {
-  return bandwidth_of(find_link(zone_a, zone_b), zone_a, zone_b);
-}
-
 double TransferEngine::bandwidth_of(LinkId id, const std::string& zone_a,
                                     const std::string& zone_b) const {
   if (id != kNone && links_[id].bandwidth > 0.0) return links_[id].bandwidth;

@@ -99,7 +99,8 @@ class TransferEngine {
   /// Transfer-service handshake latency per attempt (Globus-like).
   void set_setup_latency(common::Distribution dist) { setup_ = dist; }
 
-  /// Concurrency cap of one link (default: default_concurrency()).
+  /// Concurrency cap of one link; a link without one takes the cap
+  /// set_default_concurrency set (32 unless changed).
   void set_link_concurrency(const std::string& zone_a,
                             const std::string& zone_b, std::size_t cap);
   void set_default_concurrency(std::size_t cap);
@@ -169,11 +170,6 @@ class TransferEngine {
   /// Returns false when the id is unknown (already settled or
   /// cancelled).
   bool cancel(TransferId id);
-
-  /// Resolved bandwidth for a zone pair: override, then Network link
-  /// model, then default.
-  [[nodiscard]] double bandwidth_between(const std::string& zone_a,
-                                         const std::string& zone_b) const;
 
   /// The rate a transfer joining the link right now could expect:
   /// resolved bandwidth discounted by the stripes already active or
@@ -289,7 +285,8 @@ class TransferEngine {
   /// First use of a link: replan_all plans it from now on.
   void mark_used(LinkId id);
   /// Resolved bandwidth of link `id` (kNone: no link yet) between the
-  /// zones named `zone_a` and `zone_b`.
+  /// zones named `zone_a` and `zone_b`: the link's override, then the
+  /// Network link model, then the default.
   [[nodiscard]] double bandwidth_of(LinkId id, const std::string& zone_a,
                                     const std::string& zone_b) const;
   /// newcomer_rate() of a link already named.
