@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -122,6 +123,20 @@ TEST(EventLoop, PendingExcludesCancelled) {
   EXPECT_EQ(loop.pending(), 2u);
   loop.cancel(h1);
   EXPECT_EQ(loop.pending(), 1u);
+}
+
+TEST(EventLoop, RunsMoveOnlyCallbacksInlineAndOnTheHeap) {
+  // A callback only has to be movable, whether its capture fits the
+  // inline buffer or spills to the heap.
+  EventLoop loop;
+  std::vector<int> seen;
+  loop.post([&seen, p = std::make_unique<int>(1)] { seen.push_back(*p); });
+  const std::array<char, 2 * EventLoop::Callback::inline_capacity> pad{};
+  loop.post([&seen, p = std::make_unique<int>(2), pad] {
+    seen.push_back(*p + pad[0]);
+  });
+  EXPECT_EQ(loop.run(), 2u);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2}));
 }
 
 // ---------------------------------------------------------------------------
